@@ -1,19 +1,26 @@
 """Exact Gaussian-process regression with an RBF kernel.
 
-Training follows the standard Cholesky route: K = k(X, X) + noise_var * I,
-L = chol(K), alpha = K^-1 (y - mean_offset), with the mean offset taken from
-the training targets. Feature standardisation is internal and on by default;
-standardize=False fits on raw inputs so closed-form oracles line up exactly.
-Training cost is cubic, so fits above ``cap`` rows run on a seeded uniform
-subsample.
+Training follows the standard Cholesky route (Rasmussen & Williams 2006,
+Alg. 2.1): K = k(X, X) + noise_var * I, L = chol(K), alpha = K^-1 (y -
+mean_offset), with the mean offset taken from the training targets. Feature
+standardisation is internal and on by default; standardize=False fits on raw
+inputs so closed-form oracles line up exactly. Training cost is cubic, so fits
+above ``cap`` rows run on a seeded uniform subsample.
+
+The posterior mean k(x, X) @ alpha needs no factor, so
+``gp_predict(..., std=False)`` serves from the training inputs and alpha
+alone. L is needed only for the posterior std and the marginal likelihood,
+and is not serialised: a fitted model keeps the one gp_fit computed, a loaded
+model recomputes it (bit for bit the same) on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from ..errors import FactorizationError, ValidationError
 from .linear import _check_xy
@@ -76,19 +83,40 @@ def rbf_kernel(
     return float(gram[0, 0]) if scalar else gram
 
 
+def _factor(train_inputs: np.ndarray, hyper: GpHyper) -> np.ndarray:
+    """Lower Cholesky factor of k(X, X) + noise_var * I."""
+    k = rbf_kernel(train_inputs, train_inputs, hyper.length_scale, hyper.signal_var)
+    k[np.diag_indices_from(k)] += hyper.noise_var
+    try:
+        return np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        raise FactorizationError(
+            "kernel matrix is not positive definite "
+            "(duplicate inputs with zero noise?); add jitter via noise_var"
+        )
+
+
 @dataclass(frozen=True)
 class GpModel:
     train_inputs: np.ndarray     # standardized when scaler is set
     alpha: np.ndarray
-    chol: np.ndarray
     hyper: GpHyper
     scaler: Standardizer | None
+    # derived from train_inputs and hyper, so neither compared nor serialised
+    _chol: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of the training kernel, computed on first use
+        when the model was loaded rather than fitted."""
+        if self._chol is None:
+            object.__setattr__(self, "_chol", _factor(self.train_inputs, self.hyper))
+        return self._chol
 
     def to_dict(self) -> dict:
         return {
             "train_inputs": self.train_inputs.tolist(),
             "alpha": self.alpha.tolist(),
-            "chol": self.chol.tolist(),
             "hyper": self.hyper.to_dict(),
             "scaler": self.scaler.to_dict() if self.scaler else None,
         }
@@ -98,7 +126,6 @@ class GpModel:
         return cls(
             train_inputs=np.asarray(d["train_inputs"], dtype=float),
             alpha=np.asarray(d["alpha"], dtype=float),
-            chol=np.asarray(d["chol"], dtype=float),
             hyper=GpHyper.from_dict(d["hyper"]),
             scaler=Standardizer.from_dict(d["scaler"]) if d["scaler"] else None,
         )
@@ -131,22 +158,22 @@ def gp_fit(
         scaler = None
         xt = x
     hyper = replace(hyper, mean_offset=float(y.mean()))
-    k = rbf_kernel(xt, xt, hyper.length_scale, hyper.signal_var)
-    k[np.diag_indices_from(k)] += hyper.noise_var
-    try:
-        chol = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
-        raise FactorizationError(
-            "kernel matrix is not positive definite "
-            "(duplicate inputs with zero noise?); add jitter via noise_var"
-        )
+    chol = _factor(xt, hyper)
     yc = y - hyper.mean_offset
+    # kept a general solve: solve_triangular moves alpha in the last bits,
+    # which would change the bytes of report.json for a given seed
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, yc))
-    return GpModel(train_inputs=xt, alpha=alpha, chol=chol, hyper=hyper, scaler=scaler)
+    return GpModel(train_inputs=xt, alpha=alpha, hyper=hyper, scaler=scaler, _chol=chol)
 
 
-def gp_predict(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior (mean, std) at the query rows."""
+def gp_predict(
+    model: GpModel, x: np.ndarray, *, std: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Posterior (mean, std) at the query rows.
+
+    With ``std=False`` the std is None and the Cholesky factor is never
+    touched, so a loaded model serves its mean without factorising.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.train_inputs.shape[1]:
         raise ValidationError(
@@ -157,7 +184,9 @@ def gp_predict(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xt, model.train_inputs, model.hyper.length_scale, model.hyper.signal_var
     )
     mean = ks @ model.alpha + model.hyper.mean_offset
-    v = np.linalg.solve(model.chol, ks.T)
+    if not std:
+        return mean, None
+    v = solve_triangular(model.chol, ks.T, lower=True)
     var = model.hyper.signal_var - np.sum(v * v, axis=0)
     np.maximum(var, 0.0, out=var)
     return mean, np.sqrt(var)

@@ -46,7 +46,8 @@ from .learners import (
     svm_predict,
 )
 
-BUNDLE_SCHEMA_VERSION = 1
+# 2: force models no longer store their Cholesky factor
+BUNDLE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,7 @@ def predict_single_batch(p: TrainedPipeline, x: np.ndarray) -> dict[str, np.ndar
     detected = svm_predict(p.detector, z) > 0
     col_cls, _ = forest_predict(p.col_clf, z)
     row_cls, _ = forest_predict(p.row_clf, z)
-    force_mean, _ = gp_predict(p.force_model, x)
+    force_mean, _ = gp_predict(p.force_model, x, std=False)
     return {
         "stretch": stretch,
         "detected": detected,
@@ -378,7 +379,7 @@ def predict_two_batch(p: TrainedTwoPipeline, x: np.ndarray) -> dict[str, np.ndar
         cls, _ = forest_predict(clf, z)
         out[name] = axes[cls]
     for name, gp in (("force1", p.force1_model), ("force2", p.force2_model)):
-        mean, _ = gp_predict(gp, x)
+        mean, _ = gp_predict(gp, x, std=False)
         out[name] = np.maximum(mean, 0.0)
     return out
 
@@ -413,18 +414,25 @@ def load_pipeline(path: str | Path) -> TrainedPipeline | TrainedTwoPipeline:
         d = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"model bundle is not valid JSON: {exc}")
-    if not isinstance(d, dict) or d.get("bundle_schema") != BUNDLE_SCHEMA_VERSION:
+    if not isinstance(d, dict):
+        raise SchemaError("model bundle must be a JSON object")
+    if d.get("bundle_schema") != BUNDLE_SCHEMA_VERSION:
         raise SchemaError(
-            f"unsupported model bundle schema {d.get('bundle_schema')!r}"
-            if isinstance(d, dict)
-            else "model bundle must be a JSON object"
+            f"unsupported model bundle schema {d.get('bundle_schema')!r} "
+            f"(this eskin reads schema {BUNDLE_SCHEMA_VERSION}); "
+            "re-run `eskin train` to rebuild the bundle"
         )
     mode = d.get("mode")
     if mode == "single":
-        return TrainedPipeline.from_dict(d["pipeline"])
-    if mode == "two":
-        return TrainedTwoPipeline.from_dict(d["pipeline"])
-    raise SchemaError(f"unknown bundle mode {mode!r}")
+        cls = TrainedPipeline
+    elif mode == "two":
+        cls = TrainedTwoPipeline
+    else:
+        raise SchemaError(f"unknown bundle mode {mode!r}")
+    try:
+        return cls.from_dict(d["pipeline"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed {mode} model bundle: {type(exc).__name__}: {exc}")
 
 
 def pipeline_mode(p: TrainedPipeline | TrainedTwoPipeline) -> str:

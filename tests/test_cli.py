@@ -148,7 +148,7 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 1
+        assert d["bundle_schema"] == 2
         assert d["mode"] == "single"
 
     def test_mode_mismatch(self, cli_env):
@@ -318,6 +318,29 @@ class TestInfer:
             id1 = (int(y1) - 1) * 10 + int(x1)
             id2 = (int(y2) - 1) * 10 + int(x2)
             assert id1 <= id2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"bundle_schema": 2, "mode": "single", "pipeline": {}}',
+            '{"bundle_schema": 1, "mode": "single", "pipeline": {}}',
+        ],
+    )
+    def test_malformed_bundle_is_data_error(self, cli_env, tmp_path, payload):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(payload + "\n")
+        rc, _, err = run_cli(
+            "infer",
+            "--bundle",
+            str(bundle),
+            "--frames",
+            str(cli_env["frames_csv"]),
+            "--config",
+            cli_env["cfg"],
+        )
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_bundle_mode_mismatch(self, cli_env):
         rc, _, err = run_cli(

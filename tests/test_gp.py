@@ -175,12 +175,27 @@ class TestFitMechanics:
         x = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
         model = gp_fit(x, y, GpHyper(length_scale=1.5))
-        back = GpModel.from_dict(model.to_dict())
+        d = model.to_dict()
+        assert "chol" not in d
+        back = GpModel.from_dict(d)
         q = rng.normal(size=(4, 2))
         m0, s0 = gp_predict(model, q)
         m1, s1 = gp_predict(back, q)
-        assert np.allclose(m0, m1, atol=1e-12)
-        assert np.allclose(s0, s1, atol=1e-12)
+        # the loaded model refactorises exactly as gp_fit did
+        assert np.array_equal(m0, m1)
+        assert np.array_equal(s0, s1)
+        assert np.array_equal(back.chol, model.chol)
+        assert log_marginal_likelihood(back) == log_marginal_likelihood(model)
+
+    def test_mean_only_predict(self, rng):
+        x = rng.normal(size=(9, 3))
+        y = rng.normal(size=9)
+        model = gp_fit(x, y, GpHyper(length_scale=1.2))
+        q = rng.normal(size=(5, 3))
+        mean, std = gp_predict(model, q, std=False)
+        full_mean, _ = gp_predict(model, q)
+        assert std is None
+        assert np.array_equal(mean, full_mean)
 
 
 class TestMarginalLikelihood:

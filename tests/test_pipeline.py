@@ -1,6 +1,8 @@
 """Decoder stacks: training guards, estimate invariants, and bundle
 round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,18 @@ from eskin import (
     train_single,
     train_two,
 )
-from eskin.pipeline import pipeline_mode, predict_single_batch, predict_two_batch
+from eskin.learners import gp as gp_module
+from eskin.pipeline import (
+    BUNDLE_SCHEMA_VERSION,
+    pipeline_mode,
+    predict_single_batch,
+    predict_two_batch,
+)
+
+
+def _saved_force_models(path) -> list[dict]:
+    pipeline = json.loads(path.read_text())["pipeline"]
+    return [v for k, v in pipeline.items() if k.startswith("force")]
 
 
 class TestEstimateInvariants:
@@ -188,6 +201,10 @@ class TestBundles:
         b = predict_single_batch(back, x)
         for key in a:
             assert np.array_equal(a[key], b[key])
+        assert ["chol" in m for m in _saved_force_models(path)] == [False]
+        resaved = tmp_path / "resaved.json"
+        save_pipeline(back, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_two_round_trip(self, trained_two, small_two_ds, tmp_path):
         path = tmp_path / "bundle_two.json"
@@ -199,6 +216,30 @@ class TestBundles:
         b = predict_two_batch(back, x)
         for key in a:
             assert np.array_equal(a[key], b[key])
+        assert ["chol" in m for m in _saved_force_models(path)] == [False, False]
+        resaved = tmp_path / "resaved.json"
+        save_pipeline(back, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_serving_never_factorises(
+        self, trained_single, small_single_ds, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "bundle_single.json"
+        save_pipeline(trained_single, path)
+        back = load_pipeline(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serving factorised the GP kernel")
+
+        monkeypatch.setattr(gp_module.np.linalg, "cholesky", refuse)
+        x = small_single_ds.features()[:30]
+        a = predict_single_batch(trained_single, x)
+        b = predict_single_batch(back, x)
+        for key in a:
+            assert np.array_equal(a[key], b[key])
+        # the patch is live: asking the loaded model for its factor hits it
+        with pytest.raises(AssertionError, match="factorised"):
+            back.force_model.chol
 
     def test_save_is_byte_stable(self, trained_single, tmp_path):
         p1 = tmp_path / "a.json"
@@ -227,9 +268,33 @@ class TestBundles:
         with pytest.raises(SchemaError, match="bundle schema"):
             load_pipeline(path)
 
-    def test_load_rejects_unknown_mode(self, trained_single, tmp_path):
-        import json
+    def test_load_rejects_schema_1_bundle(self, trained_single, tmp_path):
+        # schema 1 stored each force model's Cholesky factor as "chol"
+        path = tmp_path / "bundle.json"
+        save_pipeline(trained_single, path)
+        d = json.loads(path.read_text())
+        d["bundle_schema"] = 1
+        d["pipeline"]["force_model"]["chol"] = [[1.0]]
+        path.write_text(json.dumps(d))
+        with pytest.raises(SchemaError, match=r"schema 1 .*re-run `eskin train`"):
+            load_pipeline(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"mode": "single", "pipeline": {}},
+            {"mode": "single"},
+            {"mode": "two", "pipeline": []},
+            {"mode": "two", "pipeline": {"x1_clf": 3}},
+        ],
+    )
+    def test_load_rejects_missing_keys(self, body, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"bundle_schema": BUNDLE_SCHEMA_VERSION, **body}))
+        with pytest.raises(SchemaError, match="malformed"):
+            load_pipeline(path)
+
+    def test_load_rejects_unknown_mode(self, trained_single, tmp_path):
         path = tmp_path / "bundle.json"
         save_pipeline(trained_single, path)
         d = json.loads(path.read_text())
