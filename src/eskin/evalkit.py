@@ -270,14 +270,23 @@ def cross_validate(
     cm_row = confusion([], [], 10, terminal_labels)
     cm_col = confusion([], [], 10, terminal_labels)
 
+    # every fold is checked before any is trained, so a bad plan fails fast
     for fold in range(k):
-        train, te = _fold_datasets(ds, plan, fold)
-        train_nodes = {s.node.node_id for s in train if s.node.is_contact}
-        missing = sorted(dataset_nodes - train_nodes)
+        tr_nodes = node_ids[plan.train_indices(fold)]
+        missing = sorted(dataset_nodes - set(int(n) for n in tr_nodes if n > 0))
         if missing:
             raise CoverageError(
                 f"fold {fold} training split lacks node classes {missing}"
             )
+        if not np.any(contact_all[plan.test_indices(fold)]):
+            raise CoverageError(
+                f"fold {fold} test split holds no contact rows, so its force "
+                f"and localisation metrics are undefined; use fewer folds than "
+                f"k={k} or a dataset with more reps per cell"
+            )
+
+    for fold in range(k):
+        train, te = _fold_datasets(ds, plan, fold)
         p = train_single(train, config)
         out = predict_single_batch(p, x_all[te])
         pos = contact_all[te]

@@ -9,9 +9,10 @@ above ``cap`` rows run on a seeded uniform subsample.
 
 The posterior mean k(x, X) @ alpha needs no factor, so
 ``gp_predict(..., std=False)`` serves from the training inputs and alpha
-alone. L is needed only for the posterior std and the marginal likelihood,
-and is not serialised: a fitted model keeps the one gp_fit computed, a loaded
-model recomputes it (bit for bit the same) on first use.
+alone, and without importing scipy. L is needed only for the posterior std
+and the marginal likelihood, and is not serialised: a fitted model keeps the
+one gp_fit computed, a loaded model recomputes it (bit for bit the same) on
+first use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..errors import FactorizationError, ValidationError
 from .linear import _check_xy
@@ -123,9 +123,16 @@ class GpModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GpModel":
+        train_inputs = np.asarray(d["train_inputs"], dtype=float)
+        alpha = np.asarray(d["alpha"], dtype=float)
+        if train_inputs.ndim != 2 or alpha.shape != train_inputs.shape[:1]:
+            raise ValueError(
+                f"GP train_inputs {train_inputs.shape} and alpha {alpha.shape} "
+                "disagree: need (n, d) and (n,)"
+            )
         return cls(
-            train_inputs=np.asarray(d["train_inputs"], dtype=float),
-            alpha=np.asarray(d["alpha"], dtype=float),
+            train_inputs=train_inputs,
+            alpha=alpha,
             hyper=GpHyper.from_dict(d["hyper"]),
             scaler=Standardizer.from_dict(d["scaler"]) if d["scaler"] else None,
         )
@@ -186,6 +193,10 @@ def gp_predict(
     mean = ks @ model.alpha + model.hyper.mean_offset
     if not std:
         return mean, None
+    # imported here: scipy roughly doubles the start-up of every eskin process,
+    # and serving never asks for the std
+    from scipy.linalg import solve_triangular
+
     v = solve_triangular(model.chol, ks.T, lower=True)
     var = model.hyper.signal_var - np.sum(v * v, axis=0)
     np.maximum(var, 0.0, out=var)

@@ -82,9 +82,16 @@ class SvmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvmModel":
+        support_inputs = np.asarray(d["support_inputs"], dtype=float)
+        dual_coefs = np.asarray(d["dual_coefs"], dtype=float)
+        if support_inputs.ndim != 2 or dual_coefs.shape != support_inputs.shape[:1]:
+            raise ValueError(
+                f"SVM support_inputs {support_inputs.shape} and dual_coefs "
+                f"{dual_coefs.shape} disagree: need (n, d) and (n,)"
+            )
         return cls(
-            support_inputs=np.asarray(d["support_inputs"], dtype=float),
-            dual_coefs=np.asarray(d["dual_coefs"], dtype=float),
+            support_inputs=support_inputs,
+            dual_coefs=dual_coefs,
             bias=float(d["bias"]),
             kernel_gamma=float(d["kernel_gamma"]),
             class_weights=tuple(d["class_weights"]),

@@ -342,6 +342,41 @@ class TestInfer:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda p: p["force_model"]["alpha"].pop(),
+                "error: malformed single model bundle: ValueError: GP train_inputs",
+            ),
+            (
+                lambda p: p["detector"]["dual_coefs"].pop(),
+                "error: malformed single model bundle: ValueError: SVM support_inputs",
+            ),
+            (
+                lambda p: p["row_clf"]["trees"][3].update(feature=20),
+                "error: split feature 20 is not an integer in 0..19",
+            ),
+        ],
+    )
+    def test_inconsistent_bundle_is_data_error(self, cli_env, tmp_path, edit, message):
+        d = json.loads(cli_env["single_bundle"].read_text())
+        edit(d["pipeline"])
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(d))
+        rc, _, err = run_cli(
+            "infer",
+            "--bundle",
+            str(bundle),
+            "--frames",
+            str(cli_env["frames_csv"]),
+            "--config",
+            cli_env["cfg"],
+        )
+        assert rc == 2
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
     def test_bundle_mode_mismatch(self, cli_env):
         rc, _, err = run_cli(
             "infer",

@@ -267,6 +267,14 @@ class TestCrossValidateSingle:
         with pytest.raises(CoverageError, match="training split lacks node classes"):
             cross_validate(thin, k=2)
 
+    def test_fold_without_contact_rows_raises(self, small_single_ds):
+        # one rep per cell gives 9 rows per node, so with k=10 one test fold
+        # holds only no-contact rows; caught before any fold is trained
+        with pytest.raises(
+            CoverageError, match=r"fold 9 test split holds no contact rows.*fewer folds"
+        ):
+            cross_validate(small_single_ds, k=10)
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             cross_validate(Dataset(()), k=2)

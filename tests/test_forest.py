@@ -1,10 +1,13 @@
 """Random forest: root splits against an exhaustive Gini search, vote
-semantics, and seeded determinism."""
+semantics, seeded determinism, and the compiled node table that predict
+serves from against a node-by-node walk of the nested trees."""
+
+import copy
 
 import numpy as np
 import pytest
 
-from eskin import ValidationError
+from eskin import SchemaError, ValidationError
 from eskin.learners import ForestConfig, ForestModel, forest_fit, forest_predict
 
 from .oracles import exhaustive_best_split, gini_split_score
@@ -193,3 +196,174 @@ class TestValidation:
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValidationError):
             ForestConfig(**kwargs)
+
+
+def reference_predict(model, x):
+    """Node-by-node recursive walk of the nested trees: one vote per tree at
+    its leaf's first-argmax class, ties to the smaller class."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+
+    def leaf(node, row):
+        if "counts" in node:
+            return int(np.argmax(node["counts"]))
+        go_left = row[node["feature"]] <= node["threshold"]
+        return leaf(node["left"] if go_left else node["right"], row)
+
+    votes = np.zeros((x.shape[0], model.n_classes))
+    for tree in model.trees:
+        for r, row in enumerate(x):
+            votes[r, leaf(tree, row)] += 1
+    return np.argmax(votes, axis=1), votes / len(model.trees)
+
+
+def tree_depth(node):
+    if "counts" in node:
+        return 0
+    return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
+
+
+def hand_model(*trees, n_classes=3, n_features=2):
+    return ForestModel(
+        trees=trees,
+        n_classes=n_classes,
+        n_features=n_features,
+        config=ForestConfig(n_trees=len(trees)),
+    )
+
+
+STUMP = {"feature": 1, "threshold": 0.5, "left": {"counts": [3, 0, 0]},
+         "right": {"counts": [0, 0, 2]}}
+
+
+def assert_matches_reference(model, x):
+    labels, votes = forest_predict(model, x)
+    ref_labels, ref_votes = reference_predict(model, x)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(votes, ref_votes)
+
+
+class TestCompiledTable:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_forests_match_reference_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 80))
+        d = int(rng.integers(1, 6))
+        n_classes = int(rng.integers(2, 6))
+        x = np.round(rng.normal(size=(n, d)), 1)   # repeated values
+        y = rng.integers(0, n_classes, n)
+        cfg = ForestConfig(
+            n_trees=int(rng.integers(1, 12)),
+            max_depth=[None, 1, 3][seed % 3],
+            min_leaf=int(rng.integers(1, 4)),
+            seed=seed,
+        )
+        model = forest_fit(x, y, cfg)
+        q = np.vstack([x, np.round(rng.normal(size=(40, d)), 1)])
+        assert_matches_reference(model, q)
+        assert_matches_reference(ForestModel.from_dict(model.to_dict()), q)
+        assert model.table.depth == max(tree_depth(t) for t in model.trees)
+
+    def test_root_leaf_tree_next_to_deep_tree(self):
+        deep = {"feature": 0, "threshold": 0.0,
+                "left": {"counts": [0, 1, 0]}, "right": STUMP}
+        model = hand_model({"counts": [0, 0, 4]}, deep)
+        q = np.array([[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        assert_matches_reference(model, q)
+        assert model.table.depth == 2
+
+    def test_every_tree_a_root_leaf(self):
+        model = hand_model({"counts": [0, 2, 0]}, {"counts": [1, 0, 0]},
+                           n_features=1)
+        labels, votes = forest_predict(model, np.zeros((3, 1)))
+        assert np.array_equal(labels, [0, 0, 0])   # 1-1 vote tie
+        assert_matches_reference(model, np.zeros((3, 1)))
+
+    def test_vote_tie_goes_to_smaller_class(self):
+        model = hand_model(STUMP, {"counts": [0, 0, 1]}, {"counts": [0, 1, 0]})
+        q = np.array([[0.0, 0.0], [0.0, 1.0]])
+        labels, votes = forest_predict(model, q)
+        assert np.array_equal(labels, [0, 2])   # three-way tie, then 2 of 3
+        assert np.array_equal(votes[0], np.full(3, 1 / 3))
+        assert_matches_reference(model, q)
+
+    def test_leaf_with_tied_counts_votes_first_maximum(self):
+        model = hand_model({"feature": 0, "threshold": 1.0,
+                            "left": {"counts": [0, 2, 2]},
+                            "right": {"counts": [5, 0, 5]}})
+        labels, _ = forest_predict(model, np.array([[0.0, 0.0], [2.0, 0.0]]))
+        assert np.array_equal(labels, [1, 0])
+
+    def test_nan_feature_goes_right(self):
+        model = hand_model(STUMP)
+        q = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        labels, _ = forest_predict(model, q)
+        assert np.array_equal(labels, [2, 0])
+        assert_matches_reference(model, q)
+
+    def test_zero_rows(self):
+        model = hand_model(STUMP, {"counts": [1, 0, 0]})
+        labels, votes = forest_predict(model, np.empty((0, 2)))
+        assert labels.shape == (0,)
+        assert votes.shape == (0, 3)
+
+    def test_hand_built_voting_model(self):
+        model = ForestModel(
+            trees=({"counts": [1, 0]}, {"counts": [0, 1]}),
+            n_classes=2,
+            n_features=1,
+            config=ForestConfig(n_trees=2),
+        )
+        assert_matches_reference(model, np.array([[0.0], [3.0]]))
+
+    def test_cached_table_changes_neither_equality_nor_dict(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(30, 3))
+        model = forest_fit(x, rng.integers(0, 3, 30), ForestConfig(n_trees=4))
+        before = model.to_dict()
+        fresh = ForestModel.from_dict(before)
+        forest_predict(model, x)
+        assert model._table is not None and fresh._table is None
+        assert model == fresh
+        assert model.to_dict() == before
+        assert "_table" not in repr(model)
+
+
+class TestMalformedTrees:
+    @pytest.mark.parametrize(
+        "tree, match",
+        [
+            ({**STUMP, "feature": 2}, "split feature 2 is not an integer in 0..1"),
+            ({**STUMP, "feature": -1}, "split feature -1"),
+            ({**STUMP, "feature": 1.0}, "split feature 1.0"),
+            ({**STUMP, "feature": True}, "split feature True"),
+            ({**STUMP, "right": {"counts": [0, 2]}}, "leaf has 2 counts, expected 3"),
+            ({**STUMP, "left": {"counts": [3, 0, 0, 0]}}, "leaf has 4 counts"),
+            ({k: v for k, v in STUMP.items() if k != "threshold"}, "KeyError"),
+            ({k: v for k, v in STUMP.items() if k != "right"}, "KeyError"),
+            ({**STUMP, "left": None}, "TypeError"),
+            ({**STUMP, "threshold": "high"}, "ValueError"),
+        ],
+    )
+    def test_rejected_at_predict(self, tree, match):
+        model = hand_model({"counts": [1, 0, 0]}, tree)
+        with pytest.raises(SchemaError, match=match):
+            forest_predict(model, np.zeros((1, 2)))
+
+    def test_forest_without_trees_rejected(self):
+        with pytest.raises(SchemaError, match="no trees"):
+            forest_predict(
+                ForestModel(trees=(), n_classes=2, n_features=2, config=SINGLE_TREE),
+                np.zeros((1, 2)),
+            )
+
+    def test_rejected_again_on_every_call(self):
+        model = hand_model({**STUMP, "feature": 5})
+        for _ in range(2):
+            with pytest.raises(SchemaError):
+                forest_predict(model, np.zeros((1, 2)))
+
+    def test_nested_trees_left_untouched(self):
+        tree = copy.deepcopy(STUMP)
+        model = hand_model(tree)
+        forest_predict(model, np.zeros((2, 2)))
+        assert model.trees[0] == STUMP

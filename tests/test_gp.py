@@ -2,6 +2,8 @@
 dense-inverse reference, and the likelihood-driven grid search."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from eskin.learners import (
     rbf_kernel,
 )
 
+from .entry_point import eskin_env
 from .oracles import gp_dense_oracle
 
 
@@ -186,6 +189,41 @@ class TestFitMechanics:
         assert np.array_equal(s0, s1)
         assert np.array_equal(back.chol, model.chol)
         assert log_marginal_likelihood(back) == log_marginal_likelihood(model)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["alpha"].pop(),
+            lambda d: d["alpha"].append(0.0),
+            lambda d: d.update(alpha=[d["alpha"]]),
+            lambda d: d.update(train_inputs=d["train_inputs"][0]),
+        ],
+    )
+    def test_from_dict_rejects_disagreeing_shapes(self, rng, edit):
+        d = gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5)).to_dict()
+        edit(d)
+        with pytest.raises(ValueError, match="disagree"):
+            GpModel.from_dict(d)
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # the std path imports scipy on first use and must still work
+        code = (
+            "import sys, numpy as np\n"
+            "import eskin.cli\n"
+            "from eskin.learners import gp_fit, gp_predict\n"
+            "assert 'scipy' not in sys.modules, 'scipy loaded by import'\n"
+            "x = np.array([[0.0], [1.0], [2.0]])\n"
+            "m = gp_fit(x, np.array([0.0, 1.0, 0.5]))\n"
+            "gp_predict(m, x, std=False)\n"
+            "assert 'scipy' not in sys.modules, 'scipy loaded by mean predict'\n"
+            "mean, std = gp_predict(m, np.array([[0.5]]))\n"
+            "assert std.shape == (1,) and np.isfinite(std).all()\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code], env=eskin_env(), capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
 
     def test_mean_only_predict(self, rng):
         x = rng.normal(size=(9, 3))

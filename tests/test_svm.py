@@ -138,6 +138,21 @@ class TestDeterminismAndSerialisation:
             svm_decision_function(model, q), svm_decision_function(back, q), atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["dual_coefs"].pop(),
+            lambda d: d["support_inputs"].append(d["support_inputs"][0]),
+            lambda d: d.update(support_inputs=d["support_inputs"][0]),
+        ],
+    )
+    def test_from_dict_rejects_disagreeing_shapes(self, edit):
+        x, y = blob_problem(9)
+        d = svm_fit(x, y).to_dict()
+        edit(d)
+        with pytest.raises(ValueError, match="disagree"):
+            SvmModel.from_dict(d)
+
     def test_config_dict_round_trip(self):
         cfg = SvmConfig(c=3.0, gamma=0.2, class_weights=(1.5, 0.5), seed=2)
         assert SvmConfig.from_dict(cfg.to_dict()) == cfg
