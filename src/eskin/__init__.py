@@ -9,13 +9,11 @@ from .core import (
     NODE_ZERO,
     PROTOCOL_FORCES,
     PROTOCOL_STRETCHES,
-    Axis,
     CapacitanceFrame,
     Dataset,
     DatasetMeta,
     NodeCoord,
     SingleContactSample,
-    TerminalId,
     TwoContactSample,
     load_dataset,
     node_id,

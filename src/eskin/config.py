@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .codec import from_dict, to_dict
 from .errors import ConfigError, EskinError
 from .pipeline import PipelineConfig
 from .sim import SingleForceProtocol, SkinModel, TwoForceProtocol
@@ -34,31 +35,6 @@ class RunConfig:
     def __post_init__(self):
         if self.k_single < 2 or self.k_two < 2:
             raise ConfigError("fold counts must be >= 2")
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "single_protocol": self.single_protocol.to_dict(),
-            "two_protocol": self.two_protocol.to_dict(),
-            "pipeline": self.pipeline.to_dict(),
-            "k_single": self.k_single,
-            "k_two": self.k_two,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(
-            model=SkinModel.from_dict(d["model"]),
-            single_protocol=SingleForceProtocol.from_dict(d["single_protocol"]),
-            two_protocol=TwoForceProtocol.from_dict(d["two_protocol"]),
-            pipeline=PipelineConfig.from_dict(d["pipeline"]),
-            k_single=int(d["k_single"]),
-            k_two=int(d["k_two"]),
-            seed=int(d["seed"]),
-            out_dir=str(d["out_dir"]),
-        )
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
@@ -89,9 +65,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    merged = _deep_merge(RunConfig().to_dict(), overrides)
+    merged = _deep_merge(to_dict(RunConfig()), overrides)
     try:
-        return RunConfig.from_dict(merged)
+        return from_dict(RunConfig, merged)
     except ConfigError:
         raise
     except (EskinError, TypeError, ValueError) as exc:

@@ -8,7 +8,6 @@ generated. Everything here is an immutable value object.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
@@ -20,6 +19,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
+from .codec import from_dict, to_dict
 from .errors import ParseError, SchemaError, ValidationError
 
 #: Stretch ratios of the acquisition protocol (rest length 101 mm, 8 mm steps).
@@ -55,36 +55,6 @@ FRAME_HEADER = SINGLE_HEADER[:N_FEATURES]
 def force_from_mass_kg(mass_kg: float) -> float:
     """Weight of a mass in newtons at the protocol's g = 9.8 m/s^2."""
     return mass_kg * GRAVITY_M_S2
-
-
-class Axis(enum.Enum):
-    X = "x"
-    Y = "y"
-
-
-@dataclass(frozen=True)
-class TerminalId:
-    """One of the 20 conductive terminals: an axis and a 1-based index."""
-
-    axis: Axis
-    index: int
-
-    def __post_init__(self):
-        if not 1 <= self.index <= N_TERMINALS_PER_AXIS:
-            raise ValidationError(f"terminal index {self.index} outside 1..10")
-
-    @property
-    def label(self) -> str:
-        return f"c{self.axis.value}{self.index}"
-
-
-def all_terminals() -> tuple[TerminalId, ...]:
-    """The 20 distinct terminals, in serialisation order (x1..x10, y1..y10)."""
-    return tuple(
-        TerminalId(axis, i)
-        for axis in (Axis.X, Axis.Y)
-        for i in range(1, N_TERMINALS_PER_AXIS + 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -241,24 +211,6 @@ class DatasetMeta:
     schema: str
     generator_config_digest: str
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "schema": self.schema,
-            "generator_config_digest": self.generator_config_digest,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetMeta":
-        try:
-            return cls(
-                seed=int(d["seed"]),
-                schema=str(d["schema"]),
-                generator_config_digest=str(d["generator_config_digest"]),
-            )
-        except KeyError as e:
-            raise SchemaError(f"dataset metadata missing key {e}") from e
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -328,7 +280,7 @@ def write_dataset(ds: Dataset, dest: IO[str]) -> None:
 
 
 def write_dataset_meta(meta: DatasetMeta, dest: IO[str]) -> None:
-    json.dump(meta.to_dict(), dest, indent=2, sort_keys=True)
+    json.dump(to_dict(meta), dest, indent=2, sort_keys=True)
     dest.write("\n")
 
 
@@ -439,7 +391,12 @@ def read_dataset_meta(source: IO[str]) -> DatasetMeta:
         payload = json.load(source)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid metadata JSON: {e}") from None
-    return DatasetMeta.from_dict(payload)
+    try:
+        return from_dict(DatasetMeta, payload)
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError(
+            f"malformed dataset metadata: {type(e).__name__}: {e}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import from_dict, to_dict
 from .core import SCHEMA_SINGLE, SCHEMA_TWO, Dataset, atomic_write_text
 from .errors import (
     ConfigError,
@@ -101,7 +102,7 @@ class ConfusionMatrix:
     """Rows are true classes, columns predicted; labels name the classes."""
 
     counts: tuple[tuple[int, ...], ...]
-    labels: tuple
+    labels: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.labels)
@@ -136,16 +137,6 @@ class ConfusionMatrix:
         )
         return ConfusionMatrix(counts=summed, labels=self.labels)
 
-    def to_dict(self) -> dict:
-        return {"labels": list(self.labels), "counts": [list(r) for r in self.counts]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConfusionMatrix":
-        return cls(
-            counts=tuple(tuple(int(c) for c in row) for row in d["counts"]),
-            labels=tuple(d["labels"]),
-        )
-
 
 def confusion(true, pred, n_classes: int, labels=None) -> ConfusionMatrix:
     true = np.asarray(true, dtype=int)
@@ -171,46 +162,15 @@ class MetricsReport:
     k: int
     seed: int
     n_samples: int
-    pooled: dict
-    per_fold: dict
-    fold_mean: dict
-    fold_std: dict
-    confusions: dict
+    pooled: dict[str, float]
+    per_fold: dict[str, tuple[float, ...]]
+    fold_mean: dict[str, float]
+    fold_std: dict[str, float]
+    confusions: dict[str, ConfusionMatrix]
     notes: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "k": self.k,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "pooled": dict(self.pooled),
-            "per_fold": {k: list(v) for k, v in self.per_fold.items()},
-            "fold_mean": dict(self.fold_mean),
-            "fold_std": dict(self.fold_std),
-            "confusions": {k: cm.to_dict() for k, cm in self.confusions.items()},
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(
-            mode=d["mode"],
-            k=int(d["k"]),
-            seed=int(d["seed"]),
-            n_samples=int(d["n_samples"]),
-            pooled=dict(d["pooled"]),
-            per_fold={k: tuple(v) for k, v in d["per_fold"].items()},
-            fold_mean=dict(d["fold_mean"]),
-            fold_std=dict(d["fold_std"]),
-            confusions={
-                k: ConfusionMatrix.from_dict(v) for k, v in d["confusions"].items()
-            },
-            notes=tuple(d["notes"]),
-        )
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
+        return json.dumps(to_dict(self), sort_keys=True, indent=1) + "\n"
 
     def headline(self) -> str:
         keys = (
@@ -488,6 +448,6 @@ def load_report(path: str | Path) -> MetricsReport:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"report is not valid JSON: {exc}")
     try:
-        return MetricsReport.from_dict(d)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"report is missing required fields: {exc}")
+        return from_dict(MetricsReport, d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed report: {type(exc).__name__}: {exc}")

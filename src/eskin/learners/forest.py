@@ -44,20 +44,6 @@ class ForestConfig:
         if self.features_per_split is not None and self.features_per_split < 1:
             raise ValidationError("features_per_split must be >= 1 or None")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "features_per_split": self.features_per_split,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForestConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class _NodeTable:
@@ -90,23 +76,6 @@ class ForestModel:
         if self._table is None:
             object.__setattr__(self, "_table", _compile(self))
         return self._table
-
-    def to_dict(self) -> dict:
-        return {
-            "trees": list(self.trees),
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "config": self.config.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForestModel":
-        return cls(
-            trees=tuple(d["trees"]),
-            n_classes=int(d["n_classes"]),
-            n_features=int(d["n_features"]),
-            config=ForestConfig.from_dict(d["config"]),
-        )
 
 
 def _check_labels(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

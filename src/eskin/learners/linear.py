@@ -20,13 +20,6 @@ class LinearModel:
     weights: tuple[float, ...]
     intercept: float
 
-    def to_dict(self) -> dict:
-        return {"weights": list(self.weights), "intercept": self.intercept}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearModel":
-        return cls(weights=tuple(d["weights"]), intercept=float(d["intercept"]))
-
 
 def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)

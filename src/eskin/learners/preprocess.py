@@ -35,14 +35,3 @@ class Standardizer:
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (x - np.asarray(self.mean)) / np.asarray(self.scale)
-
-    def inverse_transform(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return z * np.asarray(self.scale) + np.asarray(self.mean)
-
-    def to_dict(self) -> dict:
-        return {"mean": list(self.mean), "scale": list(self.scale)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(mean=tuple(d["mean"]), scale=tuple(d["scale"]))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateLabelsError, ValidationError
+from .gp import sq_distances
 from .linear import _check_xy
 
 # hard stop on total sweeps so a non-converging run terminates
@@ -44,24 +45,6 @@ class SvmConfig:
             if len(self.class_weights) != 2 or any(w <= 0 for w in self.class_weights):
                 raise ValidationError("class_weights must be two positive reals")
 
-    def to_dict(self) -> dict:
-        d = {
-            "c": self.c,
-            "gamma": self.gamma,
-            "tol": self.tol,
-            "max_passes": self.max_passes,
-            "seed": self.seed,
-        }
-        d["class_weights"] = list(self.class_weights) if self.class_weights else None
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SvmConfig":
-        d = dict(d)
-        if d.get("class_weights") is not None:
-            d["class_weights"] = tuple(d["class_weights"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SvmModel:
@@ -71,41 +54,13 @@ class SvmModel:
     kernel_gamma: float
     class_weights: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "support_inputs": self.support_inputs.tolist(),
-            "dual_coefs": self.dual_coefs.tolist(),
-            "bias": self.bias,
-            "kernel_gamma": self.kernel_gamma,
-            "class_weights": list(self.class_weights),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SvmModel":
-        support_inputs = np.asarray(d["support_inputs"], dtype=float)
-        dual_coefs = np.asarray(d["dual_coefs"], dtype=float)
-        if support_inputs.ndim != 2 or dual_coefs.shape != support_inputs.shape[:1]:
+    def __post_init__(self):
+        shape, coefs = self.support_inputs.shape, self.dual_coefs.shape
+        if len(shape) != 2 or coefs != shape[:1]:
             raise ValueError(
-                f"SVM support_inputs {support_inputs.shape} and dual_coefs "
-                f"{dual_coefs.shape} disagree: need (n, d) and (n,)"
+                f"SVM support_inputs {shape} and dual_coefs {coefs} disagree: "
+                "need (n, d) and (n,)"
             )
-        return cls(
-            support_inputs=support_inputs,
-            dual_coefs=dual_coefs,
-            bias=float(d["bias"]),
-            kernel_gamma=float(d["kernel_gamma"]),
-            class_weights=tuple(d["class_weights"]),
-        )
-
-
-def _rbf_cross(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
 
 
 class _RowCache:
@@ -218,8 +173,8 @@ def svm_decision_function(model: SvmModel, x: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"expected {model.support_inputs.shape[1]} features, got {x.shape[1]}"
         )
-    k = _rbf_cross(x, model.support_inputs, model.kernel_gamma)
-    return k @ model.dual_coefs + model.bias
+    sq = sq_distances(x, model.support_inputs)
+    return np.exp(-model.kernel_gamma * sq) @ model.dual_coefs + model.bias
 
 
 def svm_predict(model: SvmModel, x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import from_dict, to_dict
 from .core import (
     SCHEMA_SINGLE,
     SCHEMA_TWO,
@@ -72,29 +73,6 @@ class PipelineConfig:
             if not 1 <= a <= 10:
                 raise ValidationError(f"node axis value {a} outside 1..10")
 
-    def to_dict(self) -> dict:
-        return {
-            "svm": self.svm.to_dict(),
-            "forest": self.forest.to_dict(),
-            "gp": self.gp.to_dict(),
-            "gp_cap": self.gp_cap,
-            "gp_search": self.gp_search,
-            "node_axes": list(self.node_axes),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(
-            svm=SvmConfig.from_dict(d["svm"]),
-            forest=ForestConfig.from_dict(d["forest"]),
-            gp=GpHyper.from_dict(d["gp"]),
-            gp_cap=int(d["gp_cap"]),
-            gp_search=bool(d["gp_search"]),
-            node_axes=tuple(d["node_axes"]),
-            seed=int(d["seed"]),
-        )
-
 
 @dataclass(frozen=True)
 class TrainedPipeline:
@@ -107,29 +85,6 @@ class TrainedPipeline:
     force_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
-
-    def to_dict(self) -> dict:
-        return {
-            "stretch_model": self.stretch_model.to_dict(),
-            "detector": self.detector.to_dict(),
-            "row_clf": self.row_clf.to_dict(),
-            "col_clf": self.col_clf.to_dict(),
-            "force_model": self.force_model.to_dict(),
-            "preprocessing": self.preprocessing.to_dict(),
-            "config": self.config.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainedPipeline":
-        return cls(
-            stretch_model=LinearModel.from_dict(d["stretch_model"]),
-            detector=SvmModel.from_dict(d["detector"]),
-            row_clf=ForestModel.from_dict(d["row_clf"]),
-            col_clf=ForestModel.from_dict(d["col_clf"]),
-            force_model=GpModel.from_dict(d["force_model"]),
-            preprocessing=Standardizer.from_dict(d["preprocessing"]),
-            config=PipelineConfig.from_dict(d["config"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -148,31 +103,6 @@ class TrainedTwoPipeline:
     force2_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
-
-    def to_dict(self) -> dict:
-        return {
-            "x1_clf": self.x1_clf.to_dict(),
-            "y1_clf": self.y1_clf.to_dict(),
-            "x2_clf": self.x2_clf.to_dict(),
-            "y2_clf": self.y2_clf.to_dict(),
-            "force1_model": self.force1_model.to_dict(),
-            "force2_model": self.force2_model.to_dict(),
-            "preprocessing": self.preprocessing.to_dict(),
-            "config": self.config.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainedTwoPipeline":
-        return cls(
-            x1_clf=ForestModel.from_dict(d["x1_clf"]),
-            y1_clf=ForestModel.from_dict(d["y1_clf"]),
-            x2_clf=ForestModel.from_dict(d["x2_clf"]),
-            y2_clf=ForestModel.from_dict(d["y2_clf"]),
-            force1_model=GpModel.from_dict(d["force1_model"]),
-            force2_model=GpModel.from_dict(d["force2_model"]),
-            preprocessing=Standardizer.from_dict(d["preprocessing"]),
-            config=PipelineConfig.from_dict(d["config"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -395,11 +325,10 @@ def infer_two(p: TrainedTwoPipeline, frame: CapacitanceFrame) -> TwoContactEstim
 
 
 def _bundle_dict(p: TrainedPipeline | TrainedTwoPipeline) -> dict:
-    mode = "single" if isinstance(p, TrainedPipeline) else "two"
     return {
         "bundle_schema": BUNDLE_SCHEMA_VERSION,
-        "mode": mode,
-        "pipeline": p.to_dict(),
+        "mode": pipeline_mode(p),
+        "pipeline": to_dict(p),
     }
 
 
@@ -430,7 +359,7 @@ def load_pipeline(path: str | Path) -> TrainedPipeline | TrainedTwoPipeline:
     else:
         raise SchemaError(f"unknown bundle mode {mode!r}")
     try:
-        return cls.from_dict(d["pipeline"])
+        return from_dict(cls, d["pipeline"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed {mode} model bundle: {type(exc).__name__}: {exc}")
 

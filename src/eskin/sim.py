@@ -14,12 +14,12 @@ and every generated dataset a pure function of (model, inputs, seed).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import to_dict
 from .core import (
     NODE_ZERO,
     PROTOCOL_FORCES,
@@ -79,13 +79,6 @@ class SkinModel:
             raise ValidationError("noise_sigma must be >= 0")
         if not 0.0 <= self.edge_taper < 1.0:
             raise ValidationError("edge_taper must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SkinModel":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -189,17 +182,6 @@ class SingleForceProtocol:
     def sample_count(self) -> int:
         return len(self.stretches) * 101 * len(self.forces) * self.reps_per_cell
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SingleForceProtocol":
-        d = dict(d)
-        for key in ("stretches", "forces"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class TwoForceProtocol:
@@ -239,17 +221,6 @@ class TwoForceProtocol:
         n = len(self.nodes())
         return (n * (n - 1) // 2) * len(self.nonzero_forces()) ** 2 * self.reps
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TwoForceProtocol":
-        d = dict(d)
-        for key in ("node_axes", "forces"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
-
 
 def generate_single_force_dataset(
     model: SkinModel, protocol: SingleForceProtocol
@@ -280,7 +251,7 @@ def generate_single_force_dataset(
         seed=protocol.seed,
         schema="single",
         generator_config_digest=config_digest(
-            {"model": model.to_dict(), "protocol": protocol.to_dict()}
+            {"model": to_dict(model), "protocol": to_dict(protocol)}
         ),
     )
     return Dataset(samples=tuple(samples), meta=meta)
@@ -318,7 +289,7 @@ def generate_two_force_dataset(model: SkinModel, protocol: TwoForceProtocol) -> 
         seed=protocol.seed,
         schema="two",
         generator_config_digest=config_digest(
-            {"model": model.to_dict(), "protocol": protocol.to_dict()}
+            {"model": to_dict(model), "protocol": to_dict(protocol)}
         ),
     )
     return Dataset(samples=tuple(samples), meta=meta)

@@ -141,6 +141,25 @@ class TestGenerate:
         assert rc == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"single_protocol": {"reps_per_cell": 1.0}}, "single_protocol.reps_per_cell"),
+            ({"pipeline": {"gp_search": "false"}}, "pipeline.gp_search"),
+            ({"pipeline": {"forest": {"n_trees": 2.0}}}, "pipeline.forest.n_trees"),
+            ({"k_single": "3"}, "k_single"),
+        ],
+    )
+    def test_wrong_config_type_is_usage_error(self, tmp_path, override, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        out = tmp_path / "x.csv"
+        rc, _, err = run_cli("generate", "--config", str(cfg), "--out", str(out))
+        assert rc == 1
+        assert err.startswith(f"error: invalid config file {cfg}: {field}: expected")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_bundle_written_and_path_printed(self, cli_env):
@@ -178,6 +197,15 @@ class TestTrain:
         )
         assert rc == 2
         assert err.startswith("error:")
+
+    def test_sidecar_that_is_not_an_object_is_data_error(self, cli_env, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_bytes(cli_env["single_csv"].read_bytes())
+        (tmp_path / "data.csv.meta.json").write_text("[1]\n")
+        rc, _, err = run_cli("train", str(csv), "--config", cli_env["cfg"])
+        assert rc == 2
+        assert err.startswith("error: malformed dataset metadata:")
+        assert "Traceback" not in err
 
 
 class TestEval:
@@ -462,6 +490,16 @@ class TestReport:
         rc, _, err = run_cli("report", str(bad))
         assert rc == 2
         assert err.startswith("error:")
+
+    def test_wrong_field_type_is_data_error(self, report_dir, tmp_path):
+        d = json.loads((report_dir / "report.json").read_text())
+        d["k"] = "three"
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(d))
+        rc, _, err = run_cli("report", str(bad))
+        assert rc == 2
+        assert err.startswith("error: malformed report: TypeError: k: expected an int")
+        assert "Traceback" not in err
 
 
 class TestUsage:

@@ -14,6 +14,7 @@ from eskin import (
     apply_seed,
     load_config,
 )
+from eskin.codec import from_dict, to_dict
 from eskin.config import ENV_CONFIG
 
 
@@ -51,7 +52,7 @@ class TestDefaults:
 
     def test_dict_round_trip(self):
         cfg = RunConfig(k_single=4, seed=9, out_dir="elsewhere")
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_dict(RunConfig, to_dict(cfg)) == cfg
 
 
 class TestOverrides:

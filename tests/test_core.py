@@ -34,7 +34,6 @@ from eskin.core import (
     FRAME_HEADER,
     SINGLE_HEADER,
     TWO_HEADER,
-    all_terminals,
     atomic_write_text,
     config_digest,
     force_from_mass_kg,
@@ -76,14 +75,6 @@ class TestNodeCoord:
     def test_is_contact(self):
         assert not NODE_ZERO.is_contact
         assert NodeCoord(1, 1).is_contact
-
-
-def test_all_terminals_order_and_labels():
-    terms = all_terminals()
-    assert len(terms) == 20
-    assert [t.label for t in terms[:3]] == ["cx1", "cx2", "cx3"]
-    assert terms[10].label == "cy1"
-    assert len(set(terms)) == 20
 
 
 def test_protocol_constants():

@@ -24,6 +24,7 @@ from eskin import (
     r2,
     stratified_kfold,
 )
+from eskin.codec import from_dict, to_dict
 from eskin.evalkit import (
     confusion_to_csv,
     confusion_to_pgm,
@@ -184,7 +185,7 @@ class TestConfusion:
 
     def test_dict_round_trip(self):
         cm = confusion([0, 1, 1], [0, 1, 0], n_classes=2)
-        assert ConfusionMatrix.from_dict(cm.to_dict()) == cm
+        assert from_dict(ConfusionMatrix, to_dict(cm)) == cm
 
 
 class TestEmitters:
@@ -251,7 +252,7 @@ class TestCrossValidateSingle:
         assert all(v >= 0.0 for v in single_report.fold_std.values())
 
     def test_json_round_trip(self, single_report):
-        back = MetricsReport.from_dict(json.loads(single_report.to_json()))
+        back = from_dict(MetricsReport, json.loads(single_report.to_json()))
         assert back.to_json() == single_report.to_json()
 
     def test_missing_node_class_raises(self, small_single_ds):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eskin import SchemaError, ValidationError
+from eskin.codec import from_dict, to_dict
 from eskin.learners import ForestConfig, ForestModel, forest_fit, forest_predict
 
 from .oracles import exhaustive_best_split, gini_split_score
@@ -155,7 +156,7 @@ class TestDeterminismAndSerialisation:
         x = rng.normal(size=(20, 2))
         y = rng.integers(0, 3, 20)
         model = forest_fit(x, y, ForestConfig(n_trees=5))
-        back = ForestModel.from_dict(model.to_dict())
+        back = from_dict(ForestModel, to_dict(model))
         q = rng.normal(size=(8, 2))
         l0, v0 = forest_predict(model, q)
         l1, v1 = forest_predict(back, q)
@@ -260,7 +261,7 @@ class TestCompiledTable:
         model = forest_fit(x, y, cfg)
         q = np.vstack([x, np.round(rng.normal(size=(40, d)), 1)])
         assert_matches_reference(model, q)
-        assert_matches_reference(ForestModel.from_dict(model.to_dict()), q)
+        assert_matches_reference(from_dict(ForestModel, to_dict(model)), q)
         assert model.table.depth == max(tree_depth(t) for t in model.trees)
 
     def test_root_leaf_tree_next_to_deep_tree(self):
@@ -319,12 +320,12 @@ class TestCompiledTable:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 3))
         model = forest_fit(x, rng.integers(0, 3, 30), ForestConfig(n_trees=4))
-        before = model.to_dict()
-        fresh = ForestModel.from_dict(before)
+        before = to_dict(model)
+        fresh = from_dict(ForestModel, before)
         forest_predict(model, x)
         assert model._table is not None and fresh._table is None
         assert model == fresh
-        assert model.to_dict() == before
+        assert to_dict(model) == before
         assert "_table" not in repr(model)
 
 

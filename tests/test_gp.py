@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eskin import FactorizationError, ValidationError
+from eskin.codec import from_dict, to_dict
 from eskin.learners import (
     GpHyper,
     GpModel,
@@ -70,7 +71,7 @@ class TestGpHyper:
 
     def test_dict_round_trip(self):
         h = GpHyper(length_scale=1.5, signal_var=2.0, noise_var=1e-3)
-        assert GpHyper.from_dict(h.to_dict()) == h
+        assert from_dict(GpHyper, to_dict(h)) == h
 
 
 class TestFitExamples:
@@ -178,9 +179,9 @@ class TestFitMechanics:
         x = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
         model = gp_fit(x, y, GpHyper(length_scale=1.5))
-        d = model.to_dict()
+        d = to_dict(model)
         assert "chol" not in d
-        back = GpModel.from_dict(d)
+        back = from_dict(GpModel, d)
         q = rng.normal(size=(4, 2))
         m0, s0 = gp_predict(model, q)
         m1, s1 = gp_predict(back, q)
@@ -200,10 +201,10 @@ class TestFitMechanics:
         ],
     )
     def test_from_dict_rejects_disagreeing_shapes(self, rng, edit):
-        d = gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5)).to_dict()
+        d = to_dict(gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5)))
         edit(d)
         with pytest.raises(ValueError, match="disagree"):
-            GpModel.from_dict(d)
+            from_dict(GpModel, d)
 
     def test_cli_import_leaves_scipy_unloaded(self):
         # the std path imports scipy on first use and must still work

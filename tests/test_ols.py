@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eskin import SingularDesignError, ValidationError
+from eskin.codec import from_dict, to_dict
 from eskin.learners import LinearModel, ols_fit, ols_predict
 
 from .oracles import ols_normal_oracle
@@ -101,5 +102,5 @@ def test_fit_recovers_exact_plane():
 
 def test_model_dict_round_trip():
     m = ols_fit(np.array([[0.0], [1.0], [3.0]]), np.array([1.0, 2.0, 5.0]))
-    back = LinearModel.from_dict(m.to_dict())
+    back = from_dict(LinearModel, to_dict(m))
     assert back == m

@@ -26,6 +26,7 @@ from eskin import (
     train_single,
     train_two,
 )
+from eskin.codec import from_dict, to_dict
 from eskin.learners import gp as gp_module
 from eskin.pipeline import (
     BUNDLE_SCHEMA_VERSION,
@@ -307,7 +308,7 @@ class TestBundles:
 class TestPipelineConfig:
     def test_dict_round_trip(self):
         cfg = PipelineConfig(node_axes=(1, 6), gp_cap=500, gp_search=True, seed=3)
-        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_dict(PipelineConfig, to_dict(cfg)) == cfg
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -21,6 +21,7 @@ from eskin import (
     generate_two_force_dataset,
     simulate_frame,
 )
+from eskin.codec import from_dict, to_dict
 
 # the hand-evaluated examples below assume this parameterisation: spec-sheet
 # stretch gain, no edge taper, no noise
@@ -131,7 +132,7 @@ class TestSkinModelValidation:
 
     def test_dict_round_trip(self):
         model = SkinModel(force_scale=0.3, edge_taper=0.25, neighbor_reach=3)
-        assert SkinModel.from_dict(model.to_dict()) == model
+        assert from_dict(SkinModel, to_dict(model)) == model
 
 
 def test_noise_draw_order_is_cx_then_cy():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eskin import DegenerateLabelsError, ValidationError
+from eskin.codec import from_dict, to_dict
 from eskin.learners import (
     SvmConfig,
     SvmModel,
@@ -132,7 +133,7 @@ class TestDeterminismAndSerialisation:
     def test_dict_round_trip(self):
         x, y = blob_problem(9)
         model = svm_fit(x, y)
-        back = SvmModel.from_dict(model.to_dict())
+        back = from_dict(SvmModel, to_dict(model))
         q = np.array([[-2.0, -2.0], [2.0, 2.0], [0.0, 0.0]])
         assert np.allclose(
             svm_decision_function(model, q), svm_decision_function(back, q), atol=1e-12
@@ -148,14 +149,14 @@ class TestDeterminismAndSerialisation:
     )
     def test_from_dict_rejects_disagreeing_shapes(self, edit):
         x, y = blob_problem(9)
-        d = svm_fit(x, y).to_dict()
+        d = to_dict(svm_fit(x, y))
         edit(d)
         with pytest.raises(ValueError, match="disagree"):
-            SvmModel.from_dict(d)
+            from_dict(SvmModel, d)
 
     def test_config_dict_round_trip(self):
         cfg = SvmConfig(c=3.0, gamma=0.2, class_weights=(1.5, 0.5), seed=2)
-        assert SvmConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_dict(SvmConfig, to_dict(cfg)) == cfg
 
     @pytest.mark.parametrize(
         "kwargs",
