@@ -13,8 +13,6 @@ from .core import (
     Dataset,
     DatasetMeta,
     NodeCoord,
-    SingleContactSample,
-    TwoContactSample,
     load_dataset,
     node_id,
     read_dataset,

@@ -8,19 +8,15 @@ goes through atomic writes, so an error never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import RunConfig, apply_seed, load_config
 from .core import (
     SCHEMA_SINGLE,
     SCHEMA_TWO,
     Dataset,
-    NodeCoord,
     _fmt,
     atomic_write_text,
     load_dataset,
@@ -43,8 +39,10 @@ from .pipeline import (
     predict_single_batch,
     predict_two_batch,
     save_pipeline,
+    single_estimate,
     train_single,
     train_two,
+    two_estimate,
 )
 from .sim import generate_single_force_dataset, generate_two_force_dataset
 
@@ -139,7 +137,7 @@ def cmd_generate(args) -> int:
 
 
 def _check_full_grid(ds: Dataset) -> None:
-    present = {s.node.node_id for s in ds if s.node.is_contact}
+    present = set(ds.node_ids().tolist())
     missing = sorted(set(range(1, 101)) - present)
     if missing:
         raise CoverageError(
@@ -179,46 +177,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _estimate_rows_single(p, frames) -> str:
-    buf = io.StringIO()
-    buf.write("stretch,detected,node_x,node_y,force_n\n")
-    if frames:
-        x = np.array([f.as_vector() for f in frames])
-        out = predict_single_batch(p, x)
-        for i in range(len(frames)):
-            det = bool(out["detected"][i])
-            nx = int(out["x_term"][i]) if det else 0
-            ny = int(out["y_term"][i]) if det else 0
-            force = float(out["force"][i]) if det else 0.0
-            buf.write(
-                f"{_fmt(out['stretch'][i])},{int(det)},{nx},{ny},{_fmt(force)}\n"
-            )
-    return buf.getvalue()
-
-
-def _estimate_rows_two(p, frames) -> str:
-    buf = io.StringIO()
-    buf.write("x1,y1,f1_n,x2,y2,f2_n\n")
-    if frames:
-        x = np.array([f.as_vector() for f in frames])
-        out = predict_two_batch(p, x)
-        for i in range(len(frames)):
-            pairs = sorted(
-                (
-                    (NodeCoord(int(out["x1"][i]), int(out["y1"][i])), out["force1"][i]),
-                    (NodeCoord(int(out["x2"][i]), int(out["y2"][i])), out["force2"][i]),
-                ),
-                key=lambda nf: nf[0].node_id,
-            )
-            buf.write(
-                ",".join(
-                    f"{n.x},{n.y},{_fmt(f)}" for n, f in pairs
-                )
-                + "\n"
-            )
-    return buf.getvalue()
-
-
 def cmd_infer(args) -> int:
     cfg = _load_run_config(args)
     p = load_pipeline(args.bundle)
@@ -228,11 +186,23 @@ def cmd_infer(args) -> int:
             f"but --mode {args.mode} was requested"
         )
     with open(args.frames) as f:
-        frames = read_frames(f)
+        x = read_frames(f)
     if isinstance(p, TrainedPipeline):
-        text = _estimate_rows_single(p, frames)
+        lines = ["stretch,detected,node_x,node_y,force_n"]
+        pred = predict_single_batch(p, x)
+        for i in range(len(x)):
+            e = single_estimate(pred, i)
+            lines.append(
+                f"{_fmt(e.stretch)},{int(e.contact_detected)},"
+                f"{e.node.x},{e.node.y},{_fmt(e.force)}"
+            )
     else:
-        text = _estimate_rows_two(p, frames)
+        lines = ["x1,y1,f1_n,x2,y2,f2_n"]
+        pred = predict_two_batch(p, x)
+        for i in range(len(x)):
+            contacts = two_estimate(pred, i).contacts
+            lines.append(",".join(f"{n.x},{n.y},{_fmt(f)}" for n, f in contacts))
+    text = "\n".join(lines) + "\n"
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "estimates.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, text)

@@ -1,9 +1,9 @@
 """Domain types, dataset schema and the CSV interchange format.
 
-A capacitance frame is one scan of the 20 terminals (10 x + 10 y). Samples
-attach ground-truth labels to a frame; datasets are homogeneous ordered
-collections of samples plus a metadata record describing how they were
-generated. Everything here is an immutable value object.
+A capacitance frame is one scan of the 20 terminals (10 x + 10 y). A dataset
+holds a matrix of frames, one row per sample, the matching ground-truth
+label columns, and a metadata record describing how it was generated.
+Everything here is an immutable value object.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -34,22 +34,21 @@ GRAVITY_M_S2 = 9.8
 N_TERMINALS_PER_AXIS = 10
 N_FEATURES = 2 * N_TERMINALS_PER_AXIS
 
-SINGLE_HEADER = (
-    [f"cx{i}" for i in range(1, 11)]
-    + [f"cy{i}" for i in range(1, 11)]
-    + ["force_n", "node_x", "node_y", "lambda"]
-)
-TWO_HEADER = (
-    [f"cx{i}" for i in range(1, 11)]
-    + [f"cy{i}" for i in range(1, 11)]
-    + ["f1_n", "x1", "y1", "f2_n", "x2", "y2"]
-)
-
 SCHEMA_SINGLE = "single"
 SCHEMA_TWO = "two"
 
+#: Label columns per schema, in CSV order.
+LABEL_COLUMNS = {
+    SCHEMA_SINGLE: ("force_n", "node_x", "node_y", "lambda"),
+    SCHEMA_TWO: ("f1_n", "x1", "y1", "f2_n", "x2", "y2"),
+}
+
+_SCHEMA_OF_WIDTH = {len(cols): schema for schema, cols in LABEL_COLUMNS.items()}
+
 #: Label-free frame files (inference input) carry only the 20 channels.
-FRAME_HEADER = SINGLE_HEADER[:N_FEATURES]
+FRAME_HEADER = [f"cx{i}" for i in range(1, 11)] + [f"cy{i}" for i in range(1, 11)]
+SINGLE_HEADER = FRAME_HEADER + list(LABEL_COLUMNS[SCHEMA_SINGLE])
+TWO_HEADER = FRAME_HEADER + list(LABEL_COLUMNS[SCHEMA_TWO])
 
 
 def force_from_mass_kg(mass_kg: float) -> float:
@@ -100,16 +99,14 @@ def node_id(node: NodeCoord) -> int:
     return node.node_id
 
 
-def validate_stretch(lam: float) -> float:
+def validate_stretch(lam: float) -> None:
     if not math.isfinite(lam) or lam < 1.0:
         raise ValidationError(f"stretch ratio {lam} must be finite and >= 1")
-    return float(lam)
 
 
-def validate_force(newtons: float) -> float:
+def validate_force(newtons: float) -> None:
     if not math.isfinite(newtons) or newtons < 0.0:
         raise ValidationError(f"force {newtons} N must be finite and >= 0")
-    return float(newtons)
 
 
 @dataclass(frozen=True)
@@ -136,71 +133,10 @@ class CapacitanceFrame:
     @classmethod
     def from_vector(cls, values: Sequence[float]) -> "CapacitanceFrame":
         values = [float(v) for v in values]
-        if len(values) != N_FEATURES:
-            raise ValidationError(f"frame needs 20 values, got {len(values)}")
         return cls(cx=tuple(values[:10]), cy=tuple(values[10:]))
 
     def as_vector(self) -> np.ndarray:
         return np.array(self.cx + self.cy, dtype=float)
-
-
-@dataclass(frozen=True)
-class SingleContactSample:
-    """A frame with its force, node and stretch labels (24 values serialised)."""
-
-    frame: CapacitanceFrame
-    force: float
-    node: NodeCoord
-    stretch: float
-
-    def __post_init__(self):
-        validate_force(self.force)
-        validate_stretch(self.stretch)
-        if (self.force == 0.0) != (not self.node.is_contact):
-            raise ValidationError(
-                f"force {self.force} N with node ({self.node.x}, {self.node.y}) "
-                f"violates the force-0 <=> node-0 invariant"
-            )
-
-    def row(self) -> list[float]:
-        return list(self.frame.as_vector()) + [
-            self.force,
-            float(self.node.x),
-            float(self.node.y),
-            self.stretch,
-        ]
-
-
-@dataclass(frozen=True)
-class TwoContactSample:
-    """A frame with two (force, node) label pairs (26 values serialised)."""
-
-    frame: CapacitanceFrame
-    force1: float
-    node1: NodeCoord
-    force2: float
-    node2: NodeCoord
-
-    def __post_init__(self):
-        validate_force(self.force1)
-        validate_force(self.force2)
-        if self.node1 == self.node2 and self.node1.is_contact:
-            raise ValidationError(
-                f"two-contact sample repeats node ({self.node1.x}, {self.node1.y})"
-            )
-
-    def row(self) -> list[float]:
-        return list(self.frame.as_vector()) + [
-            self.force1,
-            float(self.node1.x),
-            float(self.node1.y),
-            self.force2,
-            float(self.node2.x),
-            float(self.node2.y),
-        ]
-
-
-Sample = SingleContactSample | TwoContactSample
 
 
 @dataclass(frozen=True)
@@ -212,53 +148,149 @@ class DatasetMeta:
     generator_config_digest: str
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered, schema-homogeneous collection of samples plus metadata."""
+class _InvalidRow(ValidationError):
+    """A row breaks a domain invariant; ``row`` is its 0-based index."""
 
-    samples: tuple[Sample, ...]
+    def __init__(self, row: int, detail: str):
+        self.row = row
+        self.detail = detail
+        super().__init__(f"row {row}: {detail}")
+
+
+def _check_rows(checks) -> None:
+    """Raise for the first row any check rejects, described by the first
+    check in list order that rejects it. ``checks`` holds (bad-row mask,
+    row -> message) pairs."""
+    bad = np.array([mask for mask, _ in checks])
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size:
+        row = int(rows[0])
+        raise _InvalidRow(row, checks[int(np.argmax(bad[:, row]))][1](row))
+
+
+def _frame_check(x: np.ndarray) -> tuple:
+    bad = ~(np.isfinite(x) & (x > 0.0))
+
+    def message(i: int) -> str:
+        j = int(np.argmax(bad[i]))
+        axis = "cx" if j < N_TERMINALS_PER_AXIS else "cy"
+        return f"capacitance value {x[i, j]} in {axis} must be finite and > 0"
+
+    return bad.any(axis=1), message
+
+
+def _at_least(values: np.ndarray, low: float, what: str) -> tuple:
+    bad = ~(np.isfinite(values) & (values >= low))
+    return bad, lambda i: f"{what} {values[i]} must be finite and >= {low:g}"
+
+
+def _node_check(nx: np.ndarray, ny: np.ndarray) -> tuple:
+    terminals = np.arange(1, N_TERMINALS_PER_AXIS + 1)
+    on_grid = np.isin(nx, terminals) & np.isin(ny, terminals)
+    return ~(on_grid | ((nx == 0) & (ny == 0))), lambda i: (
+        f"node ({_fmt(nx[i])}, {_fmt(ny[i])}) invalid: both coordinates must "
+        f"be integers in 1..10, or both 0 for no contact"
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Frames and their labels, one row per sample, plus provenance.
+
+    ``x`` is the (n, 20) capacitance matrix in serialisation order and
+    ``labels`` the label columns in CSV order: (n, 4) single-contact
+    (force_n, node_x, node_y, lambda) or (n, 6) two-contact (f1_n, x1, y1,
+    f2_n, x2, y2). The label width names the schema. Both arrays are
+    read-only copies, validated once on construction.
+    """
+
+    x: np.ndarray
+    labels: np.ndarray
     meta: DatasetMeta | None = None
 
     def __post_init__(self):
-        kinds = {type(s) for s in self.samples}
-        if len(kinds) > 1:
-            raise SchemaError("dataset mixes single- and two-contact samples")
-        if self.meta is not None and self.samples:
-            if self.meta.schema != self.schema:
-                raise SchemaError(
-                    f"metadata schema {self.meta.schema!r} does not match "
-                    f"samples ({self.schema!r})"
-                )
+        x = np.array(self.x, dtype=float)
+        labels = np.array(self.labels, dtype=float)
+        if x.ndim != 2 or x.shape[1] != N_FEATURES:
+            raise SchemaError(f"features must be (n, {N_FEATURES}), got {x.shape}")
+        if labels.ndim != 2 or labels.shape[1] not in _SCHEMA_OF_WIDTH:
+            raise SchemaError(f"labels must be (n, 4) or (n, 6), got {labels.shape}")
+        if labels.shape[0] != x.shape[0]:
+            raise SchemaError(f"{x.shape[0]} frames but {labels.shape[0]} label rows")
+        for arr in (x, labels):
+            arr.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "labels", labels)
+        if self.meta is not None and self.meta.schema != self.schema:
+            raise SchemaError(
+                f"metadata schema {self.meta.schema!r} does not match "
+                f"the labels ({self.schema!r})"
+            )
+        if self.schema == SCHEMA_SINGLE:
+            force, nx, ny, lam = labels.T
+            checks = [
+                _node_check(nx, ny),
+                _at_least(force, 0.0, "force"),
+                _at_least(lam, 1.0, "stretch ratio"),
+                ((force == 0.0) != (nx == 0), lambda i: (
+                    f"force {force[i]} with node ({_fmt(nx[i])}, {_fmt(ny[i])}) "
+                    f"violates the force-0 <=> node-0 invariant"
+                )),
+            ]
+        else:
+            f1, x1, y1, f2, x2, y2 = labels.T
+            checks = [
+                _node_check(x1, y1),
+                _node_check(x2, y2),
+                _at_least(f1, 0.0, "force"),
+                _at_least(f2, 0.0, "force"),
+                ((x1 == x2) & (y1 == y2) & (x1 != 0), lambda i: (
+                    f"two-contact sample repeats node ({_fmt(x1[i])}, {_fmt(y1[i])})"
+                )),
+            ]
+        _check_rows([_frame_check(x)] + checks)
 
     @property
     def schema(self) -> str:
-        if not self.samples:
-            return self.meta.schema if self.meta is not None else SCHEMA_SINGLE
-        return (
-            SCHEMA_SINGLE
-            if isinstance(self.samples[0], SingleContactSample)
-            else SCHEMA_TWO
-        )
+        return _SCHEMA_OF_WIDTH[self.labels.shape[1]]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.x.shape[0]
 
-    def __iter__(self) -> Iterator[Sample]:
-        return iter(self.samples)
+    def require(self, schema: str) -> None:
+        """Raise :class:`SchemaError` unless the labels are of ``schema``."""
+        if self.schema != schema:
+            raise SchemaError(f"expected a {schema}-contact dataset, got {self.schema}")
 
     def features(self) -> np.ndarray:
-        """(n, 20) feature matrix in serialisation order."""
-        return np.array([s.frame.as_vector() for s in self.samples], dtype=float)
+        """(n, 20) feature matrix in serialisation order (``x`` itself)."""
+        return self.x
+
+    def label(self, name: str) -> np.ndarray:
+        """A contiguous copy of one label column, named by its CSV header."""
+        columns = LABEL_COLUMNS[self.schema]
+        if name not in columns:
+            raise SchemaError(f"{self.schema}-contact data has no label {name!r}")
+        return self.labels[:, columns.index(name)].copy()
+
+    def node_ids(self, x: str = "node_x", y: str = "node_y") -> np.ndarray:
+        """Row-major node numbers (0 for no contact) of the coordinate pair
+        in label columns ``x`` and ``y``."""
+        nx = self.label(x).astype(int)
+        ny = self.label(y).astype(int)
+        return np.where(nx != 0, (ny - 1) * 10 + nx, 0)
+
+    def take(self, rows) -> "Dataset":
+        """The given rows, in the given order, with the same metadata."""
+        return Dataset(x=self.x[rows], labels=self.labels[rows], meta=self.meta)
 
     def approx_equal(self, other: "Dataset", tol: float = 1e-9) -> bool:
         """Field-wise comparison of all rows within an absolute tolerance."""
-        if len(self) != len(other) or self.schema != other.schema:
-            return False
-        for a, b in zip(self.samples, other.samples):
-            ra, rb = a.row(), b.row()
-            if any(abs(x - y) > tol for x, y in zip(ra, rb)):
-                return False
-        return True
+        return (
+            self.labels.shape == other.labels.shape
+            and bool(np.all(np.abs(self.x - other.x) <= tol))
+            and bool(np.all(np.abs(self.labels - other.labels) <= tol))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +303,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _write_table(header: list[str], rows: np.ndarray, dest: IO[str]) -> None:
+    dest.write(",".join(header) + "\n")
+    for row in rows.tolist():
+        dest.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def write_dataset(ds: Dataset, dest: IO[str]) -> None:
     """Write the dataset as CSV text (header + one row per sample)."""
     header = SINGLE_HEADER if ds.schema == SCHEMA_SINGLE else TWO_HEADER
-    dest.write(",".join(header) + "\n")
-    for s in ds.samples:
-        dest.write(",".join(_fmt(v) for v in s.row()) + "\n")
+    _write_table(header, np.hstack([ds.x, ds.labels]), dest)
 
 
 def write_dataset_meta(meta: DatasetMeta, dest: IO[str]) -> None:
@@ -284,35 +320,35 @@ def write_dataset_meta(meta: DatasetMeta, dest: IO[str]) -> None:
     dest.write("\n")
 
 
-def _coord(value: float) -> int:
-    if value != int(value):
-        raise ValidationError(f"node coordinate {value} is not an integer")
-    return int(value)
-
-
-def _parse_row(fields: list[str], lineno: int) -> Sample:
+def _read_table(source: IO[str], headers: tuple[list[str], ...], build):
+    """Parse a header row equal to one of ``headers`` and its numeric rows,
+    then return ``build(table)``. Blank lines are skipped; a malformed line,
+    or a row ``build`` rejects, is reported by its line number."""
+    header_line = source.readline()
+    if not header_line:
+        raise ParseError("empty input: missing header row", 1)
+    header = header_line.rstrip("\n").split(",")
+    if header not in headers:
+        raise ParseError(f"unrecognised header with {len(header)} columns", 1)
+    rows, lines = [], []
+    for lineno, line in enumerate(source, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ParseError(
+                f"expected {len(header)} columns, got {len(fields)}", lineno
+            )
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as e:
+            raise ParseError(f"non-numeric field ({e})", lineno) from None
+        lines.append(lineno)
     try:
-        values = [float(v) for v in fields]
-    except ValueError as e:
-        raise ParseError(f"non-numeric field ({e})", lineno) from None
-    frame = CapacitanceFrame.from_vector(values[:N_FEATURES])
-    tail = values[N_FEATURES:]
-    if len(fields) == len(SINGLE_HEADER):
-        force, nx, ny, lam = tail
-        return SingleContactSample(
-            frame=frame,
-            force=force,
-            node=NodeCoord(_coord(nx), _coord(ny)),
-            stretch=lam,
-        )
-    f1, x1, y1, f2, x2, y2 = tail
-    return TwoContactSample(
-        frame=frame,
-        force1=f1,
-        node1=NodeCoord(_coord(x1), _coord(y1)),
-        force2=f2,
-        node2=NodeCoord(_coord(x2), _coord(y2)),
-    )
+        return build(np.array(rows, dtype=float).reshape(len(rows), len(header)))
+    except _InvalidRow as e:
+        raise ValidationError(f"line {lines[e.row]}: {e.detail}") from None
 
 
 def read_dataset(source: IO[str], meta: DatasetMeta | None = None) -> Dataset:
@@ -322,68 +358,27 @@ def read_dataset(source: IO[str], meta: DatasetMeta | None = None) -> Dataset:
     raise :class:`ParseError` with their line number; rows violating domain
     invariants raise :class:`ValidationError`.
     """
-    header_line = source.readline()
-    if not header_line:
-        raise ParseError("empty input: missing header row", 1)
-    header = header_line.rstrip("\n").split(",")
-    if header == SINGLE_HEADER:
-        width = len(SINGLE_HEADER)
-    elif header == TWO_HEADER:
-        width = len(TWO_HEADER)
-    else:
-        raise ParseError(
-            f"unrecognised header with {len(header)} columns", 1
-        )
-
-    samples: list[Sample] = []
-    for lineno, line in enumerate(source, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ParseError(
-                f"expected {width} columns, got {len(fields)}", lineno
-            )
-        try:
-            samples.append(_parse_row(fields, lineno))
-        except ValidationError as e:
-            raise ValidationError(f"line {lineno}: {e}") from None
-    return Dataset(samples=tuple(samples), meta=meta)
+    return _read_table(
+        source,
+        (SINGLE_HEADER, TWO_HEADER),
+        lambda t: Dataset(x=t[:, :N_FEATURES], labels=t[:, N_FEATURES:], meta=meta),
+    )
 
 
-def read_frames(source: IO[str]) -> tuple[CapacitanceFrame, ...]:
-    """Parse a label-free frames CSV (header + 20 capacitance columns)."""
-    header_line = source.readline()
-    if not header_line:
-        raise ParseError("empty input: missing header row", 1)
-    if header_line.rstrip("\n").split(",") != FRAME_HEADER:
-        raise ParseError("expected the 20-column capacitance header", 1)
-    frames = []
-    for lineno, line in enumerate(source, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != N_FEATURES:
-            raise ParseError(
-                f"expected {N_FEATURES} columns, got {len(fields)}", lineno
-            )
-        try:
-            values = [float(v) for v in fields]
-        except ValueError as e:
-            raise ParseError(f"non-numeric field ({e})", lineno) from None
-        try:
-            frames.append(CapacitanceFrame.from_vector(values))
-        except ValidationError as e:
-            raise ValidationError(f"line {lineno}: {e}") from None
-    return tuple(frames)
+def _valid_frames(x: np.ndarray) -> np.ndarray:
+    _check_rows([_frame_check(x)])
+    return x
 
 
-def write_frames(frames, dest: IO[str]) -> None:
-    dest.write(",".join(FRAME_HEADER) + "\n")
-    for frame in frames:
-        dest.write(",".join(_fmt(v) for v in frame.as_vector()) + "\n")
+def read_frames(source: IO[str]) -> np.ndarray:
+    """Parse a label-free frames CSV (header + 20 capacitance columns) into
+    an (n, 20) array."""
+    return _read_table(source, (FRAME_HEADER,), _valid_frames)
+
+
+def write_frames(x: np.ndarray, dest: IO[str]) -> None:
+    """Write an (n, 20) capacitance matrix as a label-free frames CSV."""
+    _write_table(FRAME_HEADER, np.asarray(x, dtype=float).reshape(-1, N_FEATURES), dest)
 
 
 def read_dataset_meta(source: IO[str]) -> DatasetMeta:

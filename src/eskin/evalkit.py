@@ -3,9 +3,10 @@
 Fold plans shuffle within each stratum and deal round-robin, so per-stratum
 fold counts never differ by more than 1. Reports carry pooled metrics
 (computed over the concatenation of all test folds), per-fold values, and
-their mean/std; confusion matrices are summed across folds. Everything is a
-pure function of (dataset, k, seed, config), which is what makes report
-files byte-reproducible.
+their mean/std; confusion matrices count the pooled test predictions, so
+they equal the sum of the per-fold matrices. Everything is a pure function
+of (dataset, k, seed, config), which is what makes report files
+byte-reproducible.
 
 Localisation and force metrics are computed on contact-positive test
 samples only (the gated pipeline defines no node or force for a negative
@@ -40,11 +41,10 @@ from .pipeline import (
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Fold index per sample plus the strata the split preserved."""
+    """Fold index per sample."""
 
     k: int
     assignments: tuple[int, ...]
-    strata: tuple
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.assignments) == fold)
@@ -68,9 +68,8 @@ def stratified_kfold(strata, k: int, seed: int = 0) -> FoldPlan:
     for label in sorted(groups):
         idx = np.array(groups[label])
         rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            assignments[i] = pos % k
-    return FoldPlan(k=k, assignments=tuple(int(a) for a in assignments), strata=tuple(strata))
+        assignments[idx] = np.arange(len(idx)) % k
+    return FoldPlan(k=k, assignments=tuple(int(a) for a in assignments))
 
 
 def _check_pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:
@@ -128,15 +127,6 @@ class ConfusionMatrix:
                 return False
         return True
 
-    def add(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.labels != other.labels:
-            raise ValidationError("cannot sum confusion matrices over different classes")
-        summed = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.counts, other.counts)
-        )
-        return ConfusionMatrix(counts=summed, labels=self.labels)
-
 
 def confusion(true, pred, n_classes: int, labels=None) -> ConfusionMatrix:
     true = np.asarray(true, dtype=int)
@@ -185,17 +175,47 @@ class MetricsReport:
         return f"mode={self.mode} k={self.k} " + " ".join(parts)
 
 
-def _finalize(per_fold: dict) -> tuple[dict, dict]:
-    mean = {k: float(np.mean(v)) for k, v in per_fold.items()}
-    std = {k: float(np.std(v)) for k, v in per_fold.items()}
-    return mean, std
+def _fold_loop(
+    ds: Dataset, plan: FoldPlan, config: PipelineConfig, train, predict, metrics
+):
+    """Train on each fold's complement, predict its test rows and score them.
+
+    Returns the per-fold metrics, the test rows of all folds in fold order
+    and the predictions for those rows, concatenated the same way.
+    """
+    per_fold: dict[str, list] = {}
+    rows, outs = [], []
+    for fold in range(plan.k):
+        te = plan.test_indices(fold)
+        try:
+            p = train(ds.take(plan.train_indices(fold)), config)
+        except CoverageError as exc:
+            raise CoverageError(f"fold {fold}: {exc}")
+        out = predict(p, ds.x[te])
+        for key, value in metrics(te, out).items():
+            per_fold.setdefault(key, []).append(value)
+        rows.append(te)
+        outs.append(out)
+    pooled = {key: np.concatenate([o[key] for o in outs]) for key in outs[0]}
+    return per_fold, np.concatenate(rows), pooled
 
 
-def _fold_datasets(ds: Dataset, plan: FoldPlan, fold: int) -> tuple[Dataset, np.ndarray]:
-    tr = plan.train_indices(fold)
-    te = plan.test_indices(fold)
-    train = Dataset(samples=tuple(ds.samples[i] for i in tr), meta=ds.meta)
-    return train, te
+def _report(mode, ds, plan, seed, per_fold, pooled, confusions, notes) -> MetricsReport:
+    return MetricsReport(
+        mode=mode,
+        k=plan.k,
+        seed=seed,
+        n_samples=len(ds),
+        pooled=pooled,
+        per_fold={key: tuple(v) for key, v in per_fold.items()},
+        fold_mean={key: float(np.mean(v)) for key, v in per_fold.items()},
+        fold_std={key: float(np.std(v)) for key, v in per_fold.items()},
+        confusions=confusions,
+        notes=notes + (
+            "pooled metrics are computed over the concatenated test folds; "
+            "fold_mean/fold_std aggregate the per-fold values",
+        ),
+    )
 
 
 def cross_validate(
@@ -203,32 +223,15 @@ def cross_validate(
 ) -> MetricsReport:
     """k-fold CV of the single-contact pipeline, stratified on pressed node."""
     config = config or PipelineConfig()
-    if ds.schema != SCHEMA_SINGLE:
-        raise SchemaError(f"expected a single-contact dataset, got {ds.schema}")
-    node_ids = np.array([s.node.node_id for s in ds])
+    ds.require(SCHEMA_SINGLE)
+    node_ids = ds.node_ids()
     plan = stratified_kfold(node_ids.tolist(), k, seed)
     dataset_nodes = set(int(n) for n in node_ids if n > 0)
-    x_all = ds.features()
-    stretch_all = np.array([s.stretch for s in ds])
-    force_all = np.array([s.force for s in ds])
-    contact_all = node_ids > 0
-    xt_all = np.array([s.node.x for s in ds])
-    yt_all = np.array([s.node.y for s in ds])
-
-    per_fold: dict[str, list] = {
-        key: []
-        for key in (
-            "stretch_r2", "stretch_mse", "force_r2", "force_mse",
-            "detection_accuracy", "row_accuracy", "col_accuracy",
-        )
-    }
-    pooled_pred: dict[str, list] = {key: [] for key in (
-        "stretch", "detected", "x_term", "y_term", "force"
-    )}
-    pooled_idx: list[np.ndarray] = []
-    terminal_labels = tuple(range(1, 11))
-    cm_row = confusion([], [], 10, terminal_labels)
-    cm_col = confusion([], [], 10, terminal_labels)
+    stretch = ds.label("lambda")
+    force = ds.label("force_n")
+    contact = node_ids > 0
+    x_term = ds.label("node_x")
+    y_term = ds.label("node_y")
 
     # every fold is checked before any is trained, so a bad plan fails fast
     for fold in range(k):
@@ -238,70 +241,37 @@ def cross_validate(
             raise CoverageError(
                 f"fold {fold} training split lacks node classes {missing}"
             )
-        if not np.any(contact_all[plan.test_indices(fold)]):
+        if not np.any(contact[plan.test_indices(fold)]):
             raise CoverageError(
                 f"fold {fold} test split holds no contact rows, so its force "
                 f"and localisation metrics are undefined; use fewer folds than "
                 f"k={k} or a dataset with more reps per cell"
             )
 
-    for fold in range(k):
-        train, te = _fold_datasets(ds, plan, fold)
-        p = train_single(train, config)
-        out = predict_single_batch(p, x_all[te])
-        pos = contact_all[te]
+    def metrics(rows, out):
+        pos = contact[rows]
+        return {
+            "stretch_r2": r2(stretch[rows], out["stretch"]),
+            "stretch_mse": mse(stretch[rows], out["stretch"]),
+            "detection_accuracy": float(np.mean(out["detected"] == pos)),
+            "force_r2": r2(force[rows][pos], out["force"][pos]),
+            "force_mse": mse(force[rows][pos], out["force"][pos]),
+            "row_accuracy": float(np.mean(out["y_term"][pos] == y_term[rows][pos])),
+            "col_accuracy": float(np.mean(out["x_term"][pos] == x_term[rows][pos])),
+        }
 
-        per_fold["stretch_r2"].append(r2(stretch_all[te], out["stretch"]))
-        per_fold["stretch_mse"].append(mse(stretch_all[te], out["stretch"]))
-        per_fold["detection_accuracy"].append(
-            float(np.mean(out["detected"] == pos))
-        )
-        per_fold["force_r2"].append(r2(force_all[te][pos], out["force"][pos]))
-        per_fold["force_mse"].append(mse(force_all[te][pos], out["force"][pos]))
-        per_fold["row_accuracy"].append(
-            float(np.mean(out["y_term"][pos] == yt_all[te][pos]))
-        )
-        per_fold["col_accuracy"].append(
-            float(np.mean(out["x_term"][pos] == xt_all[te][pos]))
-        )
-        cm_row = cm_row.add(
-            confusion(yt_all[te][pos] - 1, out["y_term"][pos] - 1, 10, terminal_labels)
-        )
-        cm_col = cm_col.add(
-            confusion(xt_all[te][pos] - 1, out["x_term"][pos] - 1, 10, terminal_labels)
-        )
-        for key in pooled_pred:
-            pooled_pred[key].append(out[key])
-        pooled_idx.append(te)
-
-    idx = np.concatenate(pooled_idx)
-    cat = {key: np.concatenate(v) for key, v in pooled_pred.items()}
-    pos = contact_all[idx]
-    pooled = {
-        "stretch_r2": r2(stretch_all[idx], cat["stretch"]),
-        "stretch_mse": mse(stretch_all[idx], cat["stretch"]),
-        "detection_accuracy": float(np.mean(cat["detected"] == pos)),
-        "force_r2": r2(force_all[idx][pos], cat["force"][pos]),
-        "force_mse": mse(force_all[idx][pos], cat["force"][pos]),
-        "row_accuracy": float(np.mean(cat["y_term"][pos] == yt_all[idx][pos])),
-        "col_accuracy": float(np.mean(cat["x_term"][pos] == xt_all[idx][pos])),
+    per_fold, rows, out = _fold_loop(
+        ds, plan, config, train_single, predict_single_batch, metrics
+    )
+    pos = contact[rows]
+    terminals = tuple(range(1, 11))
+    confusions = {
+        name: confusion(true[rows][pos] - 1, out[key][pos] - 1, 10, terminals)
+        for name, true, key in (("row", y_term, "y_term"), ("col", x_term, "x_term"))
     }
-    fold_mean, fold_std = _finalize(per_fold)
-    return MetricsReport(
-        mode=SCHEMA_SINGLE,
-        k=k,
-        seed=seed,
-        n_samples=len(ds),
-        pooled=pooled,
-        per_fold={k2: tuple(v) for k2, v in per_fold.items()},
-        fold_mean=fold_mean,
-        fold_std=fold_std,
-        confusions={"row": cm_row, "col": cm_col},
-        notes=(
-            "localisation and force metrics cover contact-positive test samples only",
-            "pooled metrics are computed over the concatenated test folds; "
-            "fold_mean/fold_std aggregate the per-fold values",
-        ),
+    return _report(
+        SCHEMA_SINGLE, ds, plan, seed, per_fold, metrics(rows, out), confusions,
+        ("localisation and force metrics cover contact-positive test samples only",),
     )
 
 
@@ -310,92 +280,49 @@ def cross_validate_two(
 ) -> MetricsReport:
     """k-fold CV of the two-contact models, stratified on the node pair."""
     config = config or PipelineConfig()
-    if ds.schema != SCHEMA_TWO:
-        raise SchemaError(f"expected a two-contact dataset, got {ds.schema}")
-    if len(ds) == 0:
-        raise ValidationError("empty two-contact dataset")
-    pair_labels = [(s.node1.node_id, s.node2.node_id) for s in ds]
-    plan = stratified_kfold(pair_labels, k, seed)
-    x_all = ds.features()
-    truth = {
-        "x1": np.array([s.node1.x for s in ds]),
-        "y1": np.array([s.node1.y for s in ds]),
-        "x2": np.array([s.node2.x for s in ds]),
-        "y2": np.array([s.node2.y for s in ds]),
-        "force1": np.array([s.force1 for s in ds]),
-        "force2": np.array([s.force2 for s in ds]),
-    }
-    shared_all = (truth["x1"] == truth["x2"]) | (truth["y1"] == truth["y2"])
-
+    ds.require(SCHEMA_TWO)
+    pairs = zip(ds.node_ids("x1", "y1").tolist(), ds.node_ids("x2", "y2").tolist())
+    plan = stratified_kfold(list(pairs), k, seed)
     coord_keys = ("x1", "y1", "x2", "y2")
-    metric_keys = [f"{c}_accuracy" for c in coord_keys] + [
-        "force1_r2", "force1_mse", "force2_r2", "force2_mse",
-    ]
-    per_fold: dict[str, list] = {key: [] for key in metric_keys}
-    axes = tuple(sorted(config.node_axes))
-    axis_index = {v: i for i, v in enumerate(axes)}
-    cms = {c: confusion([], [], len(axes), axes) for c in coord_keys}
-    pooled_pred: dict[str, list] = {key: [] for key in coord_keys + ("force1", "force2")}
-    pooled_idx: list[np.ndarray] = []
+    truth = {c: ds.label(c) for c in coord_keys}
+    truth["force1"] = ds.label("f1_n")
+    truth["force2"] = ds.label("f2_n")
 
-    for fold in range(k):
-        train, te = _fold_datasets(ds, plan, fold)
-        try:
-            p = train_two(train, config)
-        except CoverageError as exc:
-            raise CoverageError(f"fold {fold}: {exc}")
-        out = predict_two_batch(p, x_all[te])
-        for c in coord_keys:
-            per_fold[f"{c}_accuracy"].append(float(np.mean(out[c] == truth[c][te])))
-            cms[c] = cms[c].add(
-                confusion(
-                    [axis_index[int(v)] for v in truth[c][te]],
-                    [axis_index[int(v)] for v in out[c]],
-                    len(axes),
-                    axes,
-                )
-            )
+    def metrics(rows, out):
+        m = {
+            f"{c}_accuracy": float(np.mean(out[c] == truth[c][rows]))
+            for c in coord_keys
+        }
         for f in ("force1", "force2"):
-            per_fold[f"{f}_r2"].append(r2(truth[f][te], out[f]))
-            per_fold[f"{f}_mse"].append(mse(truth[f][te], out[f]))
-        for key in pooled_pred:
-            pooled_pred[key].append(out[key])
-        pooled_idx.append(te)
+            m[f"{f}_r2"] = r2(truth[f][rows], out[f])
+            m[f"{f}_mse"] = mse(truth[f][rows], out[f])
+        return m
 
-    idx = np.concatenate(pooled_idx)
-    cat = {key: np.concatenate(v) for key, v in pooled_pred.items()}
-    sq_err = np.concatenate(
-        [
-            (cat["force1"] - truth["force1"][idx]) ** 2,
-            (cat["force2"] - truth["force2"][idx]) ** 2,
-        ]
+    per_fold, rows, out = _fold_loop(
+        ds, plan, config, train_two, predict_two_batch, metrics
     )
-    shared2 = np.concatenate([shared_all[idx], shared_all[idx]])
-    pooled = {}
-    for c in coord_keys:
-        pooled[f"{c}_accuracy"] = float(np.mean(cat[c] == truth[c][idx]))
-    for f in ("force1", "force2"):
-        pooled[f"{f}_r2"] = r2(truth[f][idx], cat[f])
-        pooled[f"{f}_mse"] = mse(truth[f][idx], cat[f])
+    pooled = metrics(rows, out)
+    shared = (truth["x1"] == truth["x2"]) | (truth["y1"] == truth["y2"])
+    shared2 = np.concatenate([shared[rows], shared[rows]])
+    sq_err = np.concatenate(
+        [(out[f] - truth[f][rows]) ** 2 for f in ("force1", "force2")]
+    )
     pooled["force_mse_shared_axis"] = float(np.mean(sq_err[shared2]))
     pooled["force_mse_disjoint"] = float(np.mean(sq_err[~shared2]))
-    fold_mean, fold_std = _finalize(per_fold)
-    return MetricsReport(
-        mode=SCHEMA_TWO,
-        k=k,
-        seed=seed,
-        n_samples=len(ds),
-        pooled=pooled,
-        per_fold={k2: tuple(v) for k2, v in per_fold.items()},
-        fold_mean=fold_mean,
-        fold_std=fold_std,
-        confusions=cms,
-        notes=(
-            "force_mse_shared_axis pools both contacts over test pairs sharing a "
-            "row or column terminal; force_mse_disjoint covers the remaining pairs",
-            "pooled metrics are computed over the concatenated test folds; "
-            "fold_mean/fold_std aggregate the per-fold values",
-        ),
+    axes = np.array(sorted(config.node_axes))
+    cms = {
+        c: confusion(
+            np.searchsorted(axes, truth[c][rows]),
+            np.searchsorted(axes, out[c]),
+            len(axes),
+            tuple(axes.tolist()),
+        )
+        for c in coord_keys
+    }
+    return _report(
+        SCHEMA_TWO, ds, plan, seed, per_fold, pooled, cms,
+        ("force_mse_shared_axis pools both contacts over test pairs sharing a "
+         "row or column terminal; force_mse_disjoint covers the remaining pairs",),
     )
 
 

@@ -9,10 +9,9 @@ above ``cap`` rows run on a seeded uniform subsample.
 
 The posterior mean k(x, X) @ alpha needs no factor, so
 ``gp_predict(..., std=False)`` serves from the training inputs and alpha
-alone, and without importing scipy. L is needed only for the posterior std
-and the marginal likelihood, and is not serialised: a fitted model keeps the
-one gp_fit computed, a loaded model recomputes it (bit for bit the same) on
-first use.
+alone. L is needed only for the posterior std and the marginal likelihood,
+and is not serialised: a fitted model keeps the one gp_fit computed, a
+loaded model recomputes it (bit for bit the same) on first use.
 """
 
 from __future__ import annotations
@@ -175,11 +174,9 @@ def gp_predict(
     mean = ks @ model.alpha + model.hyper.mean_offset
     if not std:
         return mean, None
-    # imported here: scipy roughly doubles the start-up of every eskin process,
-    # and serving never asks for the std
-    from scipy.linalg import solve_triangular
-
-    v = solve_triangular(model.chol, ks.T, lower=True)
+    # numpy has no triangular solve; a general one keeps scipy out of the
+    # dependencies, and no artifact holds a std
+    v = np.linalg.solve(model.chol, ks.T)
     var = model.hyper.signal_var - np.sum(v * v, axis=0)
     np.maximum(var, 0.0, out=var)
     return mean, np.sqrt(var)

@@ -145,11 +145,6 @@ class TwoContactEstimate:
             raise ValidationError("estimated forces must be >= 0")
 
 
-def _require_schema(ds: Dataset, schema: str) -> None:
-    if ds.schema != schema:
-        raise SchemaError(f"expected a {schema}-contact dataset, got {ds.schema}")
-
-
 def train_single(train: Dataset, config: PipelineConfig | None = None) -> TrainedPipeline:
     """Fit the four-model stack on one training split.
 
@@ -157,18 +152,15 @@ def train_single(train: Dataset, config: PipelineConfig | None = None) -> Traine
     protocol dataset yields the 10 row and 10 column classes.
     """
     config = config or PipelineConfig()
-    _require_schema(train, SCHEMA_SINGLE)
-    if len(train) == 0:
-        raise ValidationError("empty training dataset")
-    x = train.features()
-    stretch = np.array([s.stretch for s in train])
-    contact = np.array([s.node.is_contact for s in train])
+    train.require(SCHEMA_SINGLE)
+    x = train.x
+    contact = train.label("node_x") != 0
     if not np.any(contact):
         raise CoverageError(
             "no contact-positive samples: every node class 1..100 is absent"
         )
 
-    stretch_model = ols_fit(x, stretch)
+    stretch_model = ols_fit(x, train.label("lambda"))
     scaler = Standardizer.fit(x)
     z = scaler.transform(x)
 
@@ -176,11 +168,9 @@ def train_single(train: Dataset, config: PipelineConfig | None = None) -> Traine
     detector = svm_fit(z, det_labels, config.svm)
 
     pos = np.flatnonzero(contact)
-    xs = np.array([train.samples[i].node.x for i in pos])
-    ys = np.array([train.samples[i].node.y for i in pos])
-    forces = np.array([train.samples[i].force for i in pos])
-    col_clf = forest_fit(z[pos], xs - 1, config.forest)
-    row_clf = forest_fit(z[pos], ys - 1, config.forest)
+    forces = train.label("force_n")[pos]
+    col_clf = forest_fit(z[pos], train.label("node_x")[pos] - 1, config.forest)
+    row_clf = forest_fit(z[pos], train.label("node_y")[pos] - 1, config.forest)
 
     hyper = config.gp
     if config.gp_search:
@@ -223,59 +213,44 @@ def predict_single_batch(p: TrainedPipeline, x: np.ndarray) -> dict[str, np.ndar
     }
 
 
+def single_estimate(out: dict[str, np.ndarray], i: int) -> ContactEstimate:
+    """Row ``i`` of :func:`predict_single_batch` output, gated by detection."""
+    stretch = float(out["stretch"][i])
+    if out["detected"][i]:
+        node = NodeCoord(int(out["x_term"][i]), int(out["y_term"][i]))
+        return ContactEstimate(stretch, True, node, float(out["force"][i]))
+    return ContactEstimate(stretch, False, NODE_ZERO, 0.0)
+
+
 def infer_single(p: TrainedPipeline, frame: CapacitanceFrame) -> ContactEstimate:
-    x = frame.as_vector()[None, :]
-    out = predict_single_batch(p, x)
-    if out["detected"][0]:
-        return ContactEstimate(
-            stretch=float(out["stretch"][0]),
-            contact_detected=True,
-            node=NodeCoord(int(out["x_term"][0]), int(out["y_term"][0])),
-            force=float(out["force"][0]),
-        )
-    return ContactEstimate(
-        stretch=float(out["stretch"][0]),
-        contact_detected=False,
-        node=NODE_ZERO,
-        force=0.0,
-    )
+    return single_estimate(predict_single_batch(p, frame.as_vector()[None, :]), 0)
 
 
 def _axis_classes(values: np.ndarray, axes: tuple[int, ...], what: str) -> np.ndarray:
-    lookup = {v: i for i, v in enumerate(sorted(axes))}
     missing = sorted(set(axes) - set(values.tolist()))
     if missing:
         raise CoverageError(f"{what} lacks protocol axis classes {missing}")
-    try:
-        return np.array([lookup[int(v)] for v in values])
-    except KeyError as exc:
+    outside = np.setdiff1d(values, axes)
+    if outside.size:
         raise ValidationError(
-            f"{what} contains coordinate {exc.args[0]} outside node_axes {sorted(axes)}"
+            f"{what} contains coordinate {outside[0]} outside node_axes {list(axes)}"
         )
+    return np.searchsorted(axes, values)
 
 
 def train_two(train: Dataset, config: PipelineConfig | None = None) -> TrainedTwoPipeline:
     config = config or PipelineConfig()
-    _require_schema(train, SCHEMA_TWO)
+    train.require(SCHEMA_TWO)
     if len(train) == 0:
         raise CoverageError("empty two-contact dataset: every axis class is absent")
-    x = train.features()
+    x = train.x
     scaler = Standardizer.fit(x)
     z = scaler.transform(x)
     axes = tuple(sorted(config.node_axes))
-
-    streams = {
-        "x1": np.array([s.node1.x for s in train]),
-        "y1": np.array([s.node1.y for s in train]),
-        "x2": np.array([s.node2.x for s in train]),
-        "y2": np.array([s.node2.y for s in train]),
-    }
     labels = {
-        name: _axis_classes(vals, axes, f"{name} labels")
-        for name, vals in streams.items()
+        name: _axis_classes(train.label(name).astype(int), axes, f"{name} labels")
+        for name in ("x1", "y1", "x2", "y2")
     }
-    f1 = np.array([s.force1 for s in train])
-    f2 = np.array([s.force2 for s in train])
 
     def fit_gp(y: np.ndarray) -> GpModel:
         hyper = config.gp
@@ -290,8 +265,8 @@ def train_two(train: Dataset, config: PipelineConfig | None = None) -> TrainedTw
         y1_clf=forest_fit(z, labels["y1"], config.forest),
         x2_clf=forest_fit(z, labels["x2"], config.forest),
         y2_clf=forest_fit(z, labels["y2"], config.forest),
-        force1_model=fit_gp(f1),
-        force2_model=fit_gp(f2),
+        force1_model=fit_gp(train.label("f1_n")),
+        force2_model=fit_gp(train.label("f2_n")),
         preprocessing=scaler,
         config=config,
     )
@@ -314,14 +289,18 @@ def predict_two_batch(p: TrainedTwoPipeline, x: np.ndarray) -> dict[str, np.ndar
     return out
 
 
-def infer_two(p: TrainedTwoPipeline, frame: CapacitanceFrame) -> TwoContactEstimate:
-    out = predict_two_batch(p, frame.as_vector()[None, :])
+def two_estimate(out: dict[str, np.ndarray], i: int) -> TwoContactEstimate:
+    """Row ``i`` of :func:`predict_two_batch` output, contacts in node order."""
     pairs = [
-        (NodeCoord(int(out["x1"][0]), int(out["y1"][0])), float(out["force1"][0])),
-        (NodeCoord(int(out["x2"][0]), int(out["y2"][0])), float(out["force2"][0])),
+        (NodeCoord(int(out["x1"][i]), int(out["y1"][i])), float(out["force1"][i])),
+        (NodeCoord(int(out["x2"][i]), int(out["y2"][i])), float(out["force2"][i])),
     ]
     pairs.sort(key=lambda nf: nf[0].node_id)
     return TwoContactEstimate(contacts=tuple(pairs))
+
+
+def infer_two(p: TrainedTwoPipeline, frame: CapacitanceFrame) -> TwoContactEstimate:
+    return two_estimate(predict_two_batch(p, frame.as_vector()[None, :]), 0)
 
 
 def _bundle_dict(p: TrainedPipeline | TrainedTwoPipeline) -> dict:

@@ -21,15 +21,12 @@ import numpy as np
 
 from .codec import to_dict
 from .core import (
-    NODE_ZERO,
     PROTOCOL_FORCES,
     PROTOCOL_STRETCHES,
     CapacitanceFrame,
     Dataset,
     DatasetMeta,
     NodeCoord,
-    SingleContactSample,
-    TwoContactSample,
     config_digest,
     validate_force,
     validate_stretch,
@@ -226,7 +223,7 @@ def generate_single_force_dataset(
     model: SkinModel, protocol: SingleForceProtocol
 ) -> Dataset:
     """Deterministic sweep in stretch-major, then node, force, rep order."""
-    samples = []
+    frames, labels = [], []
     k = 0
     for stretch in protocol.stretches:
         for nid in range(101):
@@ -238,30 +235,20 @@ def generate_single_force_dataset(
                     frame = simulate_frame(
                         model, stretch, contacts, derive_seed(protocol.seed, k)
                     )
-                    samples.append(
-                        SingleContactSample(
-                            frame=frame,
-                            force=force if contact else 0.0,
-                            node=node if contact else NODE_ZERO,
-                            stretch=stretch,
-                        )
-                    )
+                    frames.append(frame.cx + frame.cy)
+                    if contact:
+                        labels.append((force, node.x, node.y, stretch))
+                    else:
+                        labels.append((0.0, 0, 0, stretch))
                     k += 1
-    meta = DatasetMeta(
-        seed=protocol.seed,
-        schema="single",
-        generator_config_digest=config_digest(
-            {"model": to_dict(model), "protocol": to_dict(protocol)}
-        ),
-    )
-    return Dataset(samples=tuple(samples), meta=meta)
+    return Dataset(x=frames, labels=labels, meta=_meta(model, protocol, "single"))
 
 
 def generate_two_force_dataset(model: SkinModel, protocol: TwoForceProtocol) -> Dataset:
     """All node pairs x nonzero force pairs x reps, at lambda = 1."""
     nodes = protocol.nodes()
     forces = protocol.nonzero_forces()
-    samples = []
+    frames, labels = [], []
     k = 0
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
@@ -275,21 +262,17 @@ def generate_two_force_dataset(model: SkinModel, protocol: TwoForceProtocol) -> 
                             [Contact(n1, f1), Contact(n2, f2)],
                             derive_seed(protocol.seed, k),
                         )
-                        samples.append(
-                            TwoContactSample(
-                                frame=frame,
-                                force1=f1,
-                                node1=n1,
-                                force2=f2,
-                                node2=n2,
-                            )
-                        )
+                        frames.append(frame.cx + frame.cy)
+                        labels.append((f1, n1.x, n1.y, f2, n2.x, n2.y))
                         k += 1
-    meta = DatasetMeta(
+    return Dataset(x=frames, labels=labels, meta=_meta(model, protocol, "two"))
+
+
+def _meta(model: SkinModel, protocol, schema: str) -> DatasetMeta:
+    return DatasetMeta(
         seed=protocol.seed,
-        schema="two",
+        schema=schema,
         generator_config_digest=config_digest(
             {"model": to_dict(model), "protocol": to_dict(protocol)}
         ),
     )
-    return Dataset(samples=tuple(samples), meta=meta)

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -81,13 +82,12 @@ def cli_env(tmp_path_factory):
     env["two_bundle"] = out_dir / "bundle_two.json"
 
     ds = load_dataset(env["single_csv"])
-    frames = [ds.samples[i].frame for i in (0, 5, 7)]
     env["frames_csv"] = root / "frames.csv"
     with open(env["frames_csv"], "w") as f:
-        write_frames(frames, f)
+        write_frames(ds.x[[0, 5, 7]], f)
     env["empty_frames_csv"] = root / "frames_empty.csv"
     with open(env["empty_frames_csv"], "w") as f:
-        write_frames([], f)
+        write_frames(ds.x[:0], f)
     return env
 
 
@@ -190,6 +190,34 @@ class TestTrain:
         rc, _, err = run_cli("train", str(thin), "--config", cli_env["cfg"])
         assert rc == 2
         assert "lacks contact samples for node classes [37]" in err
+
+    @pytest.mark.parametrize(
+        "mode,column,value,message",
+        [
+            ("single", 21, "nan", r"node \(nan, 0\) invalid"),
+            ("single", 22, "inf", r"node \(0, inf\) invalid"),
+            ("single", 21, "1e400", r"node \(inf, 0\) invalid"),
+            ("two", 25, "-inf", r"node \(\d+, -inf\) invalid"),
+            ("two", None, None, r"two-contact sample repeats node"),
+        ],
+    )
+    def test_bad_node_row_is_data_error(self, cli_env, tmp_path, mode, column,
+                                        value, message):
+        lines = cli_env[f"{mode}_csv"].read_text().splitlines()
+        fields = lines[4].split(",")
+        if column is None:   # second contact on the first one's node
+            fields[24:26] = fields[21:23]
+        else:
+            fields[column] = value
+        lines[4] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc, _, err = run_cli(
+            "train", str(bad), "--config", cli_env["cfg"], "--mode", mode
+        )
+        assert rc == 2
+        assert re.match(f"error: line 5: {message}", err)
+        assert err.count("\n") == 1
 
     def test_missing_data_file(self, cli_env, tmp_path):
         rc, _, err = run_cli(
@@ -322,7 +350,7 @@ class TestInfer:
         ds = load_dataset(cli_env["two_csv"])
         frames_csv = tmp_path / "frames_two.csv"
         with open(frames_csv, "w") as f:
-            write_frames([s.frame for s in ds.samples[:5]], f)
+            write_frames(ds.x[:5], f)
         est = tmp_path / "est.csv"
         rc, _, _ = run_cli(
             "infer",

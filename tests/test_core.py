@@ -19,8 +19,6 @@ from eskin import (
     NODE_ZERO,
     ParseError,
     SchemaError,
-    SingleContactSample,
-    TwoContactSample,
     ValidationError,
     load_dataset,
     node_id,
@@ -41,8 +39,9 @@ from eskin.core import (
 )
 
 
-def frame_const(value=1.0):
-    return CapacitanceFrame(cx=(value,) * 10, cy=(value,) * 10)
+def one_row(labels, meta=None):
+    """A one-sample dataset with a constant frame and the given labels."""
+    return Dataset(x=np.ones((1, 20)), labels=[labels], meta=meta)
 
 
 class TestNodeCoord:
@@ -109,86 +108,102 @@ class TestCapacitanceFrame:
 
 class TestSampleInvariants:
     def test_zero_force_requires_node_zero(self):
-        with pytest.raises(ValidationError):
-            SingleContactSample(
-                frame=frame_const(), force=0.0, node=NodeCoord(1, 1), stretch=1.0
-            )
+        with pytest.raises(ValidationError, match="node-0 invariant"):
+            one_row([0.0, 1, 1, 1.0])
 
     def test_positive_force_requires_contact_node(self):
-        with pytest.raises(ValidationError):
-            SingleContactSample(
-                frame=frame_const(), force=1.0, node=NODE_ZERO, stretch=1.0
-            )
+        with pytest.raises(ValidationError, match="node-0 invariant"):
+            one_row([1.0, 0, 0, 1.0])
 
     def test_valid_rest_sample(self):
-        s = SingleContactSample(
-            frame=frame_const(), force=0.0, node=NODE_ZERO, stretch=1.07921
-        )
-        assert len(s.row()) == 24
+        ds = one_row([0.0, 0, 0, 1.07921])
+        assert ds.schema == "single"
+        assert ds.labels.shape == (1, 4)
 
     def test_two_contact_nodes_distinct(self):
-        with pytest.raises(ValidationError):
-            TwoContactSample(
-                frame=frame_const(),
-                force1=1.0,
-                node1=NodeCoord(2, 3),
-                force2=2.0,
-                node2=NodeCoord(2, 3),
-            )
+        with pytest.raises(ValidationError, match=r"repeats node \(2, 3\)"):
+            one_row([1.0, 2, 3, 2.0, 2, 3])
 
     def test_two_contact_row_width(self):
-        s = TwoContactSample(
-            frame=frame_const(),
-            force1=1.0,
-            node1=NodeCoord(1, 1),
-            force2=2.0,
-            node2=NodeCoord(6, 6),
-        )
-        assert len(s.row()) == 26
+        ds = one_row([1.0, 1, 1, 2.0, 6, 6])
+        assert ds.schema == "two"
+        assert ds.labels.shape == (1, 6)
 
     def test_negative_force_rejected(self):
-        with pytest.raises(ValidationError):
-            SingleContactSample(
-                frame=frame_const(), force=-0.5, node=NodeCoord(1, 1), stretch=1.0
-            )
+        with pytest.raises(ValidationError, match="force -0.5 must be finite"):
+            one_row([-0.5, 1, 1, 1.0])
 
     def test_stretch_below_one_rejected(self):
-        with pytest.raises(ValidationError):
-            SingleContactSample(
-                frame=frame_const(), force=0.0, node=NODE_ZERO, stretch=0.99
-            )
+        with pytest.raises(ValidationError, match="stretch ratio 0.99"):
+            one_row([0.0, 0, 0, 0.99])
+
+    @pytest.mark.parametrize(
+        "x,y", [(0, 5), (11, 1), (-1, 3), (1.5, 2), (math.nan, 1), (1, math.inf)]
+    )
+    def test_off_grid_node_rejected(self, x, y):
+        with pytest.raises(ValidationError, match=r"^row 0: node \(.*\) invalid"):
+            one_row([1.0, x, y, 1.0])
+        with pytest.raises(ValidationError, match=r"^row 0: node \(.*\) invalid"):
+            one_row([1.0, 1, 1, 1.0, x, y])
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_bad_capacitance_rejected(self, bad):
+        with pytest.raises(ValidationError, match="in cy must be finite"):
+            Dataset(x=[[1.0] * 12 + [bad] * 8], labels=[[0.0, 0, 0, 1.0]])
+
+    def test_first_offending_row_is_named(self):
+        labels = [[0.0, 0, 0, 1.0]] * 3 + [[5.0, 0, 0, 1.0], [-1.0, 1, 1, 1.0]]
+        with pytest.raises(ValidationError, match="^row 3: "):
+            Dataset(x=np.ones((5, 20)), labels=labels)
 
 
 class TestDataset:
-    def test_mixed_schemas_rejected(self):
-        single = SingleContactSample(
-            frame=frame_const(), force=0.0, node=NODE_ZERO, stretch=1.0
-        )
-        two = TwoContactSample(
-            frame=frame_const(),
-            force1=1.0,
-            node1=NodeCoord(1, 1),
-            force2=1.0,
-            node2=NodeCoord(2, 2),
-        )
+    def test_label_width_must_name_a_schema(self):
         with pytest.raises(SchemaError):
-            Dataset(samples=(single, two))
+            Dataset(x=np.ones((1, 20)), labels=np.zeros((1, 5)))
+        with pytest.raises(SchemaError):
+            Dataset(x=np.ones((2, 20)), labels=np.zeros((1, 4)))
+        with pytest.raises(SchemaError):
+            Dataset(x=np.ones((1, 19)), labels=np.zeros((1, 4)))
 
     def test_meta_schema_must_match(self):
-        single = SingleContactSample(
-            frame=frame_const(), force=0.0, node=NODE_ZERO, stretch=1.0
-        )
         meta = DatasetMeta(seed=0, schema="two", generator_config_digest="x")
         with pytest.raises(SchemaError):
-            Dataset(samples=(single,), meta=meta)
+            one_row([0.0, 0, 0, 1.0], meta=meta)
 
-    def test_empty_dataset_takes_meta_schema(self):
+    def test_empty_dataset_schema_follows_label_width(self):
         meta = DatasetMeta(seed=0, schema="two", generator_config_digest="x")
-        assert Dataset(samples=(), meta=meta).schema == "two"
+        empty = Dataset(x=np.empty((0, 20)), labels=np.empty((0, 6)), meta=meta)
+        assert empty.schema == "two" and len(empty) == 0
+        with pytest.raises(SchemaError):
+            Dataset(x=np.empty((0, 20)), labels=np.empty((0, 4)), meta=meta)
 
     def test_features_shape(self, small_single_ds):
         x = small_single_ds.features()
         assert x.shape == (len(small_single_ds), 20)
+        assert x.dtype == np.float64 and x.flags["C_CONTIGUOUS"]
+
+    def test_arrays_are_private_read_only_copies(self):
+        x, labels = np.ones((1, 20)), np.array([[0.0, 0, 0, 1.0]])
+        ds = Dataset(x=x, labels=labels)
+        x[0, 0] = -1.0
+        assert ds.x[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ds.x[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            ds.labels[0, 3] = 2.0
+
+    def test_label_by_header_name(self, small_two_ds):
+        assert np.array_equal(small_two_ds.label("y2"), small_two_ds.labels[:, 5])
+        with pytest.raises(SchemaError):
+            small_two_ds.label("lambda")
+
+    def test_take_slices_both_arrays(self, small_two_ds):
+        rows = np.array([5, 0, 7])
+        part = small_two_ds.take(rows)
+        assert np.array_equal(part.x, small_two_ds.x[rows])
+        assert np.array_equal(part.labels, small_two_ds.labels[rows])
+        assert part.meta == small_two_ds.meta
 
 
 class TestCsvRoundTrip:
@@ -206,6 +221,15 @@ class TestCsvRoundTrip:
         back = read_dataset(io.StringIO(buf.getvalue()))
         assert back.schema == "two"
         assert back.approx_equal(small_two_ds, tol=1e-9)
+
+    @pytest.mark.parametrize("fixture", ["small_single_ds", "small_two_ds"])
+    def test_generated_text_round_trips_byte_for_byte(self, fixture, request):
+        buf = io.StringIO()
+        write_dataset(request.getfixturevalue(fixture), buf)
+        text = buf.getvalue()
+        again = io.StringIO()
+        write_dataset(read_dataset(io.StringIO(text)), again)
+        assert again.getvalue() == text
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -240,37 +264,52 @@ class TestCsvRoundTrip:
             read_dataset(io.StringIO(text))
 
     def test_blank_lines_skipped(self):
-        s = SingleContactSample(
-            frame=frame_const(), force=0.0, node=NODE_ZERO, stretch=1.0
-        )
         buf = io.StringIO()
-        write_dataset(Dataset(samples=(s,)), buf)
+        write_dataset(one_row([0.0, 0, 0, 1.0]), buf)
         text = buf.getvalue() + "\n\n"
         assert len(read_dataset(io.StringIO(text))) == 1
+
+    @pytest.mark.parametrize(
+        "header,good,bad",
+        [
+            (SINGLE_HEADER, ["0.0", "0", "0", "1.0"], ["0.0", "0", "0", "0.5"]),
+            (TWO_HEADER, ["1", "1", "1", "1", "6", "6"], ["1", "1", "1"] * 2),
+        ],
+    )
+    def test_bad_row_after_blank_line_reports_its_line(self, header, good, bad):
+        frame = ["1.0"] * 20
+        text = "\n".join(
+            [",".join(header), ",".join(frame + good), "", "",
+             ",".join(frame + good), ",".join(frame + bad)]
+        ) + "\n"
+        with pytest.raises(ValidationError, match="^line 6: "):
+            read_dataset(io.StringIO(text))
 
 
 class TestFrameFiles:
     def test_round_trip(self):
-        frames = (frame_const(1.0), frame_const(1.25))
+        frames = np.array([[1.0] * 20, [1.25] * 20])
         buf = io.StringIO()
         write_frames(frames, buf)
         text = buf.getvalue()
         assert text.splitlines()[0] == ",".join(FRAME_HEADER)
         back = read_frames(io.StringIO(text))
-        assert back == frames
+        assert back.shape == (2, 20)
+        assert np.array_equal(back, frames)
 
     def test_header_only(self):
         buf = io.StringIO()
-        write_frames((), buf)
-        assert read_frames(io.StringIO(buf.getvalue())) == ()
+        write_frames(np.empty((0, 20)), buf)
+        assert read_frames(io.StringIO(buf.getvalue())).shape == (0, 20)
 
     def test_labelled_header_rejected(self):
         with pytest.raises(ParseError):
             read_frames(io.StringIO(",".join(SINGLE_HEADER) + "\n"))
 
     def test_bad_value_reports_line(self):
-        text = ",".join(FRAME_HEADER) + "\n" + ",".join(["1.0"] * 19 + ["-1"]) + "\n"
-        with pytest.raises(ValidationError, match="line 2"):
+        bad = ",".join(["1.0"] * 19 + ["-1"])
+        text = ",".join(FRAME_HEADER) + "\n\n" + bad + "\n"
+        with pytest.raises(ValidationError, match="line 3"):
             read_frames(io.StringIO(text))
 
 
@@ -326,5 +365,11 @@ def test_node_id_bijection(x, y):
 
 
 def test_approx_equal_detects_drift(small_two_ds):
-    other = Dataset(samples=small_two_ds.samples[:-1], meta=None)
+    n = len(small_two_ds)
+    assert small_two_ds.approx_equal(small_two_ds.take(np.arange(n)), tol=0.0)
+    assert not small_two_ds.approx_equal(small_two_ds.take(np.arange(n - 1)))
+    moved = small_two_ds.x.copy()
+    moved[-1, 0] += 1e-6
+    other = Dataset(x=moved, labels=small_two_ds.labels)
     assert not small_two_ds.approx_equal(other)
+    assert small_two_ds.approx_equal(other, tol=2e-6)

@@ -170,14 +170,6 @@ class TestConfusion:
         bad = ConfusionMatrix(counts=((2, 2), (0, 3)), labels=(0, 1))
         assert not bad.is_diagonal_dominant()
 
-    def test_add(self):
-        a = confusion([0, 1], [0, 1], n_classes=2)
-        b = confusion([0, 0], [0, 1], n_classes=2)
-        merged = a.add(b)
-        assert merged.counts == ((2, 1), (0, 1))
-        with pytest.raises(ValidationError):
-            a.add(ConfusionMatrix(counts=((1,),), labels=(9,)))
-
     def test_empty_accuracy_undefined(self):
         cm = ConfusionMatrix(counts=((0, 0), (0, 0)), labels=(0, 1))
         with pytest.raises(UndefinedMetricError):
@@ -226,6 +218,8 @@ class TestCrossValidateSingle:
         assert set(rep.confusions) == {"row", "col"}
         for cm in rep.confusions.values():
             assert cm.labels == tuple(range(1, 11))
+            # every contact row is tested in exactly one fold
+            assert cm.total == np.count_nonzero(small_single_ds.node_ids())
 
     def test_headline_line(self, single_report):
         head = single_report.headline()
@@ -256,15 +250,11 @@ class TestCrossValidateSingle:
         assert back.to_json() == single_report.to_json()
 
     def test_missing_node_class_raises(self, small_single_ds):
-        keep = []
-        dropped = 0
-        for s in small_single_ds:
-            if s.node.node_id == 1 and dropped < 8:
-                dropped += 1
-                continue
-            keep.append(s)
-        assert dropped == 8   # node 1 keeps a single sample
-        thin = Dataset(tuple(keep))
+        keep = np.ones(len(small_single_ds), dtype=bool)
+        drop = np.flatnonzero(small_single_ds.node_ids() == 1)[:8]
+        assert len(drop) == 8   # node 1 keeps a single sample
+        keep[drop] = False
+        thin = small_single_ds.take(keep)
         with pytest.raises(CoverageError, match="training split lacks node classes"):
             cross_validate(thin, k=2)
 
@@ -278,7 +268,7 @@ class TestCrossValidateSingle:
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            cross_validate(Dataset(()), k=2)
+            cross_validate(Dataset(x=np.empty((0, 20)), labels=np.empty((0, 4))), k=2)
 
     def test_two_schema_rejected(self, small_two_ds):
         with pytest.raises(SchemaError):
@@ -294,6 +284,7 @@ class TestCrossValidateTwo:
         assert set(rep.confusions) == {"x1", "y1", "x2", "y2"}
         for cm in rep.confusions.values():
             assert cm.labels == (1, 6)
+            assert cm.total == len(small_two_ds)
 
     def test_headline_line(self, two_report):
         head = two_report.headline()
@@ -317,21 +308,18 @@ class TestCrossValidateTwo:
         assert again.to_json() == two_report.to_json()
 
     def test_fold_coverage_failure_is_attributed(self, small_two_ds, small_two_config):
-        keep = []
-        dropped = 0
-        for s in small_two_ds:
-            pair = (s.node1.node_id, s.node2.node_id)
-            if pair == (1, 6) and dropped < 17:
-                dropped += 1
-                continue
-            keep.append(s)
-        assert dropped == 17
-        thin = Dataset(tuple(keep))
+        ds = small_two_ds
+        keep = np.ones(len(ds), dtype=bool)
+        pair = (ds.node_ids("x1", "y1") == 1) & (ds.node_ids("x2", "y2") == 6)
+        drop = np.flatnonzero(pair)[:17]
+        assert len(drop) == 17
+        keep[drop] = False
+        thin = ds.take(keep)
         with pytest.raises(CoverageError, match=r"fold \d+:"):
             cross_validate_two(thin, k=2, config=small_two_config)
 
     def test_empty_rejected(self, two_ds, small_two_config):
-        empty = Dataset(samples=(), meta=two_ds.meta)
+        empty = two_ds.take(np.arange(0))
         with pytest.raises(ValidationError):
             cross_validate_two(empty, k=2, config=small_two_config)
 

@@ -9,6 +9,7 @@ import pytest
 from eskin import (
     ContactEstimate,
     CoverageError,
+    CapacitanceFrame,
     Dataset,
     NODE_ZERO,
     NodeCoord,
@@ -39,6 +40,10 @@ from eskin.pipeline import (
 def _saved_force_models(path) -> list[dict]:
     pipeline = json.loads(path.read_text())["pipeline"]
     return [v for k, v in pipeline.items() if k.startswith("force")]
+
+
+def frame_of(ds, row):
+    return CapacitanceFrame.from_vector(ds.x[row])
 
 
 class TestEstimateInvariants:
@@ -92,12 +97,10 @@ class TestTrainGuards:
 
     def test_single_empty(self):
         with pytest.raises(ValidationError):
-            train_single(Dataset(()))
+            train_single(Dataset(x=np.empty((0, 20)), labels=np.empty((0, 4))))
 
     def test_single_without_positives(self, small_single_ds):
-        blanks = Dataset(
-            tuple(s for s in small_single_ds if not s.node.is_contact)
-        )
+        blanks = small_single_ds.take(small_single_ds.node_ids() == 0)
         with pytest.raises(CoverageError, match="no contact-positive samples"):
             train_single(blanks)
 
@@ -116,7 +119,7 @@ class TestTrainGuards:
             train_two(ds, config)
 
     def test_two_empty(self, two_ds):
-        empty = Dataset(samples=(), meta=two_ds.meta)
+        empty = two_ds.take(np.arange(0))
         with pytest.raises(CoverageError, match="every axis class is absent"):
             train_two(empty)
 
@@ -136,33 +139,33 @@ class TestSinglePredictions:
     def test_training_fit_quality(self, trained_single, small_single_ds):
         x = small_single_ds.features()
         out = predict_single_batch(trained_single, x)
-        stretch_true = np.array([s.stretch for s in small_single_ds])
+        stretch_true = small_single_ds.label("lambda")
         assert np.corrcoef(stretch_true, out["stretch"])[0, 1] > 0.99
-        detected_true = np.array([s.node.is_contact for s in small_single_ds])
+        detected_true = small_single_ds.node_ids() > 0
         assert np.mean(out["detected"] == detected_true) > 0.97
 
     def test_infer_rest_frame_is_blank(self, trained_single, small_single_ds):
-        rest = next(s for s in small_single_ds if not s.node.is_contact)
-        est = infer_single(trained_single, rest.frame)
+        rest = np.flatnonzero(small_single_ds.node_ids() == 0)[0]
+        est = infer_single(trained_single, frame_of(small_single_ds, rest))
         assert not est.contact_detected
         assert est.node == NODE_ZERO
         assert est.force == 0.0
 
     def test_infer_firm_press_detected(self, trained_single, small_single_ds):
-        pressed = next(
-            s
-            for s in small_single_ds
-            if s.node == NodeCoord(5, 5) and s.force > 5.0 and s.stretch == 1.0
-        )
-        est = infer_single(trained_single, pressed.frame)
+        ds = small_single_ds
+        pressed = np.flatnonzero(
+            (ds.node_ids() == NodeCoord(5, 5).node_id)
+            & (ds.label("force_n") > 5.0)
+            & (ds.label("lambda") == 1.0)
+        )[0]
+        est = infer_single(trained_single, frame_of(ds, pressed))
         assert est.contact_detected
         assert est.force > 0.5
         assert est.node.is_contact
 
     def test_infer_matches_batch(self, trained_single, small_single_ds):
-        s = small_single_ds.samples[17]
-        est = infer_single(trained_single, s.frame)
-        out = predict_single_batch(trained_single, s.frame.as_vector()[None, :])
+        est = infer_single(trained_single, frame_of(small_single_ds, 17))
+        out = predict_single_batch(trained_single, small_single_ds.x[17:18])
         assert est.contact_detected == bool(out["detected"][0])
         assert est.stretch == pytest.approx(float(out["stretch"][0]))
         if est.contact_detected:
@@ -181,8 +184,8 @@ class TestTwoPredictions:
         assert np.all(out["force2"] >= 0.0)
 
     def test_infer_orders_by_node_id(self, trained_two, small_two_ds):
-        for s in small_two_ds.samples[:20]:
-            est = infer_two(trained_two, s.frame)
+        for i in range(20):
+            est = infer_two(trained_two, frame_of(small_two_ds, i))
             assert len(est.contacts) == 2
             ids = [n.node_id for n, _ in est.contacts]
             assert ids == sorted(ids)

@@ -248,14 +248,14 @@ class TestSingleForceProtocol:
         assert len(small_single_ds) == 1212
 
     def test_zero_force_rows_are_node_zero(self, small_single_ds):
-        for s in small_single_ds:
-            assert (s.force == 0.0) == (s.node.node_id == 0)
+        force = small_single_ds.label("force_n")
+        assert np.array_equal(force == 0.0, small_single_ds.node_ids() == 0)
 
     def test_every_node_and_level_present(self, small_single_ds):
-        node_ids = {s.node.node_id for s in small_single_ds}
-        assert node_ids == set(range(101))
-        assert {s.stretch for s in small_single_ds} == {1.0, 1.07921, 1.15842}
-        assert {s.force for s in small_single_ds} == {0.0, 1.2936, 3.2536, 5.2136}
+        ds = small_single_ds
+        assert set(ds.node_ids().tolist()) == set(range(101))
+        assert set(ds.label("lambda").tolist()) == {1.0, 1.07921, 1.15842}
+        assert set(ds.label("force_n").tolist()) == {0.0, 1.2936, 3.2536, 5.2136}
 
     def test_generation_is_deterministic(self):
         proto = SingleForceProtocol(
@@ -302,9 +302,8 @@ class TestTwoForceProtocol:
         assert len(two_ds) == 648
 
     def test_pairs_sorted_and_forces_positive(self, two_ds):
-        for s in two_ds:
-            assert s.node1.node_id < s.node2.node_id
-            assert s.force1 > 0 and s.force2 > 0
+        assert np.all(two_ds.node_ids("x1", "y1") < two_ds.node_ids("x2", "y2"))
+        assert np.all(two_ds.label("f1_n") > 0) and np.all(two_ds.label("f2_n") > 0)
 
     def test_grid_nodes(self):
         nodes = TwoForceProtocol().nodes()
@@ -315,7 +314,7 @@ class TestTwoForceProtocol:
         }
 
     def test_pair_coverage(self, two_ds):
-        pairs = {(s.node1.node_id, s.node2.node_id) for s in two_ds}
+        pairs = set(zip(two_ds.node_ids("x1", "y1"), two_ds.node_ids("x2", "y2")))
         assert len(pairs) == 36
 
     @pytest.mark.parametrize(
