@@ -23,6 +23,7 @@ from .core import (
 )
 from .errors import (
     ConfigError,
+    ConvergenceError,
     CoverageError,
     DegenerateLabelsError,
     EskinError,

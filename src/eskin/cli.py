@@ -25,6 +25,7 @@ from .core import (
 )
 from .errors import (
     ConfigError,
+    ConvergenceError,
     CoverageError,
     EskinError,
     FactorizationError,
@@ -236,7 +237,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularDesignError, FactorizationError, UndefinedMetricError) as exc:
+    except (SingularDesignError, FactorizationError, ConvergenceError, UndefinedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except EskinError as exc:

@@ -84,7 +84,6 @@ def apply_seed(cfg: RunConfig, seed: int) -> RunConfig:
         pipeline=replace(
             cfg.pipeline,
             seed=seed,
-            svm=replace(cfg.pipeline.svm, seed=seed),
             forest=replace(cfg.pipeline.forest, seed=seed),
         ),
     )

@@ -51,5 +51,9 @@ class FactorizationError(EskinError):
     """A matrix factorisation failed (not positive definite)."""
 
 
+class ConvergenceError(EskinError):
+    """An iterative solver reached its iteration cap before converging."""
+
+
 class UndefinedMetricError(EskinError):
     """Metric is undefined for the given inputs (e.g. zero-variance targets)."""

@@ -2,25 +2,26 @@
 
 Binary labels in {-1, +1}. Class imbalance is handled through per-class box
 constraints C_i = C * weight(y_i); weights default to inverse class
-frequency. The solver is the classic two-at-a-time SMO sweep with a cached
-prediction vector (updated incrementally per pair change) and on-demand
-kernel rows, so one fit never recomputes a kernel row it already touched.
+frequency. The solver is SMO with LIBSVM's second-order working-set
+selection (Fan, Chen & Lin, JMLR 6, 2005). It draws no random numbers and
+runs until the KKT gap m(alpha) - M(alpha) is at most ``tol``; reaching the
+iteration cap raises ConvergenceError. Kernel rows sit in a bounded LRU cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DegenerateLabelsError, ValidationError
+from ..errors import ConvergenceError, DegenerateLabelsError, ValidationError
 from .gp import sq_distances
 from .linear import _check_xy
 
-# hard stop on total sweeps so a non-converging run terminates
-_MAX_SWEEPS = 1000
-# minimum alpha step worth applying
-_MIN_STEP = 1e-7
+_CACHE_BYTES = 32 << 20        # kernel-row cache budget; a row costs 8 n bytes
+_ITERATIONS_PER_ROW = 100      # the iteration cap is this times n
+_TAU = 1e-12                   # curvature floor for coincident inputs
 
 
 @dataclass(frozen=True)
@@ -29,20 +30,17 @@ class SvmConfig:
     gamma: float = 0.5
     class_weights: tuple[float, float] | None = None   # (negative, positive)
     tol: float = 1e-3
-    max_passes: int = 10
-    seed: int = 0
 
     def __post_init__(self):
-        if self.c <= 0:
+        # `not x > 0` also refuses NaN
+        if not self.c > 0:
             raise ValidationError("c must be > 0")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValidationError("gamma must be > 0")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValidationError("tol must be > 0")
-        if self.max_passes < 1:
-            raise ValidationError("max_passes must be >= 1")
         if self.class_weights is not None:
-            if len(self.class_weights) != 2 or any(w <= 0 for w in self.class_weights):
+            if len(self.class_weights) != 2 or not all(w > 0 for w in self.class_weights):
                 raise ValidationError("class_weights must be two positive reals")
 
 
@@ -63,30 +61,14 @@ class SvmModel:
             )
 
 
-class _RowCache:
-    """Kernel rows k(x_i, X) computed lazily, kept for the whole fit."""
-
-    def __init__(self, x: np.ndarray, gamma: float):
-        self.x = x
-        self.gamma = gamma
-        self.rows: dict[int, np.ndarray] = {}
-
-    def row(self, i: int) -> np.ndarray:
-        r = self.rows.get(i)
-        if r is None:
-            d = self.x - self.x[i]
-            r = np.exp(-self.gamma * np.sum(d * d, axis=1))
-            self.rows[i] = r
-        return r
-
-
 def svm_fit(x: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> SvmModel:
     config = config or SvmConfig()
     x, y = _check_xy(x, y)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValidationError("labels must be -1 or +1")
-    n_pos = int(np.sum(y > 0))
-    n_neg = int(np.sum(y < 0))
+    pos = y > 0
+    n_pos = int(np.sum(pos))
+    n_neg = int(np.sum(~pos))
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("training data must contain both classes")
 
@@ -97,65 +79,46 @@ def svm_fit(x: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> Sv
         # inverse class frequency, mean weight 1
         w_neg = n / (2.0 * n_neg)
         w_pos = n / (2.0 * n_pos)
-    box = np.where(y > 0, config.c * w_pos, config.c * w_neg)
+    box = np.where(pos, config.c * w_pos, config.c * w_neg)
+
+    @lru_cache(maxsize=_CACHE_BYTES // (8 * n))
+    def kernel_row(i: int) -> np.ndarray:
+        d = x - x[i]
+        return np.exp(-config.gamma * np.sum(d * d, axis=1))
 
     alpha = np.zeros(n)
-    b = 0.0
-    # f = K @ (alpha * y), maintained incrementally
-    f = np.zeros(n)
-    cache = _RowCache(x, config.gamma)
-    rng = np.random.default_rng(config.seed)
+    yg = y.copy()              # y - K @ (alpha * y), maintained incrementally
+    max_iter = _ITERATIONS_PER_ROW * n
+    for iteration in range(max_iter + 1):
+        up = np.where(pos, alpha < box, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < box)
+        i = int(np.argmax(np.where(up, yg, -np.inf)))
+        m, big_m = yg[i], np.min(yg[low])
+        if m - big_m <= config.tol:
+            break
+        if iteration == max_iter:
+            raise ConvergenceError(
+                f"SVM solver stopped at its cap of {max_iter} iterations with "
+                f"KKT gap {m - big_m:.3g} > tol {config.tol:g}"
+            )
 
-    passes = 0
-    sweeps = 0
-    while passes < config.max_passes and sweeps < _MAX_SWEEPS:
-        sweeps += 1
-        changed = 0
-        for i in range(n):
-            e_i = f[i] + b - y[i]
-            if not (
-                (y[i] * e_i < -config.tol and alpha[i] < box[i])
-                or (y[i] * e_i > config.tol and alpha[i] > 0)
-            ):
-                continue
-            j = int(rng.integers(n - 1))
-            if j >= i:
-                j += 1
-            e_j = f[j] + b - y[j]
-            a_i, a_j = alpha[i], alpha[j]
-            if y[i] != y[j]:
-                low = max(0.0, a_j - a_i)
-                high = min(box[j], box[i] + a_j - a_i)
-            else:
-                low = max(0.0, a_i + a_j - box[i])
-                high = min(box[j], a_i + a_j)
-            if high - low < _MIN_STEP:
-                continue
-            row_i = cache.row(i)
-            row_j = cache.row(j)
-            eta = 2.0 * row_i[j] - row_i[i] - row_j[j]
-            if eta >= 0:
-                continue
-            a_j_new = np.clip(a_j - y[j] * (e_i - e_j) / eta, low, high)
-            if abs(a_j_new - a_j) < _MIN_STEP:
-                continue
-            a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
+        k_i = kernel_row(i)
+        gain = m - yg
+        curvature = np.maximum(2.0 - 2.0 * k_i, _TAU)
+        j = int(np.argmax(np.where(low & (gain > 0), gain * gain / curvature, -np.inf)))
+        k_j = kernel_row(j)
 
-            d_i = y[i] * (a_i_new - a_i)
-            d_j = y[j] * (a_j_new - a_j)
-            b1 = b - e_i - d_i * row_i[i] - d_j * row_i[j]
-            b2 = b - e_j - d_i * row_i[j] - d_j * row_j[j]
-            if 0 < a_i_new < box[i]:
-                b = b1
-            elif 0 < a_j_new < box[j]:
-                b = b2
-            else:
-                b = 0.5 * (b1 + b2)
+        # alpha_i += y_i s, alpha_j -= y_j s keeps sum(alpha * y) fixed
+        room_i = box[i] - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else box[j] - alpha[j]
+        s = min(gain[j] / curvature[j], room_i, room_j)
+        old_i, old_j = alpha[i], alpha[j]
+        alpha[i] = (box[i] if pos[i] else 0.0) if s == room_i else old_i + y[i] * s
+        alpha[j] = (0.0 if pos[j] else box[j]) if s == room_j else old_j - y[j] * s
+        yg -= (alpha[i] - old_i) * y[i] * k_i + (alpha[j] - old_j) * y[j] * k_j
 
-            alpha[i], alpha[j] = a_i_new, a_j_new
-            f += d_i * row_i + d_j * row_j
-            changed += 1
-        passes = passes + 1 if changed == 0 else 0
+    free = (alpha > 0) & (alpha < box)
+    b = np.mean(yg[free]) if free.any() else 0.5 * (m + big_m)
 
     support = alpha > 0
     return SvmModel(

@@ -48,7 +48,8 @@ from .learners import (
 )
 
 # 2: force models no longer store their Cholesky factor
-BUNDLE_SCHEMA_VERSION = 2
+# 3: the SVM config no longer stores seed or max_passes
+BUNDLE_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import pytest
 from eskin import load_dataset, write_frames
 from eskin.cli import main
 from eskin.config import ENV_CONFIG
+from eskin.learners import svm
 
 from .entry_point import (
     PYPROJECT,
@@ -167,7 +168,7 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 2
+        assert d["bundle_schema"] == 3
         assert d["mode"] == "single"
 
     def test_mode_mismatch(self, cli_env):
@@ -176,6 +177,22 @@ class TestTrain:
         )
         assert rc == 1
         assert "--mode" in err
+
+    def test_unconverged_svm_is_numeric_error(self, cli_env, tmp_path, monkeypatch):
+        monkeypatch.setattr(svm, "_ITERATIONS_PER_ROW", 0)
+        out = tmp_path / "bundle.json"
+        rc, stdout, err = run_cli(
+            "train",
+            str(cli_env["single_csv"]),
+            "--config",
+            cli_env["cfg"],
+            "--out",
+            str(out),
+        )
+        assert rc == 3
+        assert stdout == ""
+        assert re.fullmatch(r"error: SVM solver stopped at its cap of 0 [^\n]*\n", err)
+        assert not out.exists()
 
     def test_incomplete_grid_is_data_error(self, cli_env, tmp_path):
         lines = cli_env["single_csv"].read_text().splitlines()
@@ -380,6 +397,7 @@ class TestInfer:
         [
             '{"bundle_schema": 2, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 1, "mode": "single", "pipeline": {}}',
+            '{"bundle_schema": 3, "mode": "single", "pipeline": {}}',
         ],
     )
     def test_malformed_bundle_is_data_error(self, cli_env, tmp_path, payload):

@@ -89,9 +89,13 @@ class TestOverrides:
             load_config(path)
 
     def test_unknown_nested_key_dotted(self, tmp_path):
-        path = write_json(tmp_path / "cfg.json", {"model": {"nose_sigma": 0.1}})
-        with pytest.raises(ConfigError, match="model.nose_sigma"):
-            load_config(path)
+        for dotted in ("model.nose_sigma", "pipeline.svm.seed", "pipeline.svm.max_passes"):
+            override = 1
+            for key in reversed(dotted.split(".")):
+                override = {key: override}
+            path = write_json(tmp_path / "cfg.json", override)
+            with pytest.raises(ConfigError, match=f"unknown config key '{dotted}'"):
+                load_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -122,7 +126,6 @@ class TestApplySeed:
         assert cfg.single_protocol.seed == 7
         assert cfg.two_protocol.seed == 7
         assert cfg.pipeline.seed == 7
-        assert cfg.pipeline.svm.seed == 7
         assert cfg.pipeline.forest.seed == 7
 
     def test_leaves_other_fields(self):

@@ -283,6 +283,17 @@ class TestBundles:
         with pytest.raises(SchemaError, match=r"schema 1 .*re-run `eskin train`"):
             load_pipeline(path)
 
+    def test_load_rejects_schema_2_bundle(self, trained_single, tmp_path):
+        # schema 2 stored the SVM's seed and max_passes
+        path = tmp_path / "bundle.json"
+        save_pipeline(trained_single, path)
+        d = json.loads(path.read_text())
+        d["bundle_schema"] = 2
+        d["pipeline"]["config"]["svm"].update(seed=0, max_passes=10)
+        path.write_text(json.dumps(d))
+        with pytest.raises(SchemaError, match=r"schema 2 .*re-run `eskin train`"):
+            load_pipeline(path)
+
     @pytest.mark.parametrize(
         "body",
         [

@@ -1,12 +1,14 @@
-"""Kernel SVM: pinned separable fixtures, dual feasibility, and solver
-determinism."""
+"""Kernel SVM: pinned separable fixtures, dual feasibility, KKT convergence,
+and solver determinism."""
 
 import numpy as np
 import pytest
 
-from eskin import DegenerateLabelsError, ValidationError
+from eskin import ConvergenceError, DegenerateLabelsError, ValidationError
 from eskin.codec import from_dict, to_dict
+from eskin.learners import svm as svm_module
 from eskin.learners import (
+    Standardizer,
     SvmConfig,
     SvmModel,
     svm_decision_function,
@@ -36,6 +38,25 @@ def blob_problem(seed=0, n_neg=20, n_pos=30):
     return x, y
 
 
+def detection_problem(ds):
+    """The detector's training problem, as train_single builds it."""
+    x = Standardizer.fit(ds.x).transform(ds.x)
+    return x, np.where(ds.label("node_x") != 0, 1.0, -1.0)
+
+
+def kkt_gap(model, x, y, config):
+    """m(alpha) - M(alpha), recomputed from the returned model alone."""
+    match = (x[:, None, :] == model.support_inputs[None, :, :]).all(axis=2)
+    assert np.all(match.sum(axis=0) == 1)
+    alpha = match @ np.abs(model.dual_coefs)
+    yg = y - (svm_decision_function(model, x) - model.bias)
+    w_neg, w_pos = model.class_weights
+    box = np.where(y > 0, config.c * w_pos, config.c * w_neg)
+    up = np.where(y > 0, alpha < box, alpha > 0)
+    low = np.where(y > 0, alpha > 0, alpha < box)
+    return yg[up].max() - yg[low].min()
+
+
 class TestPinnedFixtures:
     def test_two_clusters_perfect(self):
         x, y = two_clusters()
@@ -63,7 +84,7 @@ class TestDualFeasibility:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_constraints_hold_on_blobs(self, seed):
         x, y = blob_problem(seed)
-        config = SvmConfig(c=5.0, gamma=0.8, seed=seed)
+        config = SvmConfig(c=5.0, gamma=0.8)
         model = svm_fit(x, y, config)
         # equality constraint: coefs are alpha_i y_i, non-support alphas are 0
         assert abs(model.dual_coefs.sum()) < 1e-6
@@ -74,6 +95,7 @@ class TestDualFeasibility:
         assert np.all(-neg <= config.c * w_neg + 1e-9)
         assert model.dual_coefs.shape[0] > 0
         assert np.all(model.dual_coefs != 0.0)
+        assert kkt_gap(model, x, y, config) <= config.tol
 
     def test_constraints_hold_on_xor(self):
         model = svm_fit(XOR_X, XOR_Y, SvmConfig(c=10.0, gamma=1.0))
@@ -90,6 +112,27 @@ class TestDualFeasibility:
         x, y = blob_problem(3)
         model = svm_fit(x, y, SvmConfig(class_weights=(2.0, 0.5)))
         assert model.class_weights == (2.0, 0.5)
+
+
+class TestConvergence:
+    def test_kkt_gap_within_tol_on_detection_set(self, small_single_ds):
+        x, y = detection_problem(small_single_ds)
+        config = SvmConfig()
+        assert kkt_gap(svm_fit(x, y, config), x, y, config) <= config.tol
+
+    def test_two_row_cache_gives_identical_model(self, small_single_ds, monkeypatch):
+        x, y = detection_problem(small_single_ds)
+        full = svm_fit(x, y)
+        monkeypatch.setattr(svm_module, "_CACHE_BYTES", 2 * 8 * x.shape[0])
+        small = svm_fit(x, y)
+        assert np.array_equal(full.dual_coefs, small.dual_coefs)
+        assert np.array_equal(full.support_inputs, small.support_inputs)
+        assert full.bias == small.bias
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(svm_module, "_ITERATIONS_PER_ROW", 1)
+        with pytest.raises(ConvergenceError, match="cap of 4 iterations"):
+            svm_fit(XOR_X, XOR_Y, SvmConfig(c=10.0, gamma=1.0))
 
 
 class TestPrediction:
@@ -122,10 +165,10 @@ class TestPrediction:
 
 
 class TestDeterminismAndSerialisation:
-    def test_same_seed_same_model(self):
+    def test_refit_is_bit_identical(self):
         x, y = blob_problem(2)
-        a = svm_fit(x, y, SvmConfig(seed=4))
-        b = svm_fit(x, y, SvmConfig(seed=4))
+        a = svm_fit(x, y)
+        b = svm_fit(x, y)
         assert np.array_equal(a.dual_coefs, b.dual_coefs)
         assert np.array_equal(a.support_inputs, b.support_inputs)
         assert a.bias == b.bias
@@ -155,7 +198,7 @@ class TestDeterminismAndSerialisation:
             from_dict(SvmModel, d)
 
     def test_config_dict_round_trip(self):
-        cfg = SvmConfig(c=3.0, gamma=0.2, class_weights=(1.5, 0.5), seed=2)
+        cfg = SvmConfig(c=3.0, gamma=0.2, class_weights=(1.5, 0.5))
         assert from_dict(SvmConfig, to_dict(cfg)) == cfg
 
     @pytest.mark.parametrize(
@@ -164,9 +207,12 @@ class TestDeterminismAndSerialisation:
             {"c": 0.0},
             {"gamma": -1.0},
             {"tol": 0.0},
-            {"max_passes": 0},
             {"class_weights": (1.0,)},
             {"class_weights": (1.0, -1.0)},
+            {"c": float("nan")},
+            {"gamma": float("nan")},
+            {"tol": float("nan")},
+            {"class_weights": (1.0, float("nan"))},
         ],
     )
     def test_invalid_config(self, kwargs):
