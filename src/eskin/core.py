@@ -124,11 +124,9 @@ class CapacitanceFrame:
         for name, vals in (("cx", self.cx), ("cy", self.cy)):
             if len(vals) != N_TERMINALS_PER_AXIS:
                 raise ValidationError(f"{name} must hold 10 values, got {len(vals)}")
-            for v in vals:
-                if not math.isfinite(v) or v <= 0.0:
-                    raise ValidationError(
-                        f"capacitance value {v} in {name} must be finite and > 0"
-                    )
+        bad, message = _frame_check(np.array([[*self.cx, *self.cy]], dtype=float))
+        if bad[0]:
+            raise ValidationError(message(0))
 
     @classmethod
     def from_vector(cls, values: Sequence[float]) -> "CapacitanceFrame":

@@ -36,12 +36,12 @@ class GpHyper:
     mean_offset: float = 0.0
 
     def __post_init__(self):
-        if self.length_scale <= 0:
-            raise ValidationError("length_scale must be > 0")
-        if self.signal_var <= 0:
-            raise ValidationError("signal_var must be > 0")
-        if self.noise_var < 0:
-            raise ValidationError("noise_var must be >= 0")
+        for name in ("length_scale", "signal_var"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0")
+        if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
+            raise ValidationError("noise_var must be finite and >= 0")
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -59,21 +59,19 @@ class SkinModel:
     edge_taper: float = 0.3
 
     def __post_init__(self):
-        if self.baseline <= 0 or not math.isfinite(self.baseline):
-            raise ValidationError("baseline must be finite and > 0")
         for name in ("stretch_gain_x", "stretch_gain_y"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        if self.force_scale <= 0:
-            raise ValidationError("force_scale must be > 0")
-        if self.force_sat <= 0:
-            raise ValidationError("force_sat must be > 0")
+        for name in ("baseline", "force_scale", "force_sat"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0")
         if not 0.0 < self.neighbor_decay < 1.0:
             raise ValidationError("neighbor_decay must be in (0, 1)")
         if self.neighbor_reach < 0:
             raise ValidationError("neighbor_reach must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValidationError("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.edge_taper < 1.0:
             raise ValidationError("edge_taper must be in [0, 1)")
 
@@ -98,23 +96,33 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _axis_deltas(
-    model: SkinModel, bumps: list[tuple[int, float, int]]
-) -> np.ndarray:
-    """Summed contact increments along one 10-terminal axis.
+def _frames(model: SkinModel, stretch, nodes, forces, seeds) -> np.ndarray:
+    """The forward model over n rows: (n, 20) frames in serialisation order.
 
-    Each bump is (center terminal, force, crossing coordinate); the crossing
-    coordinate scales the whole bump by the anchored-edge taper.
+    ``stretch`` is (n,), ``nodes`` (n, c, 2) integer (x, y) pairs and
+    ``forces`` (n, c), one column per contact slot; a slot of force 0 adds
+    exactly +0.0, whatever its node. On each axis a slot's bump centres on
+    its own coordinate and is scaled by the edge taper of the crossing one;
+    slots are added in slot order. Row k draws its noise from
+    ``default_rng(seeds[k])``.
     """
-    delta = np.zeros(10)
-    idx = np.arange(1, 11)
-    for center, force, cross in bumps:
-        amp = model.force_scale * (1.0 - math.exp(-force / model.force_sat))
-        amp *= 1.0 - model.edge_taper * (cross - 1) / 9.0
-        dist = np.abs(idx - center)
-        mask = dist <= model.neighbor_reach
-        delta[mask] += amp * model.neighbor_decay ** dist[mask]
-    return delta
+    # math.exp, not np.exp: the two differ in the last bits on some inputs
+    headroom = [math.exp(-f / model.force_sat) for f in forces.ravel().tolist()]
+    amp = model.force_scale * (1.0 - np.reshape(headroom, forces.shape))
+    amp = amp[..., None] * (1.0 - model.edge_taper * (nodes[..., ::-1] - 1) / 9.0)
+    dist = np.abs(np.arange(1, 11) - nodes[..., None])
+    near = dist <= model.neighbor_reach
+    bumps = np.where(near, amp[..., None] * model.neighbor_decay**dist, 0.0)
+    delta = np.zeros((len(stretch), 2, 10))
+    for slot in range(forces.shape[1]):
+        delta += bumps[:, slot]
+    gains = np.array([model.stretch_gain_x, model.stretch_gain_y])
+    rest = model.baseline + gains * (stretch[:, None] - 1.0)
+    x = (rest[..., None] + delta).reshape(-1, 20)
+    if model.noise_sigma > 0:
+        sigma = model.noise_sigma
+        x += np.array([np.random.default_rng(s).normal(0.0, sigma, 20) for s in seeds])
+    return x
 
 
 def simulate_frame(
@@ -134,22 +142,21 @@ def simulate_frame(
         raise ValidationError(
             f"at most 2 simultaneous contacts supported, got {len(contacts)}"
         )
-    nodes = [c.node for c in contacts]
-    if len(nodes) == 2 and nodes[0] == nodes[1]:
+    if len(contacts) == 2 and contacts[0].node == contacts[1].node:
         raise ValidationError("contact nodes must be distinct")
+    nodes = np.array([(c.node.x, c.node.y) for c in contacts], dtype=int)
+    forces = np.array([c.force for c in contacts], dtype=float)
+    x = _frames(
+        model, np.array([stretch], dtype=float), nodes.reshape(1, -1, 2),
+        forces.reshape(1, -1), [rng_seed],
+    )[0]
+    return CapacitanceFrame(cx=tuple(x[:10]), cy=tuple(x[10:]))
 
-    rest = model.baseline
-    cx = np.full(10, rest + model.stretch_gain_x * (stretch - 1.0))
-    cy = np.full(10, rest + model.stretch_gain_y * (stretch - 1.0))
-    cx += _axis_deltas(model, [(c.node.x, c.force, c.node.y) for c in contacts])
-    cy += _axis_deltas(model, [(c.node.y, c.force, c.node.x) for c in contacts])
 
-    if model.noise_sigma > 0:
-        rng = np.random.default_rng(rng_seed)
-        noise = rng.normal(0.0, model.noise_sigma, 20)
-        cx = cx + noise[:10]
-        cy = cy + noise[10:]
-    return CapacitanceFrame(cx=tuple(cx), cy=tuple(cy))
+def _check_levels(levels, low: float, what: str) -> None:
+    for v in levels:
+        if not (math.isfinite(v) and v >= low):
+            raise ProtocolError(f"{what} level {v} must be finite and >= {low:g}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,8 @@ class SingleForceProtocol:
             raise ProtocolError("reps_per_cell must be >= 1")
         if not self.stretches:
             raise ProtocolError("protocol needs at least one stretch level")
+        _check_levels(self.stretches, 1.0, "stretch")
+        _check_levels(self.forces, 0.0, "force")
         if 0.0 not in self.forces:
             raise ProtocolError("force levels must include 0")
 
@@ -197,6 +206,9 @@ class TwoForceProtocol:
     def __post_init__(self):
         if self.reps < 1:
             raise ProtocolError("reps must be >= 1")
+        _check_levels(self.forces, 0.0, "force")
+        if not self.nonzero_forces():
+            raise ProtocolError("two-force protocol needs a nonzero force level")
         for a in self.node_axes:
             if not 1 <= a <= 10:
                 raise ProtocolError(f"node axis value {a} outside 1..10")
@@ -204,11 +216,9 @@ class TwoForceProtocol:
             raise ProtocolError("two-force protocol needs at least 2 grid nodes")
 
     def nodes(self) -> tuple[NodeCoord, ...]:
-        grid = sorted(
-            (NodeCoord(x, y) for x in set(self.node_axes) for y in set(self.node_axes)),
-            key=lambda n: n.node_id,
-        )
-        return tuple(grid)
+        """The grid nodes in node-id order (y-major, then x)."""
+        axes = sorted(set(self.node_axes))
+        return tuple(NodeCoord(x, y) for y in axes for x in axes)
 
     def nonzero_forces(self) -> tuple[float, ...]:
         return tuple(f for f in self.forces if f > 0)
@@ -219,53 +229,41 @@ class TwoForceProtocol:
         return (n * (n - 1) // 2) * len(self.nonzero_forces()) ** 2 * self.reps
 
 
+def _grid(*levels) -> list[np.ndarray]:
+    """Every combination of the levels, flattened, the first varying slowest."""
+    return [a.ravel() for a in np.meshgrid(*levels, indexing="ij")]
+
+
 def generate_single_force_dataset(
     model: SkinModel, protocol: SingleForceProtocol
 ) -> Dataset:
     """Deterministic sweep in stretch-major, then node, force, rep order."""
-    frames, labels = [], []
-    k = 0
-    for stretch in protocol.stretches:
-        for nid in range(101):
-            node = NodeCoord.from_node_id(nid)
-            for force in protocol.forces:
-                for _ in range(protocol.reps_per_cell):
-                    contact = node.is_contact and force > 0
-                    contacts = [Contact(node, force)] if contact else []
-                    frame = simulate_frame(
-                        model, stretch, contacts, derive_seed(protocol.seed, k)
-                    )
-                    frames.append(frame.cx + frame.cy)
-                    if contact:
-                        labels.append((force, node.x, node.y, stretch))
-                    else:
-                        labels.append((0.0, 0, 0, stretch))
-                    k += 1
-    return Dataset(x=frames, labels=labels, meta=_meta(model, protocol, "single"))
+    stretch, nid, force, _ = _grid(
+        np.array(protocol.stretches, dtype=float), np.arange(101),
+        np.array(protocol.forces, dtype=float), np.arange(protocol.reps_per_cell),
+    )
+    contact = (nid > 0) & (force > 0)
+    force = np.where(contact, force, 0.0)
+    nx = np.where(contact, (nid - 1) % 10 + 1, 0)
+    ny = np.where(contact, (nid - 1) // 10 + 1, 0)
+    seeds = [derive_seed(protocol.seed, k) for k in range(len(stretch))]
+    nodes = np.stack([nx, ny], axis=1)[:, None, :]
+    x = _frames(model, stretch, nodes, force[:, None], seeds)
+    labels = np.stack([force, nx, ny, stretch], axis=1)
+    return Dataset(x=x, labels=labels, meta=_meta(model, protocol, "single"))
 
 
 def generate_two_force_dataset(model: SkinModel, protocol: TwoForceProtocol) -> Dataset:
     """All node pairs x nonzero force pairs x reps, at lambda = 1."""
-    nodes = protocol.nodes()
-    forces = protocol.nonzero_forces()
-    frames, labels = [], []
-    k = 0
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            n1, n2 = nodes[i], nodes[j]
-            for f1 in forces:
-                for f2 in forces:
-                    for _ in range(protocol.reps):
-                        frame = simulate_frame(
-                            model,
-                            1.0,
-                            [Contact(n1, f1), Contact(n2, f2)],
-                            derive_seed(protocol.seed, k),
-                        )
-                        frames.append(frame.cx + frame.cy)
-                        labels.append((f1, n1.x, n1.y, f2, n2.x, n2.y))
-                        k += 1
-    return Dataset(x=frames, labels=labels, meta=_meta(model, protocol, "two"))
+    grid = np.array([(n.x, n.y) for n in protocol.nodes()])
+    i, j = np.triu_indices(len(grid), k=1)
+    forces = np.array(protocol.nonzero_forces(), dtype=float)
+    pair, f1, f2, _ = _grid(np.arange(len(i)), forces, forces, np.arange(protocol.reps))
+    nodes = np.stack([grid[i[pair]], grid[j[pair]]], axis=1)
+    seeds = [derive_seed(protocol.seed, k) for k in range(len(pair))]
+    x = _frames(model, np.ones(len(pair)), nodes, np.stack([f1, f2], axis=1), seeds)
+    labels = np.column_stack([f1, nodes[:, 0], f2, nodes[:, 1]])
+    return Dataset(x=x, labels=labels, meta=_meta(model, protocol, "two"))
 
 
 def _meta(model: SkinModel, protocol, schema: str) -> DatasetMeta:

@@ -5,7 +5,37 @@ inverses, exhaustive enumeration) so a bug in the production code cannot
 hide in a shared shortcut.
 """
 
+import math
+
 import numpy as np
+
+
+def frame_oracle(model, stretch, contacts, seed):
+    """One frame of the skin forward model, built row by row: the (20,)
+    frame in serialisation order.
+
+    ``contacts`` holds (x, y, force) triples. On each axis a contact adds
+    its saturating amplitude (scalar ``math.exp``), scaled by the edge taper
+    of its crossing coordinate, to every terminal within reach of its own
+    coordinate, decaying per terminal of distance; contacts are added in
+    list order and the row's noise comes from ``default_rng(seed)``.
+    """
+    axes = []
+    for axis, gain in ((0, model.stretch_gain_x), (1, model.stretch_gain_y)):
+        values = np.full(10, model.baseline + gain * (stretch - 1.0))
+        delta = np.zeros(10)
+        for contact in contacts:
+            center, cross, force = contact[axis], contact[1 - axis], contact[2]
+            amp = model.force_scale * (1.0 - math.exp(-force / model.force_sat))
+            amp *= 1.0 - model.edge_taper * (cross - 1) / 9.0
+            dist = np.abs(np.arange(1, 11) - center)
+            near = dist <= model.neighbor_reach
+            delta[near] += amp * model.neighbor_decay ** dist[near]
+        axes.append(values + delta)
+    frame = np.concatenate(axes)
+    if model.noise_sigma > 0:
+        frame = frame + np.random.default_rng(seed).normal(0.0, model.noise_sigma, 20)
+    return frame
 
 
 def ols_normal_oracle(x, y):

@@ -6,6 +6,7 @@ installed console script would."""
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -143,6 +144,28 @@ class TestGenerate:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "mode, override, message",
+        [
+            ("single", {"single_protocol": {"forces": [0, -1]}}, "force level -1 must"),
+            ("single", {"single_protocol": {"forces": [0, math.nan]}}, "force level nan"),
+            ("single", {"single_protocol": {"stretches": [0.9]}}, "stretch level 0.9"),
+            ("two", {"two_protocol": {"forces": [0, math.inf]}}, "force level inf"),
+            ("single", {"model": {"noise_sigma": math.nan}}, "noise_sigma must be"),
+            ("single", {"model": {"force_scale": math.nan}}, "force_scale must be"),
+        ],
+    )
+    def test_bad_level_or_model_is_usage_error(self, tmp_path, mode, override, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        out = tmp_path / "x.csv"
+        rc, _, err = run_cli(
+            "generate", "--config", str(cfg), "--mode", mode, "--out", str(out)
+        )
+        assert rc == 1
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "override, field",
         [
             ({"single_protocol": {"reps_per_cell": 1.0}}, "single_protocol.reps_per_cell"),
@@ -170,6 +193,17 @@ class TestTrain:
         d = json.loads(cli_env["single_bundle"].read_text())
         assert d["bundle_schema"] == 3
         assert d["mode"] == "single"
+
+    def test_nan_gp_hyperparameter_is_usage_error(self, cli_env, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pipeline": {"gp": {"length_scale": math.nan}}}))
+        out = tmp_path / "bundle.json"
+        rc, _, err = run_cli(
+            "train", str(cli_env["single_csv"]), "--config", str(cfg), "--out", str(out)
+        )
+        assert rc == 1
+        assert "length_scale must be finite and > 0" in err
+        assert not out.exists()
 
     def test_mode_mismatch(self, cli_env):
         rc, _, err = run_cli(

@@ -63,6 +63,11 @@ class TestGpHyper:
             {"length_scale": -1.0},
             {"signal_var": 0.0},
             {"noise_var": -1e-9},
+            {"length_scale": math.nan},
+            {"length_scale": math.inf},
+            {"signal_var": math.nan},
+            {"noise_var": math.nan},
+            {"noise_var": math.inf},
         ],
     )
     def test_invalid(self, kwargs):

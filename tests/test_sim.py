@@ -23,6 +23,8 @@ from eskin import (
 )
 from eskin.codec import from_dict, to_dict
 
+from .oracles import frame_oracle
+
 # the hand-evaluated examples below assume this parameterisation: spec-sheet
 # stretch gain, no edge taper, no noise
 ORACLE_MODEL = SkinModel(
@@ -124,6 +126,12 @@ class TestSkinModelValidation:
             {"edge_taper": -0.1},
             {"edge_taper": 1.0},
             {"stretch_gain_x": math.inf},
+            {"baseline": math.nan},
+            {"force_scale": math.nan},
+            {"force_scale": math.inf},
+            {"force_sat": math.nan},
+            {"noise_sigma": math.nan},
+            {"noise_sigma": math.inf},
         ],
     )
     def test_bad_parameters(self, kwargs):
@@ -289,6 +297,11 @@ class TestSingleForceProtocol:
             {"reps_per_cell": 0},
             {"stretches": ()},
             {"forces": (1.2936,)},
+            {"stretches": (0.9,)},
+            {"stretches": (1.0, math.nan)},
+            {"stretches": (math.inf,)},
+            {"forces": (0.0, -1.0)},
+            {"forces": (0.0, math.nan)},
         ],
     )
     def test_invalid_protocol(self, kwargs):
@@ -324,6 +337,9 @@ class TestTwoForceProtocol:
             {"node_axes": (0, 5)},
             {"node_axes": (11,)},
             {"node_axes": (4,)},
+            {"forces": (0.0, -1.0)},
+            {"forces": (0.0, math.nan)},
+            {"forces": (0.0,)},
         ],
     )
     def test_invalid_protocol(self, kwargs):
@@ -336,3 +352,103 @@ class TestTwoForceProtocol:
         b = generate_two_force_dataset(SkinModel(), proto)
         assert len(a) == 6
         assert a.approx_equal(b, tol=0.0)
+
+
+# --- bitwise guard: the array generators against the row-by-row oracle ------
+
+
+def _random_model(rng):
+    return SkinModel(
+        baseline=float(rng.uniform(0.5, 2.0)),
+        stretch_gain_x=float(rng.uniform(0.0, 5.0)),
+        stretch_gain_y=float(rng.uniform(0.0, 5.0)),
+        force_scale=float(rng.uniform(0.05, 0.5)),
+        force_sat=float(rng.uniform(0.5, 5.0)),
+        neighbor_decay=float(rng.uniform(0.1, 0.9)),
+        neighbor_reach=int(rng.integers(0, 5)),
+        noise_sigma=float(rng.choice([0.0, rng.uniform(0.001, 0.01)])),
+        edge_taper=float(rng.choice([0.0, rng.uniform(0.0, 0.8)])),
+    )
+
+
+def _random_forces(rng, model, n):
+    """Zero, two forces anywhere in 0.1..10 N and n below force_sat * ln 2,
+    where exp(-f / force_sat) >= 0.5, so 1 - exp(...) is exact and any
+    last-bit change in the exponential reaches the frame."""
+    small = rng.uniform(0.05, model.force_sat * math.log(2.0), n)
+    return (0.0,) + tuple(float(f) for f in rng.uniform(0.1, 10.0, 2)) + tuple(
+        float(f) for f in small
+    )
+
+
+def test_single_generator_matches_oracle_bitwise():
+    rng = np.random.default_rng(8)
+    for _ in range(16):
+        model = _random_model(rng)
+        proto = SingleForceProtocol(
+            stretches=(1.0, float(rng.uniform(1.0, 1.2))),
+            forces=_random_forces(rng, model, 6),
+            reps_per_cell=int(rng.integers(1, 3)),
+            seed=int(rng.integers(0, 2**31)),
+        )
+        frames, labels = [], []
+        for stretch in proto.stretches:
+            for nid in range(101):
+                x, y = (nid - 1) % 10 + 1, (nid - 1) // 10 + 1
+                for force in proto.forces:
+                    for _ in range(proto.reps_per_cell):
+                        contact = nid > 0 and force > 0
+                        seed = derive_seed(proto.seed, len(frames))
+                        contacts = [(x, y, force)] if contact else []
+                        frames.append(frame_oracle(model, stretch, contacts, seed))
+                        labels.append(
+                            (force, x, y, stretch) if contact else (0.0, 0, 0, stretch)
+                        )
+        ds = generate_single_force_dataset(model, proto)
+        assert np.array_equal(ds.x, np.array(frames))
+        assert np.array_equal(ds.labels, np.array(labels, dtype=float))
+
+
+def test_two_generator_matches_oracle_bitwise():
+    rng = np.random.default_rng(9)
+    for _ in range(16):
+        model = _random_model(rng)
+        axes = rng.choice(np.arange(1, 11), size=int(rng.integers(2, 4)), replace=False)
+        proto = TwoForceProtocol(
+            node_axes=tuple(int(a) for a in axes),
+            forces=_random_forces(rng, model, 4),
+            reps=int(rng.integers(1, 3)),
+            seed=int(rng.integers(0, 2**31)),
+        )
+        nodes = proto.nodes()
+        frames, labels = [], []
+        for i, n1 in enumerate(nodes):
+            for n2 in nodes[i + 1:]:
+                for f1 in proto.nonzero_forces():
+                    for f2 in proto.nonzero_forces():
+                        for _ in range(proto.reps):
+                            seed = derive_seed(proto.seed, len(frames))
+                            contacts = [(n1.x, n1.y, f1), (n2.x, n2.y, f2)]
+                            frames.append(frame_oracle(model, 1.0, contacts, seed))
+                            labels.append((f1, n1.x, n1.y, f2, n2.x, n2.y))
+        ds = generate_two_force_dataset(model, proto)
+        assert np.array_equal(ds.x, np.array(frames))
+        assert np.array_equal(ds.labels, np.array(labels, dtype=float))
+
+
+def test_simulate_frame_matches_oracle_bitwise():
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        model = _random_model(rng)
+        stretch = float(rng.uniform(1.0, 1.2))
+        cells = rng.choice(100, size=int(rng.integers(0, 3)), replace=False)
+        contacts = [
+            Contact(NodeCoord(int(c) % 10 + 1, int(c) // 10 + 1), float(f))
+            for c, f in zip(cells, rng.uniform(0.0, 10.0, len(cells)))
+        ]
+        seed = int(rng.integers(0, 2**31))
+        frame = simulate_frame(model, stretch, contacts, seed).as_vector()
+        expect = frame_oracle(
+            model, stretch, [(c.node.x, c.node.y, c.force) for c in contacts], seed
+        )
+        assert np.array_equal(frame, expect)
