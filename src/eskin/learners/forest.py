@@ -6,6 +6,15 @@ leaves {"counts": per-class sample counts}. Each tree trains on a seeded
 bootstrap resample and each split scans a seeded subset of ceil(sqrt(d))
 features, so a fit is a pure function of (data, config).
 
+Fit uses the CART presort layout (Breiman et al. 1984; Louppe 2014, ch. 5):
+a tree argsorts its sample once per feature, and each split partitions
+those sorted rows with one boolean gather, which keeps every feature's
+order, so no node sorts again. A node scores all its candidate features at
+once from exact integer class counts. Trees are independent and make no
+BLAS call, so they fit in a pool of forked processes, one per usable CPU
+(at most _MAX_WORKERS), and are merged in tree order: the trees are the same
+for any worker count.
+
 Predict serves from a different form: on first use a model compiles all its
 trees into one flat node table (parallel feature, threshold, child and
 leaf-class arrays, the sklearn ``Tree`` layout; Louppe 2014, ch. 5), checking
@@ -17,12 +26,19 @@ derived from the trees, so it is neither compared nor serialised.
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from ..errors import SchemaError, ValidationError
+
+_MAX_WORKERS = 4   # tree-fit processes; more buys little at desk scale
 
 
 @dataclass(frozen=True)
@@ -85,6 +101,8 @@ def _check_labels(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise ValidationError("need x (n, d) and y (n,) with matching n")
     if x.shape[0] == 0:
         raise ValidationError("empty training set")
+    if x.shape[1] == 0:   # every node indexes its rows by a feature's sort order
+        raise ValidationError("need at least one feature")
     if not np.all(np.isfinite(x)):
         raise ValidationError("features must be finite")
     yf = y.astype(float)
@@ -94,45 +112,61 @@ def _check_labels(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _best_split(
-    x: np.ndarray, y: np.ndarray, feats: np.ndarray, n_classes: int, min_leaf: int
-) -> tuple[int, float] | None:
-    """Max Gini-gain (feature, threshold) over candidate features, or None.
+    xt: np.ndarray,
+    yt: np.ndarray,
+    srt: np.ndarray,
+    counts: np.ndarray,
+    feats: np.ndarray,
+    min_leaf: int,
+) -> tuple[int, float, np.ndarray] | None:
+    """Max Gini-gain split of one node over the candidate features: (feature,
+    threshold, the node's rows that go left), or None.
 
-    Maximising sum_sq_left/n_left + sum_sq_right/n_right is equivalent to
-    maximising gain; a split must beat the unsplit node strictly.
+    ``xt`` is the tree's sample feature-major, (d, n_tree); ``srt`` holds the
+    node's rows sorted by each feature, (d, n). Maximising
+    sum_sq_left/n_left + sum_sq_right/n_right is equivalent to maximising
+    gain; a split must beat the unsplit node strictly. Both sums of squares
+    are exact int64 counts until the two divisions, so every score is the
+    float a one-hot cumsum gives. Ties go to the first feature in ``feats``,
+    then the first cut.
     """
-    n = y.shape[0]
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    total = onehot.sum(axis=0)
-    base = float(total @ total) / n
-    best_score = base + 1e-12
-    best: tuple[int, float] | None = None
-    for f in feats:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        cum = np.cumsum(onehot[order], axis=0)
-        nl = np.arange(1, n)
-        valid = (xs[:-1] < xs[1:]) & (nl >= min_leaf) & (n - nl >= min_leaf)
-        if not np.any(valid):
-            continue
-        left = cum[:-1]
-        right = total[None, :] - left
-        score = np.full(n - 1, -np.inf)
-        score[valid] = (
-            np.sum(left[valid] ** 2, axis=1) / nl[valid]
-            + np.sum(right[valid] ** 2, axis=1) / (n - nl[valid])
-        )
-        i = int(np.argmax(score))
-        if score[i] > best_score:
-            best_score = float(score[i])
-            best = (int(f), float(0.5 * (xs[i] + xs[i + 1])))
-    return best
+    n = srt.shape[1]
+    order = srt[feats]                  # (k, n): the node's rows, sorted per feature
+    xs = xt[feats[:, None], order]
+    ys = yt[order]
+    # occ: each row's inclusive rank within its class, in feature order. A
+    # stable sort by class lists the same class blocks for every feature.
+    starts = counts.cumsum() - counts
+    occ = np.empty(ys.shape, dtype=np.intp)
+    occ[np.arange(len(feats))[:, None], ys.argsort(axis=1, kind="stable")] = (
+        np.arange(1, n + 1) - starts.repeat(counts)
+    )
+    # the first i + 1 sorted rows on the left: a row of class c raises
+    # sum_c L_c^2 by 2 L_c - 1 and sum_c T_c L_c by T_c
+    sum_sq_left = (2 * occ - 1).cumsum(axis=1)
+    sum_sq_right = int(counts @ counts) - 2 * counts[ys].cumsum(axis=1) + sum_sq_left
+    lo, hi = min_leaf - 1, n - min_leaf   # cuts that leave min_leaf rows a side
+    n_left = np.arange(min_leaf, n - min_leaf + 1)
+    score = np.where(
+        xs[:, lo:hi] < xs[:, lo + 1 : hi + 1],
+        sum_sq_left[:, lo:hi] / n_left + sum_sq_right[:, lo:hi] / (n - n_left),
+        -np.inf,
+    )
+    j, i = divmod(int(score.argmax()), score.shape[1])
+    if not score[j, i] > float(counts @ counts) / n + 1e-12:
+        return None
+    i += lo
+    a, b = float(xs[j, i]), float(xs[j, i + 1])
+    # between adjacent floats, or when a + b overflows, the midpoint rounds
+    # to b or past it, which would send b's rows left; a still separates
+    t = 0.5 * (a + b)
+    return int(feats[j]), t if t < b else a, order[j, : i + 1]
 
 
 def _grow(
-    x: np.ndarray,
-    y: np.ndarray,
+    xt: np.ndarray,
+    yt: np.ndarray,
+    srt: np.ndarray,
     depth: int,
     rng: np.random.Generator,
     n_classes: int,
@@ -140,10 +174,10 @@ def _grow(
     min_leaf: int,
     n_feats: int,
 ) -> dict:
-    counts = np.bincount(y, minlength=n_classes)
-    n, d = x.shape
+    d, n = srt.shape
+    counts = np.bincount(yt[srt[0]], minlength=n_classes)
     if (
-        np.max(counts) == n
+        counts.max() == n
         or (max_depth is not None and depth >= max_depth)
         or n < 2 * min_leaf
     ):
@@ -152,17 +186,54 @@ def _grow(
         feats = np.sort(rng.choice(d, size=n_feats, replace=False))
     else:
         feats = np.arange(d)
-    split = _best_split(x, y, feats, n_classes, min_leaf)
+    split = _best_split(xt, yt, srt, counts, feats, min_leaf)
     if split is None:
         return {"counts": counts.tolist()}
-    f, t = split
-    mask = x[:, f] <= t
+    f, t, left = split
+    # one gather splits every feature's sorted row and keeps its order
+    goes_left = np.zeros(yt.shape[0], dtype=bool)
+    goes_left[left] = True
+    mask = goes_left[srt]
+    grow = (depth + 1, rng, n_classes, max_depth, min_leaf, n_feats)
     return {
         "feature": f,
         "threshold": t,
-        "left": _grow(x[mask], y[mask], depth + 1, rng, n_classes, max_depth, min_leaf, n_feats),
-        "right": _grow(x[~mask], y[~mask], depth + 1, rng, n_classes, max_depth, min_leaf, n_feats),
+        "left": _grow(xt, yt, srt[mask].reshape(d, left.shape[0]), *grow),
+        "right": _grow(xt, yt, srt[~mask].reshape(d, n - left.shape[0]), *grow),
     }
+
+
+def _fit_tree(
+    x: np.ndarray, y: np.ndarray, n_classes: int, n_feats: int, config: ForestConfig, t: int
+) -> dict:
+    """Tree t: a bootstrap draw, then one feature subset per split node
+    (depth first, left before right), all from ``SeedSequence([seed, t])``.
+
+    The sample is sorted once per feature; at a valid cut the left rows are
+    all rows with x <= the cut value, so neither thresholds nor scores depend
+    on how ties are ordered.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.seed, t]).generate_state(1)[0]
+    )
+    if config.bootstrap:
+        idx = rng.integers(0, x.shape[0], x.shape[0])
+        x, y = x[idx], y[idx]
+    xt = np.ascontiguousarray(x.T)
+    srt = np.argsort(xt, axis=1)
+    return _grow(xt, y, srt, 0, rng, n_classes, config.max_depth, config.min_leaf, n_feats)
+
+
+def _pool_workers(n_trees: int) -> int:
+    """Processes to fit trees in: the CPUs this process may run on, at most
+    _MAX_WORKERS and n_trees. 1 fits in-process, and so does a process that
+    runs other Python threads: a forked worker could inherit a lock one of
+    them holds."""
+    if not hasattr(os, "sched_getaffinity"):   # macOS, Windows: fork unsafe or absent
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS, n_trees)
 
 
 def forest_fit(
@@ -170,22 +241,26 @@ def forest_fit(
 ) -> ForestModel:
     config = config or ForestConfig()
     x, y = _check_labels(x, y)
-    n, d = x.shape
+    d = x.shape[1]
     n_classes = int(y.max()) + 1
     n_feats = config.features_per_split or math.ceil(math.sqrt(d))
-    trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, t]).generate_state(1)[0]
-        )
-        if config.bootstrap:
-            idx = rng.integers(0, n, n)
-            xt, yt = x[idx], y[idx]
-        else:
-            xt, yt = x, y
-        trees.append(
-            _grow(xt, yt, 0, rng, n_classes, config.max_depth, config.min_leaf, n_feats)
-        )
+    # the narrowest label type: a stable sort of 8- or 16-bit keys is a radix sort
+    y = y.astype(np.min_scalar_type(n_classes - 1))
+    fit_tree = partial(_fit_tree, x, y, n_classes, n_feats, config)
+    workers = _pool_workers(config.n_trees)
+    if workers == 1:
+        trees = [fit_tree(t) for t in range(config.n_trees)]
+    else:
+        # fork, not spawn: a worker starts in ~10 ms where spawn re-imports
+        # numpy for ~0.35 s, about a whole 50-tree fit. No other Python
+        # thread runs (see _pool_workers), the executor forks its workers
+        # before it starts its own thread, and tree fits make no BLAS call,
+        # so no worker touches a lock another thread held.
+        with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork")) as pool:
+            trees = list(pool.map(
+                fit_tree, range(config.n_trees),
+                chunksize=math.ceil(config.n_trees / (4 * workers)),
+            ))
     return ForestModel(trees=tuple(trees), n_classes=n_classes, n_features=d, config=config)
 
 

@@ -10,6 +10,7 @@ iteration cap raises ConvergenceError. Kernel rows sit in a bounded LRU cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,16 +33,15 @@ class SvmConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        # `not x > 0` also refuses NaN
-        if not self.c > 0:
-            raise ValidationError("c must be > 0")
-        if not self.gamma > 0:
-            raise ValidationError("gamma must be > 0")
-        if not self.tol > 0:
-            raise ValidationError("tol must be > 0")
+        for name in ("c", "gamma", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0")
         if self.class_weights is not None:
-            if len(self.class_weights) != 2 or not all(w > 0 for w in self.class_weights):
-                raise ValidationError("class_weights must be two positive reals")
+            if len(self.class_weights) != 2 or not all(
+                math.isfinite(w) and w > 0 for w in self.class_weights
+            ):
+                raise ValidationError("class_weights must be two finite reals > 0")
 
 
 @dataclass(frozen=True)

@@ -113,3 +113,91 @@ def exhaustive_best_split(x, y, min_leaf=1):
             elif abs(score - best_score) <= 1e-12:
                 best.append((f, t))
     return best_score, best
+
+
+def _forest_oracle_best_split(x, y, feats, n_classes, min_leaf):
+    """Per feature: a stable argsort, a float one-hot cumsum and the Gini
+    score at every cut; the first strict improvement over the unsplit node
+    wins, scanning ``feats`` in order."""
+    n = y.shape[0]
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    total = onehot.sum(axis=0)
+    base = float(total @ total) / n
+    best_score = base + 1e-12
+    best = None
+    for f in feats:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        cum = np.cumsum(onehot[order], axis=0)
+        nl = np.arange(1, n)
+        valid = (xs[:-1] < xs[1:]) & (nl >= min_leaf) & (n - nl >= min_leaf)
+        if not np.any(valid):
+            continue
+        left = cum[:-1]
+        right = total[None, :] - left
+        score = np.full(n - 1, -np.inf)
+        score[valid] = (
+            np.sum(left[valid] ** 2, axis=1) / nl[valid]
+            + np.sum(right[valid] ** 2, axis=1) / (n - nl[valid])
+        )
+        i = int(np.argmax(score))
+        if score[i] > best_score:
+            best_score = float(score[i])
+            best = (int(f), float(0.5 * (xs[i] + xs[i + 1])))
+    return best
+
+
+def _forest_oracle_grow(x, y, depth, rng, n_classes, max_depth, min_leaf, n_feats):
+    counts = np.bincount(y, minlength=n_classes)
+    n, d = x.shape
+    if (
+        np.max(counts) == n
+        or (max_depth is not None and depth >= max_depth)
+        or n < 2 * min_leaf
+    ):
+        return {"counts": counts.tolist()}
+    if n_feats < d:
+        feats = np.sort(rng.choice(d, size=n_feats, replace=False))
+    else:
+        feats = np.arange(d)
+    split = _forest_oracle_best_split(x, y, feats, n_classes, min_leaf)
+    if split is None:
+        return {"counts": counts.tolist()}
+    f, t = split
+    mask = x[:, f] <= t
+    grow = (depth + 1, rng, n_classes, max_depth, min_leaf, n_feats)
+    return {
+        "feature": f,
+        "threshold": t,
+        "left": _forest_oracle_grow(x[mask], y[mask], *grow),
+        "right": _forest_oracle_grow(x[~mask], y[~mask], *grow),
+    }
+
+
+def forest_trees_oracle(x, y, config):
+    """The nested-dict trees of a Gini CART forest, one node at a time: each
+    node re-sorts its rows per candidate feature. Tree t draws its
+    bootstrap sample and then one feature subset per split node (depth
+    first, left before right) from ``SeedSequence([seed, t])``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y).astype(int)
+    n, d = x.shape
+    n_classes = int(y.max()) + 1
+    n_feats = config.features_per_split or math.ceil(math.sqrt(d))
+    trees = []
+    for t in range(config.n_trees):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([config.seed, t]).generate_state(1)[0]
+        )
+        if config.bootstrap:
+            idx = rng.integers(0, n, n)
+            xt, yt = x[idx], y[idx]
+        else:
+            xt, yt = x, y
+        trees.append(
+            _forest_oracle_grow(
+                xt, yt, 0, rng, n_classes, config.max_depth, config.min_leaf, n_feats
+            )
+        )
+    return tuple(trees)

@@ -205,6 +205,18 @@ class TestTrain:
         assert "length_scale must be finite and > 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["c", "gamma", "tol"])
+    def test_infinite_svm_hyperparameter_is_usage_error(self, cli_env, tmp_path, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pipeline": {"svm": {name: math.inf}}}))
+        out = tmp_path / "bundle.json"
+        rc, _, err = run_cli(
+            "train", str(cli_env["single_csv"]), "--config", str(cfg), "--out", str(out)
+        )
+        assert rc == 1
+        assert f"{name} must be finite and > 0" in err
+        assert not out.exists()
+
     def test_mode_mismatch(self, cli_env):
         rc, _, err = run_cli(
             "train", str(cli_env["two_csv"]), "--config", cli_env["cfg"]

@@ -1,17 +1,24 @@
-"""Random forest: root splits against an exhaustive Gini search, vote
-semantics, seeded determinism, and the compiled node table that predict
-serves from against a node-by-node walk of the nested trees."""
+"""Random forest: root splits against an exhaustive Gini search, whole
+trees against a node-by-node reference fit, the tree pool against an
+in-process fit, vote semantics, seeded determinism, and the compiled node
+table that predict serves from against a node-by-node walk of the nested
+trees."""
 
 import copy
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from eskin import SchemaError, ValidationError
+from eskin import SchemaError, SingleForceProtocol, SkinModel, ValidationError
+from eskin import generate_single_force_dataset
 from eskin.codec import from_dict, to_dict
-from eskin.learners import ForestConfig, ForestModel, forest_fit, forest_predict
+from eskin.learners import ForestConfig, ForestModel, forest, forest_fit, forest_predict
+from eskin.learners.preprocess import Standardizer
 
-from .oracles import exhaustive_best_split, gini_split_score
+from .oracles import exhaustive_best_split, forest_trees_oracle, gini_split_score
 
 SINGLE_TREE = ForestConfig(n_trees=1, bootstrap=False)
 
@@ -85,6 +92,94 @@ class TestRootSplitOracle:
         assert (0, root["threshold"]) in ties
 
 
+class TestTreesMatchReferenceFit:
+    """forest_fit must build exactly the trees of the reference fit, which
+    re-sorts every node per feature and scores with a float one-hot cumsum."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_fixture(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 150))
+        d = int(rng.integers(1, 7))
+        n_classes = int(rng.integers(2, 11))
+        # a random subset of the classes, so some below the largest are absent
+        present = rng.choice(n_classes, size=int(rng.integers(1, n_classes + 1)),
+                             replace=False)
+        y = rng.choice(present, n)
+        x = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))   # ties
+        cfg = ForestConfig(
+            n_trees=int(rng.integers(1, 6)),
+            max_depth=[None, 1, 2, 3, 4][seed % 5],
+            min_leaf=int(rng.integers(1, 4)),
+            features_per_split=1 + seed % d,
+            bootstrap=bool(seed % 2),
+            seed=seed,
+        )
+        assert forest_fit(x, y, cfg).trees == forest_trees_oracle(x, y, cfg)
+
+    @pytest.mark.parametrize("label", ["node_x", "node_y"])
+    def test_desk_contact_fold(self, label):
+        ds = generate_single_force_dataset(
+            SkinModel(), SingleForceProtocol(reps_per_cell=1, seed=5)
+        )
+        pos = np.flatnonzero(ds.label("node_x") != 0)
+        fold = pos[np.random.default_rng(5).permutation(pos.size)[: 2 * pos.size // 3]]
+        z = Standardizer.fit(ds.x[fold]).transform(ds.x[fold])
+        y = ds.label(label)[fold] - 1
+        cfg = ForestConfig(n_trees=6, seed=5)
+        assert forest_fit(z, y, cfg).trees == forest_trees_oracle(z, y, cfg)
+
+
+def pool_of(workers):
+    return lambda n_trees: workers
+
+
+class TestTreePool:
+    def fixture(self):
+        rng = np.random.default_rng(8)
+        x = np.round(rng.normal(size=(60, 4)), 1)
+        return x, rng.integers(0, 4, 60)
+
+    def test_worker_count_does_not_change_trees(self, monkeypatch):
+        x, y = self.fixture()
+        cfg = ForestConfig(n_trees=7, seed=3)
+        monkeypatch.setattr(forest, "_pool_workers", pool_of(1))
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", None)   # one worker: no pool
+        serial = forest_fit(x, y, cfg)
+        monkeypatch.undo()
+        for workers in (2, 3):
+            monkeypatch.setattr(forest, "_pool_workers", pool_of(workers))
+            assert forest_fit(x, y, cfg) == serial
+            assert multiprocessing.active_children() == []
+
+    def test_failed_tree_fit_leaves_no_children(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("tree fit failed")
+
+        x, y = self.fixture()
+        monkeypatch.setattr(forest, "_pool_workers", pool_of(2))
+        monkeypatch.setattr(forest, "_grow", fail)
+        with pytest.raises(RuntimeError, match="tree fit failed"):
+            forest_fit(x, y, ForestConfig(n_trees=4))
+        assert multiprocessing.active_children() == []
+
+    def test_pool_size_follows_cpus_and_trees(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert forest._pool_workers(1) == 1
+        assert forest._pool_workers(100) == min(cpus, forest._MAX_WORKERS)
+
+    def test_threaded_process_fits_in_process(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            assert forest._pool_workers(100) == 1
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+
+
 class TestTreeShape:
     def test_min_leaf_blocks_small_node(self):
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -109,6 +204,17 @@ class TestTreeShape:
         x = np.array([[0.0], [1.0], [2.0]])
         model = forest_fit(x, np.array([1, 1, 1]), SINGLE_TREE)
         assert model.trees[0] == {"counts": [0, 3]}
+
+    @pytest.mark.parametrize("b", [1.0, np.finfo(float).max])
+    def test_threshold_between_adjacent_floats(self, b):
+        # the midpoint of b and the float just below it rounds to b
+        a = np.nextafter(b, 0)
+        x = np.array([[a], [a], [b], [b]])
+        y = np.array([0, 0, 1, 1])
+        model = forest_fit(x, y, SINGLE_TREE)
+        assert model.trees[0]["threshold"] == a
+        labels, _ = forest_predict(model, x)
+        assert np.array_equal(labels, y)
 
 
 class TestVoting:
@@ -179,6 +285,10 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             forest_fit(np.empty((0, 1)), np.empty(0, dtype=int))
+
+    def test_no_features_rejected(self):
+        with pytest.raises(ValidationError, match="at least one feature"):
+            forest_fit(np.empty((3, 0)), np.array([0, 1, 0]))
 
     def test_predict_feature_mismatch(self):
         model = forest_fit(np.zeros((3, 2)), np.array([0, 1, 0]), SINGLE_TREE)

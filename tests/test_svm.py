@@ -213,6 +213,10 @@ class TestDeterminismAndSerialisation:
             {"gamma": float("nan")},
             {"tol": float("nan")},
             {"class_weights": (1.0, float("nan"))},
+            {"c": float("inf")},
+            {"gamma": float("inf")},
+            {"tol": float("inf")},
+            {"class_weights": (float("inf"), 1.0)},
         ],
     )
     def test_invalid_config(self, kwargs):
