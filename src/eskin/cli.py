@@ -146,15 +146,28 @@ def _check_full_grid(ds: Dataset) -> None:
         )
 
 
+def _note_gp_subsample(name: str, gp, what: str, cap: int) -> None:
+    kept = gp.train_inputs.shape[0]
+    if kept < gp.rows_offered:
+        print(
+            f"{name} GP kept {kept} of {gp.rows_offered} {what} (gp_cap {cap})",
+            file=sys.stderr,
+        )
+
+
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = load_dataset(args.data)
     _require_mode(ds, args.mode)
+    cap = cfg.pipeline.gp_cap
     if args.mode == SCHEMA_SINGLE:
         _check_full_grid(ds)
         p = train_single(ds, cfg.pipeline)
+        _note_gp_subsample("force", p.force_model, "contact rows", cap)
     else:
         p = train_two(ds, cfg.pipeline)
+        _note_gp_subsample("force1", p.force1_model, "rows", cap)
+        _note_gp_subsample("force2", p.force2_model, "rows", cap)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / f"bundle_{args.mode}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_pipeline(p, out)

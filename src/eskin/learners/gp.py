@@ -99,6 +99,7 @@ class GpModel:
     alpha: np.ndarray
     hyper: GpHyper
     scaler: Standardizer | None
+    rows_offered: int            # rows given to gp_fit before the cap subsample
     # derived from train_inputs and hyper, so neither compared nor serialised
     _chol: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -108,6 +109,11 @@ class GpModel:
             raise ValueError(
                 f"GP train_inputs {shape} and alpha {alpha} disagree: "
                 "need (n, d) and (n,)"
+            )
+        if self.rows_offered < shape[0]:
+            raise ValueError(
+                f"GP rows_offered {self.rows_offered} is below the "
+                f"{shape[0]} training rows it kept"
             )
 
     @property
@@ -137,7 +143,8 @@ def gp_fit(
 ) -> GpModel:
     x, y = _check_xy(x, y)
     hyper = hyper or GpHyper()
-    idx = _subsample(x.shape[0], cap, seed)
+    rows_offered = x.shape[0]
+    idx = _subsample(rows_offered, cap, seed)
     x, y = x[idx], y[idx]
     if standardize:
         scaler = Standardizer.fit(x)
@@ -151,7 +158,14 @@ def gp_fit(
     # kept a general solve: solve_triangular moves alpha in the last bits,
     # which would change the bytes of report.json for a given seed
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, yc))
-    return GpModel(train_inputs=xt, alpha=alpha, hyper=hyper, scaler=scaler, _chol=chol)
+    return GpModel(
+        train_inputs=xt,
+        alpha=alpha,
+        hyper=hyper,
+        scaler=scaler,
+        rows_offered=rows_offered,
+        _chol=chol,
+    )
 
 
 def gp_predict(

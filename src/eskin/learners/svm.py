@@ -51,6 +51,8 @@ class SvmModel:
     bias: float
     kernel_gamma: float
     class_weights: tuple[float, float]
+    iterations: int               # SMO steps svm_fit took to converge
+    kkt_gap: float                # m(alpha) - M(alpha) when it stopped, <= tol
 
     def __post_init__(self):
         shape, coefs = self.support_inputs.shape, self.dual_coefs.shape
@@ -94,12 +96,13 @@ def svm_fit(x: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> Sv
         low = np.where(pos, alpha > 0, alpha < box)
         i = int(np.argmax(np.where(up, yg, -np.inf)))
         m, big_m = yg[i], np.min(yg[low])
-        if m - big_m <= config.tol:
+        gap = m - big_m
+        if gap <= config.tol:
             break
         if iteration == max_iter:
             raise ConvergenceError(
                 f"SVM solver stopped at its cap of {max_iter} iterations with "
-                f"KKT gap {m - big_m:.3g} > tol {config.tol:g}"
+                f"KKT gap {gap:.3g} > tol {config.tol:g}"
             )
 
         k_i = kernel_row(i)
@@ -127,6 +130,8 @@ def svm_fit(x: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> Sv
         bias=float(b),
         kernel_gamma=config.gamma,
         class_weights=(float(w_neg), float(w_pos)),
+        iterations=iteration,
+        kkt_gap=float(gap),
     )
 
 

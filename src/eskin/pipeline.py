@@ -49,7 +49,8 @@ from .learners import (
 
 # 2: force models no longer store their Cholesky factor
 # 3: the SVM config no longer stores seed or max_passes
-BUNDLE_SCHEMA_VERSION = 3
+# 4: compact JSON; SVM iterations and KKT gap, GP rows offered
+BUNDLE_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -313,9 +314,11 @@ def _bundle_dict(p: TrainedPipeline | TrainedTwoPipeline) -> dict:
 
 
 def save_pipeline(p: TrainedPipeline | TrainedTwoPipeline, path: str | Path) -> None:
-    """Canonical JSON (sorted keys, full float precision), written atomically,
-    so equal pipelines always serialise byte-identically."""
-    atomic_write_text(path, json.dumps(_bundle_dict(p), sort_keys=True, indent=1) + "\n")
+    """Canonical JSON on one line (sorted keys, no whitespace, full float
+    precision), written atomically, so equal pipelines always serialise
+    byte-identically. Without ``indent`` CPython encodes in C."""
+    text = json.dumps(_bundle_dict(p), sort_keys=True, separators=(",", ":"))
+    atomic_write_text(path, text + "\n")
 
 
 def load_pipeline(path: str | Path) -> TrainedPipeline | TrainedTwoPipeline:

@@ -70,11 +70,12 @@ def cli_env(tmp_path_factory):
     env["generate_two_stdout"] = stdout
     env["two_csv"] = out_dir / "dataset_two.csv"
 
-    rc, stdout, _ = run_cli(
+    rc, stdout, err = run_cli(
         "train", str(env["single_csv"]), "--config", str(cfg)
     )
     assert rc == 0
     env["train_single_stdout"] = stdout
+    env["train_single_stderr"] = err
     env["single_bundle"] = out_dir / "bundle_single.json"
 
     rc, stdout, _ = run_cli(
@@ -191,8 +192,41 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 3
+        assert d["bundle_schema"] == 4
         assert d["mode"] == "single"
+        # every contact row fits under the default gp_cap, so no note
+        assert cli_env["train_single_stderr"] == ""
+
+    @pytest.mark.parametrize(
+        "mode, notes",
+        [
+            ("single", ["force GP kept 50 of {n} contact rows (gp_cap 50)"]),
+            (
+                "two",
+                [
+                    "force1 GP kept 50 of {n} rows (gp_cap 50)",
+                    "force2 GP kept 50 of {n} rows (gp_cap 50)",
+                ],
+            ),
+        ],
+    )
+    def test_gp_subsample_noted_on_stderr(self, cli_env, tmp_path, mode, notes):
+        with open(cli_env["cfg"]) as f:
+            cfg = json.load(f)
+        cfg["pipeline"]["gp_cap"] = 50
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        data = cli_env[f"{mode}_csv"]
+        ds = load_dataset(data)
+        n = len(ds) if mode == "two" else int((ds.label("node_x") != 0).sum())
+        out = tmp_path / "bundle.json"
+        rc, stdout, err = run_cli(
+            "train", str(data), "--mode", mode, "--config", str(cfg_path),
+            "--out", str(out),
+        )
+        assert rc == 0
+        assert stdout == f"{out}\n"
+        assert err == "".join(f"{line.format(n=n)}\n" for line in notes)
 
     def test_nan_gp_hyperparameter_is_usage_error(self, cli_env, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -476,6 +510,23 @@ class TestInfer:
             (
                 lambda p: p["row_clf"]["trees"][3].update(feature=20),
                 "error: split feature 20 is not an integer in 0..19",
+            ),
+            (
+                lambda p: p["force_model"].update(rows_offered=1),
+                "error: malformed single model bundle: ValueError: GP rows_offered 1",
+            ),
+            (
+                lambda p: p["detector"].pop("iterations"),
+                "error: malformed single model bundle: KeyError: 'detector.iterations'",
+            ),
+            (
+                lambda p: p["detector"].pop("kkt_gap"),
+                "error: malformed single model bundle: KeyError: 'detector.kkt_gap'",
+            ),
+            (
+                lambda p: p["force_model"].pop("rows_offered"),
+                "error: malformed single model bundle: KeyError: "
+                "'force_model.rows_offered'",
             ),
         ],
     )

@@ -102,7 +102,9 @@ class TestDerivedFieldsNotWritten:
         model = trained_single.force_model
         model.chol  # make sure the factor exists
         assert model._chol is not None
-        assert set(to_dict(model)) == {"train_inputs", "alpha", "hyper", "scaler"}
+        assert set(to_dict(model)) == {
+            "train_inputs", "alpha", "hyper", "scaler", "rows_offered"
+        }
 
     def test_forest_table(self, trained_single):
         model = trained_single.row_clf

@@ -162,6 +162,19 @@ class TestFitMechanics:
         assert np.all(np.diff(rows) > 0)
         assert set(rows).issubset(set(x[:, 0]))
 
+    @pytest.mark.parametrize("cap", [8, 30, 50])
+    def test_records_rows_offered(self, cap):
+        x = np.arange(30.0).reshape(-1, 1)
+        model = gp_fit(x, np.sin(x[:, 0]), cap=cap)
+        assert model.rows_offered == len(x)
+        assert model.train_inputs.shape[0] == min(cap, len(x))
+
+    def test_from_dict_rejects_rows_offered_below_rows_kept(self, rng):
+        d = to_dict(gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5)))
+        d["rows_offered"] = 4
+        with pytest.raises(ValueError, match="rows_offered 4 is below the 5"):
+            from_dict(GpModel, d)
+
     def test_cap_is_deterministic(self):
         x = np.arange(30.0).reshape(-1, 1)
         y = np.sin(x[:, 0])

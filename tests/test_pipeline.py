@@ -2,6 +2,7 @@
 round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from eskin.codec import from_dict, to_dict
 from eskin.learners import gp as gp_module
 from eskin.pipeline import (
     BUNDLE_SCHEMA_VERSION,
+    _bundle_dict,
     pipeline_mode,
     predict_single_batch,
     predict_two_batch,
@@ -40,6 +42,16 @@ from eskin.pipeline import (
 def _saved_force_models(path) -> list[dict]:
     pipeline = json.loads(path.read_text())["pipeline"]
     return [v for k, v in pipeline.items() if k.startswith("force")]
+
+
+def _without_diagnostics(bundle: dict) -> dict:
+    """A bundle dict stripped of the fit diagnostics schema 4 added."""
+    for name, model in bundle["pipeline"].items():
+        if name == "detector":
+            del model["iterations"], model["kkt_gap"]
+        elif name.startswith("force"):
+            del model["rows_offered"]
+    return bundle
 
 
 def frame_of(ds, row):
@@ -294,6 +306,15 @@ class TestBundles:
         with pytest.raises(SchemaError, match=r"schema 2 .*re-run `eskin train`"):
             load_pipeline(path)
 
+    def test_load_rejects_schema_3_bundle(self, trained_single, tmp_path):
+        # schema 3 was indented and held no SVM or GP fit diagnostics
+        old = _without_diagnostics(_bundle_dict(trained_single))
+        old["bundle_schema"] = 3
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(old, sort_keys=True, indent=1) + "\n")
+        with pytest.raises(SchemaError, match=r"schema 3 .*re-run `eskin train`"):
+            load_pipeline(path)
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -317,6 +338,31 @@ class TestBundles:
         path.write_text(json.dumps(d))
         with pytest.raises(SchemaError, match="mode"):
             load_pipeline(path)
+
+
+@pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+class TestBundleEncoding:
+    def test_one_line_of_json(self, trained, request, tmp_path):
+        path = tmp_path / "bundle.json"
+        save_pipeline(request.getfixturevalue(trained), path)
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text)["bundle_schema"] == 4
+
+    def test_only_whitespace_differs_from_schema_3(self, trained, request, tmp_path):
+        p = request.getfixturevalue(trained)
+        path = tmp_path / "bundle.json"
+        save_pipeline(p, path)
+        text = path.read_text()
+        old = _without_diagnostics(_bundle_dict(p))
+        old["bundle_schema"] = 3
+        schema_3 = json.loads(json.dumps(old, sort_keys=True, indent=1))
+        new = _without_diagnostics(json.loads(text))
+        assert new.pop("bundle_schema") == 4
+        assert new == {k: v for k, v in schema_3.items() if k != "bundle_schema"}
+        # no string in a bundle holds whitespace, so only the layout moved
+        indented = json.dumps(_bundle_dict(p), sort_keys=True, indent=1)
+        assert re.sub(r"\s", "", indented) + "\n" == text
 
 
 class TestPipelineConfig:

@@ -120,6 +120,15 @@ class TestConvergence:
         config = SvmConfig()
         assert kkt_gap(svm_fit(x, y, config), x, y, config) <= config.tol
 
+    def test_fit_records_iterations_and_gap(self, small_single_ds):
+        x, y = detection_problem(small_single_ds)
+        config = SvmConfig()
+        model = svm_fit(x, y, config)
+        assert type(model.iterations) is int
+        assert 0 < model.iterations < svm_module._ITERATIONS_PER_ROW * len(x)
+        assert model.kkt_gap <= config.tol
+        assert model.kkt_gap == pytest.approx(kkt_gap(model, x, y, config), abs=1e-9)
+
     def test_two_row_cache_gives_identical_model(self, small_single_ds, monkeypatch):
         x, y = detection_problem(small_single_ds)
         full = svm_fit(x, y)
@@ -143,6 +152,8 @@ class TestPrediction:
             bias=0.0,
             kernel_gamma=1.0,
             class_weights=(1.0, 1.0),
+            iterations=0,
+            kkt_gap=0.0,
         )
         assert svm_predict(model, np.array([[5.0]]))[0] == 1.0
 
