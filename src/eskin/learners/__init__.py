@@ -1,6 +1,13 @@
 """From-scratch estimators used by the decoupling pipeline."""
 
-from .forest import ForestConfig, ForestModel, forest_fit, forest_predict
+from .forest import (
+    ForestConfig,
+    ForestModel,
+    ForestTable,
+    compile_forests,
+    forest_fit,
+    forest_predict,
+)
 from .gp import (
     GpHyper,
     GpModel,
@@ -17,6 +24,8 @@ from .svm import SvmConfig, SvmModel, svm_decision_function, svm_fit, svm_predic
 __all__ = [
     "ForestConfig",
     "ForestModel",
+    "ForestTable",
+    "compile_forests",
     "forest_fit",
     "forest_predict",
     "GpHyper",

@@ -15,12 +15,19 @@ BLAS call, so they fit in a pool of forked processes, one per usable CPU
 (at most _MAX_WORKERS), and are merged in tree order: the trees are the same
 for any worker count.
 
-Predict serves from a different form: on first use a model compiles all its
-trees into one flat node table (parallel feature, threshold, child and
-leaf-class arrays, the sklearn ``Tree`` layout; Louppe 2014, ch. 5), checking
-each node as it goes. Every row then descends every tree at once, one level
-per step, and the leaf classes are counted in a single bincount. The table is
-derived from the trees, so it is neither compared nor serialised.
+Predict serves from a different form: on first use the trees of one or
+more forests are compiled into one flat node table (parallel feature,
+threshold, child and leaf-class arrays, the sklearn ``Tree`` layout; Louppe
+2014, ch. 5), checking each node as it goes. Each forest's nodes, roots and
+classes follow the previous forest's, so a pipeline serves all its forests,
+which read the same features, from one table; a lone forest is the table of
+one. The evaluation order follows the row count. One row tests every node
+once and builds each node's successor from the outcomes, then follows the
+successors from all roots at once (the QuickScorer idea of scoring a
+document node test by node test rather than tree by tree; Lucchese et al.,
+SIGIR 2015). More rows descend all trees of a forest at once, one level per
+step. The leaf classes of every forest are counted in a single bincount. The
+table is derived from the trees, so it is neither compared nor serialised.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import math
 import multiprocessing as mp
 import os
 import threading
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -62,18 +70,31 @@ class ForestConfig:
 
 
 @dataclass(frozen=True)
-class _NodeTable:
-    """All trees of a forest as parallel arrays, one entry per node.
+class ForestTable:
+    """The trees of one or more forests as parallel arrays, one entry per
+    node. Every forest reads the same feature columns.
 
     A leaf is its own left and right child, so descending from it stays put.
+    Leaf classes are numbered across the table, forest after forest, as are
+    the nodes and the roots.
     """
 
     feature: np.ndarray       # split feature; 0 at leaves
     threshold: np.ndarray     # go left when x[feature] <= threshold
-    children: np.ndarray      # (n_nodes, 2): left and right child
-    leaf_class: np.ndarray    # first argmax of the leaf counts; 0 at splits
-    roots: np.ndarray         # node index of each tree's root
-    depth: int                # longest root-to-leaf path, in edges
+    left: np.ndarray          # left child; a leaf's own index
+    is_split: np.ndarray      # the right child is left + 1 exactly here
+    kids: np.ndarray          # (2 n_nodes,): left and right child of each node
+    leaf_class: np.ndarray    # table class of the first argmax of the leaf counts
+    roots: np.ndarray         # node index of each tree's root, forest by forest
+    n_features: int
+    classes: tuple[tuple[int, int], ...]   # (start, stop) per forest
+    n_trees: tuple[int, ...]               # per forest
+    depths: tuple[int, ...]                # longest root-to-leaf path per forest
+
+    @property
+    def depth(self) -> int:
+        """Longest root-to-leaf path of the table, in edges."""
+        return max(self.depths)
 
 
 @dataclass(frozen=True)
@@ -83,14 +104,16 @@ class ForestModel:
     n_features: int
     config: ForestConfig
     # compiled from trees on first predict, so neither compared nor serialised
-    _table: _NodeTable | None = field(default=None, compare=False, repr=False)
+    _table: ForestTable | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
-    def table(self) -> _NodeTable:
+    def table(self) -> ForestTable:
         """The trees as one flat node table; raises SchemaError on a
         malformed tree."""
         if self._table is None:
-            object.__setattr__(self, "_table", _compile(self))
+            object.__setattr__(self, "_table", compile_forests((self,)))
         return self._table
 
 
@@ -264,9 +287,10 @@ def forest_fit(
     return ForestModel(trees=tuple(trees), n_classes=n_classes, n_features=d, config=config)
 
 
-def _compile(model: ForestModel) -> _NodeTable:
-    """Flatten the nested trees into one node table, checking that every
-    node has its keys, every split a feature in range and every leaf one
+def _flatten(model: ForestModel) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """(split mask, split features, split thresholds, leaf classes) of one
+    forest, nodes in queue order, checking that every node has its keys,
+    every split a feature in range and a finite threshold, and every leaf one
     count per class.
 
     One queue walks all trees breadth first, roots first, and each split
@@ -274,8 +298,7 @@ def _compile(model: ForestModel) -> _NodeTable:
     are nodes n_trees + 2s and n_trees + 2s + 1, and the child columns and
     the depth follow from the split mask alone.
     """
-    n_trees = len(model.trees)
-    if n_trees == 0:
+    if not model.trees:
         raise SchemaError("forest has no trees")
     nodes = list(model.trees)
     is_split: list[bool] = []
@@ -310,56 +333,125 @@ def _compile(model: ForestModel) -> _NodeTable:
             f"split feature {bad_features[0]!r} is not an integer in "
             f"0..{model.n_features - 1}"
         )
+    bad_thresholds = [t for t in threshold if not math.isfinite(t)]
+    if bad_thresholds:
+        raise SchemaError(f"split threshold {bad_thresholds[0]!r} is not finite")
+    leaf_class = np.argmax(leaf_counts.reshape(-1, model.n_classes), axis=1)
+    return np.array(is_split), feature, threshold, leaf_class
 
-    split = np.array(is_split)
-    n = split.shape[0]
-    table_feature = np.zeros(n, dtype=np.intp)
+
+def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
+    """One node table for ``models``, which must share their features:
+    each forest's nodes, tree roots and classes follow the previous
+    forest's. Raises SchemaError on a malformed tree."""
+    if len({m.n_features for m in models}) != 1:
+        raise SchemaError("forests of one table must read the same features")
+    split_parts, left_parts, leaf_parts, root_parts, classes = [], [], [], [], []
+    feature: list = []
+    threshold: list[float] = []
+    depths: list[int] = []
+    node_base = class_base = 0
+    for model in models:
+        split, f, t, leaf = _flatten(model)
+        feature += f
+        threshold += t
+        n_trees, n = len(model.trees), split.shape[0]
+        # splits_before[i]: number of splits queued before node i
+        splits_before = np.concatenate([[0], np.cumsum(split)])
+        depth, lo, hi = 0, 0, n_trees   # [lo, hi): the nodes of one level
+        while splits_before[hi] > splits_before[lo]:
+            lo, hi = n_trees + 2 * splits_before[lo], n_trees + 2 * splits_before[hi]
+            depth += 1
+        depths.append(depth)
+        leaf_class = np.zeros(n, dtype=np.intp)
+        leaf_class[~split] = class_base + leaf
+        split_parts.append(split)
+        left_parts.append(node_base + np.where(
+            split, n_trees + 2 * splits_before[:-1], np.arange(n)
+        ))
+        leaf_parts.append(leaf_class)
+        root_parts.append(node_base + np.arange(n_trees))
+        classes.append((class_base, class_base + model.n_classes))
+        node_base += n
+        class_base += model.n_classes
+
+    split = np.concatenate(split_parts)
+    left = np.concatenate(left_parts)
+    table_feature = np.zeros(node_base, dtype=np.intp)
     table_feature[split] = feature
-    table_threshold = np.zeros(n)
+    table_threshold = np.zeros(node_base)
     table_threshold[split] = threshold
-    leaf_class = np.zeros(n, dtype=np.intp)
-    leaf_class[~split] = np.argmax(leaf_counts.reshape(-1, model.n_classes), axis=1)
-    # splits_before[i]: number of splits queued before node i
-    splits_before = np.concatenate([[0], np.cumsum(split)])
-    left = np.where(split, n_trees + 2 * splits_before[:-1], np.arange(n))
-    depth, lo, hi = 0, 0, n_trees   # [lo, hi): the nodes of one level
-    while splits_before[hi] > splits_before[lo]:
-        lo, hi = n_trees + 2 * splits_before[lo], n_trees + 2 * splits_before[hi]
-        depth += 1
-    return _NodeTable(
+    return ForestTable(
         feature=table_feature,
         threshold=table_threshold,
-        children=np.stack([left, left + split], axis=1),
-        leaf_class=leaf_class,
-        roots=np.arange(n_trees),
-        depth=depth,
+        left=left,
+        is_split=split,
+        kids=np.stack([left, left + split], axis=1).ravel(),
+        leaf_class=np.concatenate(leaf_parts),
+        roots=np.concatenate(root_parts),
+        n_features=models[0].n_features,
+        classes=tuple(classes),
+        n_trees=tuple(len(m.trees) for m in models),
+        depths=tuple(depths),
     )
 
 
-def forest_predict(model: ForestModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, per-class vote fractions); vote ties go to the smaller class.
+def _leaves(tab: ForestTable, x: np.ndarray) -> np.ndarray:
+    """(n, n_roots) table class of the leaf each row reaches in each tree.
+
+    One row tests every node once, QuickScorer style (Lucchese et al., SIGIR
+    2015): the outcomes give each node its successor, which all roots follow
+    for the table's depth. More rows descend all trees of a forest at once,
+    one level per step, testing only the nodes they stand on.
+    """
+    n, d = x.shape
+    if n == 1:
+        go_right = ~(x[0][tab.feature] <= tab.threshold)
+        successor = tab.left + (go_right & tab.is_split)
+        node = tab.roots
+        for _ in range(tab.depth):
+            node = successor[node]
+        return tab.leaf_class[node][None, :]
+    # flat gathers: x[r, f] is xf[r * d + f], children[i, c] is kids[2 * i + c]
+    xf = x.ravel()
+    row_base = np.arange(n)[:, None] * d
+    leaves = np.empty((n, tab.roots.shape[0]), dtype=np.intp)
+    start = 0
+    # forest by forest, each to its own depth: a shallow forest takes no
+    # extra steps, and each step's (n, n_trees) arrays stay cache-sized
+    for n_trees, depth in zip(tab.n_trees, tab.depths):
+        roots = tab.roots[start : start + n_trees]
+        node = np.broadcast_to(roots, (n, n_trees))
+        for _ in range(depth):
+            go_right = ~(xf[row_base + tab.feature[node]] <= tab.threshold[node])
+            node = tab.kids[2 * node + go_right]
+        leaves[:, start : start + n_trees] = tab.leaf_class[node]
+        start += n_trees
+    return leaves
+
+
+def forest_predict(
+    forest: ForestModel | ForestTable, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(labels, per-class vote fractions) of a forest, or one such pair per
+    forest of a table, in table order; vote ties go to the smaller class.
 
     A NaN feature compares False and goes right.
     """
+    tab = forest.table if isinstance(forest, ForestModel) else forest
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.n_features:
+    if x.shape[1] != tab.n_features:
         raise ValidationError(
-            f"expected {model.n_features} features, got {x.shape[1]}"
+            f"expected {tab.n_features} features, got {x.shape[1]}"
         )
-    tab = model.table
-    n, d = x.shape
-    # flat gathers: x[r, f] is xf[r * d + f], children[i, c] is kids[2 * i + c]
-    xf = x.ravel()
+    n = x.shape[0]
+    n_classes = tab.classes[-1][1]
     rows = np.arange(n)[:, None]
-    row_base = rows * d
-    kids = tab.children.ravel()
-    node = np.broadcast_to(tab.roots, (n, tab.roots.shape[0]))
-    for _ in range(tab.depth):
-        go_right = ~(xf[row_base + tab.feature[node]] <= tab.threshold[node])
-        node = kids[2 * node + go_right]
     votes = np.bincount(
-        (rows * model.n_classes + tab.leaf_class[node]).ravel(),
-        minlength=n * model.n_classes,
-    ).reshape(n, model.n_classes)
-    labels = np.argmax(votes, axis=1)
-    return labels, votes / len(model.trees)
+        (rows * n_classes + _leaves(tab, x)).ravel(), minlength=n * n_classes
+    ).reshape(n, n_classes)
+    out = tuple(
+        (np.argmax(votes[:, a:b], axis=1), votes[:, a:b] / n_trees)
+        for (a, b), n_trees in zip(tab.classes, tab.n_trees)
+    )
+    return out[0] if isinstance(forest, ForestModel) else out

@@ -44,25 +44,27 @@ class GpHyper:
             raise ValidationError("noise_var must be finite and >= 0")
 
 
-def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sq_distances(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     """(na, nb) squared Euclidean distances between the rows of two 2-d
-    arrays, clamped at 0 against rounding; shared by the GP and SVM kernels."""
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
+    arrays, clamped at 0 against rounding; shared by the GP and SVM kernels.
+    ``b_sq`` is ``np.sum(b * b, axis=1)``, which a model keeps for its rows."""
+    sq = np.sum(a * a, axis=1)[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
 def rbf_kernel(
-    a: np.ndarray, b: np.ndarray, length_scale: float, signal_var: float = 1.0
+    a: np.ndarray,
+    b: np.ndarray,
+    length_scale: float,
+    signal_var: float = 1.0,
+    b_sq: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """signal_var * exp(-||a - b||^2 / (2 length_scale^2)).
 
     Two single vectors give a scalar; 2-d inputs give the (na, nb) Gram
-    matrix.
+    matrix. ``b_sq``, the squared norms of b's rows, is computed when not
+    given.
     """
     if length_scale <= 0:
         raise ValidationError("length_scale must be > 0")
@@ -72,10 +74,12 @@ def rbf_kernel(
     a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
     if a2.shape[1] != b2.shape[1]:
         raise ValidationError(f"dimension mismatch: {a2.shape[1]} vs {b2.shape[1]}")
+    if b_sq is None:
+        b_sq = np.sum(b2 * b2, axis=1)
     # sq stays bound until exp is done: freeing it earlier changes how malloc
     # reuses these (n, n) blocks, and after a 2 000-row fit a bundle save then
     # peaked 20 MB higher
-    sq = sq_distances(a2, b2)
+    sq = sq_distances(a2, b2, b_sq)
     gram = signal_var * np.exp(-sq / (2.0 * length_scale**2))
     return float(gram[0, 0]) if scalar else gram
 
@@ -102,6 +106,7 @@ class GpModel:
     rows_offered: int            # rows given to gp_fit before the cap subsample
     # derived from train_inputs and hyper, so neither compared nor serialised
     _chol: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _train_sq: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         shape, alpha = self.train_inputs.shape, self.alpha.shape
@@ -115,6 +120,12 @@ class GpModel:
                 f"GP rows_offered {self.rows_offered} is below the "
                 f"{shape[0]} training rows it kept"
             )
+        for name in ("train_inputs", "alpha"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValidationError(f"GP {name} must be finite")
+        # squared norms of the training rows, which every predict needs
+        t = self.train_inputs
+        object.__setattr__(self, "_train_sq", np.sum(t * t, axis=1))
 
     @property
     def chol(self) -> np.ndarray:
@@ -183,7 +194,11 @@ def gp_predict(
         )
     xt = model.scaler.transform(x) if model.scaler else x
     ks = rbf_kernel(
-        xt, model.train_inputs, model.hyper.length_scale, model.hyper.signal_var
+        xt,
+        model.train_inputs,
+        model.hyper.length_scale,
+        model.hyper.signal_var,
+        b_sq=model._train_sq,
     )
     mean = ks @ model.alpha + model.hyper.mean_offset
     if not std:

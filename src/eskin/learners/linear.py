@@ -8,6 +8,7 @@ or pseudo-inverted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,10 @@ from ..errors import SingularDesignError, ValidationError
 class LinearModel:
     weights: tuple[float, ...]
     intercept: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(w) for w in (*self.weights, self.intercept)):
+            raise ValidationError("linear weights and intercept must be finite")
 
 
 def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

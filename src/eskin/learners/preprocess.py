@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ class Standardizer:
 
     mean: tuple[float, ...]
     scale: tuple[float, ...]
+
+    def __post_init__(self):
+        if not all(math.isfinite(m) for m in self.mean):
+            raise ValidationError("standardizer mean must be finite")
+        if not all(math.isfinite(s) and s > 0 for s in self.scale):
+            raise ValidationError("standardizer scale must be finite and > 0")
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":

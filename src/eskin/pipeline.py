@@ -30,12 +30,14 @@ from .errors import CoverageError, SchemaError, ValidationError
 from .learners import (
     ForestConfig,
     ForestModel,
+    ForestTable,
     GpHyper,
     GpModel,
     LinearModel,
     Standardizer,
     SvmConfig,
     SvmModel,
+    compile_forests,
     forest_fit,
     forest_predict,
     gp_fit,
@@ -87,6 +89,10 @@ class TrainedPipeline:
     force_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
+    # (col_clf, row_clf) as one node table, compiled on first predict
+    _forests: ForestTable | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,10 @@ class TrainedTwoPipeline:
     force2_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
+    # (x1_clf, y1_clf, x2_clf, y2_clf) as one node table, compiled on first predict
+    _forests: ForestTable | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -145,6 +155,15 @@ class TwoContactEstimate:
             raise ValidationError("contacts must be sorted by node_id")
         if any(f < 0 for _, f in self.contacts):
             raise ValidationError("estimated forces must be >= 0")
+
+
+def _forest_table(
+    p: TrainedPipeline | TrainedTwoPipeline, *forests: ForestModel
+) -> ForestTable:
+    """The pipeline's forests as one node table, compiled on first use."""
+    if p._forests is None:
+        object.__setattr__(p, "_forests", compile_forests(forests))
+    return p._forests
 
 
 def train_single(train: Dataset, config: PipelineConfig | None = None) -> TrainedPipeline:
@@ -203,8 +222,9 @@ def predict_single_batch(p: TrainedPipeline, x: np.ndarray) -> dict[str, np.ndar
     z = p.preprocessing.transform(x)
     stretch = ols_predict(p.stretch_model, x)
     detected = svm_predict(p.detector, z) > 0
-    col_cls, _ = forest_predict(p.col_clf, z)
-    row_cls, _ = forest_predict(p.row_clf, z)
+    (col_cls, _), (row_cls, _) = forest_predict(
+        _forest_table(p, p.col_clf, p.row_clf), z
+    )
     force_mean, _ = gp_predict(p.force_model, x, std=False)
     return {
         "stretch": stretch,
@@ -279,12 +299,11 @@ def predict_two_batch(p: TrainedTwoPipeline, x: np.ndarray) -> dict[str, np.ndar
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = p.preprocessing.transform(x)
     axes = np.array(sorted(p.config.node_axes))
-    out = {}
-    for name, clf in (
-        ("x1", p.x1_clf), ("y1", p.y1_clf), ("x2", p.x2_clf), ("y2", p.y2_clf)
-    ):
-        cls, _ = forest_predict(clf, z)
-        out[name] = axes[cls]
+    forests = _forest_table(p, p.x1_clf, p.y1_clf, p.x2_clf, p.y2_clf)
+    out = {
+        name: axes[cls]
+        for name, (cls, _) in zip(("x1", "y1", "x2", "y2"), forest_predict(forests, z))
+    }
     for name, gp in (("force1", p.force1_model), ("force2", p.force2_model)):
         mean, _ = gp_predict(gp, x, std=False)
         out[name] = np.maximum(mean, 0.0)
@@ -343,7 +362,7 @@ def load_pipeline(path: str | Path) -> TrainedPipeline | TrainedTwoPipeline:
         raise SchemaError(f"unknown bundle mode {mode!r}")
     try:
         return from_dict(cls, d["pipeline"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise SchemaError(f"malformed {mode} model bundle: {type(exc).__name__}: {exc}")
 
 

@@ -201,3 +201,21 @@ def forest_trees_oracle(x, y, config):
             )
         )
     return tuple(trees)
+
+
+def reference_predict(model, x):
+    """Node-by-node recursive walk of the nested trees: one vote per tree at
+    its leaf's first-argmax class, ties to the smaller class."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+
+    def leaf(node, row):
+        if "counts" in node:
+            return int(np.argmax(node["counts"]))
+        go_left = row[node["feature"]] <= node["threshold"]
+        return leaf(node["left"] if go_left else node["right"], row)
+
+    votes = np.zeros((x.shape[0], model.n_classes))
+    for tree in model.trees:
+        for r, row in enumerate(x):
+            votes[r, leaf(tree, row)] += 1
+    return np.argmax(votes, axis=1), votes / len(model.trees)

@@ -528,6 +528,40 @@ class TestInfer:
                 "error: malformed single model bundle: KeyError: "
                 "'force_model.rows_offered'",
             ),
+            (
+                lambda p: p["force_model"]["alpha"].__setitem__(0, math.nan),
+                "error: malformed single model bundle: ValidationError: "
+                "GP alpha must be finite",
+            ),
+            (
+                lambda p: p["detector"].update(bias=math.inf),
+                "error: malformed single model bundle: ValidationError: "
+                "SVM bias must be finite",
+            ),
+            (
+                lambda p: p["detector"].update(kernel_gamma=-1.0),
+                "error: malformed single model bundle: ValidationError: "
+                "SVM kernel_gamma must be finite and > 0",
+            ),
+            (
+                lambda p: p["row_clf"]["trees"][3].update(threshold=math.nan),
+                "error: split threshold nan is not finite",
+            ),
+            (
+                lambda p: p["preprocessing"].update(scale=[0.0] * 20),
+                "error: malformed single model bundle: ValidationError: "
+                "standardizer scale must be finite and > 0",
+            ),
+            (
+                lambda p: p["preprocessing"]["mean"].__setitem__(4, -math.inf),
+                "error: malformed single model bundle: ValidationError: "
+                "standardizer mean must be finite",
+            ),
+            (
+                lambda p: p["stretch_model"]["weights"].__setitem__(0, math.nan),
+                "error: malformed single model bundle: ValidationError: "
+                "linear weights and intercept must be finite",
+            ),
         ],
     )
     def test_inconsistent_bundle_is_data_error(self, cli_env, tmp_path, edit, message):
@@ -546,6 +580,7 @@ class TestInfer:
         )
         assert rc == 2
         assert err.startswith(message)
+        assert err.count("\n") == 1   # one error line, no warning beside it
         assert "Traceback" not in err
 
     def test_bundle_mode_mismatch(self, cli_env):

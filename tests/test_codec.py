@@ -20,6 +20,7 @@ from eskin import (
 )
 from eskin.codec import from_dict, to_dict
 from eskin.learners import ForestConfig, GpHyper, forest_predict, gp_predict
+from eskin.pipeline import predict_single_batch, predict_two_batch
 
 TINY_FOREST = ForestConfig(n_trees=3)
 
@@ -114,8 +115,23 @@ class TestDerivedFieldsNotWritten:
 
     def test_pipeline_text(self, trained_single):
         gp_predict(trained_single.force_model, np.ones((1, 20)))
+        predict_single_batch(trained_single, np.ones((1, 20)))
         text = json.dumps(to_dict(trained_single))
-        assert "_chol" not in text and "_table" not in text
+        for name in ("_chol", "_table", "_forests", "_train_sq", "_support_sq"):
+            assert name not in text
+
+    @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+    def test_pipeline_table(self, trained, request):
+        p = request.getfixturevalue(trained)
+        predict = predict_single_batch if trained == "trained_single" else predict_two_batch
+        predict(p, np.ones((2, 20)))
+        assert p._forests is not None
+        before = to_dict(p)
+        fresh = dataclasses.replace(p)   # shares every model, not the table
+        assert fresh._forests is None
+        assert p == fresh
+        assert to_dict(p) == before
+        assert "_forests" not in repr(p)
 
 
 class TestStrictDecode:

@@ -1,13 +1,14 @@
 """Random forest: root splits against an exhaustive Gini search, whole
 trees against a node-by-node reference fit, the tree pool against an
 in-process fit, vote semantics, seeded determinism, and the compiled node
-table that predict serves from against a node-by-node walk of the nested
-trees."""
+table that predict serves from, one forest or several, in its one-row and
+its many-row order, against a node-by-node walk of the nested trees."""
 
 import copy
 import multiprocessing
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,22 @@ import pytest
 from eskin import SchemaError, SingleForceProtocol, SkinModel, ValidationError
 from eskin import generate_single_force_dataset
 from eskin.codec import from_dict, to_dict
-from eskin.learners import ForestConfig, ForestModel, forest, forest_fit, forest_predict
+from eskin.learners import (
+    ForestConfig,
+    ForestModel,
+    compile_forests,
+    forest,
+    forest_fit,
+    forest_predict,
+)
 from eskin.learners.preprocess import Standardizer
 
-from .oracles import exhaustive_best_split, forest_trees_oracle, gini_split_score
+from .oracles import (
+    exhaustive_best_split,
+    forest_trees_oracle,
+    gini_split_score,
+    reference_predict,
+)
 
 SINGLE_TREE = ForestConfig(n_trees=1, bootstrap=False)
 
@@ -309,24 +322,6 @@ class TestValidation:
             ForestConfig(**kwargs)
 
 
-def reference_predict(model, x):
-    """Node-by-node recursive walk of the nested trees: one vote per tree at
-    its leaf's first-argmax class, ties to the smaller class."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-
-    def leaf(node, row):
-        if "counts" in node:
-            return int(np.argmax(node["counts"]))
-        go_left = row[node["feature"]] <= node["threshold"]
-        return leaf(node["left"] if go_left else node["right"], row)
-
-    votes = np.zeros((x.shape[0], model.n_classes))
-    for tree in model.trees:
-        for r, row in enumerate(x):
-            votes[r, leaf(tree, row)] += 1
-    return np.argmax(votes, axis=1), votes / len(model.trees)
-
-
 def tree_depth(node):
     if "counts" in node:
         return 0
@@ -347,29 +342,41 @@ STUMP = {"feature": 1, "threshold": 0.5, "left": {"counts": [3, 0, 0]},
 
 
 def assert_matches_reference(model, x):
+    """The many-row walk and the one-row order, row by row, both give the
+    reference labels and votes."""
     labels, votes = forest_predict(model, x)
     ref_labels, ref_votes = reference_predict(model, x)
     assert np.array_equal(labels, ref_labels)
     assert np.array_equal(votes, ref_votes)
+    for i in range(x.shape[0]):
+        one_labels, one_votes = forest_predict(model, x[i : i + 1])
+        assert np.array_equal(one_labels, ref_labels[i : i + 1])
+        assert np.array_equal(one_votes, ref_votes[i : i + 1])
+
+
+def random_forest(seed, n_features=None, n_classes=None):
+    """A fitted forest of random shape on rounded (so tied) random data, the
+    data, and the generator that drew them."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 80))
+    d = n_features or int(rng.integers(1, 6))
+    n_classes = n_classes or int(rng.integers(2, 6))
+    x = np.round(rng.normal(size=(n, d)), 1)   # repeated values
+    y = rng.integers(0, n_classes, n)
+    cfg = ForestConfig(
+        n_trees=int(rng.integers(1, 12)),
+        max_depth=[None, 1, 3][seed % 3],
+        min_leaf=int(rng.integers(1, 4)),
+        seed=seed,
+    )
+    return forest_fit(x, y, cfg), x, rng
 
 
 class TestCompiledTable:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_forests_match_reference_walk(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(10, 80))
-        d = int(rng.integers(1, 6))
-        n_classes = int(rng.integers(2, 6))
-        x = np.round(rng.normal(size=(n, d)), 1)   # repeated values
-        y = rng.integers(0, n_classes, n)
-        cfg = ForestConfig(
-            n_trees=int(rng.integers(1, 12)),
-            max_depth=[None, 1, 3][seed % 3],
-            min_leaf=int(rng.integers(1, 4)),
-            seed=seed,
-        )
-        model = forest_fit(x, y, cfg)
-        q = np.vstack([x, np.round(rng.normal(size=(40, d)), 1)])
+        model, x, rng = random_forest(seed)
+        q = np.vstack([x, np.round(rng.normal(size=(40, x.shape[1])), 1)])
         assert_matches_reference(model, q)
         assert_matches_reference(from_dict(ForestModel, to_dict(model)), q)
         assert model.table.depth == max(tree_depth(t) for t in model.trees)
@@ -411,6 +418,15 @@ class TestCompiledTable:
         assert np.array_equal(labels, [2, 0])
         assert_matches_reference(model, q)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_finite_features_go_right(self, seed):
+        model, x, rng = random_forest(seed, n_features=3)
+        q = x[:12].copy()
+        q[rng.random(q.shape) < 0.3] = np.nan
+        q[rng.random(q.shape) < 0.2] = np.inf
+        q[rng.random(q.shape) < 0.2] = -np.inf
+        assert_matches_reference(model, q)
+
     def test_zero_rows(self):
         model = hand_model(STUMP, {"counts": [1, 0, 0]})
         labels, votes = forest_predict(model, np.empty((0, 2)))
@@ -437,6 +453,62 @@ class TestCompiledTable:
         assert model == fresh
         assert to_dict(model) == before
         assert "_table" not in repr(model)
+        assert replace(model)._table is None   # a copy compiles its own
+
+
+class TestMultiForestTable:
+    """One table serving several forests gives each forest exactly what it
+    gives on its own, in both evaluation orders."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_forests_with_different_class_counts(self, seed):
+        models, xs, _ = zip(*(
+            random_forest(10 * seed + k, n_features=3, n_classes=c)
+            for k, c in enumerate((2, 5, 3, 7))
+        ))
+        table = compile_forests(models)
+        q = np.vstack(xs)
+        q[::7, 1] = np.nan
+        q[1::9, 2] = np.inf
+        q[2::9, 0] = -np.inf
+        assert table.depth == max(m.table.depth for m in models)
+        assert table.classes == ((0, 2), (2, 7), (7, 10), (10, 17))
+        for rows in [q, q[:1], q[5:6], q[:0]]:
+            for model, (labels, votes) in zip(models, forest_predict(table, rows)):
+                ref_labels, ref_votes = reference_predict(model, rows)
+                assert np.array_equal(labels, ref_labels)
+                assert np.array_equal(votes, ref_votes)
+
+    def test_root_leaf_forest_next_to_deep_forest(self):
+        deep = {"feature": 0, "threshold": 0.0,
+                "left": {"counts": [0, 1, 0]}, "right": STUMP}
+        leafy = hand_model({"counts": [0, 3]}, {"counts": [2, 0]}, n_classes=2)
+        models = (leafy, hand_model(deep, STUMP), hand_model(STUMP, n_classes=3))
+        q = np.array([[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [np.nan, np.nan]])
+        table = compile_forests(models)
+        assert table.depth == 2
+        for rows in [q] + [q[i : i + 1] for i in range(len(q))]:
+            for model, (labels, votes) in zip(models, forest_predict(table, rows)):
+                ref_labels, ref_votes = reference_predict(model, rows)
+                assert np.array_equal(labels, ref_labels)
+                assert np.array_equal(votes, ref_votes)
+
+    def test_zero_rows(self):
+        table = compile_forests(
+            (hand_model(STUMP), hand_model({"counts": [0, 0, 0, 1]}, n_classes=4))
+        )
+        (l1, v1), (l2, v2) = forest_predict(table, np.empty((0, 2)))
+        assert l1.shape == l2.shape == (0,)
+        assert v1.shape == (0, 3) and v2.shape == (0, 4)
+
+    def test_forests_must_share_features(self):
+        with pytest.raises(SchemaError, match="same features"):
+            compile_forests((hand_model(STUMP), hand_model(STUMP, n_features=3)))
+
+    def test_feature_count_checked_against_the_table(self):
+        table = compile_forests((hand_model(STUMP), hand_model(STUMP)))
+        with pytest.raises(ValidationError, match="expected 2 features, got 3"):
+            forest_predict(table, np.zeros((1, 3)))
 
 
 class TestMalformedTrees:
@@ -453,6 +525,9 @@ class TestMalformedTrees:
             ({k: v for k, v in STUMP.items() if k != "right"}, "KeyError"),
             ({**STUMP, "left": None}, "TypeError"),
             ({**STUMP, "threshold": "high"}, "ValueError"),
+            ({**STUMP, "threshold": float("nan")}, "split threshold nan is not finite"),
+            ({**STUMP, "threshold": float("inf")}, "split threshold inf is not finite"),
+            ({**STUMP, "threshold": -float("inf")}, "split threshold -inf"),
         ],
     )
     def test_rejected_at_predict(self, tree, match):

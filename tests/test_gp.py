@@ -1,6 +1,7 @@
 """Gaussian process regression: kernel identities, posterior checks against a
 dense-inverse reference, and the likelihood-driven grid search."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -223,6 +224,45 @@ class TestFitMechanics:
         edit(d)
         with pytest.raises(ValueError, match="disagree"):
             from_dict(GpModel, d)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: d["alpha"].__setitem__(0, math.nan), "GP alpha must be finite"),
+            (lambda d: d["alpha"].__setitem__(2, -math.inf), "GP alpha must be finite"),
+            (lambda d: d["train_inputs"][1].__setitem__(0, math.inf),
+             "GP train_inputs must be finite"),
+        ],
+    )
+    def test_from_dict_rejects_non_finite_values(self, rng, edit, match):
+        d = to_dict(gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5)))
+        edit(d)
+        with pytest.raises(ValidationError, match=match):
+            from_dict(GpModel, d)
+
+    def test_cached_norms_give_the_recomputed_mean(self, rng):
+        model = gp_fit(rng.normal(size=(40, 3)), rng.normal(size=40), GpHyper(1.3))
+        assert np.array_equal(
+            model._train_sq, np.sum(model.train_inputs * model.train_inputs, axis=1)
+        )
+        q = rng.normal(size=(7, 3))
+        for rows in (q, q[:1]):
+            ks = rbf_kernel(   # squared norms recomputed from the rows
+                model.scaler.transform(rows),
+                model.train_inputs,
+                model.hyper.length_scale,
+                model.hyper.signal_var,
+            )
+            mean, _ = gp_predict(model, rows, std=False)
+            assert np.array_equal(mean, ks @ model.alpha + model.hyper.mean_offset)
+
+    def test_cached_norms_stay_out_of_equality_dict_and_repr(self, rng):
+        model = gp_fit(rng.normal(size=(6, 2)), rng.normal(size=6))
+        other = dataclasses.replace(model)
+        object.__setattr__(other, "_train_sq", model._train_sq + 1.0)
+        assert model == other
+        assert "_train_sq" not in to_dict(model)
+        assert "_train_sq" not in repr(model)
 
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy is not a dependency: no path may import it, the std included

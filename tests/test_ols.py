@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from eskin import SingularDesignError, ValidationError
 from eskin.codec import from_dict, to_dict
-from eskin.learners import LinearModel, ols_fit, ols_predict
+from eskin.learners import LinearModel, Standardizer, ols_fit, ols_predict
 
 from .oracles import ols_normal_oracle
 
@@ -98,6 +98,31 @@ def test_fit_recovers_exact_plane():
     assert np.allclose(m.weights, [2.0, -1.0, 0.5], atol=1e-9)
     assert m.intercept == pytest.approx(4.0, abs=1e-9)
     assert np.allclose(ols_predict(m, x), y, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "weights, intercept",
+    [((1.0, np.nan), 0.0), ((np.inf,), 0.0), ((1.0,), -np.inf), ((1.0,), np.nan)],
+)
+def test_model_rejects_non_finite_coefficients(weights, intercept):
+    with pytest.raises(ValidationError, match="weights and intercept must be finite"):
+        LinearModel(weights=weights, intercept=intercept)
+
+
+@pytest.mark.parametrize(
+    "mean, scale, match",
+    [
+        ((0.0, np.nan), (1.0, 1.0), "mean must be finite"),
+        ((np.inf, 0.0), (1.0, 1.0), "mean must be finite"),
+        ((0.0, 0.0), (0.0, 0.0), "scale must be finite and > 0"),
+        ((0.0, 0.0), (1.0, -2.0), "scale must be finite and > 0"),
+        ((0.0, 0.0), (np.inf, 1.0), "scale must be finite and > 0"),
+        ((0.0, 0.0), (1.0, np.nan), "scale must be finite and > 0"),
+    ],
+)
+def test_standardizer_rejects_invalid_statistics(mean, scale, match):
+    with pytest.raises(ValidationError, match=match):
+        Standardizer(mean=mean, scale=scale)
 
 
 def test_model_dict_round_trip():

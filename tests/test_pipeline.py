@@ -38,6 +38,8 @@ from eskin.pipeline import (
     predict_two_batch,
 )
 
+from .oracles import reference_predict
+
 
 def _saved_force_models(path) -> list[dict]:
     pipeline = json.loads(path.read_text())["pipeline"]
@@ -183,6 +185,44 @@ class TestSinglePredictions:
         if est.contact_detected:
             assert est.node.x == int(out["x_term"][0])
             assert est.node.y == int(out["y_term"][0])
+
+
+class TestForestTable:
+    """The pipeline serves its forests from one table, batch and one row at
+    a time; both give each forest's node-by-node reference labels."""
+
+    def test_single(self, trained_single, small_single_ds):
+        p = trained_single
+        x = small_single_ds.features()[::25]
+        z = p.preprocessing.transform(x)
+        want_x = reference_predict(p.col_clf, z)[0] + 1
+        want_y = reference_predict(p.row_clf, z)[0] + 1
+        out = predict_single_batch(p, x)
+        assert np.array_equal(out["x_term"], want_x)
+        assert np.array_equal(out["y_term"], want_y)
+        for i in range(x.shape[0]):
+            one = predict_single_batch(p, x[i : i + 1])
+            assert (one["x_term"][0], one["y_term"][0]) == (want_x[i], want_y[i])
+            est = infer_single(p, CapacitanceFrame.from_vector(x[i]))
+            if est.contact_detected:
+                assert (est.node.x, est.node.y) == (want_x[i], want_y[i])
+
+    def test_two(self, trained_two, small_two_ds):
+        p = trained_two
+        x = small_two_ds.features()[::4]
+        z = p.preprocessing.transform(x)
+        axes = np.array(sorted(p.config.node_axes))
+        want = {
+            name: axes[reference_predict(clf, z)[0]]
+            for name, clf in (
+                ("x1", p.x1_clf), ("y1", p.y1_clf), ("x2", p.x2_clf), ("y2", p.y2_clf)
+            )
+        }
+        out = predict_two_batch(p, x)
+        for i in range(x.shape[0]):
+            one = predict_two_batch(p, x[i : i + 1])
+            for name in want:
+                assert out[name][i] == one[name][0] == want[name][i]
 
 
 class TestTwoPredictions:

@@ -1,6 +1,9 @@
 """Kernel SVM: pinned separable fixtures, dual feasibility, KKT convergence,
 and solver determinism."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,51 @@ class TestDeterminismAndSerialisation:
         assert np.allclose(
             svm_decision_function(model, q), svm_decision_function(back, q), atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: d.update(bias=math.inf), "SVM bias must be finite"),
+            (lambda d: d.update(bias=math.nan), "SVM bias must be finite"),
+            (lambda d: d["dual_coefs"].__setitem__(0, math.nan),
+             "SVM dual_coefs must be finite"),
+            (lambda d: d["support_inputs"][0].__setitem__(1, -math.inf),
+             "SVM support_inputs must be finite"),
+            (lambda d: d.update(kernel_gamma=-1.0), "kernel_gamma must be finite and > 0"),
+            (lambda d: d.update(kernel_gamma=0), "kernel_gamma must be finite and > 0"),
+            (lambda d: d.update(kernel_gamma=math.inf), "kernel_gamma must be finite"),
+            (lambda d: d.update(kernel_gamma=math.nan), "kernel_gamma must be finite"),
+        ],
+    )
+    def test_from_dict_rejects_invalid_values(self, edit, match):
+        x, y = blob_problem(9)
+        d = to_dict(svm_fit(x, y))
+        edit(d)
+        with pytest.raises(ValidationError, match=match):
+            from_dict(SvmModel, d)
+
+    def test_cached_norms_give_the_recomputed_decision(self):
+        x, y = blob_problem(5)
+        model = svm_fit(x, y)
+        sv = model.support_inputs
+        q = np.random.default_rng(5).normal(size=(6, 2))
+        for rows in (q, q[:1]):
+            sq = (
+                np.sum(rows * rows, axis=1)[:, None]
+                + np.sum(sv * sv, axis=1)[None, :]
+                - 2.0 * (rows @ sv.T)
+            )
+            np.maximum(sq, 0.0, out=sq)
+            expected = np.exp(-model.kernel_gamma * sq) @ model.dual_coefs + model.bias
+            assert np.array_equal(svm_decision_function(model, rows), expected)
+
+    def test_cached_norms_stay_out_of_equality_dict_and_repr(self):
+        model = svm_fit(*blob_problem(3))
+        other = replace(model)
+        object.__setattr__(other, "_support_sq", model._support_sq + 1.0)
+        assert model == other
+        assert "_support_sq" not in to_dict(model)
+        assert "_support_sq" not in repr(model)
 
     @pytest.mark.parametrize(
         "edit",
