@@ -28,6 +28,7 @@ from .errors import (
     DegenerateLabelsError,
     EskinError,
     FactorizationError,
+    NonFiniteError,
     ParseError,
     ProtocolError,
     SchemaError,

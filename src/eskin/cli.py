@@ -29,6 +29,7 @@ from .errors import (
     CoverageError,
     EskinError,
     FactorizationError,
+    NonFiniteError,
     SingularDesignError,
     UndefinedMetricError,
 )
@@ -250,7 +251,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularDesignError, FactorizationError, ConvergenceError, UndefinedMetricError) as exc:
+    except (
+        SingularDesignError, FactorizationError, ConvergenceError,
+        UndefinedMetricError, NonFiniteError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except EskinError as exc:

@@ -3,25 +3,42 @@ run configs and dataset metadata.
 
 A record is a frozen dataclass and its field annotations are the format:
 nested records, ``tuple[X, ...]`` and fixed tuples, ``X | None``,
-``dict[str, X]``, ``np.ndarray`` (float) and JSON scalars. A field declared
-``compare=False`` is derived state and is neither written nor read. A bare
-``dict`` (a forest's nested trees) passes through untouched either way.
+``dict[str, X]``, arrays and JSON scalars. A field declared
+``compare=False`` is derived state and is neither written nor read.
+
+An array field is annotated ``BoolArray``, ``IntArray`` or ``FloatArray``
+and is written as ``{"data", "dtype", "shape"}``: ``data`` is the base64 of
+the array's little-endian bytes, in C order, and ``dtype`` is the name of
+one of those three types. So a load decodes bytes instead of parsing one
+JSON number per element, and every float keeps its exact bits.
 
 Decoding is strict. A missing key raises KeyError; an unknown key, or a
-scalar that is not already its annotated JSON type, raises TypeError; a
-ragged array raises ValueError. Each message names the dotted field path.
+scalar that is not already its annotated JSON type, raises TypeError. An
+array payload raises TypeError for a dtype other than the field's, and
+ValueError for invalid base64 or a byte count that is not the shape's
+element count times the item size. Each message names the dotted field path.
 An int is accepted for a float field and kept as given, so a record
 re-encodes to the bytes it was read from.
+
+:func:`dumps` and :func:`loads` are the JSON text layer every artifact goes
+through: JSON has no NaN or Infinity, so neither writes nor reads them.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import functools
+import json
+import math
 import types
 import typing
+from typing import Annotated
 
 import numpy as np
+
+from .errors import NonFiniteError
 
 _UNIONS = (typing.Union, types.UnionType)
 # scalar annotation -> (JSON types it accepts, how an error names them)
@@ -32,11 +49,50 @@ _SCALARS = {
     str: ((str,), "a string"),
 }
 
+# the closed list of array element types, by the name a payload gives
+_DTYPES = {
+    "bool": np.dtype("?"),
+    "int32": np.dtype("<i4"),
+    "float64": np.dtype("<f8"),
+}
+BoolArray = Annotated[np.ndarray, "bool"]
+IntArray = Annotated[np.ndarray, "int32"]
+FloatArray = Annotated[np.ndarray, "float64"]
+
+
+@dataclasses.dataclass(frozen=True)
+class _ArrayPayload:
+    """How an array field is written: its bytes and how to read them."""
+
+    dtype: str
+    shape: tuple[int, ...]
+    data: str
+
+
+def dumps(obj, **kwargs) -> str:
+    """``json.dumps`` that refuses NaN and +-Infinity, which JSON cannot
+    carry, with NonFiniteError: a value to be written is not a number."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NonFiniteError(f"cannot write a NaN or infinite value: {exc}") from None
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def loads(text: str):
+    """``json.loads`` that refuses the ``NaN``, ``Infinity`` and
+    ``-Infinity`` literals Python's json module would accept; like a syntax
+    error (a JSONDecodeError), that raises ValueError."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
 
 @functools.cache
 def _fields(cls: type) -> tuple[tuple[str, object], ...]:
     """(name, resolved annotation) of every serialised field of a record."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return tuple(
         (f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.compare
     )
@@ -55,9 +111,14 @@ def _encode(tp, value):
         return None
     if dataclasses.is_dataclass(tp):
         return to_dict(value)
-    if tp is np.ndarray:
-        return value.tolist()
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Annotated:
+        # same_kind: a float array is never written as ints
+        dtype = _DTYPES[args[1]]
+        arr = np.asarray(value).astype(dtype, casting="same_kind", copy=False)
+        return to_dict(_ArrayPayload(
+            args[1], arr.shape, base64.b64encode(arr.tobytes()).decode("ascii")
+        ))
     if origin in _UNIONS:
         return _encode(_optional(tp), value)
     if origin is tuple:
@@ -117,8 +178,8 @@ def _decode(tp, value, path: str):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in _UNIONS:
         return None if value is None else _decode(_optional(tp), value, path)
-    if tp is np.ndarray:
-        return _array(value, path)
+    if origin is Annotated:
+        return _array(args[1], _record(_ArrayPayload, value, path), path)
     if origin is tuple:
         _expect(isinstance(value, (list, tuple)), path, "a list", value)
         items = _items(args, len(value))
@@ -130,9 +191,6 @@ def _decode(tp, value, path: str):
     if origin is dict:
         _expect(isinstance(value, dict), path, "an object", value)
         return {k: _decode(args[1], v, _at(path, k)) for k, v in value.items()}
-    if tp is dict:
-        _expect(isinstance(value, dict), path, "an object", value)
-        return value
     if tp not in _SCALARS:
         raise TypeError(f"{path}: unsupported annotation {tp}")
     accepted, what = _SCALARS[tp]
@@ -142,13 +200,29 @@ def _decode(tp, value, path: str):
     return value
 
 
-def _array(value, path: str) -> np.ndarray:
-    _expect(isinstance(value, list), path, "a list", value)
+def _array(dtype: str, payload: _ArrayPayload, path: str) -> np.ndarray:
+    """The read-only array an array payload holds, checked against the
+    field's dtype and the payload's own shape."""
+    if payload.dtype not in _DTYPES:
+        raise TypeError(
+            f"{path}.dtype: {payload.dtype!r} is not one of {', '.join(_DTYPES)}"
+        )
+    if payload.dtype != dtype:
+        raise TypeError(f"{path}.dtype: expected {dtype}, got {payload.dtype}")
+    if any(n < 0 for n in payload.shape):
+        raise ValueError(f"{path}.shape: negative size in {list(payload.shape)}")
     try:
-        arr = np.asarray(value)
-    except ValueError:
-        raise ValueError(f"{path}: ragged array") from None
-    # bools, strings, nulls and nested objects all land outside int/float
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"{path}: expected an array of numbers, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+        raw = base64.b64decode(payload.data, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{path}.data: invalid base64: {exc}") from None
+    np_dtype = _DTYPES[dtype]
+    expected = math.prod(payload.shape) * np_dtype.itemsize
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}.data: {len(raw)} bytes, expected {expected} for shape "
+            f"{list(payload.shape)} of {dtype}"
+        )
+    # numpy reads any nonzero byte as True, but & and sums would see its bits
+    if np_dtype.kind == "b" and raw.translate(None, b"\0\1"):
+        raise ValueError(f"{path}.data: a bool byte is neither 0 nor 1")
+    return np.frombuffer(raw, dtype=np_dtype).reshape(payload.shape)

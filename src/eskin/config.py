@@ -8,12 +8,11 @@ keys are rejected rather than ignored.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .codec import from_dict, to_dict
+from .codec import from_dict, loads, to_dict
 from .errors import ConfigError, EskinError
 from .pipeline import PipelineConfig
 from .sim import SingleForceProtocol, SkinModel, TwoForceProtocol
@@ -60,8 +59,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     try:
-        overrides = json.loads(text)
-    except json.JSONDecodeError as exc:
+        overrides = loads(text)
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

@@ -9,7 +9,6 @@ Everything here is an immutable value object.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import tempfile
@@ -19,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .codec import from_dict, to_dict
+from .codec import dumps, from_dict, loads, to_dict
 from .errors import ParseError, SchemaError, ValidationError
 
 #: Stretch ratios of the acquisition protocol (rest length 101 mm, 8 mm steps).
@@ -314,8 +313,7 @@ def write_dataset(ds: Dataset, dest: IO[str]) -> None:
 
 
 def write_dataset_meta(meta: DatasetMeta, dest: IO[str]) -> None:
-    json.dump(to_dict(meta), dest, indent=2, sort_keys=True)
-    dest.write("\n")
+    dest.write(dumps(to_dict(meta), indent=2, sort_keys=True) + "\n")
 
 
 def _read_table(source: IO[str], headers: tuple[list[str], ...], build):
@@ -381,8 +379,8 @@ def write_frames(x: np.ndarray, dest: IO[str]) -> None:
 
 def read_dataset_meta(source: IO[str]) -> DatasetMeta:
     try:
-        payload = json.load(source)
-    except json.JSONDecodeError as e:
+        payload = loads(source.read())
+    except ValueError as e:
         raise ParseError(f"invalid metadata JSON: {e}") from None
     try:
         return from_dict(DatasetMeta, payload)
@@ -442,5 +440,5 @@ def load_dataset(csv_path: str | Path) -> Dataset:
 
 def config_digest(payload: dict) -> str:
     """Stable hex digest of a JSON-serialisable generator configuration."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canon = dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

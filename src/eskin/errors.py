@@ -51,6 +51,10 @@ class FactorizationError(EskinError):
     """A matrix factorisation failed (not positive definite)."""
 
 
+class NonFiniteError(EskinError):
+    """A value to be written to a JSON artifact is NaN or infinite."""
+
+
 class ConvergenceError(EskinError):
     """An iterative solver reached its iteration cap before converging."""
 

@@ -15,13 +15,12 @@ detection); detection accuracy covers every test sample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .codec import from_dict, to_dict
+from .codec import dumps, from_dict, loads, to_dict
 from .core import SCHEMA_SINGLE, SCHEMA_TWO, Dataset, atomic_write_text
 from .errors import (
     ConfigError,
@@ -160,7 +159,7 @@ class MetricsReport:
     notes: tuple[str, ...]
 
     def to_json(self) -> str:
-        return json.dumps(to_dict(self), sort_keys=True, indent=1) + "\n"
+        return dumps(to_dict(self), sort_keys=True, indent=1) + "\n"
 
     def headline(self) -> str:
         keys = (
@@ -371,8 +370,8 @@ def write_report_files(
 
 def load_report(path: str | Path) -> MetricsReport:
     try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        d = loads(Path(path).read_text())
+    except ValueError as exc:
         raise SchemaError(f"report is not valid JSON: {exc}")
     try:
         return from_dict(MetricsReport, d)

@@ -1,10 +1,8 @@
 """Random-forest classifier built on from-scratch Gini CART trees.
 
-Trees are fitted and persisted as plain nested dicts (JSON-friendly for the
-model bundle): internal nodes {"feature", "threshold", "left", "right"},
-leaves {"counts": per-class sample counts}. Each tree trains on a seeded
-bootstrap resample and each split scans a seeded subset of ceil(sqrt(d))
-features, so a fit is a pure function of (data, config).
+Each tree trains on a seeded bootstrap resample and each split scans a
+seeded subset of ceil(sqrt(d)) features, so a fit is a pure function of
+(data, config).
 
 Fit uses the CART presort layout (Breiman et al. 1984; Louppe 2014, ch. 5):
 a tree argsorts its sample once per feature, and each split partitions
@@ -15,19 +13,29 @@ BLAS call, so they fit in a pool of forked processes, one per usable CPU
 (at most _MAX_WORKERS), and are merged in tree order: the trees are the same
 for any worker count.
 
-Predict serves from a different form: on first use the trees of one or
-more forests are compiled into one flat node table (parallel feature,
-threshold, child and leaf-class arrays, the sklearn ``Tree`` layout; Louppe
-2014, ch. 5), checking each node as it goes. Each forest's nodes, roots and
-classes follow the previous forest's, so a pipeline serves all its forests,
-which read the same features, from one table; a lone forest is the table of
-one. The evaluation order follows the row count. One row tests every node
-once and builds each node's successor from the outcomes, then follows the
-successors from all roots at once (the QuickScorer idea of scoring a
-document node test by node test rather than tree by tree; Lucchese et al.,
-SIGIR 2015). More rows descend all trees of a forest at once, one level per
-step. The leaf classes of every forest are counted in a single bincount. The
-table is derived from the trees, so it is neither compared nor serialised.
+A fitted forest is flat node arrays, all its trees together in queue order:
+one queue starts with every tree's root, and each split node appends its
+left and right child. So the children of the s-th split are nodes
+n_trees + 2s and n_trees + 2s + 1, and the arrays need no child pointers: a
+split mask over the nodes, each split's feature and threshold, and each
+leaf's class counts. That is also the bundle's layout, and the model checks
+it on construction. ``ForestModel.trees`` rebuilds the nested-dict view
+({"feature", "threshold", "left", "right"} and {"counts"}) on demand; fit,
+load and predict never build it.
+
+Predict serves from a node table (parallel feature, threshold, child and
+leaf-class arrays, the sklearn ``Tree`` layout; Louppe 2014, ch. 5) made
+from the node arrays by offset arithmetic on first use. Each forest's
+nodes, roots and classes follow the previous forest's, so a pipeline
+serves all its forests, which read the same features, from one table; a
+lone forest is the table of one. The evaluation order follows the row
+count. One row tests every node once and builds each node's successor from
+the outcomes, then follows the successors from all roots at once (the
+QuickScorer idea of scoring a document node test by node test rather than
+tree by tree; Lucchese et al., SIGIR 2015). More rows descend all trees of
+a forest at once, one level per step. The leaf classes of every forest are
+counted in a single bincount. The table is derived, so it is neither
+compared nor serialised.
 """
 
 from __future__ import annotations
@@ -40,10 +48,10 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
+from ..codec import BoolArray, FloatArray, IntArray
 from ..errors import SchemaError, ValidationError
 
 _MAX_WORKERS = 4   # tree-fit processes; more buys little at desk scale
@@ -99,22 +107,95 @@ class ForestTable:
 
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple[dict, ...]
+    """A fitted forest as node arrays in queue order (see the module
+    docstring); config.n_trees is the tree count. Construction checks that
+    the arrays describe n_trees whole trees, and raises ValidationError if
+    not."""
+
+    is_split: BoolArray       # (n_nodes,): True at a split, False at a leaf
+    feature: IntArray         # (n_splits,): each split's feature
+    threshold: FloatArray     # (n_splits,): go left when x[feature] <= threshold
+    leaf_counts: IntArray     # (n_leaves, n_classes): training rows per class
     n_classes: int
     n_features: int
     config: ForestConfig
-    # compiled from trees on first predict, so neither compared nor serialised
+    # made from the node arrays on first predict, so neither compared nor serialised
     _table: ForestTable | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
+    def __post_init__(self):
+        n_trees, split = self.config.n_trees, self.is_split
+        if self.n_classes < 1 or self.n_features < 1:
+            raise ValidationError("forest needs n_classes >= 1 and n_features >= 1")
+        n_splits = int(np.count_nonzero(split))
+        if split.shape != (n_trees + 2 * n_splits,):
+            raise ValidationError(
+                f"forest split mask has shape {split.shape}: {n_trees} trees "
+                f"with {n_splits} splits need {n_trees + 2 * n_splits} nodes"
+            )
+        if self.feature.shape != (n_splits,) or self.threshold.shape != (n_splits,):
+            raise ValidationError(
+                f"forest has {n_splits} splits but features {self.feature.shape} "
+                f"and thresholds {self.threshold.shape}"
+            )
+        if self.leaf_counts.shape != (n_trees + n_splits, self.n_classes):
+            raise ValidationError(
+                f"forest leaf counts are {self.leaf_counts.shape}, expected "
+                f"({n_trees + n_splits}, {self.n_classes}): one row per leaf, "
+                "one count per class"
+            )
+        # node i is a root or a child of an earlier split: queued before it is reached
+        queued = n_trees + 2 * (np.cumsum(split) - split)
+        if np.any(np.arange(split.shape[0]) >= queued):
+            raise ValidationError("forest nodes are not in queue order")
+        bad = (self.feature < 0) | (self.feature >= self.n_features)
+        if bad.any():
+            raise ValidationError(
+                f"split feature {self.feature[bad][0]} is not in "
+                f"0..{self.n_features - 1}"
+            )
+        finite = np.isfinite(self.threshold)
+        if not finite.all():
+            raise ValidationError(
+                f"split threshold {self.threshold[~finite][0]} is not finite"
+            )
+        if np.any(self.leaf_counts < 0):
+            raise ValidationError("forest leaf counts must be >= 0")
+
+    def __eq__(self, other):
+        if not isinstance(other, ForestModel):
+            return NotImplemented
+        return (self.n_classes, self.n_features, self.config) == (
+            other.n_classes, other.n_features, other.config
+        ) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("is_split", "feature", "threshold", "leaf_counts")
+        )
+
     @property
     def table(self) -> ForestTable:
-        """The trees as one flat node table; raises SchemaError on a
-        malformed tree."""
+        """The forest as a node table of one, made on first use."""
         if self._table is None:
             object.__setattr__(self, "_table", compile_forests((self,)))
         return self._table
+
+    @property
+    def trees(self) -> tuple[dict, ...]:
+        """The trees as nested dicts, built anew on each call: splits
+        {"feature", "threshold", "left", "right"}, leaves {"counts"}."""
+        splits = zip(self.feature.tolist(), self.threshold.tolist())
+        counts = iter(self.leaf_counts.tolist())
+        nodes = [
+            dict(zip(("feature", "threshold"), next(splits))) if is_split
+            else {"counts": next(counts)}
+            for is_split in self.is_split.tolist()
+        ]
+        n_trees = self.config.n_trees
+        for s, i in enumerate(np.flatnonzero(self.is_split)):
+            child = n_trees + 2 * s
+            nodes[i]["left"], nodes[i]["right"] = nodes[child], nodes[child + 1]
+        return tuple(nodes[:n_trees])
 
 
 def _check_labels(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +267,19 @@ def _best_split(
     return int(feats[j]), t if t < b else a, order[j, : i + 1]
 
 
+class _Tree:
+    """One tree's nodes in depth-first order, left before right, as _grow
+    appends them: every node's depth and kind, each split's feature and
+    threshold, each leaf's class counts."""
+
+    def __init__(self):
+        self.depth: list[int] = []
+        self.is_split: list[bool] = []
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.counts: list[np.ndarray] = []
+
+
 def _grow(
     xt: np.ndarray,
     yt: np.ndarray,
@@ -196,41 +290,45 @@ def _grow(
     max_depth: int | None,
     min_leaf: int,
     n_feats: int,
-) -> dict:
+    tree: _Tree,
+) -> None:
     d, n = srt.shape
     counts = np.bincount(yt[srt[0]], minlength=n_classes)
-    if (
+    tree.depth.append(depth)
+    split = None
+    if not (
         counts.max() == n
         or (max_depth is not None and depth >= max_depth)
         or n < 2 * min_leaf
     ):
-        return {"counts": counts.tolist()}
-    if n_feats < d:
-        feats = np.sort(rng.choice(d, size=n_feats, replace=False))
-    else:
-        feats = np.arange(d)
-    split = _best_split(xt, yt, srt, counts, feats, min_leaf)
+        if n_feats < d:
+            feats = np.sort(rng.choice(d, size=n_feats, replace=False))
+        else:
+            feats = np.arange(d)
+        split = _best_split(xt, yt, srt, counts, feats, min_leaf)
+    tree.is_split.append(split is not None)
     if split is None:
-        return {"counts": counts.tolist()}
+        tree.counts.append(counts)
+        return
     f, t, left = split
+    tree.feature.append(f)
+    tree.threshold.append(t)
     # one gather splits every feature's sorted row and keeps its order
     goes_left = np.zeros(yt.shape[0], dtype=bool)
     goes_left[left] = True
     mask = goes_left[srt]
-    grow = (depth + 1, rng, n_classes, max_depth, min_leaf, n_feats)
-    return {
-        "feature": f,
-        "threshold": t,
-        "left": _grow(xt, yt, srt[mask].reshape(d, left.shape[0]), *grow),
-        "right": _grow(xt, yt, srt[~mask].reshape(d, n - left.shape[0]), *grow),
-    }
+    grow = (depth + 1, rng, n_classes, max_depth, min_leaf, n_feats, tree)
+    _grow(xt, yt, srt[mask].reshape(d, left.shape[0]), *grow)
+    _grow(xt, yt, srt[~mask].reshape(d, n - left.shape[0]), *grow)
 
 
 def _fit_tree(
     x: np.ndarray, y: np.ndarray, n_classes: int, n_feats: int, config: ForestConfig, t: int
-) -> dict:
-    """Tree t: a bootstrap draw, then one feature subset per split node
-    (depth first, left before right), all from ``SeedSequence([seed, t])``.
+) -> tuple[np.ndarray, ...]:
+    """Tree t's (depth, is_split, feature, threshold, leaf counts) arrays,
+    nodes depth first. The tree takes a bootstrap draw, then one feature
+    subset per split node (depth first, left before right), all from
+    ``SeedSequence([seed, t])``.
 
     The sample is sorted once per feature; at a valid cut the left rows are
     all rows with x <= the cut value, so neither thresholds nor scores depend
@@ -244,7 +342,17 @@ def _fit_tree(
         x, y = x[idx], y[idx]
     xt = np.ascontiguousarray(x.T)
     srt = np.argsort(xt, axis=1)
-    return _grow(xt, y, srt, 0, rng, n_classes, config.max_depth, config.min_leaf, n_feats)
+    tree = _Tree()
+    _grow(
+        xt, y, srt, 0, rng, n_classes, config.max_depth, config.min_leaf, n_feats, tree
+    )
+    return (
+        np.array(tree.depth),
+        np.array(tree.is_split),
+        np.array(tree.feature, dtype=np.int32),
+        np.array(tree.threshold, dtype=float),
+        np.array(tree.counts, dtype=np.int32),
+    )
 
 
 def _pool_workers(n_trees: int) -> int:
@@ -284,78 +392,35 @@ def forest_fit(
                 fit_tree, range(config.n_trees),
                 chunksize=math.ceil(config.n_trees / (4 * workers)),
             ))
-    return ForestModel(trees=tuple(trees), n_classes=n_classes, n_features=d, config=config)
-
-
-def _flatten(model: ForestModel) -> tuple[np.ndarray, list, list, np.ndarray]:
-    """(split mask, split features, split thresholds, leaf classes) of one
-    forest, nodes in queue order, checking that every node has its keys,
-    every split a feature in range and a finite threshold, and every leaf one
-    count per class.
-
-    One queue walks all trees breadth first, roots first, and each split
-    queues its two children at the end. So the children of the s-th split
-    are nodes n_trees + 2s and n_trees + 2s + 1, and the child columns and
-    the depth follow from the split mask alone.
-    """
-    if not model.trees:
-        raise SchemaError("forest has no trees")
-    nodes = list(model.trees)
-    is_split: list[bool] = []
-    feature: list = []
-    threshold: list[float] = []
-    counts: list = []
-    try:
-        for node in nodes:   # the loop visits what it appends
-            if "counts" in node:
-                is_split.append(False)
-                counts.append(node["counts"])
-            else:
-                is_split.append(True)
-                feature.append(node["feature"])
-                threshold.append(float(node["threshold"]))
-                nodes.append(node["left"])
-                nodes.append(node["right"])
-        for c in counts:
-            if len(c) != model.n_classes:
-                raise SchemaError(
-                    f"leaf has {len(c)} counts, expected {model.n_classes}"
-                )
-        leaf_counts = np.fromiter(
-            chain.from_iterable(counts), dtype=float, count=len(counts) * model.n_classes
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed forest node: {type(exc).__name__}: {exc}")
-    bad_features = [f for f in feature
-                    if type(f) is not int or not 0 <= f < model.n_features]
-    if bad_features:
-        raise SchemaError(
-            f"split feature {bad_features[0]!r} is not an integer in "
-            f"0..{model.n_features - 1}"
-        )
-    bad_thresholds = [t for t in threshold if not math.isfinite(t)]
-    if bad_thresholds:
-        raise SchemaError(f"split threshold {bad_thresholds[0]!r} is not finite")
-    leaf_class = np.argmax(leaf_counts.reshape(-1, model.n_classes), axis=1)
-    return np.array(is_split), feature, threshold, leaf_class
+    depth, is_split, feature, threshold, leaf_counts = (
+        np.concatenate(part) for part in zip(*trees)
+    )
+    # queue order is level by level, each level tree by tree and left to
+    # right: a stable sort by depth of the trees' depth-first orders
+    split_order = np.argsort(depth[is_split], kind="stable")
+    return ForestModel(
+        is_split=is_split[np.argsort(depth, kind="stable")],
+        feature=feature[split_order],
+        threshold=threshold[split_order],
+        leaf_counts=leaf_counts[np.argsort(depth[~is_split], kind="stable")],
+        n_classes=n_classes,
+        n_features=d,
+        config=config,
+    )
 
 
 def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
     """One node table for ``models``, which must share their features:
     each forest's nodes, tree roots and classes follow the previous
-    forest's. Raises SchemaError on a malformed tree."""
+    forest's. Raises SchemaError if the features differ."""
     if len({m.n_features for m in models}) != 1:
         raise SchemaError("forests of one table must read the same features")
-    split_parts, left_parts, leaf_parts, root_parts, classes = [], [], [], [], []
-    feature: list = []
-    threshold: list[float] = []
+    left_parts, leaf_parts, root_parts, classes = [], [], [], []
     depths: list[int] = []
     node_base = class_base = 0
     for model in models:
-        split, f, t, leaf = _flatten(model)
-        feature += f
-        threshold += t
-        n_trees, n = len(model.trees), split.shape[0]
+        split = model.is_split
+        n_trees, n = model.config.n_trees, split.shape[0]
         # splits_before[i]: number of splits queued before node i
         splits_before = np.concatenate([[0], np.cumsum(split)])
         depth, lo, hi = 0, 0, n_trees   # [lo, hi): the nodes of one level
@@ -364,8 +429,7 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
             depth += 1
         depths.append(depth)
         leaf_class = np.zeros(n, dtype=np.intp)
-        leaf_class[~split] = class_base + leaf
-        split_parts.append(split)
+        leaf_class[~split] = class_base + np.argmax(model.leaf_counts, axis=1)
         left_parts.append(node_base + np.where(
             split, n_trees + 2 * splits_before[:-1], np.arange(n)
         ))
@@ -375,12 +439,12 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
         node_base += n
         class_base += model.n_classes
 
-    split = np.concatenate(split_parts)
+    split = np.concatenate([m.is_split for m in models])
     left = np.concatenate(left_parts)
     table_feature = np.zeros(node_base, dtype=np.intp)
-    table_feature[split] = feature
+    table_feature[split] = np.concatenate([m.feature for m in models])
     table_threshold = np.zeros(node_base)
-    table_threshold[split] = threshold
+    table_threshold[split] = np.concatenate([m.threshold for m in models])
     return ForestTable(
         feature=table_feature,
         threshold=table_threshold,
@@ -391,7 +455,7 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
         roots=np.concatenate(root_parts),
         n_features=models[0].n_features,
         classes=tuple(classes),
-        n_trees=tuple(len(m.trees) for m in models),
+        n_trees=tuple(m.config.n_trees for m in models),
         depths=tuple(depths),
     )
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..codec import FloatArray
 from ..errors import FactorizationError, ValidationError
 from .linear import _check_xy
 from .preprocess import Standardizer
@@ -42,6 +43,8 @@ class GpHyper:
                 raise ValidationError(f"{name} must be finite and > 0")
         if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
             raise ValidationError("noise_var must be finite and >= 0")
+        if not math.isfinite(self.mean_offset):
+            raise ValidationError("mean_offset must be finite")
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
@@ -99,8 +102,8 @@ def _factor(train_inputs: np.ndarray, hyper: GpHyper) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GpModel:
-    train_inputs: np.ndarray     # standardized when scaler is set
-    alpha: np.ndarray
+    train_inputs: FloatArray     # standardized when scaler is set
+    alpha: FloatArray
     hyper: GpHyper
     scaler: Standardizer | None
     rows_offered: int            # rows given to gp_fit before the cap subsample

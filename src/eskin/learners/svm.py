@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..codec import FloatArray
 from ..errors import ConvergenceError, DegenerateLabelsError, ValidationError
 from .gp import sq_distances
 from .linear import _check_xy
@@ -46,8 +47,8 @@ class SvmConfig:
 
 @dataclass(frozen=True)
 class SvmModel:
-    support_inputs: np.ndarray
-    dual_coefs: np.ndarray        # alpha_i * y_i per support vector
+    support_inputs: FloatArray
+    dual_coefs: FloatArray        # alpha_i * y_i per support vector
     bias: float
     kernel_gamma: float
     class_weights: tuple[float, float]
@@ -63,7 +64,7 @@ class SvmModel:
                 f"SVM support_inputs {shape} and dual_coefs {coefs} disagree: "
                 "need (n, d) and (n,)"
             )
-        for name in ("support_inputs", "dual_coefs", "bias"):
+        for name in ("support_inputs", "dual_coefs", "bias", "kkt_gap"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"SVM {name} must be finite")
         if not (math.isfinite(self.kernel_gamma) and self.kernel_gamma > 0):

@@ -10,13 +10,12 @@ reports node 0 and force 0 without running the classifiers or the GP.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .codec import from_dict, to_dict
+from .codec import dumps, from_dict, loads, to_dict
 from .core import (
     SCHEMA_SINGLE,
     SCHEMA_TWO,
@@ -52,7 +51,8 @@ from .learners import (
 # 2: force models no longer store their Cholesky factor
 # 3: the SVM config no longer stores seed or max_passes
 # 4: compact JSON; SVM iterations and KKT gap, GP rows offered
-BUNDLE_SCHEMA_VERSION = 4
+# 5: arrays as base64 bytes; forests as node arrays in queue order
+BUNDLE_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -333,17 +333,18 @@ def _bundle_dict(p: TrainedPipeline | TrainedTwoPipeline) -> dict:
 
 
 def save_pipeline(p: TrainedPipeline | TrainedTwoPipeline, path: str | Path) -> None:
-    """Canonical JSON on one line (sorted keys, no whitespace, full float
-    precision), written atomically, so equal pipelines always serialise
-    byte-identically. Without ``indent`` CPython encodes in C."""
-    text = json.dumps(_bundle_dict(p), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON on one line (sorted keys, no whitespace, arrays as
+    the base64 of their bytes), written atomically, so equal pipelines
+    always serialise byte-identically. Without ``indent`` CPython encodes in
+    C. A NaN or infinite scalar raises NonFiniteError."""
+    text = dumps(_bundle_dict(p), sort_keys=True, separators=(",", ":"))
     atomic_write_text(path, text + "\n")
 
 
 def load_pipeline(path: str | Path) -> TrainedPipeline | TrainedTwoPipeline:
     try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        d = loads(Path(path).read_text())
+    except ValueError as exc:
         raise SchemaError(f"model bundle is not valid JSON: {exc}")
     if not isinstance(d, dict):
         raise SchemaError("model bundle must be a JSON object")

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from eskin.learners import ForestConfig, ForestModel
+
 
 def frame_oracle(model, stretch, contacts, seed):
     """One frame of the skin forward model, built row by row: the (20,)
@@ -219,3 +221,29 @@ def reference_predict(model, x):
         for r, row in enumerate(x):
             votes[r, leaf(tree, row)] += 1
     return np.argmax(votes, axis=1), votes / len(model.trees)
+
+
+def forest_of(trees, n_classes, n_features):
+    """A ForestModel of nested-dict trees, flattened the obvious way: one
+    queue walks all trees breadth first, roots first, and each split
+    queues its left and right child at the end."""
+    nodes = list(trees)
+    is_split, feature, threshold, counts = [], [], [], []
+    for node in nodes:   # the loop visits what it appends
+        if "counts" in node:
+            is_split.append(False)
+            counts.append(node["counts"])
+        else:
+            is_split.append(True)
+            feature.append(node["feature"])
+            threshold.append(node["threshold"])
+            nodes += [node["left"], node["right"]]
+    return ForestModel(
+        is_split=np.array(is_split, dtype=bool),
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=float),
+        leaf_counts=np.array(counts, dtype=np.int32).reshape(len(counts), n_classes),
+        n_classes=n_classes,
+        n_features=n_features,
+        config=ForestConfig(n_trees=len(trees)),
+    )

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from eskin import load_dataset, write_frames
+from eskin import evalkit, load_dataset, write_frames
 from eskin.cli import main
 from eskin.config import ENV_CONFIG
 from eskin.learners import svm
@@ -25,6 +25,10 @@ from .entry_point import (
     eskin_env,
     parse_scripts_table,
 )
+from .payloads import edit_array
+
+MALFORMED = "error: malformed single model bundle: "
+NOT_JSON = "error: model bundle is not valid JSON: "
 
 
 def run_cli(*argv):
@@ -148,11 +152,14 @@ class TestGenerate:
         "mode, override, message",
         [
             ("single", {"single_protocol": {"forces": [0, -1]}}, "force level -1 must"),
-            ("single", {"single_protocol": {"forces": [0, math.nan]}}, "force level nan"),
             ("single", {"single_protocol": {"stretches": [0.9]}}, "stretch level 0.9"),
-            ("two", {"two_protocol": {"forces": [0, math.inf]}}, "force level inf"),
-            ("single", {"model": {"noise_sigma": math.nan}}, "noise_sigma must be"),
-            ("single", {"model": {"force_scale": math.nan}}, "force_scale must be"),
+            # JSON has no NaN or Infinity, so the reader refuses them first
+            ("single", {"single_protocol": {"forces": [0, math.nan]}},
+             "is not valid JSON: NaN is not a JSON number"),
+            ("two", {"two_protocol": {"forces": [0, math.inf]}},
+             "is not valid JSON: Infinity is not a JSON number"),
+            ("single", {"model": {"noise_sigma": -math.inf}},
+             "is not valid JSON: -Infinity is not a JSON number"),
         ],
     )
     def test_bad_level_or_model_is_usage_error(self, tmp_path, mode, override, message):
@@ -192,7 +199,7 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 4
+        assert d["bundle_schema"] == 5
         assert d["mode"] == "single"
         # every contact row fits under the default gp_cap, so no note
         assert cli_env["train_single_stderr"] == ""
@@ -236,7 +243,7 @@ class TestTrain:
             "train", str(cli_env["single_csv"]), "--config", str(cfg), "--out", str(out)
         )
         assert rc == 1
-        assert "length_scale must be finite and > 0" in err
+        assert err.endswith("is not valid JSON: NaN is not a JSON number\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["c", "gamma", "tol"])
@@ -248,7 +255,7 @@ class TestTrain:
             "train", str(cli_env["single_csv"]), "--config", str(cfg), "--out", str(out)
         )
         assert rc == 1
-        assert f"{name} must be finite and > 0" in err
+        assert err.endswith("is not valid JSON: Infinity is not a JSON number\n")
         assert not out.exists()
 
     def test_mode_mismatch(self, cli_env):
@@ -332,6 +339,14 @@ class TestTrain:
         assert err.startswith("error: malformed dataset metadata:")
         assert "Traceback" not in err
 
+    def test_sidecar_with_nan_is_data_error(self, cli_env, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_bytes(cli_env["single_csv"].read_bytes())
+        (tmp_path / "data.csv.meta.json").write_text('{"seed": NaN}\n')
+        rc, _, err = run_cli("train", str(csv), "--config", cli_env["cfg"])
+        assert rc == 2
+        assert err == "error: invalid metadata JSON: NaN is not a JSON number\n"
+
 
 class TestEval:
     def test_single_report_artifacts(self, cli_env):
@@ -398,6 +413,20 @@ class TestEval:
         )
         assert rc == 3
         assert err.startswith("error:")
+
+
+    def test_non_finite_metric_is_numeric_error(self, cli_env, tmp_path, monkeypatch):
+        monkeypatch.setattr(evalkit, "mse", lambda y, yhat: math.nan)
+        out = tmp_path / "report"
+        rc, stdout, err = run_cli(
+            "eval", str(cli_env["two_csv"]), "--config", cli_env["cfg"],
+            "--mode", "two", "--out", str(out),
+        )
+        assert rc == 3
+        assert stdout == ""
+        assert err.startswith("error: cannot write a NaN or infinite value")
+        assert err.count("\n") == 1
+        assert not (out / "report.json").exists()
 
 
 class TestInfer:
@@ -478,6 +507,7 @@ class TestInfer:
             '{"bundle_schema": 2, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 1, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 3, "mode": "single", "pipeline": {}}',
+            '{"bundle_schema": 4, "mode": "single", "pipeline": {}}',
         ],
     )
     def test_malformed_bundle_is_data_error(self, cli_env, tmp_path, payload):
@@ -500,67 +530,98 @@ class TestInfer:
         "edit, message",
         [
             (
-                lambda p: p["force_model"]["alpha"].pop(),
-                "error: malformed single model bundle: ValueError: GP train_inputs",
+                lambda p: edit_array(p["force_model"], "alpha", lambda a: a[:-1]),
+                MALFORMED + "ValueError: GP train_inputs",
             ),
             (
-                lambda p: p["detector"]["dual_coefs"].pop(),
-                "error: malformed single model bundle: ValueError: SVM support_inputs",
-            ),
-            (
-                lambda p: p["row_clf"]["trees"][3].update(feature=20),
-                "error: split feature 20 is not an integer in 0..19",
+                lambda p: edit_array(p["detector"], "dual_coefs", lambda a: a[:-1]),
+                MALFORMED + "ValueError: SVM support_inputs",
             ),
             (
                 lambda p: p["force_model"].update(rows_offered=1),
-                "error: malformed single model bundle: ValueError: GP rows_offered 1",
+                MALFORMED + "ValueError: GP rows_offered 1",
             ),
             (
                 lambda p: p["detector"].pop("iterations"),
-                "error: malformed single model bundle: KeyError: 'detector.iterations'",
+                MALFORMED + "KeyError: 'detector.iterations'",
             ),
             (
                 lambda p: p["detector"].pop("kkt_gap"),
-                "error: malformed single model bundle: KeyError: 'detector.kkt_gap'",
+                MALFORMED + "KeyError: 'detector.kkt_gap'",
             ),
             (
                 lambda p: p["force_model"].pop("rows_offered"),
-                "error: malformed single model bundle: KeyError: "
-                "'force_model.rows_offered'",
+                MALFORMED + "KeyError: 'force_model.rows_offered'",
             ),
             (
-                lambda p: p["force_model"]["alpha"].__setitem__(0, math.nan),
-                "error: malformed single model bundle: ValidationError: "
-                "GP alpha must be finite",
-            ),
-            (
-                lambda p: p["detector"].update(bias=math.inf),
-                "error: malformed single model bundle: ValidationError: "
-                "SVM bias must be finite",
+                lambda p: edit_array(p["force_model"], "alpha",
+                                     lambda a: a.__setitem__(0, math.nan)),
+                MALFORMED + "ValidationError: GP alpha must be finite",
             ),
             (
                 lambda p: p["detector"].update(kernel_gamma=-1.0),
-                "error: malformed single model bundle: ValidationError: "
-                "SVM kernel_gamma must be finite and > 0",
-            ),
-            (
-                lambda p: p["row_clf"]["trees"][3].update(threshold=math.nan),
-                "error: split threshold nan is not finite",
+                MALFORMED + "ValidationError: SVM kernel_gamma must be finite and > 0",
             ),
             (
                 lambda p: p["preprocessing"].update(scale=[0.0] * 20),
-                "error: malformed single model bundle: ValidationError: "
-                "standardizer scale must be finite and > 0",
+                MALFORMED + "ValidationError: standardizer scale must be finite and > 0",
+            ),
+            # JSON has no NaN or Infinity: the reader refuses the literals
+            (lambda p: p["detector"].update(bias=math.inf), NOT_JSON + "Infinity is not"),
+            (lambda p: p["detector"].update(kkt_gap=math.nan), NOT_JSON + "NaN is not"),
+            (
+                lambda p: p["force_model"]["hyper"].update(mean_offset=math.nan),
+                NOT_JSON + "NaN is not a JSON number",
             ),
             (
                 lambda p: p["preprocessing"]["mean"].__setitem__(4, -math.inf),
-                "error: malformed single model bundle: ValidationError: "
-                "standardizer mean must be finite",
+                NOT_JSON + "-Infinity is not a JSON number",
             ),
             (
                 lambda p: p["stretch_model"]["weights"].__setitem__(0, math.nan),
-                "error: malformed single model bundle: ValidationError: "
-                "linear weights and intercept must be finite",
+                NOT_JSON + "NaN is not a JSON number",
+            ),
+            # array payloads
+            (
+                lambda p: p["force_model"]["alpha"].update(data="AAAA!AAA"),
+                MALFORMED + "ValueError: force_model.alpha.data: invalid base64",
+            ),
+            (
+                lambda p: p["detector"]["dual_coefs"].update(
+                    data=p["detector"]["dual_coefs"]["data"][4:]
+                ),
+                MALFORMED + "ValueError: detector.dual_coefs.data: ",
+            ),
+            (
+                lambda p: p["row_clf"]["leaf_counts"].update(dtype="int64"),
+                MALFORMED + "TypeError: row_clf.leaf_counts.dtype: 'int64' is not one of",
+            ),
+            # forest node arrays
+            (
+                lambda p: edit_array(p["row_clf"], "feature",
+                                     lambda a: a.__setitem__(3, 20)),
+                MALFORMED + "ValidationError: split feature 20 is not in 0..19",
+            ),
+            (
+                lambda p: edit_array(p["col_clf"], "threshold",
+                                     lambda a: a.__setitem__(3, math.nan)),
+                MALFORMED + "ValidationError: split threshold nan is not finite",
+            ),
+            (
+                lambda p: edit_array(p["row_clf"], "is_split", lambda a: a[:-2]),
+                MALFORMED + "ValidationError: forest split mask has shape (",
+            ),
+            (
+                lambda p: edit_array(p["row_clf"], "feature", lambda a: a[:-1]),
+                MALFORMED + "ValidationError: forest has ",
+            ),
+            (
+                lambda p: edit_array(p["col_clf"], "leaf_counts", lambda a: a[:-1]),
+                MALFORMED + "ValidationError: forest leaf counts are (",
+            ),
+            (
+                lambda p: edit_array(p["col_clf"], "leaf_counts", lambda a: a[:, :-1]),
+                MALFORMED + "ValidationError: forest leaf counts are (",
             ),
         ],
     )
@@ -678,6 +739,16 @@ class TestReport:
         assert rc == 2
         assert err.startswith("error: malformed report: TypeError: k: expected an int")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_metric_is_data_error(self, report_dir, tmp_path, literal):
+        d = json.loads((report_dir / "report.json").read_text())
+        d["pooled"]["force_r2"] = 0.0
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(d).replace('"force_r2": 0.0', f'"force_r2": {literal}'))
+        rc, _, err = run_cli("report", str(bad))
+        assert rc == 2
+        assert err == f"error: report is not valid JSON: {literal} is not a JSON number\n"
 
 
 class TestUsage:

@@ -1,15 +1,19 @@
 """The record codec: every persisted record round-trips to an equal record,
-derived fields are never written, and decoding is strict, naming the
-dotted path of the field at fault."""
+arrays keep their exact bits, derived fields are never written, decoding is
+strict, naming the dotted path of the field at fault, and JSON text never
+carries NaN or Infinity."""
 
+import base64
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from eskin import (
     DatasetMeta,
+    NonFiniteError,
     PipelineConfig,
     RunConfig,
     SingleForceProtocol,
@@ -18,9 +22,18 @@ from eskin import (
     cross_validate,
     cross_validate_two,
 )
-from eskin.codec import from_dict, to_dict
-from eskin.learners import ForestConfig, GpHyper, forest_predict, gp_predict
+from eskin.codec import dumps, from_dict, loads, to_dict
+from eskin.learners import (
+    ForestConfig,
+    GpHyper,
+    GpModel,
+    SvmModel,
+    forest_predict,
+    gp_predict,
+)
 from eskin.pipeline import predict_single_batch, predict_two_batch
+
+from .payloads import array_of, payload_of
 
 TINY_FOREST = ForestConfig(n_trees=3)
 
@@ -41,7 +54,7 @@ def assert_same_record(a, b, path="record"):
         if dataclasses.is_dataclass(x):
             assert_same_record(x, y, where)
         elif isinstance(x, np.ndarray):
-            assert y.dtype == float and np.array_equal(x, y), where
+            assert y.dtype == x.dtype and np.array_equal(x, y), where
         else:
             assert x == y, where
 
@@ -55,6 +68,66 @@ def reports(small_single_ds, small_two_ds):
         small_two_ds, k=2, config=PipelineConfig(forest=TINY_FOREST, node_axes=(1, 6))
     )
     return {"single": single, "two": two}
+
+
+class TestArrayBytes:
+    EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             np.finfo(float).max, -np.finfo(float).max, 0.1, 1 / 3]
+
+    def test_float_bits_round_trip(self):
+        alpha = np.array(self.EDGES)
+        model = GpModel(
+            train_inputs=np.arange(2.0 * alpha.size).reshape(-1, 2), alpha=alpha,
+            hyper=GpHyper(), scaler=None, rows_offered=alpha.size,
+        )
+        back = json_round_trip(model)
+        assert back.train_inputs.tobytes() == model.train_inputs.tobytes()
+        assert back.alpha.tobytes() == alpha.tobytes()
+        assert math.copysign(1.0, back.alpha[0]) == -1.0   # -0.0 kept its sign
+
+    def test_payload_layout(self):
+        model = SvmModel(
+            support_inputs=np.array([[1.0, -0.0], [5e-324, 2.0]]),
+            dual_coefs=np.array([0.5, -0.5]), bias=0.0, kernel_gamma=1.0,
+            class_weights=(1.0, 1.0), iterations=3, kkt_gap=0.0,
+        )
+        d = to_dict(model)
+        assert d["support_inputs"] == {
+            "data": "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAAAEA=",
+            "dtype": "float64",
+            "shape": [2, 2],
+        }
+        assert d["dual_coefs"] == payload_of([0.5, -0.5], "float64")
+
+    def test_int_and_bool_arrays_round_trip(self, trained_two):
+        for model in (trained_two.x1_clf, trained_two.y2_clf):
+            back = json_round_trip(model)
+            assert back == model
+            for name in ("is_split", "feature", "threshold", "leaf_counts"):
+                a, b = getattr(model, name), getattr(back, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_decoded_arrays_are_read_only(self, trained_single):
+        back = json_round_trip(trained_single)
+        with pytest.raises(ValueError, match="read-only"):
+            back.force_model.alpha[0] = 1.0
+
+
+class TestNoNonFiniteJson:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_dumps_refuses(self, value):
+        with pytest.raises(NonFiniteError, match="NaN or infinite"):
+            dumps({"x": [1.0, value]})
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_loads_refuses(self, text):
+        with pytest.raises(ValueError, match=f"{text} is not a JSON number"):
+            loads(f'{{"x": [1.0, {text}]}}')
+
+    def test_finite_values_pass(self):
+        d = {"x": [1e308, -0.0, 5e-324]}
+        assert loads(dumps(d)) == d
+        assert dumps(d) == json.dumps(d)
 
 
 class TestRoundTrip:
@@ -111,7 +184,10 @@ class TestDerivedFieldsNotWritten:
         model = trained_single.row_clf
         forest_predict(model, np.zeros((1, model.n_features)))
         assert model._table is not None
-        assert set(to_dict(model)) == {"trees", "n_classes", "n_features", "config"}
+        assert set(to_dict(model)) == {
+            "is_split", "feature", "threshold", "leaf_counts",
+            "n_classes", "n_features", "config",
+        }
 
     def test_pipeline_text(self, trained_single):
         gp_predict(trained_single.force_model, np.ones((1, 20)))
@@ -174,19 +250,48 @@ class TestStrictDecode:
         with pytest.raises(TypeError, match=r"preprocessing\.scale\[3\]"):
             from_dict(TrainedPipeline, pipeline_dict)
 
-    def test_ragged_array(self, pipeline_dict):
-        pipeline_dict["detector"]["support_inputs"][1] = [1.0]
-        with pytest.raises(ValueError, match=r"detector\.support_inputs: ragged"):
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [
+            (lambda a: a.update(data=a["data"][:-4]), ValueError,
+             r"force_model\.alpha\.data: \d+ bytes, expected \d+ for shape"),
+            (lambda a: a.update(shape=[a["shape"][0] + 1]), ValueError,
+             r"force_model\.alpha\.data: .* bytes, expected"),
+            (lambda a: a.update(shape=[-1]), ValueError,
+             r"force_model\.alpha\.shape: negative size"),
+            (lambda a: a.update(data="not base64!"), ValueError,
+             r"force_model\.alpha\.data: invalid base64"),
+            (lambda a: a.update(data=a["data"][:-1]), ValueError,
+             r"force_model\.alpha\.data: invalid base64"),
+            (lambda a: a.update(dtype="float32"), TypeError,
+             r"force_model\.alpha\.dtype: 'float32' is not one of bool, int32, float64"),
+            (lambda a: a.update(dtype="int32"), TypeError,
+             r"force_model\.alpha\.dtype: expected float64, got int32"),
+            (lambda a: a.update(dtype=8), TypeError,
+             r"force_model\.alpha\.dtype: expected a string"),
+            (lambda a: a.update(shape=[True]), TypeError,
+             r"force_model\.alpha\.shape\[0\]: expected an int"),
+            (lambda a: a.update(extra=1), TypeError, r"unknown key 'force_model\.alpha\.extra'"),
+            (lambda a: a.pop("data"), KeyError, r"force_model\.alpha\.data"),
+        ],
+    )
+    def test_malformed_array_payload(self, pipeline_dict, edit, error, match):
+        edit(pipeline_dict["force_model"]["alpha"])
+        with pytest.raises(error, match=match):
             from_dict(TrainedPipeline, pipeline_dict)
 
-    def test_non_numeric_array(self, pipeline_dict):
-        pipeline_dict["force_model"]["alpha"][0] = "1"
-        with pytest.raises(TypeError, match=r"force_model\.alpha"):
+    def test_array_as_a_list_of_numbers(self, pipeline_dict):
+        # the schema-4 layout
+        alpha = pipeline_dict["force_model"]["alpha"]
+        pipeline_dict["force_model"]["alpha"] = array_of(alpha).tolist()
+        with pytest.raises(TypeError, match=r"force_model\.alpha: expected an object"):
             from_dict(TrainedPipeline, pipeline_dict)
 
-    def test_tree_that_is_not_an_object(self, pipeline_dict):
-        pipeline_dict["row_clf"]["trees"][0] = [1]
-        with pytest.raises(TypeError, match=r"row_clf\.trees\[0\]"):
+    def test_bool_byte_other_than_0_or_1(self, pipeline_dict):
+        mask = pipeline_dict["row_clf"]["is_split"]
+        raw = array_of(mask).view(np.uint8) * 2
+        mask["data"] = base64.b64encode(raw.tobytes()).decode("ascii")
+        with pytest.raises(ValueError, match=r"row_clf\.is_split\.data: a bool byte"):
             from_dict(TrainedPipeline, pipeline_dict)
 
     def test_fixed_tuple_length(self):

@@ -1,10 +1,11 @@
 """Random forest: root splits against an exhaustive Gini search, whole
-trees against a node-by-node reference fit, the tree pool against an
-in-process fit, vote semantics, seeded determinism, and the compiled node
-table that predict serves from, one forest or several, in its one-row and
-its many-row order, against a node-by-node walk of the nested trees."""
+trees against a node-by-node reference fit, the node arrays against a
+node-by-node flattening of the trees, the tree pool against an in-process
+fit, vote semantics, seeded determinism, the checks a model makes of its
+node arrays, and the compiled node table that predict serves from, one
+forest or several, in its one-row and its many-row order, against a
+node-by-node walk of the nested trees."""
 
-import copy
 import multiprocessing
 import os
 import threading
@@ -28,6 +29,7 @@ from eskin.learners.preprocess import Standardizer
 
 from .oracles import (
     exhaustive_best_split,
+    forest_of,
     forest_trees_oracle,
     gini_split_score,
     reference_predict,
@@ -232,12 +234,7 @@ class TestTreeShape:
 
 class TestVoting:
     def test_tie_goes_to_smaller_class(self):
-        model = ForestModel(
-            trees=({"counts": [1, 0]}, {"counts": [0, 1]}),
-            n_classes=2,
-            n_features=1,
-            config=ForestConfig(n_trees=2),
-        )
+        model = forest_of(({"counts": [1, 0]}, {"counts": [0, 1]}), 2, 1)
         labels, votes = forest_predict(model, np.array([[0.0]]))
         assert labels[0] == 0
         assert np.allclose(votes[0], [0.5, 0.5])
@@ -329,12 +326,7 @@ def tree_depth(node):
 
 
 def hand_model(*trees, n_classes=3, n_features=2):
-    return ForestModel(
-        trees=trees,
-        n_classes=n_classes,
-        n_features=n_features,
-        config=ForestConfig(n_trees=len(trees)),
-    )
+    return forest_of(trees, n_classes, n_features)
 
 
 STUMP = {"feature": 1, "threshold": 0.5, "left": {"counts": [3, 0, 0]},
@@ -434,12 +426,7 @@ class TestCompiledTable:
         assert votes.shape == (0, 3)
 
     def test_hand_built_voting_model(self):
-        model = ForestModel(
-            trees=({"counts": [1, 0]}, {"counts": [0, 1]}),
-            n_classes=2,
-            n_features=1,
-            config=ForestConfig(n_trees=2),
-        )
+        model = forest_of(({"counts": [1, 0]}, {"counts": [0, 1]}), 2, 1)
         assert_matches_reference(model, np.array([[0.0], [3.0]]))
 
     def test_cached_table_changes_neither_equality_nor_dict(self):
@@ -511,45 +498,65 @@ class TestMultiForestTable:
             forest_predict(table, np.zeros((1, 3)))
 
 
-class TestMalformedTrees:
+class TestNodeArrays:
+    """The node arrays are the queue-order flattening of the fitted trees,
+    and the nested view rebuilds those trees."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit_is_queue_order_of_its_trees(self, seed):
+        model, _, _ = random_forest(seed)
+        flat = forest_of(model.trees, model.n_classes, model.n_features)
+        assert replace(flat, config=model.config) == model
+        assert flat.trees == model.trees
+
+    def test_dtypes(self):
+        model, _, _ = random_forest(1)
+        assert model.is_split.dtype == bool
+        assert model.feature.dtype == model.leaf_counts.dtype == np.int32
+        assert model.threshold.dtype == np.float64
+
+    def test_trees_view_is_rebuilt_on_each_call(self):
+        model = hand_model({"counts": [1, 0, 0]}, STUMP)
+        model.trees[1]["left"]["counts"][0] = 99
+        assert model.trees == ({"counts": [1, 0, 0]}, STUMP)
+
+    def test_equality_compares_arrays(self):
+        model = hand_model(STUMP)
+        assert model == hand_model(STUMP)
+        assert model != hand_model({**STUMP, "threshold": 0.25})
+        assert model != hand_model({**STUMP, "right": {"counts": [0, 1, 2]}})
+        assert model != replace(model, n_features=3)
+
+
+class TestMalformedNodeArrays:
+    """A model refuses node arrays that are not n_trees whole trees in
+    queue order, or whose values predict cannot use."""
+
+    MODEL = hand_model({"counts": [1, 0, 0]}, STUMP)   # leaf, split, leaf, leaf
+
     @pytest.mark.parametrize(
-        "tree, match",
+        "arrays, match",
         [
-            ({**STUMP, "feature": 2}, "split feature 2 is not an integer in 0..1"),
-            ({**STUMP, "feature": -1}, "split feature -1"),
-            ({**STUMP, "feature": 1.0}, "split feature 1.0"),
-            ({**STUMP, "feature": True}, "split feature True"),
-            ({**STUMP, "right": {"counts": [0, 2]}}, "leaf has 2 counts, expected 3"),
-            ({**STUMP, "left": {"counts": [3, 0, 0, 0]}}, "leaf has 4 counts"),
-            ({k: v for k, v in STUMP.items() if k != "threshold"}, "KeyError"),
-            ({k: v for k, v in STUMP.items() if k != "right"}, "KeyError"),
-            ({**STUMP, "left": None}, "TypeError"),
-            ({**STUMP, "threshold": "high"}, "ValueError"),
-            ({**STUMP, "threshold": float("nan")}, "split threshold nan is not finite"),
-            ({**STUMP, "threshold": float("inf")}, "split threshold inf is not finite"),
-            ({**STUMP, "threshold": -float("inf")}, "split threshold -inf"),
+            ({"feature": np.array([2], np.int32)}, "split feature 2 is not in 0..1"),
+            ({"feature": np.array([-1], np.int32)}, "split feature -1 "),
+            ({"threshold": np.array([np.nan])}, "split threshold nan is not finite"),
+            ({"threshold": np.array([np.inf])}, "split threshold inf is not finite"),
+            ({"threshold": np.array([-np.inf])}, "split threshold -inf"),
+            ({"feature": np.array([1, 1], np.int32)}, r"1 splits but features \(2,\)"),
+            ({"threshold": np.array([], float)}, r"1 splits but .* thresholds \(0,\)"),
+            ({"is_split": np.array([False, True, False, False, False])},
+             "2 trees with 1 splits need 4 nodes"),
+            ({"is_split": np.array([False, True, True, False])}, "2 splits need 6 nodes"),
+            ({"is_split": np.array([False, False, True, False])}, "not in queue order"),
+            ({"leaf_counts": np.zeros((3, 2), np.int32)},
+             r"leaf counts are \(3, 2\), expected \(3, 3\)"),
+            ({"leaf_counts": np.zeros((3, 4), np.int32)}, r"leaf counts are \(3, 4\)"),
+            ({"leaf_counts": np.zeros((4, 3), np.int32)}, r"leaf counts are \(4, 3\)"),
+            ({"leaf_counts": np.array([[1, 0, 0], [3, -1, 0], [0, 0, 2]], np.int32)},
+             "leaf counts must be >= 0"),
+            ({"n_classes": 0}, "n_classes >= 1"),
         ],
     )
-    def test_rejected_at_predict(self, tree, match):
-        model = hand_model({"counts": [1, 0, 0]}, tree)
-        with pytest.raises(SchemaError, match=match):
-            forest_predict(model, np.zeros((1, 2)))
-
-    def test_forest_without_trees_rejected(self):
-        with pytest.raises(SchemaError, match="no trees"):
-            forest_predict(
-                ForestModel(trees=(), n_classes=2, n_features=2, config=SINGLE_TREE),
-                np.zeros((1, 2)),
-            )
-
-    def test_rejected_again_on_every_call(self):
-        model = hand_model({**STUMP, "feature": 5})
-        for _ in range(2):
-            with pytest.raises(SchemaError):
-                forest_predict(model, np.zeros((1, 2)))
-
-    def test_nested_trees_left_untouched(self):
-        tree = copy.deepcopy(STUMP)
-        model = hand_model(tree)
-        forest_predict(model, np.zeros((2, 2)))
-        assert model.trees[0] == STUMP
+    def test_rejected_on_construction(self, arrays, match):
+        with pytest.raises(ValidationError, match=match):
+            replace(self.MODEL, **arrays)

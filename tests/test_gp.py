@@ -25,6 +25,7 @@ from eskin.learners import (
 
 from .entry_point import eskin_env
 from .oracles import gp_dense_oracle
+from .payloads import edit_array
 
 
 class TestRbfKernel:
@@ -69,6 +70,8 @@ class TestGpHyper:
             {"signal_var": math.nan},
             {"noise_var": math.nan},
             {"noise_var": math.inf},
+            {"mean_offset": math.nan},
+            {"mean_offset": -math.inf},
         ],
     )
     def test_invalid(self, kwargs):
@@ -213,10 +216,10 @@ class TestFitMechanics:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda d: d["alpha"].pop(),
-            lambda d: d["alpha"].append(0.0),
-            lambda d: d.update(alpha=[d["alpha"]]),
-            lambda d: d.update(train_inputs=d["train_inputs"][0]),
+            lambda d: edit_array(d, "alpha", lambda a: a[:-1]),
+            lambda d: edit_array(d, "alpha", lambda a: np.append(a, 0.0)),
+            lambda d: edit_array(d, "alpha", lambda a: a[None, :]),
+            lambda d: edit_array(d, "train_inputs", lambda a: a[0]),
         ],
     )
     def test_from_dict_rejects_disagreeing_shapes(self, rng, edit):
@@ -228,9 +231,11 @@ class TestFitMechanics:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda d: d["alpha"].__setitem__(0, math.nan), "GP alpha must be finite"),
-            (lambda d: d["alpha"].__setitem__(2, -math.inf), "GP alpha must be finite"),
-            (lambda d: d["train_inputs"][1].__setitem__(0, math.inf),
+            (lambda d: edit_array(d, "alpha", lambda a: a.__setitem__(0, math.nan)),
+             "GP alpha must be finite"),
+            (lambda d: edit_array(d, "alpha", lambda a: a.__setitem__(2, -math.inf)),
+             "GP alpha must be finite"),
+            (lambda d: edit_array(d, "train_inputs", lambda a: a.__setitem__((1, 0), math.inf)),
              "GP train_inputs must be finite"),
         ],
     )

@@ -2,7 +2,6 @@
 round trips."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from eskin import (
     train_two,
 )
 from eskin.codec import from_dict, to_dict
+from eskin.learners import ForestModel
 from eskin.learners import gp as gp_module
 from eskin.pipeline import (
     BUNDLE_SCHEMA_VERSION,
@@ -39,6 +39,9 @@ from eskin.pipeline import (
 )
 
 from .oracles import reference_predict
+from .payloads import array_of
+
+FOREST_ARRAYS = ("is_split", "feature", "threshold", "leaf_counts")
 
 
 def _saved_force_models(path) -> list[dict]:
@@ -53,6 +56,23 @@ def _without_diagnostics(bundle: dict) -> dict:
             del model["iterations"], model["kkt_gap"]
         elif name.startswith("force"):
             del model["rows_offered"]
+    return bundle
+
+
+def _schema_4(p) -> dict:
+    """The schema-4 layout of a pipeline's bundle: arrays as nested lists of
+    numbers, forests as nested-dict trees."""
+    bundle = _bundle_dict(p)
+    bundle["bundle_schema"] = 4
+    for name, model in bundle["pipeline"].items():
+        if name.endswith("_clf"):
+            for key in FOREST_ARRAYS:
+                del model[key]
+            model["trees"] = list(getattr(p, name).trees)
+        elif name == "detector" or name.startswith("force"):
+            for key, value in model.items():
+                if isinstance(value, dict) and "data" in value:
+                    model[key] = array_of(value).tolist()
     return bundle
 
 
@@ -297,6 +317,28 @@ class TestBundles:
         with pytest.raises(AssertionError, match="factorised"):
             back.force_model.chol
 
+    @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+    def test_load_and_predict_never_build_trees(
+        self, trained, request, small_single_ds, tmp_path, monkeypatch
+    ):
+        p = request.getfixturevalue(trained)
+        path = tmp_path / "bundle.json"
+        save_pipeline(p, path)
+
+        def refuse(self):
+            raise AssertionError("built the nested trees")
+
+        monkeypatch.setattr(ForestModel, "trees", property(refuse))
+        back = load_pipeline(path)
+        predict = predict_single_batch if trained == "trained_single" else predict_two_batch
+        x = small_single_ds.features()[:5]
+        for rows in (x, x[:1]):
+            out, want = predict(back, rows), predict(p, rows)
+            assert all(np.array_equal(out[k], want[k]) for k in want)
+        save_pipeline(back, tmp_path / "resaved.json")
+        with pytest.raises(AssertionError, match="nested trees"):
+            back.x1_clf.trees if trained == "trained_two" else back.row_clf.trees
+
     def test_save_is_byte_stable(self, trained_single, tmp_path):
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
@@ -355,6 +397,13 @@ class TestBundles:
         with pytest.raises(SchemaError, match=r"schema 3 .*re-run `eskin train`"):
             load_pipeline(path)
 
+    @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+    def test_load_rejects_schema_4_bundle(self, trained, request, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(_schema_4(request.getfixturevalue(trained))))
+        with pytest.raises(SchemaError, match=r"schema 4 .*re-run `eskin train`"):
+            load_pipeline(path)
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -387,22 +436,27 @@ class TestBundleEncoding:
         save_pipeline(request.getfixturevalue(trained), path)
         text = path.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
-        assert json.loads(text)["bundle_schema"] == 4
+        assert json.loads(text)["bundle_schema"] == 5
 
-    def test_only_whitespace_differs_from_schema_3(self, trained, request, tmp_path):
+    def test_schema_4_keys_with_arrays_as_bytes(self, trained, request, tmp_path):
         p = request.getfixturevalue(trained)
         path = tmp_path / "bundle.json"
         save_pipeline(p, path)
-        text = path.read_text()
-        old = _without_diagnostics(_bundle_dict(p))
-        old["bundle_schema"] = 3
-        schema_3 = json.loads(json.dumps(old, sort_keys=True, indent=1))
-        new = _without_diagnostics(json.loads(text))
-        assert new.pop("bundle_schema") == 4
-        assert new == {k: v for k, v in schema_3.items() if k != "bundle_schema"}
-        # no string in a bundle holds whitespace, so only the layout moved
-        indented = json.dumps(_bundle_dict(p), sort_keys=True, indent=1)
-        assert re.sub(r"\s", "", indented) + "\n" == text
+        new = json.loads(path.read_text())
+        old = _schema_4(p)
+        assert new.keys() == old.keys() and new["mode"] == old["mode"]
+        assert new["pipeline"].keys() == old["pipeline"].keys()
+        for name, model in new["pipeline"].items():
+            if name.endswith("_clf"):
+                assert model.keys() - old["pipeline"][name].keys() == set(FOREST_ARRAYS)
+                for key in FOREST_ARRAYS:
+                    assert np.array_equal(array_of(model[key]), getattr(getattr(p, name), key))
+            else:
+                assert model.keys() == old["pipeline"][name].keys()
+                for key, value in model.items():
+                    if isinstance(value, dict) and "data" in value:
+                        want = getattr(getattr(p, name), key)
+                        assert array_of(value).tobytes() == want.tobytes()
 
 
 class TestPipelineConfig:

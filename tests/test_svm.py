@@ -19,6 +19,8 @@ from eskin.learners import (
     svm_predict,
 )
 
+from .payloads import edit_array
+
 XOR_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_Y = np.array([-1.0, -1.0, 1.0, 1.0])
 
@@ -201,10 +203,12 @@ class TestDeterminismAndSerialisation:
         [
             (lambda d: d.update(bias=math.inf), "SVM bias must be finite"),
             (lambda d: d.update(bias=math.nan), "SVM bias must be finite"),
-            (lambda d: d["dual_coefs"].__setitem__(0, math.nan),
+            (lambda d: edit_array(d, "dual_coefs", lambda a: a.__setitem__(0, math.nan)),
              "SVM dual_coefs must be finite"),
-            (lambda d: d["support_inputs"][0].__setitem__(1, -math.inf),
+            (lambda d: edit_array(d, "support_inputs",
+                                  lambda a: a.__setitem__((0, 1), -math.inf)),
              "SVM support_inputs must be finite"),
+            (lambda d: d.update(kkt_gap=math.nan), "SVM kkt_gap must be finite"),
             (lambda d: d.update(kernel_gamma=-1.0), "kernel_gamma must be finite and > 0"),
             (lambda d: d.update(kernel_gamma=0), "kernel_gamma must be finite and > 0"),
             (lambda d: d.update(kernel_gamma=math.inf), "kernel_gamma must be finite"),
@@ -244,9 +248,9 @@ class TestDeterminismAndSerialisation:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda d: d["dual_coefs"].pop(),
-            lambda d: d["support_inputs"].append(d["support_inputs"][0]),
-            lambda d: d.update(support_inputs=d["support_inputs"][0]),
+            lambda d: edit_array(d, "dual_coefs", lambda a: a[:-1]),
+            lambda d: edit_array(d, "support_inputs", lambda a: np.vstack([a, a[:1]])),
+            lambda d: edit_array(d, "support_inputs", lambda a: a[0]),
         ],
     )
     def test_from_dict_rejects_disagreeing_shapes(self, edit):
