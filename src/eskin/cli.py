@@ -21,6 +21,7 @@ from .core import (
     atomic_write_text,
     load_dataset,
     read_frames,
+    read_text_file,
     save_dataset,
 )
 from .errors import (
@@ -200,8 +201,7 @@ def cmd_infer(args) -> int:
             f"bundle holds a {pipeline_mode(p)}-contact pipeline "
             f"but --mode {args.mode} was requested"
         )
-    with open(args.frames) as f:
-        x = read_frames(f)
+    x = read_text_file(args.frames, read_frames)
     if isinstance(p, TrainedPipeline):
         lines = ["stretch,detected,node_x,node_y,force_n"]
         pred = predict_single_batch(p, x)

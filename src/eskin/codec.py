@@ -3,8 +3,9 @@ run configs and dataset metadata.
 
 A record is a frozen dataclass and its field annotations are the format:
 nested records, ``tuple[X, ...]`` and fixed tuples, ``X | None``,
-``dict[str, X]``, arrays and JSON scalars. A field declared
-``compare=False`` is derived state and is neither written nor read.
+``dict[str, X]``, arrays and JSON scalars. Every field is written and read;
+state derived from the fields is a ``functools.cached_property``, which is
+not a field.
 
 An array field is annotated ``BoolArray``, ``IntArray`` or ``FloatArray``
 and is written as ``{"data", "dtype", "shape"}``: ``data`` is the base64 of
@@ -91,11 +92,9 @@ def loads(text: str):
 
 @functools.cache
 def _fields(cls: type) -> tuple[tuple[str, object], ...]:
-    """(name, resolved annotation) of every serialised field of a record."""
+    """(name, resolved annotation) of every field of a record."""
     hints = typing.get_type_hints(cls, include_extras=True)
-    return tuple(
-        (f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.compare
-    )
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def to_dict(record) -> dict:

@@ -55,8 +55,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     try:
         overrides = loads(text)

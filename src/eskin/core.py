@@ -427,15 +427,23 @@ def save_dataset(ds: Dataset, csv_path: str | Path) -> None:
         atomic_write_text(meta_path_for(csv_path), mbuf.getvalue())
 
 
+def read_text_file(path: str | Path, read):
+    """``read`` (say :func:`read_frames`) of the UTF-8 text file at ``path``;
+    bytes that are not UTF-8 raise ParseError, which names the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return read(f)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_dataset(csv_path: str | Path) -> Dataset:
     """Read a CSV dataset, attaching the metadata sidecar when present."""
     meta = None
     mpath = meta_path_for(csv_path)
     if mpath.exists():
-        with open(mpath) as f:
-            meta = read_dataset_meta(f)
-    with open(csv_path) as f:
-        return read_dataset(f, meta=meta)
+        meta = read_text_file(mpath, read_dataset_meta)
+    return read_text_file(csv_path, lambda f: read_dataset(f, meta=meta))
 
 
 def config_digest(payload: dict) -> str:

@@ -145,8 +145,22 @@ def confusion(true, pred, n_classes: int, labels=None) -> ConfusionMatrix:
     )
 
 
+# per mode: the pooled metrics the headline shows, in order, and the
+# confusion matrices a report holds
+_CONTENTS = {
+    SCHEMA_SINGLE: (("stretch_r2", "stretch_mse", "force_r2", "detection_accuracy",
+                     "row_accuracy", "col_accuracy"), {"col", "row"}),
+    SCHEMA_TWO: (("x1_accuracy", "y1_accuracy", "x2_accuracy", "y2_accuracy",
+                  "force1_r2", "force2_r2", "force_mse_shared_axis",
+                  "force_mse_disjoint"), {"x1", "y1", "x2", "y2"}),
+}
+
+
 @dataclass(frozen=True)
 class MetricsReport:
+    """Construction checks that the report holds every metric and confusion
+    matrix of its mode, k values per fold metric and at least one note."""
+
     mode: str
     k: int
     seed: int
@@ -158,19 +172,32 @@ class MetricsReport:
     confusions: dict[str, ConfusionMatrix]
     notes: tuple[str, ...]
 
+    def __post_init__(self):
+        if self.mode not in _CONTENTS:
+            raise ValidationError(f"report mode {self.mode!r} is not single or two")
+        headline, confusions = _CONTENTS[self.mode]
+        names = set(self.per_fold)
+        if not (
+            names == set(self.fold_mean) == set(self.fold_std)
+            and names.union(headline) <= set(self.pooled)
+        ):
+            raise ValidationError(
+                "report metrics differ between pooled, per_fold, fold_mean and fold_std"
+            )
+        if any(len(values) != self.k for values in self.per_fold.values()):
+            raise ValidationError(f"every per-fold metric needs k={self.k} values")
+        if set(self.confusions) != confusions:
+            raise ValidationError(
+                f"{self.mode} report needs confusion matrices {sorted(confusions)}"
+            )
+        if not self.notes:
+            raise ValidationError("report has no notes")
+
     def to_json(self) -> str:
         return dumps(to_dict(self), sort_keys=True, indent=1) + "\n"
 
     def headline(self) -> str:
-        keys = (
-            ("stretch_r2", "stretch_mse", "force_r2", "detection_accuracy",
-             "row_accuracy", "col_accuracy")
-            if self.mode == SCHEMA_SINGLE
-            else ("x1_accuracy", "y1_accuracy", "x2_accuracy", "y2_accuracy",
-                  "force1_r2", "force2_r2", "force_mse_shared_axis",
-                  "force_mse_disjoint")
-        )
-        parts = [f"{k}={self.pooled[k]:.6g}" for k in keys if k in self.pooled]
+        parts = [f"{k}={self.pooled[k]:.6g}" for k in _CONTENTS[self.mode][0]]
         return f"mode={self.mode} k={self.k} " + " ".join(parts)
 
 
@@ -375,5 +402,5 @@ def load_report(path: str | Path) -> MetricsReport:
         raise SchemaError(f"report is not valid JSON: {exc}")
     try:
         return from_dict(MetricsReport, d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise SchemaError(f"malformed report: {type(exc).__name__}: {exc}")

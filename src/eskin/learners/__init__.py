@@ -20,28 +20,3 @@ from .gp import (
 from .linear import LinearModel, ols_fit, ols_predict
 from .preprocess import Standardizer
 from .svm import SvmConfig, SvmModel, svm_decision_function, svm_fit, svm_predict
-
-__all__ = [
-    "ForestConfig",
-    "ForestModel",
-    "ForestTable",
-    "compile_forests",
-    "forest_fit",
-    "forest_predict",
-    "GpHyper",
-    "GpModel",
-    "gp_fit",
-    "gp_grid_search",
-    "gp_predict",
-    "log_marginal_likelihood",
-    "rbf_kernel",
-    "LinearModel",
-    "ols_fit",
-    "ols_predict",
-    "Standardizer",
-    "SvmConfig",
-    "SvmModel",
-    "svm_decision_function",
-    "svm_fit",
-    "svm_predict",
-]

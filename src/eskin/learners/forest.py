@@ -24,18 +24,18 @@ it on construction. ``ForestModel.trees`` rebuilds the nested-dict view
 load and predict never build it.
 
 Predict serves from a node table (parallel feature, threshold, child and
-leaf-class arrays, the sklearn ``Tree`` layout; Louppe 2014, ch. 5) made
-from the node arrays by offset arithmetic on first use. Each forest's
-nodes, roots and classes follow the previous forest's, so a pipeline
-serves all its forests, which read the same features, from one table; a
-lone forest is the table of one. The evaluation order follows the row
+leaf-class arrays, the sklearn ``Tree`` layout; Louppe 2014, ch. 5) that
+``compile_forests`` makes from the node arrays by offset arithmetic. Each
+forest's nodes, roots and classes follow the previous forest's, so a
+pipeline serves all its forests, which read the same features, from one
+table (its ``forests``, compiled on first use); a lone forest is served
+from a table of one. The evaluation order follows the row
 count. One row tests every node once and builds each node's successor from
 the outcomes, then follows the successors from all roots at once (the
 QuickScorer idea of scoring a document node test by node test rather than
 tree by tree; Lucchese et al., SIGIR 2015). More rows descend all trees of
 a forest at once, one level per step. The leaf classes of every forest are
-counted in a single bincount. The table is derived, so it is neither
-compared nor serialised.
+counted in a single bincount.
 """
 
 from __future__ import annotations
@@ -46,13 +46,14 @@ import os
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from ..codec import BoolArray, FloatArray, IntArray
 from ..errors import SchemaError, ValidationError
+from .linear import _check_xy
 
 _MAX_WORKERS = 4   # tree-fit processes; more buys little at desk scale
 
@@ -119,10 +120,6 @@ class ForestModel:
     n_classes: int
     n_features: int
     config: ForestConfig
-    # made from the node arrays on first predict, so neither compared nor serialised
-    _table: ForestTable | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         n_trees, split = self.config.n_trees, self.is_split
@@ -174,13 +171,6 @@ class ForestModel:
         )
 
     @property
-    def table(self) -> ForestTable:
-        """The forest as a node table of one, made on first use."""
-        if self._table is None:
-            object.__setattr__(self, "_table", compile_forests((self,)))
-        return self._table
-
-    @property
     def trees(self) -> tuple[dict, ...]:
         """The trees as nested dicts, built anew on each call: splits
         {"feature", "threshold", "left", "right"}, leaves {"counts"}."""
@@ -199,18 +189,10 @@ class ForestModel:
 
 
 def _check_labels(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValidationError("need x (n, d) and y (n,) with matching n")
-    if x.shape[0] == 0:
-        raise ValidationError("empty training set")
+    x, y = _check_xy(x, y)
     if x.shape[1] == 0:   # every node indexes its rows by a feature's sort order
         raise ValidationError("need at least one feature")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("features must be finite")
-    yf = y.astype(float)
-    if not np.all(yf == np.floor(yf)) or np.any(yf < 0):
+    if not np.all(y == np.floor(y)) or np.any(y < 0):
         raise ValidationError("labels must be non-negative integers")
     return x, y.astype(int)
 
@@ -495,14 +477,14 @@ def _leaves(tab: ForestTable, x: np.ndarray) -> np.ndarray:
 
 
 def forest_predict(
-    forest: ForestModel | ForestTable, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(labels, per-class vote fractions) of a forest, or one such pair per
-    forest of a table, in table order; vote ties go to the smaller class.
+    tab: ForestTable, x: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(labels, per-class vote fractions) of each forest of a table, in table
+    order; vote ties go to the smaller class. A lone forest is served
+    through ``compile_forests((model,))``.
 
     A NaN feature compares False and goes right.
     """
-    tab = forest.table if isinstance(forest, ForestModel) else forest
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != tab.n_features:
         raise ValidationError(
@@ -514,8 +496,7 @@ def forest_predict(
     votes = np.bincount(
         (rows * n_classes + _leaves(tab, x)).ravel(), minlength=n * n_classes
     ).reshape(n, n_classes)
-    out = tuple(
+    return tuple(
         (np.argmax(votes[:, a:b], axis=1), votes[:, a:b] / n_trees)
         for (a, b), n_trees in zip(tab.classes, tab.n_trees)
     )
-    return out[0] if isinstance(forest, ForestModel) else out

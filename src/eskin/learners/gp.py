@@ -9,15 +9,17 @@ above ``cap`` rows run on a seeded uniform subsample.
 
 The posterior mean k(x, X) @ alpha needs no factor, so
 ``gp_predict(..., std=False)`` serves from the training inputs and alpha
-alone. L is needed only for the posterior std and the marginal likelihood,
-and is not serialised: a fitted model keeps the one gp_fit computed, a
-loaded model recomputes it (bit for bit the same) on first use.
+alone. L is needed only for the posterior std and the marginal likelihood.
+It is ``GpModel.chol``, a cached property and not a field, so it is never
+serialised: gp_fit seeds the cache with the factor it computed, and a loaded
+model factorises (bit for bit the same) on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -107,9 +109,6 @@ class GpModel:
     hyper: GpHyper
     scaler: Standardizer | None
     rows_offered: int            # rows given to gp_fit before the cap subsample
-    # derived from train_inputs and hyper, so neither compared nor serialised
-    _chol: np.ndarray | None = field(default=None, compare=False, repr=False)
-    _train_sq: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         shape, alpha = self.train_inputs.shape, self.alpha.shape
@@ -126,17 +125,18 @@ class GpModel:
         for name in ("train_inputs", "alpha"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"GP {name} must be finite")
-        # squared norms of the training rows, which every predict needs
-        t = self.train_inputs
-        object.__setattr__(self, "_train_sq", np.sum(t * t, axis=1))
 
-    @property
+    @cached_property
+    def train_sq(self) -> np.ndarray:
+        """Squared norms of the training rows, which every predict needs."""
+        t = self.train_inputs
+        return np.sum(t * t, axis=1)
+
+    @cached_property
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of the training kernel, computed on first use
         when the model was loaded rather than fitted."""
-        if self._chol is None:
-            object.__setattr__(self, "_chol", _factor(self.train_inputs, self.hyper))
-        return self._chol
+        return _factor(self.train_inputs, self.hyper)
 
 
 def _subsample(n: int, cap: int, seed: int) -> np.ndarray:
@@ -172,14 +172,15 @@ def gp_fit(
     # kept a general solve: solve_triangular moves alpha in the last bits,
     # which would change the bytes of report.json for a given seed
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, yc))
-    return GpModel(
+    model = GpModel(
         train_inputs=xt,
         alpha=alpha,
         hyper=hyper,
         scaler=scaler,
         rows_offered=rows_offered,
-        _chol=chol,
     )
+    vars(model)["chol"] = chol   # seed the cache: no second factorisation
+    return model
 
 
 def gp_predict(
@@ -201,7 +202,7 @@ def gp_predict(
         model.train_inputs,
         model.hyper.length_scale,
         model.hyper.signal_var,
-        b_sq=model._train_sq,
+        b_sq=model.train_sq,
     )
     mean = ks @ model.alpha + model.hyper.mean_offset
     if not std:

@@ -22,6 +22,10 @@ class Standardizer:
     scale: tuple[float, ...]
 
     def __post_init__(self):
+        if len(self.mean) != len(self.scale):
+            raise ValidationError(
+                f"standardizer has {len(self.mean)} means but {len(self.scale)} scales"
+            )
         if not all(math.isfinite(m) for m in self.mean):
             raise ValidationError("standardizer mean must be finite")
         if not all(math.isfinite(s) and s > 0 for s in self.scale):

@@ -11,8 +11,8 @@ iteration cap raises ConvergenceError. Kernel rows sit in a bounded LRU cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,8 +54,6 @@ class SvmModel:
     class_weights: tuple[float, float]
     iterations: int               # SMO steps svm_fit took to converge
     kkt_gap: float                # m(alpha) - M(alpha) when it stopped, <= tol
-    # squared norms of the support rows, so neither compared nor serialised
-    _support_sq: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         shape, coefs = self.support_inputs.shape, self.dual_coefs.shape
@@ -69,8 +67,12 @@ class SvmModel:
                 raise ValidationError(f"SVM {name} must be finite")
         if not (math.isfinite(self.kernel_gamma) and self.kernel_gamma > 0):
             raise ValidationError("SVM kernel_gamma must be finite and > 0")
+
+    @cached_property
+    def support_sq(self) -> np.ndarray:
+        """Squared norms of the support rows, which every decision needs."""
         s = self.support_inputs
-        object.__setattr__(self, "_support_sq", np.sum(s * s, axis=1))
+        return np.sum(s * s, axis=1)
 
 
 def svm_fit(x: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> SvmModel:
@@ -151,7 +153,7 @@ def svm_decision_function(model: SvmModel, x: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"expected {model.support_inputs.shape[1]} features, got {x.shape[1]}"
         )
-    sq = sq_distances(x, model.support_inputs, model._support_sq)
+    sq = sq_distances(x, model.support_inputs, model.support_sq)
     return np.exp(-model.kernel_gamma * sq) @ model.dual_coefs + model.bias
 
 

@@ -11,6 +11,7 @@ reports node 0 and force 0 without running the classifiers or the GP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.gp_cap < 1:
             raise ValidationError("gp_cap must be >= 1")
+        if not self.node_axes:
+            raise ValidationError("node_axes must hold at least one value")
         for a in self.node_axes:
             if not 1 <= a <= 10:
                 raise ValidationError(f"node axis value {a} outside 1..10")
@@ -89,10 +92,11 @@ class TrainedPipeline:
     force_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
-    # (col_clf, row_clf) as one node table, compiled on first predict
-    _forests: ForestTable | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+
+    @cached_property
+    def forests(self) -> ForestTable:
+        """(col_clf, row_clf) as one node table, built on first use."""
+        return compile_forests((self.col_clf, self.row_clf))
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,11 @@ class TrainedTwoPipeline:
     force2_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
-    # (x1_clf, y1_clf, x2_clf, y2_clf) as one node table, compiled on first predict
-    _forests: ForestTable | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+
+    @cached_property
+    def forests(self) -> ForestTable:
+        """(x1_clf, y1_clf, x2_clf, y2_clf) as one node table, built on first use."""
+        return compile_forests((self.x1_clf, self.y1_clf, self.x2_clf, self.y2_clf))
 
 
 @dataclass(frozen=True)
@@ -157,13 +162,13 @@ class TwoContactEstimate:
             raise ValidationError("estimated forces must be >= 0")
 
 
-def _forest_table(
-    p: TrainedPipeline | TrainedTwoPipeline, *forests: ForestModel
-) -> ForestTable:
-    """The pipeline's forests as one node table, compiled on first use."""
-    if p._forests is None:
-        object.__setattr__(p, "_forests", compile_forests(forests))
-    return p._forests
+def _fit_force_gp(x: np.ndarray, y: np.ndarray, config: PipelineConfig) -> GpModel:
+    """The force GP on (x, y), its hyperparameters first picked by marginal
+    likelihood when config.gp_search is set."""
+    hyper = config.gp
+    if config.gp_search:
+        hyper, _ = gp_grid_search(x, y, base=hyper, cap=config.gp_cap, seed=config.seed)
+    return gp_fit(x, y, hyper, cap=config.gp_cap, seed=config.seed)
 
 
 def train_single(train: Dataset, config: PipelineConfig | None = None) -> TrainedPipeline:
@@ -189,24 +194,14 @@ def train_single(train: Dataset, config: PipelineConfig | None = None) -> Traine
     detector = svm_fit(z, det_labels, config.svm)
 
     pos = np.flatnonzero(contact)
-    forces = train.label("force_n")[pos]
     col_clf = forest_fit(z[pos], train.label("node_x")[pos] - 1, config.forest)
     row_clf = forest_fit(z[pos], train.label("node_y")[pos] - 1, config.forest)
-
-    hyper = config.gp
-    if config.gp_search:
-        hyper, _ = gp_grid_search(
-            x[pos], forces, base=hyper, cap=config.gp_cap, seed=config.seed
-        )
-    force_model = gp_fit(
-        x[pos], forces, hyper, cap=config.gp_cap, seed=config.seed
-    )
     return TrainedPipeline(
         stretch_model=stretch_model,
         detector=detector,
         row_clf=row_clf,
         col_clf=col_clf,
-        force_model=force_model,
+        force_model=_fit_force_gp(x[pos], train.label("force_n")[pos], config),
         preprocessing=scaler,
         config=config,
     )
@@ -222,9 +217,7 @@ def predict_single_batch(p: TrainedPipeline, x: np.ndarray) -> dict[str, np.ndar
     z = p.preprocessing.transform(x)
     stretch = ols_predict(p.stretch_model, x)
     detected = svm_predict(p.detector, z) > 0
-    (col_cls, _), (row_cls, _) = forest_predict(
-        _forest_table(p, p.col_clf, p.row_clf), z
-    )
+    (col_cls, _), (row_cls, _) = forest_predict(p.forests, z)
     force_mean, _ = gp_predict(p.force_model, x, std=False)
     return {
         "stretch": stretch,
@@ -273,22 +266,13 @@ def train_two(train: Dataset, config: PipelineConfig | None = None) -> TrainedTw
         name: _axis_classes(train.label(name).astype(int), axes, f"{name} labels")
         for name in ("x1", "y1", "x2", "y2")
     }
-
-    def fit_gp(y: np.ndarray) -> GpModel:
-        hyper = config.gp
-        if config.gp_search:
-            hyper, _ = gp_grid_search(
-                x, y, base=hyper, cap=config.gp_cap, seed=config.seed
-            )
-        return gp_fit(x, y, hyper, cap=config.gp_cap, seed=config.seed)
-
     return TrainedTwoPipeline(
         x1_clf=forest_fit(z, labels["x1"], config.forest),
         y1_clf=forest_fit(z, labels["y1"], config.forest),
         x2_clf=forest_fit(z, labels["x2"], config.forest),
         y2_clf=forest_fit(z, labels["y2"], config.forest),
-        force1_model=fit_gp(train.label("f1_n")),
-        force2_model=fit_gp(train.label("f2_n")),
+        force1_model=_fit_force_gp(x, train.label("f1_n"), config),
+        force2_model=_fit_force_gp(x, train.label("f2_n"), config),
         preprocessing=scaler,
         config=config,
     )
@@ -299,11 +283,8 @@ def predict_two_batch(p: TrainedTwoPipeline, x: np.ndarray) -> dict[str, np.ndar
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = p.preprocessing.transform(x)
     axes = np.array(sorted(p.config.node_axes))
-    forests = _forest_table(p, p.x1_clf, p.y1_clf, p.x2_clf, p.y2_clf)
-    out = {
-        name: axes[cls]
-        for name, (cls, _) in zip(("x1", "y1", "x2", "y2"), forest_predict(forests, z))
-    }
+    votes = forest_predict(p.forests, z)
+    out = {name: axes[cls] for name, (cls, _) in zip(("x1", "y1", "x2", "y2"), votes)}
     for name, gp in (("force1", p.force1_model), ("force2", p.force2_model)):
         mean, _ = gp_predict(gp, x, std=False)
         out[name] = np.maximum(mean, 0.0)

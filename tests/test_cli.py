@@ -4,19 +4,26 @@ entry point declared in pyproject.toml in a fresh interpreter, as the
 installed console script would."""
 
 import contextlib
+import copy
+import functools
 import io
 import json
 import math
+import operator
 import os
 import re
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eskin import evalkit, load_dataset, write_frames
 from eskin.cli import main
-from eskin.config import ENV_CONFIG
+from eskin.codec import to_dict
+from eskin.config import ENV_CONFIG, RunConfig
 from eskin.learners import svm
 
 from .entry_point import (
@@ -193,6 +200,17 @@ class TestGenerate:
         assert not out.exists()
 
 
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xff\xfe{"k_single": 3}')
+        out = tmp_path / "x.csv"
+        rc, _, err = run_cli("generate", "--config", str(cfg), "--out", str(out))
+        assert rc == 1
+        assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestTrain:
     def test_bundle_written_and_path_printed(self, cli_env):
         assert cli_env["train_single_stdout"].strip() == str(cli_env["single_bundle"])
@@ -329,6 +347,16 @@ class TestTrain:
         )
         assert rc == 2
         assert err.startswith("error:")
+
+    def test_csv_that_is_not_utf8_is_data_error(self, cli_env, tmp_path):
+        csv = tmp_path / "data.csv"
+        text = cli_env["single_csv"].read_bytes()
+        assert text.startswith(b"cx1,")
+        csv.write_bytes(b"cx1\xff" + text[3:])
+        rc, _, err = run_cli("train", str(csv), "--config", cli_env["cfg"])
+        assert rc == 2
+        assert err.startswith(f"error: {csv} is not UTF-8 text: 'utf-8' codec")
+        assert err.count("\n") == 1
 
     def test_sidecar_that_is_not_an_object_is_data_error(self, cli_env, tmp_path):
         csv = tmp_path / "data.csv"
@@ -674,6 +702,28 @@ class TestInfer:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_frames_that_are_not_utf8_are_data_error(self, cli_env, tmp_path):
+        frames = tmp_path / "frames.csv"
+        # the first field of the first frame starts with a byte UTF-8 never uses
+        text = cli_env["frames_csv"].read_bytes()
+        frames.write_bytes(text.replace(b"\n", b"\n\xff", 1))
+        out = tmp_path / "est.csv"
+        rc, _, err = run_cli(
+            "infer",
+            "--bundle",
+            str(cli_env["single_bundle"]),
+            "--frames",
+            str(frames),
+            "--config",
+            cli_env["cfg"],
+            "--out",
+            str(out),
+        )
+        assert rc == 2
+        assert err.startswith(f"error: {frames} is not UTF-8 text: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_frames_file(self, cli_env, tmp_path):
         rc, _, err = run_cli(
             "infer",
@@ -688,16 +738,22 @@ class TestInfer:
         assert err.startswith("error:")
 
 
+def eval_report(cli_env, mode: str):
+    """The report.json of ``eskin eval`` on the workspace's dataset."""
+    path = cli_env["out"] / f"report_{mode}" / "report.json"
+    if not path.exists():
+        rc, _, _ = run_cli(
+            "eval", str(cli_env[f"{mode}_csv"]), "--config", cli_env["cfg"],
+            "--mode", mode,
+        )
+        assert rc == 0
+    return path
+
+
 class TestReport:
     @pytest.fixture()
     def report_dir(self, cli_env):
-        path = cli_env["out"] / "report_single"
-        if not (path / "report.json").exists():
-            rc, _, _ = run_cli(
-                "eval", str(cli_env["single_csv"]), "--config", cli_env["cfg"]
-            )
-            assert rc == 0
-        return path
+        return eval_report(cli_env, "single").parent
 
     def test_headline_matches_eval(self, cli_env, report_dir):
         rc, stdout, _ = run_cli("report", str(report_dir / "report.json"))
@@ -749,6 +805,137 @@ class TestReport:
         rc, _, err = run_cli("report", str(bad))
         assert rc == 2
         assert err == f"error: report is not valid JSON: {literal} is not a JSON number\n"
+
+
+def one_leaf_mutations(doc: dict, keys_required: bool = True) -> list:
+    """Every way to change one leaf of a parsed JSON artifact, as (path,
+    kind). A leaf is a scalar, a list or an array payload. Kinds: "swap" (a
+    scalar of another JSON type), the "nan", "inf" and "-inf" literals,
+    "delete" (the key that holds it) and "empty" (a non-empty list or array)."""
+    found = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            if set(node) == {"data", "dtype", "shape"} and node["shape"][:1] != [0]:
+                found.append((path, "empty"))
+            for key, value in node.items():
+                if keys_required:
+                    found.append((path + (key,), "delete"))
+                walk(value, path + (key,))
+        elif isinstance(node, list):
+            if node:
+                found.append((path, "empty"))
+            for i, value in enumerate(node):
+                walk(value, path + (i,))
+        else:
+            found.extend((path, kind) for kind in ("swap", "nan", "inf", "-inf"))
+
+    walk(doc, ())
+    return found
+
+
+def mutated(doc: dict, path: tuple, kind: str) -> str:
+    """The JSON text of ``doc`` with the leaf at ``path`` changed by ``kind``."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    value = parent[last]
+    if kind == "delete":
+        del parent[last]
+    elif kind == "empty" and isinstance(value, list):
+        parent[last] = []
+    elif kind == "empty":   # an array payload with no rows
+        parent[last] = {**value, "shape": [0, *value["shape"][1:]], "data": ""}
+    elif kind == "swap":
+        parent[last] = 1 if isinstance(value, str) else "x"
+    else:
+        parent[last] = float(kind)
+    return json.dumps(doc)   # writes NaN and Infinity as the bare literals
+
+
+class Cases(dict):
+    """A dict whose repr, which hypothesis prints for a failing example,
+    names only its keys."""
+
+    def __repr__(self):
+        return f"Cases({', '.join(self)})"
+
+
+@pytest.fixture(scope="module")
+def corrupt_cases(cli_env):
+    """Per artifact kind, its valid documents, each as (parsed JSON, file to
+    write a changed copy to, argv that reads that file, exit code), and
+    every one-leaf mutation of each, as (document index, path, kind)."""
+    root, cfg = cli_env["root"] / "corrupt", cli_env["cfg"]
+    root.mkdir()
+    shutil.copy(cli_env["single_csv"], root / "data.csv")
+    full_config = to_dict(RunConfig())
+
+    def infer(mode):
+        return [
+            "infer", "--bundle", str(root / "bundle.json"), "--frames",
+            str(cli_env["frames_csv"]), "--mode", mode, "--config", cfg,
+            "--out", str(root / "est.csv"),
+        ]
+
+    docs = {
+        "bundle": [
+            (cli_env[f"{mode}_bundle"], root / "bundle.json", infer(mode), 2)
+            for mode in ("single", "two")
+        ],
+        "report": [
+            (eval_report(cli_env, mode), root / "report.json",
+             ["report", str(root / "report.json")], 2)
+            for mode in ("single", "two")
+        ],
+        "sidecar": [
+            (cli_env["single_csv"].with_suffix(".csv.meta.json"),
+             root / "data.csv.meta.json",
+             ["train", str(root / "data.csv"), "--config", cfg,
+              "--out", str(root / "trained.json")], 2),
+        ],
+        "config": [
+            (full_config, root / "cfg.json",
+             ["generate", "--config", str(root / "cfg.json"),
+              "--out", str(root / "generated.csv")], 1),
+        ],
+    }
+    cases = Cases()
+    for kind, sources in docs.items():
+        parsed = [
+            (src if isinstance(src, dict) else json.loads(src.read_text()), *rest)
+            for src, *rest in sources
+        ]
+        # a config file lists only the keys it changes, so any key may go
+        mutations = [
+            (i, path, how)
+            for i, (doc, *_) in enumerate(parsed)
+            for path, how in one_leaf_mutations(doc, keys_required=kind != "config")
+        ]
+        cases[kind] = (parsed, mutations)
+    return cases
+
+
+class TestCorruptArtifacts:
+    """One changed leaf of a valid artifact ends the command that reads it
+    with exit 1 (a config) or 2 (a bundle, report or dataset sidecar), one
+    error line and no traceback."""
+
+    @pytest.mark.parametrize("kind", ["bundle", "report", "sidecar", "config"])
+    # clean_env, the one function-scoped fixture, holds for every example
+    @settings(
+        max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_one_changed_leaf_is_refused(self, corrupt_cases, kind, data):
+        docs, mutations = corrupt_cases[kind]
+        i, path, how = data.draw(st.sampled_from(mutations))
+        doc, target, argv, code = docs[i]
+        target.write_text(mutated(doc, path, how))
+        rc, _, err = run_cli(*argv)
+        assert (rc, err.count("\n")) == (code, 1), (path, how, err)
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestUsage:

@@ -28,7 +28,6 @@ from eskin.learners import (
     GpHyper,
     GpModel,
     SvmModel,
-    forest_predict,
     gp_predict,
 )
 from eskin.pipeline import predict_single_batch, predict_two_batch
@@ -47,8 +46,6 @@ def assert_same_record(a, b, path="record"):
     """Field-wise equality that also compares array fields exactly."""
     assert type(a) is type(b), path
     for f in dataclasses.fields(a):
-        if not f.compare:
-            continue
         x, y = getattr(a, f.name), getattr(b, f.name)
         where = f"{path}.{f.name}"
         if dataclasses.is_dataclass(x):
@@ -171,20 +168,31 @@ class TestRoundTrip:
         assert json.dumps(to_dict(hyper)) == json.dumps(d)
 
 
+def all_keys(d) -> set:
+    """Every key at any depth of a nested to_dict result."""
+    if isinstance(d, dict):
+        return set(d).union(*map(all_keys, d.values()))
+    if isinstance(d, list):
+        return set().union(*map(all_keys, d))
+    return set()
+
+
 class TestDerivedFieldsNotWritten:
+    """Derived state is a cached property: it never reaches to_dict, repr
+    or ==, and a replace() copy computes its own."""
+
     def test_gp_factor(self, trained_single):
         model = trained_single.force_model
         model.chol  # make sure the factor exists
-        assert model._chol is not None
+        assert "chol" in vars(model)
         assert set(to_dict(model)) == {
             "train_inputs", "alpha", "hyper", "scaler", "rows_offered"
         }
 
     def test_forest_table(self, trained_single):
-        model = trained_single.row_clf
-        forest_predict(model, np.zeros((1, model.n_features)))
-        assert model._table is not None
-        assert set(to_dict(model)) == {
+        predict_single_batch(trained_single, np.zeros((1, 20)))
+        assert "forests" in vars(trained_single)
+        assert set(to_dict(trained_single.row_clf)) == {
             "is_split", "feature", "threshold", "leaf_counts",
             "n_classes", "n_features", "config",
         }
@@ -192,22 +200,21 @@ class TestDerivedFieldsNotWritten:
     def test_pipeline_text(self, trained_single):
         gp_predict(trained_single.force_model, np.ones((1, 20)))
         predict_single_batch(trained_single, np.ones((1, 20)))
-        text = json.dumps(to_dict(trained_single))
-        for name in ("_chol", "_table", "_forests", "_train_sq", "_support_sq"):
-            assert name not in text
+        keys = all_keys(to_dict(trained_single))
+        assert keys.isdisjoint({"chol", "train_sq", "support_sq", "forests"})
 
     @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
     def test_pipeline_table(self, trained, request):
         p = request.getfixturevalue(trained)
         predict = predict_single_batch if trained == "trained_single" else predict_two_batch
         predict(p, np.ones((2, 20)))
-        assert p._forests is not None
+        assert "forests" in vars(p)
         before = to_dict(p)
         fresh = dataclasses.replace(p)   # shares every model, not the table
-        assert fresh._forests is None
+        assert "forests" not in vars(fresh)
         assert p == fresh
         assert to_dict(p) == before
-        assert "_forests" not in repr(p)
+        assert "forests=" not in repr(p)
 
 
 class TestStrictDecode:

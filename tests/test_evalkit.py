@@ -354,6 +354,26 @@ class TestReportFiles:
         with pytest.raises(SchemaError):
             load_report(bad)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(mode="three"), "report mode 'three' is not"),
+            (lambda d: d["pooled"].pop("force_mse_disjoint"), "metrics differ"),
+            (lambda d: d["fold_std"].pop("x1_accuracy"), "metrics differ"),
+            (lambda d: d["per_fold"].update(x1_accuracy=[0.5]), "needs k=2 values"),
+            (lambda d: d["confusions"].pop("y2"), r"confusion matrices \['x1', 'x2'"),
+            (lambda d: d.update(notes=[]), "has no notes"),
+        ],
+    )
+    def test_load_rejects_incomplete_report(self, two_report, tmp_path, edit, message):
+        d = json.loads(two_report.to_json())
+        edit(d)
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(d))
+        match = f"malformed report: ValidationError: .*{message}"
+        with pytest.raises(SchemaError, match=match):
+            load_report(bad)
+
     def test_load_rejects_missing_fields(self, tmp_path):
         bad = tmp_path / "report.json"
         bad.write_text(json.dumps({"mode": "single"}))

@@ -45,19 +45,25 @@ def fit_single_tree(x, y):
     return forest_fit(x, y, cfg)
 
 
+def predict(model, x):
+    """(labels, votes) of one forest, served from its node table of one."""
+    (pair,) = forest_predict(compile_forests((model,)), x)
+    return pair
+
+
 class TestPinnedFixtures:
     def test_separable_stump_is_perfect(self):
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
         model = forest_fit(x, y, ForestConfig(n_trees=1, max_depth=1, bootstrap=False))
-        labels, votes = forest_predict(model, x)
+        labels, votes = predict(model, x)
         assert np.array_equal(labels, y)
         assert np.all(votes[np.arange(4), y] == 1.0)
 
     def test_constant_labels_predict_that_label(self):
         x = np.array([[0.0], [1.0], [2.0]])
         model = forest_fit(x, np.array([2, 2, 2]), SINGLE_TREE)
-        labels, votes = forest_predict(model, np.array([[5.0]]))
+        labels, votes = predict(model, np.array([[5.0]]))
         assert labels[0] == 2
         assert votes[0, 2] == 1.0
 
@@ -202,17 +208,17 @@ class TestTreeShape:
         model = forest_fit(x, y, ForestConfig(n_trees=1, bootstrap=False, min_leaf=3))
         # 4 samples cannot split into two nodes of >= 3
         assert model.trees[0] == {"counts": [2, 2]}
-        labels, _ = forest_predict(model, x)
+        labels, _ = predict(model, x)
         assert np.all(labels == 0)   # count tie goes to the smaller class
 
     def test_max_depth_caps_fit(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 1, 0])
         deep = forest_fit(x, y, SINGLE_TREE)
-        labels, _ = forest_predict(deep, x)
+        labels, _ = predict(deep, x)
         assert np.array_equal(labels, y)
         stump = forest_fit(x, y, ForestConfig(n_trees=1, max_depth=1, bootstrap=False))
-        labels, _ = forest_predict(stump, x)
+        labels, _ = predict(stump, x)
         assert np.sum(labels == y) == 3   # one sample stays wrong at depth 1
 
     def test_pure_node_stops(self):
@@ -228,14 +234,14 @@ class TestTreeShape:
         y = np.array([0, 0, 1, 1])
         model = forest_fit(x, y, SINGLE_TREE)
         assert model.trees[0]["threshold"] == a
-        labels, _ = forest_predict(model, x)
+        labels, _ = predict(model, x)
         assert np.array_equal(labels, y)
 
 
 class TestVoting:
     def test_tie_goes_to_smaller_class(self):
         model = forest_of(({"counts": [1, 0]}, {"counts": [0, 1]}), 2, 1)
-        labels, votes = forest_predict(model, np.array([[0.0]]))
+        labels, votes = predict(model, np.array([[0.0]]))
         assert labels[0] == 0
         assert np.allclose(votes[0], [0.5, 0.5])
 
@@ -244,7 +250,7 @@ class TestVoting:
         x = np.vstack([rng.normal(-2, 0.3, (15, 2)), rng.normal(2, 0.3, (15, 2))])
         y = np.array([0] * 15 + [1] * 15)
         model = forest_fit(x, y, ForestConfig(n_trees=25, seed=1))
-        labels, votes = forest_predict(model, x)
+        labels, votes = predict(model, x)
         assert votes.shape == (30, 2)
         assert np.allclose(votes.sum(axis=1), 1.0, atol=1e-12)
         assert np.array_equal(labels, y)
@@ -274,8 +280,8 @@ class TestDeterminismAndSerialisation:
         model = forest_fit(x, y, ForestConfig(n_trees=5))
         back = from_dict(ForestModel, to_dict(model))
         q = rng.normal(size=(8, 2))
-        l0, v0 = forest_predict(model, q)
-        l1, v1 = forest_predict(back, q)
+        l0, v0 = predict(model, q)
+        l1, v1 = predict(back, q)
         assert np.array_equal(l0, l1)
         assert np.array_equal(v0, v1)
 
@@ -303,7 +309,7 @@ class TestValidation:
     def test_predict_feature_mismatch(self):
         model = forest_fit(np.zeros((3, 2)), np.array([0, 1, 0]), SINGLE_TREE)
         with pytest.raises(ValidationError):
-            forest_predict(model, np.array([[1.0]]))
+            predict(model, np.array([[1.0]]))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -336,12 +342,12 @@ STUMP = {"feature": 1, "threshold": 0.5, "left": {"counts": [3, 0, 0]},
 def assert_matches_reference(model, x):
     """The many-row walk and the one-row order, row by row, both give the
     reference labels and votes."""
-    labels, votes = forest_predict(model, x)
+    labels, votes = predict(model, x)
     ref_labels, ref_votes = reference_predict(model, x)
     assert np.array_equal(labels, ref_labels)
     assert np.array_equal(votes, ref_votes)
     for i in range(x.shape[0]):
-        one_labels, one_votes = forest_predict(model, x[i : i + 1])
+        one_labels, one_votes = predict(model, x[i : i + 1])
         assert np.array_equal(one_labels, ref_labels[i : i + 1])
         assert np.array_equal(one_votes, ref_votes[i : i + 1])
 
@@ -371,7 +377,8 @@ class TestCompiledTable:
         q = np.vstack([x, np.round(rng.normal(size=(40, x.shape[1])), 1)])
         assert_matches_reference(model, q)
         assert_matches_reference(from_dict(ForestModel, to_dict(model)), q)
-        assert model.table.depth == max(tree_depth(t) for t in model.trees)
+        depth = compile_forests((model,)).depth
+        assert depth == max(tree_depth(t) for t in model.trees)
 
     def test_root_leaf_tree_next_to_deep_tree(self):
         deep = {"feature": 0, "threshold": 0.0,
@@ -379,19 +386,19 @@ class TestCompiledTable:
         model = hand_model({"counts": [0, 0, 4]}, deep)
         q = np.array([[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
         assert_matches_reference(model, q)
-        assert model.table.depth == 2
+        assert compile_forests((model,)).depth == 2
 
     def test_every_tree_a_root_leaf(self):
         model = hand_model({"counts": [0, 2, 0]}, {"counts": [1, 0, 0]},
                            n_features=1)
-        labels, votes = forest_predict(model, np.zeros((3, 1)))
+        labels, votes = predict(model, np.zeros((3, 1)))
         assert np.array_equal(labels, [0, 0, 0])   # 1-1 vote tie
         assert_matches_reference(model, np.zeros((3, 1)))
 
     def test_vote_tie_goes_to_smaller_class(self):
         model = hand_model(STUMP, {"counts": [0, 0, 1]}, {"counts": [0, 1, 0]})
         q = np.array([[0.0, 0.0], [0.0, 1.0]])
-        labels, votes = forest_predict(model, q)
+        labels, votes = predict(model, q)
         assert np.array_equal(labels, [0, 2])   # three-way tie, then 2 of 3
         assert np.array_equal(votes[0], np.full(3, 1 / 3))
         assert_matches_reference(model, q)
@@ -400,13 +407,13 @@ class TestCompiledTable:
         model = hand_model({"feature": 0, "threshold": 1.0,
                             "left": {"counts": [0, 2, 2]},
                             "right": {"counts": [5, 0, 5]}})
-        labels, _ = forest_predict(model, np.array([[0.0, 0.0], [2.0, 0.0]]))
+        labels, _ = predict(model, np.array([[0.0, 0.0], [2.0, 0.0]]))
         assert np.array_equal(labels, [1, 0])
 
     def test_nan_feature_goes_right(self):
         model = hand_model(STUMP)
         q = np.array([[0.0, np.nan], [np.nan, 0.0]])
-        labels, _ = forest_predict(model, q)
+        labels, _ = predict(model, q)
         assert np.array_equal(labels, [2, 0])
         assert_matches_reference(model, q)
 
@@ -421,7 +428,7 @@ class TestCompiledTable:
 
     def test_zero_rows(self):
         model = hand_model(STUMP, {"counts": [1, 0, 0]})
-        labels, votes = forest_predict(model, np.empty((0, 2)))
+        labels, votes = predict(model, np.empty((0, 2)))
         assert labels.shape == (0,)
         assert votes.shape == (0, 3)
 
@@ -429,18 +436,18 @@ class TestCompiledTable:
         model = forest_of(({"counts": [1, 0]}, {"counts": [0, 1]}), 2, 1)
         assert_matches_reference(model, np.array([[0.0], [3.0]]))
 
-    def test_cached_table_changes_neither_equality_nor_dict(self):
+    def test_serving_changes_neither_equality_nor_dict(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 3))
         model = forest_fit(x, rng.integers(0, 3, 30), ForestConfig(n_trees=4))
         before = to_dict(model)
         fresh = from_dict(ForestModel, before)
-        forest_predict(model, x)
-        assert model._table is not None and fresh._table is None
+        state = dict(vars(model))
+        predict(model, x)
+        assert vars(model) == state   # the table is kept by its caller
         assert model == fresh
         assert to_dict(model) == before
-        assert "_table" not in repr(model)
-        assert replace(model)._table is None   # a copy compiles its own
+        assert "table" not in repr(model)
 
 
 class TestMultiForestTable:
@@ -458,7 +465,7 @@ class TestMultiForestTable:
         q[::7, 1] = np.nan
         q[1::9, 2] = np.inf
         q[2::9, 0] = -np.inf
-        assert table.depth == max(m.table.depth for m in models)
+        assert table.depth == max(compile_forests((m,)).depth for m in models)
         assert table.classes == ((0, 2), (2, 7), (7, 10), (10, 17))
         for rows in [q, q[:1], q[5:6], q[:0]]:
             for model, (labels, votes) in zip(models, forest_predict(table, rows)):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from eskin import FactorizationError, ValidationError
 from eskin.codec import from_dict, to_dict
+from eskin.learners import gp as gp_module
 from eskin.learners import (
     GpHyper,
     GpModel,
@@ -248,7 +249,7 @@ class TestFitMechanics:
     def test_cached_norms_give_the_recomputed_mean(self, rng):
         model = gp_fit(rng.normal(size=(40, 3)), rng.normal(size=40), GpHyper(1.3))
         assert np.array_equal(
-            model._train_sq, np.sum(model.train_inputs * model.train_inputs, axis=1)
+            model.train_sq, np.sum(model.train_inputs * model.train_inputs, axis=1)
         )
         q = rng.normal(size=(7, 3))
         for rows in (q, q[:1]):
@@ -264,10 +265,26 @@ class TestFitMechanics:
     def test_cached_norms_stay_out_of_equality_dict_and_repr(self, rng):
         model = gp_fit(rng.normal(size=(6, 2)), rng.normal(size=6))
         other = dataclasses.replace(model)
-        object.__setattr__(other, "_train_sq", model._train_sq + 1.0)
+        assert "train_sq" not in vars(other)   # a copy computes its own
+        vars(other)["train_sq"] = model.train_sq + 1.0
         assert model == other
-        assert "_train_sq" not in to_dict(model)
-        assert "_train_sq" not in repr(model)
+        assert "train_sq" not in to_dict(model)
+        assert "train_sq" not in repr(model)
+
+    def test_fit_keeps_the_factor_it_computed(self, rng, monkeypatch):
+        factors, factor = [], gp_module._factor
+
+        def recording_factor(*args):
+            factors.append(factor(*args))
+            return factors[-1]
+
+        monkeypatch.setattr(gp_module, "_factor", recording_factor)
+        model = gp_fit(rng.normal(size=(8, 2)), rng.normal(size=8))
+        assert len(factors) == 1
+        assert model.chol is factors[0]
+        log_marginal_likelihood(model)
+        assert len(factors) == 1   # the likelihood reuses it
+        assert "chol" not in vars(dataclasses.replace(model))
 
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy is not a dependency: no path may import it, the std included

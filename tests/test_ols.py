@@ -118,6 +118,8 @@ def test_model_rejects_non_finite_coefficients(weights, intercept):
         ((0.0, 0.0), (1.0, -2.0), "scale must be finite and > 0"),
         ((0.0, 0.0), (np.inf, 1.0), "scale must be finite and > 0"),
         ((0.0, 0.0), (1.0, np.nan), "scale must be finite and > 0"),
+        ((), (1.0, 1.0), "0 means but 2 scales"),
+        ((0.0, 0.0), (1.0,), "2 means but 1 scales"),
     ],
 )
 def test_standardizer_rejects_invalid_statistics(mean, scale, match):

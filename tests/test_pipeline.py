@@ -470,6 +470,7 @@ class TestPipelineConfig:
             {"gp_cap": 0},
             {"node_axes": (0, 5)},
             {"node_axes": (1, 11)},
+            {"node_axes": ()},
         ],
     )
     def test_invalid(self, kwargs):
