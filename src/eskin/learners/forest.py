@@ -29,9 +29,9 @@ leaf-class arrays, the sklearn ``Tree`` layout; Louppe 2014, ch. 5) that
 forest's nodes, roots and classes follow the previous forest's, so a
 pipeline serves all its forests, which read the same features, from one
 table (its ``forests``, compiled on first use); a lone forest is served
-from a table of one. The evaluation order follows the row
-count. One row tests every node once and builds each node's successor from
-the outcomes, then follows the successors from all roots at once (the
+from a table of one. The evaluation order follows the row count. One row
+tests every node once and builds each node's successor from the outcomes,
+then follows the successors from all roots at once (the
 QuickScorer idea of scoring a document node test by node test rather than
 tree by tree; Lucchese et al., SIGIR 2015). More rows descend all trees of
 a forest at once, one level per step. The leaf classes of every forest are
