@@ -23,19 +23,22 @@ it on construction. ``ForestModel.trees`` rebuilds the nested-dict view
 ({"feature", "threshold", "left", "right"} and {"counts"}) on demand; fit,
 load and predict never build it.
 
-Predict serves from a node table (parallel feature, threshold, child and
-leaf-class arrays, the sklearn ``Tree`` layout; Louppe 2014, ch. 5) that
-``compile_forests`` makes from the node arrays by offset arithmetic. Each
-forest's nodes, roots and classes follow the previous forest's, so a
-pipeline serves all its forests, which read the same features, from one
-table (its ``forests``, compiled on first use); a lone forest is served
-from a table of one. The evaluation order follows the row count. One row
-tests every node once and builds each node's successor from the outcomes,
-then follows the successors from all roots at once (the
-QuickScorer idea of scoring a document node test by node test rather than
-tree by tree; Lucchese et al., SIGIR 2015). More rows descend all trees of
-a forest at once, one level per step. The leaf classes of every forest are
-counted in a single bincount.
+Predict serves from a node table (parallel feature, threshold, right-child
+and leaf-class arrays, after the sklearn ``Tree`` layout; Louppe 2014,
+ch. 5) that ``compile_forests`` makes from the node arrays by offset
+arithmetic. Each forest's nodes, roots and classes follow the previous
+forest's, so a pipeline serves all its forests, which read the same
+features, from one table (its ``forests``, compiled on first use); a lone
+forest is served from a table of one. A left child sits just before its
+right sibling, and a leaf is its own right child with a NaN threshold, so
+one step from any node is ``right[node] - (x[feature[node]] <=
+threshold[node])``: one compare, no test for leaves. The evaluation order
+follows the row count. One row tests every node once and builds each
+node's successor from the outcomes, then follows the successors from all
+roots at once (the QuickScorer idea of scoring a document node test by
+node test rather than tree by tree; Lucchese et al., SIGIR 2015). More rows
+descend all trees of a forest at once, one level per step. The leaf classes
+of every forest are counted in a single bincount.
 """
 
 from __future__ import annotations
@@ -83,16 +86,17 @@ class ForestTable:
     """The trees of one or more forests as parallel arrays, one entry per
     node. Every forest reads the same feature columns.
 
-    A leaf is its own left and right child, so descending from it stays put.
-    Leaf classes are numbered across the table, forest after forest, as are
-    the nodes and the roots.
+    A split's left child is ``right - 1``, so one level is ``right[node] -
+    (x[feature[node]] <= threshold[node])``. A leaf is its own right child
+    and has a NaN threshold, which no value is <=, so descending from it
+    stays put. A NaN feature value is not <= any threshold either: it goes
+    right. Leaf classes are numbered across the table, forest after forest,
+    as are the nodes and the roots.
     """
 
     feature: np.ndarray       # split feature; 0 at leaves
-    threshold: np.ndarray     # go left when x[feature] <= threshold
-    left: np.ndarray          # left child; a leaf's own index
-    is_split: np.ndarray      # the right child is left + 1 exactly here
-    kids: np.ndarray          # (2 n_nodes,): left and right child of each node
+    threshold: np.ndarray     # go left when x[feature] <= threshold; NaN at leaves
+    right: np.ndarray         # right child; a leaf's own index
     leaf_class: np.ndarray    # table class of the first argmax of the leaf counts
     roots: np.ndarray         # node index of each tree's root, forest by forest
     n_features: int
@@ -397,7 +401,7 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
     forest's. Raises SchemaError if the features differ."""
     if len({m.n_features for m in models}) != 1:
         raise SchemaError("forests of one table must read the same features")
-    left_parts, leaf_parts, root_parts, classes = [], [], [], []
+    right_parts, leaf_parts, root_parts, classes = [], [], [], []
     depths: list[int] = []
     node_base = class_base = 0
     for model in models:
@@ -412,8 +416,8 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
         depths.append(depth)
         leaf_class = np.zeros(n, dtype=np.intp)
         leaf_class[~split] = class_base + np.argmax(model.leaf_counts, axis=1)
-        left_parts.append(node_base + np.where(
-            split, n_trees + 2 * splits_before[:-1], np.arange(n)
+        right_parts.append(node_base + np.where(
+            split, n_trees + 2 * splits_before[:-1] + 1, np.arange(n)
         ))
         leaf_parts.append(leaf_class)
         root_parts.append(node_base + np.arange(n_trees))
@@ -422,17 +426,14 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
         class_base += model.n_classes
 
     split = np.concatenate([m.is_split for m in models])
-    left = np.concatenate(left_parts)
     table_feature = np.zeros(node_base, dtype=np.intp)
     table_feature[split] = np.concatenate([m.feature for m in models])
-    table_threshold = np.zeros(node_base)
+    table_threshold = np.full(node_base, np.nan)
     table_threshold[split] = np.concatenate([m.threshold for m in models])
     return ForestTable(
         feature=table_feature,
         threshold=table_threshold,
-        left=left,
-        is_split=split,
-        kids=np.stack([left, left + split], axis=1).ravel(),
+        right=np.concatenate(right_parts),
         leaf_class=np.concatenate(leaf_parts),
         roots=np.concatenate(root_parts),
         n_features=models[0].n_features,
@@ -452,13 +453,12 @@ def _leaves(tab: ForestTable, x: np.ndarray) -> np.ndarray:
     """
     n, d = x.shape
     if n == 1:
-        go_right = ~(x[0][tab.feature] <= tab.threshold)
-        successor = tab.left + (go_right & tab.is_split)
+        successor = tab.right - (x[0][tab.feature] <= tab.threshold)
         node = tab.roots
         for _ in range(tab.depth):
             node = successor[node]
         return tab.leaf_class[node][None, :]
-    # flat gathers: x[r, f] is xf[r * d + f], children[i, c] is kids[2 * i + c]
+    # a flat gather: x[r, f] is xf[r * d + f]
     xf = x.ravel()
     row_base = np.arange(n)[:, None] * d
     leaves = np.empty((n, tab.roots.shape[0]), dtype=np.intp)
@@ -469,8 +469,9 @@ def _leaves(tab: ForestTable, x: np.ndarray) -> np.ndarray:
         roots = tab.roots[start : start + n_trees]
         node = np.broadcast_to(roots, (n, n_trees))
         for _ in range(depth):
-            go_right = ~(xf[row_base + tab.feature[node]] <= tab.threshold[node])
-            node = tab.kids[2 * node + go_right]
+            node = tab.right[node] - (
+                xf[row_base + tab.feature[node]] <= tab.threshold[node]
+            )
         leaves[:, start : start + n_trees] = tab.leaf_class[node]
         start += n_trees
     return leaves

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..codec import FloatArray
 from ..errors import ConvergenceError, DegenerateLabelsError, ValidationError
-from .gp import sq_distances
+from .gp import distance_kernel
 from .linear import _check_xy
 
 _CACHE_BYTES = 32 << 20        # kernel-row cache budget; a row costs 8 n bytes
@@ -153,8 +153,13 @@ def svm_decision_function(model: SvmModel, x: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"expected {model.support_inputs.shape[1]} features, got {x.shape[1]}"
         )
-    sq = sq_distances(x, model.support_inputs, model.support_sq)
-    return np.exp(-model.kernel_gamma * sq) @ model.dual_coefs + model.bias
+
+    def finish(k: np.ndarray) -> None:   # in place; bit for bit exp(-gamma * sq)
+        np.multiply(k, -model.kernel_gamma, out=k)
+        np.exp(k, out=k)
+
+    k = distance_kernel(x, model.support_inputs, model.support_sq, finish)
+    return k @ model.dual_coefs + model.bias
 
 
 def svm_predict(model: SvmModel, x: np.ndarray) -> np.ndarray:

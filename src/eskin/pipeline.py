@@ -10,7 +10,7 @@ reports node 0 and force 0 without running the classifiers or the GP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -81,6 +81,32 @@ class PipelineConfig:
                 raise ValidationError(f"node axis value {a} outside 1..10")
 
 
+def _check_feature_widths(p: TrainedPipeline | TrainedTwoPipeline) -> None:
+    """Raise ValidationError unless every model of ``p`` reads the same
+    number of frame channels: a mismatch would otherwise surface as a numpy
+    broadcast error on the first frame served."""
+    widths = {}
+    for f in fields(p):
+        value = getattr(p, f.name)
+        if isinstance(value, Standardizer):
+            widths[f.name] = len(value.mean)
+        elif isinstance(value, LinearModel):
+            widths[f.name] = len(value.weights)
+        elif isinstance(value, SvmModel):
+            widths[f.name] = value.support_inputs.shape[1]
+        elif isinstance(value, ForestModel):
+            widths[f.name] = value.n_features
+        elif isinstance(value, GpModel):
+            widths[f.name] = value.train_inputs.shape[1]
+            if value.scaler is not None:
+                widths[f"{f.name}.scaler"] = len(value.scaler.mean)
+    if len(set(widths.values())) > 1:
+        raise ValidationError(
+            "pipeline models read different feature widths: "
+            + ", ".join(f"{name} {width}" for name, width in widths.items())
+        )
+
+
 @dataclass(frozen=True)
 class TrainedPipeline:
     """The single-contact model stack plus its preprocessing statistics."""
@@ -92,6 +118,9 @@ class TrainedPipeline:
     force_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
+
+    def __post_init__(self):
+        _check_feature_widths(self)
 
     @cached_property
     def forests(self) -> ForestTable:
@@ -115,6 +144,9 @@ class TrainedTwoPipeline:
     force2_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
+
+    def __post_init__(self):
+        _check_feature_widths(self)
 
     @cached_property
     def forests(self) -> ForestTable:

@@ -55,6 +55,42 @@ def _rbf_gram(a, b, length_scale, signal_var):
     return signal_var * np.exp(-sq / (2.0 * length_scale**2))
 
 
+# (query rows, training rows): one frame and one training row, the serving
+# and training-fit extremes, and sizes around OpenBLAS's thread partition
+KERNEL_SHAPES = [(1, 2000), (2000, 1), (65, 601), (641, 2000), (3, 7)]
+
+
+def kernel_inputs(rng, na, nb, d=20):
+    """Random rows where the first half of the shorter side repeats rows of
+    the other, so the clamp at 0 sees rounding below it."""
+    a, b = rng.normal(size=(na, d)), rng.normal(size=(nb, d))
+    dup = min(na, nb) // 2 or 1
+    a[:dup] = b[:dup]
+    return a, b
+
+
+def sq_distances_oracle(a, b):
+    """Squared row distances by the out-of-place formula a_sq + b_sq -
+    2 (a @ b.T), clamped at 0. The one-buffer kernels must match these bits
+    exactly, so this is the same float arithmetic in the same order, not an
+    independent derivation."""
+    b_sq = np.sum(b * b, axis=1)
+    sq = np.sum(a * a, axis=1)[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def rbf_kernel_oracle(a, b, length_scale, signal_var):
+    """The out-of-place RBF Gram matrix (see sq_distances_oracle)."""
+    return signal_var * np.exp(-sq_distances_oracle(a, b) / (2.0 * length_scale**2))
+
+
+def svm_decision_oracle(model, x):
+    """The out-of-place SVM decision values (see sq_distances_oracle)."""
+    sq = sq_distances_oracle(x, model.support_inputs)
+    return np.exp(-model.kernel_gamma * sq) @ model.dual_coefs + model.bias
+
+
 def gp_dense_oracle(x_train, y_train, x_query, length_scale, signal_var, noise_var):
     """Posterior (mean, std) via an explicit matrix inverse.
 

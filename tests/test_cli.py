@@ -5,11 +5,9 @@ installed console script would."""
 
 import contextlib
 import copy
-import functools
 import io
 import json
 import math
-import operator
 import os
 import re
 import shutil
@@ -609,6 +607,17 @@ class TestInfer:
                 lambda p: p["stretch_model"]["weights"].__setitem__(0, math.nan),
                 NOT_JSON + "NaN is not a JSON number",
             ),
+            # the standardizer one channel short of the models behind it
+            (
+                lambda p: [p["preprocessing"][k].pop() for k in ("mean", "scale")],
+                MALFORMED + "ValidationError: pipeline models read different "
+                "feature widths: ",
+            ),
+            (
+                lambda p: p["stretch_model"]["weights"].pop(),
+                MALFORMED + "ValidationError: pipeline models read different "
+                "feature widths: ",
+            ),
             # array payloads
             (
                 lambda p: p["force_model"]["alpha"].update(data="AAAA!AAA"),
@@ -835,10 +844,13 @@ def one_leaf_mutations(doc: dict, keys_required: bool = True) -> list:
 
 
 def mutated(doc: dict, path: tuple, kind: str) -> str:
-    """The JSON text of ``doc`` with the leaf at ``path`` changed by ``kind``."""
-    doc = copy.deepcopy(doc)
+    """The JSON text of ``doc`` with the leaf at ``path`` changed by
+    ``kind``. ``doc`` stays as it is: only the containers on the path are
+    copied."""
+    doc = parent = copy.copy(doc)
     *head, last = path
-    parent = functools.reduce(operator.getitem, head, doc)
+    for step in head:
+        parent[step] = parent = copy.copy(parent[step])
     value = parent[last]
     if kind == "delete":
         del parent[last]
@@ -851,6 +863,17 @@ def mutated(doc: dict, path: tuple, kind: str) -> str:
     else:
         parent[last] = float(kind)
     return json.dumps(doc)   # writes NaN and Infinity as the bare literals
+
+
+def one_per_field(mutations: list) -> list:
+    """The first mutation of each (document, field path, kind), list indices
+    in the path folded together: every record check a one-leaf change can
+    reach, without the repeats that array elements bring."""
+    first = {}
+    for i, path, how in mutations:
+        field = tuple("*" if isinstance(step, int) else step for step in path)
+        first.setdefault((i, field, how), (i, path, how))
+    return list(first.values())
 
 
 class Cases(dict):
@@ -936,6 +959,21 @@ class TestCorruptArtifacts:
         assert (rc, err.count("\n")) == (code, 1), (path, how, err)
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["bundle", "report", "sidecar", "config"])
+    def test_every_field_path_is_refused(self, corrupt_cases, kind):
+        docs, mutations = corrupt_cases[kind]
+        wrong = []
+        for i, path, how in one_per_field(mutations):
+            doc, target, argv, code = docs[i]
+            target.write_text(mutated(doc, path, how))
+            try:
+                rc, _, err = run_cli(*argv)
+            except Exception as exc:   # a traceback: report it with its mutation
+                rc, err = None, f"{type(exc).__name__}: {exc}"
+            if (rc, err.count("\n")) != (code, 1) or not err.startswith("error: "):
+                wrong.append((i, path, how, rc, err))
+        assert not wrong
 
 
 class TestUsage:

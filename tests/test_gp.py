@@ -5,6 +5,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from eskin.learners import (
 )
 
 from .entry_point import eskin_env
-from .oracles import gp_dense_oracle
+from .oracles import (
+    KERNEL_SHAPES,
+    gp_dense_oracle,
+    kernel_inputs,
+    rbf_kernel_oracle,
+    sq_distances_oracle,
+)
 from .payloads import edit_array
 
 
@@ -56,6 +63,47 @@ class TestRbfKernel:
     def test_invalid_length_scale(self):
         with pytest.raises(ValidationError):
             rbf_kernel(np.array([0.0]), np.array([1.0]), length_scale=0.0)
+
+
+class TestInPlaceKernel:
+    """The one-buffer kernel is bit for bit the out-of-place formula, and
+    its Gram matrix needs one (n, n) array plus cache-sized row blocks."""
+
+    @pytest.mark.parametrize("na, nb", KERNEL_SHAPES)
+    @pytest.mark.parametrize("signal_var", [1.0, 1.7])
+    def test_bit_identical(self, rng, na, nb, signal_var):
+        a, b = kernel_inputs(rng, na, nb)
+        assert np.array_equal(
+            rbf_kernel(a, b, 1.3, signal_var), rbf_kernel_oracle(a, b, 1.3, signal_var)
+        )
+        b_sq = np.sum(b * b, axis=1)
+        assert np.array_equal(
+            gp_module.distance_kernel(a, b, b_sq, lambda sq: None),
+            sq_distances_oracle(a, b),
+        )
+
+    def test_duplicate_rows_clamp_to_exact_zero(self, rng):
+        a, b = kernel_inputs(rng, 65, 601)
+        unclamped = (
+            np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+            - 2.0 * (a @ b.T)
+        )
+        below = unclamped < 0
+        assert below.any()   # the clamp has rounding to undo
+        sq = gp_module.distance_kernel(a, b, np.sum(b * b, axis=1), lambda sq: None)
+        assert not np.signbit(sq).any() and np.all(sq[below] == 0.0)
+        assert np.all(rbf_kernel(a, b, 1.0, 1.7)[below] == 1.7)
+
+    def test_gram_peaks_at_one_buffer(self, rng):
+        n = 2000
+        x = rng.normal(size=(n, 20))
+        tracemalloc.start()
+        try:
+            rbf_kernel(x, x, 1.0, 1.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n * 8 + (1 << 20)   # the out-of-place formula took three
 
 
 class TestGpHyper:

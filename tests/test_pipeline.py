@@ -2,6 +2,7 @@
 round trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from eskin import (
     train_two,
 )
 from eskin.codec import from_dict, to_dict
-from eskin.learners import ForestModel
+from eskin.learners import ForestModel, Standardizer
 from eskin.learners import gp as gp_module
 from eskin.pipeline import (
     BUNDLE_SCHEMA_VERSION,
@@ -427,6 +428,33 @@ class TestBundles:
         path.write_text(json.dumps(d))
         with pytest.raises(SchemaError, match="mode"):
             load_pipeline(path)
+
+
+class TestFeatureWidths:
+    """Every model of a pipeline reads the same frame channels; a record
+    whose widths disagree is refused when it is built, not on first serve."""
+
+    def test_single_standardizer_one_short(self, trained_single):
+        sc = trained_single.preprocessing
+        with pytest.raises(ValidationError, match=r"stretch_model 20, .*, preprocessing 19$"):
+            replace(
+                trained_single,
+                preprocessing=Standardizer(mean=sc.mean[:-1], scale=sc.scale[:-1]),
+            )
+
+    def test_two_gp_inputs_one_short(self, trained_two):
+        gp = trained_two.force2_model
+        with pytest.raises(ValidationError, match=r"force2_model 19, force2_model\.scaler 20"):
+            replace(
+                trained_two,
+                force2_model=replace(gp, train_inputs=gp.train_inputs[:, :-1].copy()),
+            )
+
+    def test_two_gp_scaler_one_short(self, trained_two):
+        gp = trained_two.force1_model
+        narrow = Standardizer(mean=gp.scaler.mean[1:], scale=gp.scaler.scale[1:])
+        with pytest.raises(ValidationError, match=r"force1_model\.scaler 19"):
+            replace(trained_two, force1_model=replace(gp, scaler=narrow))
 
 
 @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])

@@ -19,6 +19,7 @@ from eskin.learners import (
     svm_predict,
 )
 
+from .oracles import KERNEL_SHAPES, kernel_inputs, svm_decision_oracle
 from .payloads import edit_array
 
 XOR_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -178,6 +179,21 @@ class TestPrediction:
         x, y = blob_problem(11)
         model = svm_fit(x, y)
         assert np.array_equal(svm_predict(model, x), y)
+
+
+@pytest.mark.parametrize("n_query, n_support", KERNEL_SHAPES)
+def test_decision_is_bit_identical_to_out_of_place(rng, n_query, n_support):
+    x, support = kernel_inputs(rng, n_query, n_support)
+    model = SvmModel(
+        support_inputs=support,
+        dual_coefs=rng.normal(size=n_support),
+        bias=0.3,
+        kernel_gamma=0.05,
+        class_weights=(1.0, 1.0),
+        iterations=1,
+        kkt_gap=0.0,
+    )
+    assert np.array_equal(svm_decision_function(model, x), svm_decision_oracle(model, x))
 
 
 class TestDeterminismAndSerialisation:
