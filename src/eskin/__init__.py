@@ -29,6 +29,7 @@ from .errors import (
     EskinError,
     FactorizationError,
     NonFiniteError,
+    NumericError,
     ParseError,
     ProtocolError,
     SchemaError,

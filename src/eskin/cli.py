@@ -1,8 +1,10 @@
 """Command-line entry point: generate, train, eval, infer, report.
 
-Exit codes are stable for scripting: 0 success, 1 usage or configuration
-problems, 2 data validation failures, 3 numerical failures. All file output
-goes through atomic writes, so an error never leaves a partial file behind.
+Exit codes are stable for scripting: 0 on success, else the ``exit_code``
+of the toolkit error raised (see errors.py), or 2 when a file cannot be read
+or written. ``train``, ``eval`` and ``infer`` take the contact mode from their
+input; only ``generate`` has a ``--mode``. All file output goes through
+atomic writes, so an error never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -24,21 +26,11 @@ from .core import (
     read_text_file,
     save_dataset,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    CoverageError,
-    EskinError,
-    FactorizationError,
-    NonFiniteError,
-    SingularDesignError,
-    UndefinedMetricError,
-)
+from .errors import ConfigError, CoverageError, EskinError
 from .evalkit import cross_validate, cross_validate_two, load_report, write_report_files
 from .pipeline import (
     TrainedPipeline,
     load_pipeline,
-    pipeline_mode,
     predict_single_batch,
     predict_two_batch,
     save_pipeline,
@@ -49,14 +41,9 @@ from .pipeline import (
 )
 from .sim import generate_single_force_dataset, generate_two_force_dataset
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
-
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; route them through the exit-code map
+    # argparse exits 2 on usage errors; a ConfigError exits 1
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
 
@@ -81,12 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", parents=[common], help="fit and save a model bundle")
     t.add_argument("data", help="dataset CSV")
-    t.add_argument("--mode", choices=[SCHEMA_SINGLE, SCHEMA_TWO], default=SCHEMA_SINGLE)
     t.add_argument("--out", help="bundle JSON path")
 
     e = sub.add_parser("eval", parents=[common], help="cross-validate and report")
     e.add_argument("data", help="dataset CSV")
-    e.add_argument("--mode", choices=[SCHEMA_SINGLE, SCHEMA_TWO], default=SCHEMA_SINGLE)
     e.add_argument("--k", type=int, help="number of folds")
     e.add_argument("--out", help="report output directory")
     e.add_argument("--emit-heatmaps", action="store_true")
@@ -94,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("infer", parents=[common], help="estimate contacts for frames")
     i.add_argument("--bundle", required=True, help="trained model bundle")
     i.add_argument("--frames", required=True, help="frames CSV (20 channels)")
-    i.add_argument("--mode", choices=[SCHEMA_SINGLE, SCHEMA_TWO], default=SCHEMA_SINGLE)
     i.add_argument("--out", help="estimates CSV path")
 
     r = sub.add_parser("report", parents=[common], help="render a saved report")
@@ -109,13 +93,6 @@ def _load_run_config(args) -> RunConfig:
     if args.seed is not None:
         cfg = apply_seed(cfg, args.seed)
     return cfg
-
-
-def _require_mode(ds: Dataset, mode: str) -> None:
-    if ds.schema != mode:
-        raise ConfigError(
-            f"dataset is {ds.schema}-contact but --mode {mode} was requested"
-        )
 
 
 def cmd_generate(args) -> int:
@@ -136,7 +113,7 @@ def cmd_generate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out)
     print(len(ds))
-    return EXIT_OK
+    return 0
 
 
 def _check_full_grid(ds: Dataset) -> None:
@@ -160,9 +137,8 @@ def _note_gp_subsample(name: str, gp, what: str, cap: int) -> None:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = load_dataset(args.data)
-    _require_mode(ds, args.mode)
     cap = cfg.pipeline.gp_cap
-    if args.mode == SCHEMA_SINGLE:
+    if ds.schema == SCHEMA_SINGLE:
         _check_full_grid(ds)
         p = train_single(ds, cfg.pipeline)
         _note_gp_subsample("force", p.force_model, "contact rows", cap)
@@ -170,37 +146,31 @@ def cmd_train(args) -> int:
         p = train_two(ds, cfg.pipeline)
         _note_gp_subsample("force1", p.force1_model, "rows", cap)
         _note_gp_subsample("force2", p.force2_model, "rows", cap)
-    out = Path(args.out) if args.out else Path(cfg.out_dir) / f"bundle_{args.mode}.json"
+    out = Path(args.out) if args.out else Path(cfg.out_dir) / f"bundle_{ds.schema}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_pipeline(p, out)
     print(out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     ds = load_dataset(args.data)
-    _require_mode(ds, args.mode)
-    if args.mode == SCHEMA_SINGLE:
+    if ds.schema == SCHEMA_SINGLE:
         k = args.k if args.k is not None else cfg.k_single
         report = cross_validate(ds, k, seed=cfg.seed, config=cfg.pipeline)
     else:
         k = args.k if args.k is not None else cfg.k_two
         report = cross_validate_two(ds, k, seed=cfg.seed, config=cfg.pipeline)
-    out = Path(args.out) if args.out else Path(cfg.out_dir) / f"report_{args.mode}"
+    out = Path(args.out) if args.out else Path(cfg.out_dir) / f"report_{ds.schema}"
     write_report_files(report, out, emit_heatmaps=args.emit_heatmaps)
     print(report.headline())
-    return EXIT_OK
+    return 0
 
 
 def cmd_infer(args) -> int:
     cfg = _load_run_config(args)
     p = load_pipeline(args.bundle)
-    if pipeline_mode(p) != args.mode:
-        raise ConfigError(
-            f"bundle holds a {pipeline_mode(p)}-contact pipeline "
-            f"but --mode {args.mode} was requested"
-        )
     x = read_text_file(args.frames, read_frames)
     if isinstance(p, TrainedPipeline):
         lines = ["stretch,detected,node_x,node_y,force_n"]
@@ -222,7 +192,7 @@ def cmd_infer(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, text)
     print(out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_report(args) -> int:
@@ -231,7 +201,7 @@ def cmd_report(args) -> int:
         out = Path(args.out) if args.out else Path(args.report_json).parent
         write_report_files(report, out, emit_heatmaps=args.emit_heatmaps)
     print(report.headline())
-    return EXIT_OK
+    return 0
 
 
 _COMMANDS = {
@@ -248,21 +218,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        SingularDesignError, FactorizationError, ConvergenceError,
-        UndefinedMetricError, NonFiniteError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except EskinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return 2
 
 
 if __name__ == "__main__":

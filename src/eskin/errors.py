@@ -1,16 +1,20 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto stable exit codes: config/usage problems -> 1,
-data validation problems -> 2, numerical failures -> 3.
+Each class carries the stable exit code the CLI ends with: config/usage
+problems 1, data validation problems 2, numerical failures 3.
 """
 
 
 class EskinError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; a data validation problem."""
+
+    exit_code = 2
 
 
 class ConfigError(EskinError):
     """Invalid configuration value or CLI usage."""
+
+    exit_code = 1
 
 
 class ProtocolError(ConfigError):
@@ -43,21 +47,27 @@ class DegenerateLabelsError(ValidationError):
     """Classifier training input contains a single class."""
 
 
-class SingularDesignError(EskinError):
+class NumericError(EskinError):
+    """Base class for numerical failures."""
+
+    exit_code = 3
+
+
+class SingularDesignError(NumericError):
     """Rank-deficient regression design; refusing to pseudo-invert silently."""
 
 
-class FactorizationError(EskinError):
+class FactorizationError(NumericError):
     """A matrix factorisation failed (not positive definite)."""
 
 
-class NonFiniteError(EskinError):
+class NonFiniteError(NumericError):
     """A value to be written to a JSON artifact is NaN or infinite."""
 
 
-class ConvergenceError(EskinError):
+class ConvergenceError(NumericError):
     """An iterative solver reached its iteration cap before converging."""
 
 
-class UndefinedMetricError(EskinError):
+class UndefinedMetricError(NumericError):
     """Metric is undefined for the given inputs (e.g. zero-variance targets)."""

@@ -159,7 +159,8 @@ _CONTENTS = {
 @dataclass(frozen=True)
 class MetricsReport:
     """Construction checks that the report holds every metric and confusion
-    matrix of its mode, k values per fold metric and at least one note."""
+    matrix of its mode, at least one sample, k values per fold metric and at
+    least one note."""
 
     mode: str
     k: int
@@ -184,6 +185,8 @@ class MetricsReport:
             raise ValidationError(
                 "report metrics differ between pooled, per_fold, fold_mean and fold_std"
             )
+        if self.n_samples < 1:
+            raise ValidationError("report n_samples must be >= 1")
         if any(len(values) != self.k for values in self.per_fold.values()):
             raise ValidationError(f"every per-fold metric needs k={self.k} values")
         if set(self.confusions) != confusions:

@@ -113,39 +113,38 @@ class ForestTable:
 @dataclass(frozen=True)
 class ForestModel:
     """A fitted forest as node arrays in queue order (see the module
-    docstring); config.n_trees is the tree count. Construction checks that
-    the arrays describe n_trees whole trees, and raises ValidationError if
+    docstring). The arrays give the tree and class counts. Construction
+    checks that they describe whole trees, and raises ValidationError if
     not."""
 
     is_split: BoolArray       # (n_nodes,): True at a split, False at a leaf
     feature: IntArray         # (n_splits,): each split's feature
     threshold: FloatArray     # (n_splits,): go left when x[feature] <= threshold
     leaf_counts: IntArray     # (n_leaves, n_classes): training rows per class
-    n_classes: int
     n_features: int
-    config: ForestConfig
 
     def __post_init__(self):
-        n_trees, split = self.config.n_trees, self.is_split
-        if self.n_classes < 1 or self.n_features < 1:
-            raise ValidationError("forest needs n_classes >= 1 and n_features >= 1")
-        n_splits = int(np.count_nonzero(split))
-        if split.shape != (n_trees + 2 * n_splits,):
+        split, counts = self.is_split, self.leaf_counts
+        n_splits, n_trees = int(np.count_nonzero(split)), self.n_trees
+        if split.ndim != 1 or n_trees < 1:
             raise ValidationError(
-                f"forest split mask has shape {split.shape}: {n_trees} trees "
-                f"with {n_splits} splits need {n_trees + 2 * n_splits} nodes"
+                f"forest split mask has shape {split.shape}: {n_splits} splits "
+                f"need a flat mask of more than {2 * n_splits} nodes"
             )
         if self.feature.shape != (n_splits,) or self.threshold.shape != (n_splits,):
             raise ValidationError(
                 f"forest has {n_splits} splits but features {self.feature.shape} "
                 f"and thresholds {self.threshold.shape}"
             )
-        if self.leaf_counts.shape != (n_trees + n_splits, self.n_classes):
+        n_leaves = n_trees + n_splits
+        if counts.ndim != 2 or counts.shape[0] != n_leaves or counts.shape[1] < 1:
             raise ValidationError(
-                f"forest leaf counts are {self.leaf_counts.shape}, expected "
-                f"({n_trees + n_splits}, {self.n_classes}): one row per leaf, "
+                f"forest leaf counts are {counts.shape}, expected "
+                f"({n_leaves}, n_classes >= 1): one row per leaf, "
                 "one count per class"
             )
+        if self.n_features < 1:
+            raise ValidationError("forest needs n_features >= 1")
         # node i is a root or a child of an earlier split: queued before it is reached
         queued = n_trees + 2 * (np.cumsum(split) - split)
         if np.any(np.arange(split.shape[0]) >= queued):
@@ -161,15 +160,22 @@ class ForestModel:
             raise ValidationError(
                 f"split threshold {self.threshold[~finite][0]} is not finite"
             )
-        if np.any(self.leaf_counts < 0):
+        if np.any(counts < 0):
             raise ValidationError("forest leaf counts must be >= 0")
+
+    @property
+    def n_trees(self) -> int:
+        """Roots: every node that is no split's child."""
+        return self.is_split.size - 2 * int(np.count_nonzero(self.is_split))
+
+    @property
+    def n_classes(self) -> int:
+        return self.leaf_counts.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, ForestModel):
             return NotImplemented
-        return (self.n_classes, self.n_features, self.config) == (
-            other.n_classes, other.n_features, other.config
-        ) and all(
+        return self.n_features == other.n_features and all(
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("is_split", "feature", "threshold", "leaf_counts")
         )
@@ -185,7 +191,7 @@ class ForestModel:
             else {"counts": next(counts)}
             for is_split in self.is_split.tolist()
         ]
-        n_trees = self.config.n_trees
+        n_trees = self.n_trees
         for s, i in enumerate(np.flatnonzero(self.is_split)):
             child = n_trees + 2 * s
             nodes[i]["left"], nodes[i]["right"] = nodes[child], nodes[child + 1]
@@ -389,9 +395,7 @@ def forest_fit(
         feature=feature[split_order],
         threshold=threshold[split_order],
         leaf_counts=leaf_counts[np.argsort(depth[~is_split], kind="stable")],
-        n_classes=n_classes,
         n_features=d,
-        config=config,
     )
 
 
@@ -406,7 +410,7 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
     node_base = class_base = 0
     for model in models:
         split = model.is_split
-        n_trees, n = model.config.n_trees, split.shape[0]
+        n_trees, n = model.n_trees, split.shape[0]
         # splits_before[i]: number of splits queued before node i
         splits_before = np.concatenate([[0], np.cumsum(split)])
         depth, lo, hi = 0, 0, n_trees   # [lo, hi): the nodes of one level
@@ -438,7 +442,7 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
         roots=np.concatenate(root_parts),
         n_features=models[0].n_features,
         classes=tuple(classes),
-        n_trees=tuple(m.config.n_trees for m in models),
+        n_trees=tuple(m.n_trees for m in models),
         depths=tuple(depths),
     )
 

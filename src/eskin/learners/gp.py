@@ -2,10 +2,10 @@
 
 Training follows the standard Cholesky route (Rasmussen & Williams 2006,
 Alg. 2.1): K = k(X, X) + noise_var * I, L = chol(K), alpha = K^-1 (y -
-mean_offset), with the mean offset taken from the training targets. Feature
-standardisation is internal and on by default; standardize=False fits on raw
-inputs so closed-form oracles line up exactly. Training cost is cubic, so fits
-above ``cap`` rows run on a seeded uniform subsample.
+mean_offset), where the model's mean offset is the mean training target.
+Feature standardisation is internal and on by default; standardize=False fits
+on raw inputs so closed-form oracles line up exactly. Training cost is cubic,
+so fits above ``cap`` rows run on a seeded uniform subsample.
 
 The fit's Gram matrix, ``GpModel.chol`` and ``gp_predict`` share one kernel,
 ``rbf_kernel``, which works in one buffer: the (n, n_train) array that its
@@ -39,12 +39,11 @@ from .preprocess import Standardizer
 
 @dataclass(frozen=True)
 class GpHyper:
-    """Kernel and noise hyperparameters; mean_offset is set by gp_fit."""
+    """Kernel and noise hyperparameters."""
 
     length_scale: float = 2.0
     signal_var: float = 1.0
     noise_var: float = 1e-4
-    mean_offset: float = 0.0
 
     def __post_init__(self):
         for name in ("length_scale", "signal_var"):
@@ -53,8 +52,6 @@ class GpHyper:
                 raise ValidationError(f"{name} must be finite and > 0")
         if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
             raise ValidationError("noise_var must be finite and >= 0")
-        if not math.isfinite(self.mean_offset):
-            raise ValidationError("mean_offset must be finite")
 
 
 # Bytes of a kernel row block: the block and its outer-norm temp stay in
@@ -146,6 +143,7 @@ def _factor(train_inputs: np.ndarray, hyper: GpHyper) -> np.ndarray:
 class GpModel:
     train_inputs: FloatArray     # standardized when scaler is set
     alpha: FloatArray
+    mean_offset: float           # mean training target, added back by predict
     hyper: GpHyper
     scaler: Standardizer | None
     rows_offered: int            # rows given to gp_fit before the cap subsample
@@ -162,7 +160,7 @@ class GpModel:
                 f"GP rows_offered {self.rows_offered} is below the "
                 f"{shape[0]} training rows it kept"
             )
-        for name in ("train_inputs", "alpha"):
+        for name in ("train_inputs", "alpha", "mean_offset"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"GP {name} must be finite")
 
@@ -206,15 +204,16 @@ def gp_fit(
     else:
         scaler = None
         xt = x
-    hyper = replace(hyper, mean_offset=float(y.mean()))
+    mean_offset = float(y.mean())
     chol = _factor(xt, hyper)
-    yc = y - hyper.mean_offset
+    yc = y - mean_offset
     # kept a general solve: solve_triangular moves alpha in the last bits,
     # which would change the bytes of report.json for a given seed
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, yc))
     model = GpModel(
         train_inputs=xt,
         alpha=alpha,
+        mean_offset=mean_offset,
         hyper=hyper,
         scaler=scaler,
         rows_offered=rows_offered,
@@ -244,7 +243,7 @@ def gp_predict(
         model.hyper.signal_var,
         b_sq=model.train_sq,
     )
-    mean = ks @ model.alpha + model.hyper.mean_offset
+    mean = ks @ model.alpha + model.mean_offset
     if not std:
         return mean, None
     # numpy has no triangular solve; a general one keeps scipy out of the
@@ -270,7 +269,7 @@ def log_marginal_likelihood(model: GpModel, y: np.ndarray | None = None) -> floa
             raise ValidationError(
                 f"expected {model.alpha.shape[0]} targets, got {y.shape}"
             )
-        yc = y - model.hyper.mean_offset
+        yc = y - model.mean_offset
     n = yc.shape[0]
     return float(
         -0.5 * yc @ model.alpha

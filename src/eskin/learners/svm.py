@@ -26,6 +26,11 @@ _ITERATIONS_PER_ROW = 100      # the iteration cap is this times n
 _TAU = 1e-12                   # curvature floor for coincident inputs
 
 
+def _check_class_weights(name: str, weights) -> None:
+    if len(weights) != 2 or not all(math.isfinite(w) and w > 0 for w in weights):
+        raise ValidationError(f"{name} must be two finite reals > 0")
+
+
 @dataclass(frozen=True)
 class SvmConfig:
     c: float = 10.0
@@ -39,10 +44,7 @@ class SvmConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be finite and > 0")
         if self.class_weights is not None:
-            if len(self.class_weights) != 2 or not all(
-                math.isfinite(w) and w > 0 for w in self.class_weights
-            ):
-                raise ValidationError("class_weights must be two finite reals > 0")
+            _check_class_weights("class_weights", self.class_weights)
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,9 @@ class SvmModel:
                 raise ValidationError(f"SVM {name} must be finite")
         if not (math.isfinite(self.kernel_gamma) and self.kernel_gamma > 0):
             raise ValidationError("SVM kernel_gamma must be finite and > 0")
+        _check_class_weights("SVM class_weights", self.class_weights)
+        if self.iterations < 0:
+            raise ValidationError("SVM iterations must be >= 0")
 
     @cached_property
     def support_sq(self) -> np.ndarray:

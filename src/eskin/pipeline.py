@@ -53,7 +53,8 @@ from .learners import (
 # 3: the SVM config no longer stores seed or max_passes
 # 4: compact JSON; SVM iterations and KKT gap, GP rows offered
 # 5: arrays as base64 bytes; forests as node arrays in queue order
-BUNDLE_SCHEMA_VERSION = 5
+# 6: the GP mean offset on the model; forests without config or n_classes
+BUNDLE_SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from eskin.learners import ForestConfig, ForestModel
+from eskin.learners import ForestModel
 
 
 def frame_oracle(model, stretch, contacts, seed):
@@ -279,7 +279,5 @@ def forest_of(trees, n_classes, n_features):
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=float),
         leaf_counts=np.array(counts, dtype=np.int32).reshape(len(counts), n_classes),
-        n_classes=n_classes,
         n_features=n_features,
-        config=ForestConfig(n_trees=len(trees)),
     )

@@ -12,7 +12,6 @@ import os
 import re
 import shutil
 import subprocess
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,8 +20,16 @@ from hypothesis import strategies as st
 from eskin import evalkit, load_dataset, write_frames
 from eskin.cli import main
 from eskin.codec import to_dict
-from eskin.config import ENV_CONFIG, RunConfig
+from eskin.config import ENV_CONFIG, RunConfig, load_config
+from eskin.core import _fmt
 from eskin.learners import svm
+from eskin.pipeline import (
+    load_pipeline,
+    predict_two_batch,
+    save_pipeline,
+    train_two,
+    two_estimate,
+)
 
 from .entry_point import (
     PYPROJECT,
@@ -87,9 +94,7 @@ def cli_env(tmp_path_factory):
     env["train_single_stderr"] = err
     env["single_bundle"] = out_dir / "bundle_single.json"
 
-    rc, stdout, _ = run_cli(
-        "train", str(env["two_csv"]), "--config", str(cfg), "--mode", "two"
-    )
+    rc, stdout, _ = run_cli("train", str(env["two_csv"]), "--config", str(cfg))
     assert rc == 0
     env["two_bundle"] = out_dir / "bundle_two.json"
 
@@ -215,7 +220,7 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 5
+        assert d["bundle_schema"] == 6
         assert d["mode"] == "single"
         # every contact row fits under the default gp_cap, so no note
         assert cli_env["train_single_stderr"] == ""
@@ -244,8 +249,7 @@ class TestTrain:
         n = len(ds) if mode == "two" else int((ds.label("node_x") != 0).sum())
         out = tmp_path / "bundle.json"
         rc, stdout, err = run_cli(
-            "train", str(data), "--mode", mode, "--config", str(cfg_path),
-            "--out", str(out),
+            "train", str(data), "--config", str(cfg_path), "--out", str(out),
         )
         assert rc == 0
         assert stdout == f"{out}\n"
@@ -262,6 +266,18 @@ class TestTrain:
         assert err.endswith("is not valid JSON: NaN is not a JSON number\n")
         assert not out.exists()
 
+    def test_gp_mean_offset_is_not_a_config_key(self, cli_env, tmp_path):
+        # gp_fit sets the offset from the training targets
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pipeline": {"gp": {"mean_offset": 5.0}}}))
+        out = tmp_path / "bundle.json"
+        rc, _, err = run_cli(
+            "train", str(cli_env["single_csv"]), "--config", str(cfg), "--out", str(out)
+        )
+        assert rc == 1
+        assert err == "error: unknown config key 'pipeline.gp.mean_offset'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["c", "gamma", "tol"])
     def test_infinite_svm_hyperparameter_is_usage_error(self, cli_env, tmp_path, name):
         cfg = tmp_path / "cfg.json"
@@ -273,13 +289,6 @@ class TestTrain:
         assert rc == 1
         assert err.endswith("is not valid JSON: Infinity is not a JSON number\n")
         assert not out.exists()
-
-    def test_mode_mismatch(self, cli_env):
-        rc, _, err = run_cli(
-            "train", str(cli_env["two_csv"]), "--config", cli_env["cfg"]
-        )
-        assert rc == 1
-        assert "--mode" in err
 
     def test_unconverged_svm_is_numeric_error(self, cli_env, tmp_path, monkeypatch):
         monkeypatch.setattr(svm, "_ITERATIONS_PER_ROW", 0)
@@ -332,9 +341,7 @@ class TestTrain:
         lines[4] = ",".join(fields)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
-        rc, _, err = run_cli(
-            "train", str(bad), "--config", cli_env["cfg"], "--mode", mode
-        )
+        rc, _, err = run_cli("train", str(bad), "--config", cli_env["cfg"])
         assert rc == 2
         assert re.match(f"error: line 5: {message}", err)
         assert err.count("\n") == 1
@@ -394,8 +401,6 @@ class TestEval:
             str(cli_env["two_csv"]),
             "--config",
             cli_env["cfg"],
-            "--mode",
-            "two",
             "--emit-heatmaps",
         )
         assert rc == 0
@@ -411,14 +416,6 @@ class TestEval:
         )
         assert rc == 1
         assert err.startswith("error:")
-
-    def test_mode_mismatch(self, cli_env):
-        rc, _, err = run_cli(
-            "eval", str(cli_env["single_csv"]), "--config", cli_env["cfg"],
-            "--mode", "two",
-        )
-        assert rc == 1
-        assert "--mode" in err
 
     def test_constant_stretch_is_numeric_error(self, cli_env, tmp_path):
         cfg = tmp_path / "flat.json"
@@ -446,7 +443,7 @@ class TestEval:
         out = tmp_path / "report"
         rc, stdout, err = run_cli(
             "eval", str(cli_env["two_csv"]), "--config", cli_env["cfg"],
-            "--mode", "two", "--out", str(out),
+            "--out", str(out),
         )
         assert rc == 3
         assert stdout == ""
@@ -512,8 +509,6 @@ class TestInfer:
             str(frames_csv),
             "--config",
             cli_env["cfg"],
-            "--mode",
-            "two",
             "--out",
             str(est),
         )
@@ -534,6 +529,7 @@ class TestInfer:
             '{"bundle_schema": 1, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 3, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 4, "mode": "single", "pipeline": {}}',
+            '{"bundle_schema": 5, "mode": "single", "pipeline": {}}',
         ],
     )
     def test_malformed_bundle_is_data_error(self, cli_env, tmp_path, payload):
@@ -549,8 +545,9 @@ class TestInfer:
             cli_env["cfg"],
         )
         assert rc == 2
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert err.startswith("error: unsupported model bundle schema ")
+        assert err.endswith("re-run `eskin train` to rebuild the bundle\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -596,7 +593,7 @@ class TestInfer:
             (lambda p: p["detector"].update(bias=math.inf), NOT_JSON + "Infinity is not"),
             (lambda p: p["detector"].update(kkt_gap=math.nan), NOT_JSON + "NaN is not"),
             (
-                lambda p: p["force_model"]["hyper"].update(mean_offset=math.nan),
+                lambda p: p["force_model"].update(mean_offset=math.nan),
                 NOT_JSON + "NaN is not a JSON number",
             ),
             (
@@ -644,9 +641,14 @@ class TestInfer:
                                      lambda a: a.__setitem__(3, math.nan)),
                 MALFORMED + "ValidationError: split threshold nan is not finite",
             ),
+            # two leaves fewer in the mask than leaf count rows
             (
                 lambda p: edit_array(p["row_clf"], "is_split", lambda a: a[:-2]),
-                MALFORMED + "ValidationError: forest split mask has shape (",
+                MALFORMED + "ValidationError: forest leaf counts are (",
+            ),
+            (
+                lambda p: edit_array(p["row_clf"], "is_split", lambda a: a[None, :]),
+                MALFORMED + "ValidationError: forest split mask has shape (1, ",
             ),
             (
                 lambda p: edit_array(p["row_clf"], "feature", lambda a: a[:-1]),
@@ -657,8 +659,21 @@ class TestInfer:
                 MALFORMED + "ValidationError: forest leaf counts are (",
             ),
             (
-                lambda p: edit_array(p["col_clf"], "leaf_counts", lambda a: a[:, :-1]),
+                lambda p: edit_array(p["col_clf"], "leaf_counts", lambda a: a[:, :0]),
                 MALFORMED + "ValidationError: forest leaf counts are (",
+            ),
+            # the rules SvmConfig applies
+            (
+                lambda p: p["detector"].update(iterations=-1),
+                MALFORMED + "ValidationError: SVM iterations must be >= 0",
+            ),
+            (
+                lambda p: p["detector"]["class_weights"].__setitem__(0, 0),
+                MALFORMED + "ValidationError: SVM class_weights must be two finite",
+            ),
+            (
+                lambda p: p["detector"]["class_weights"].__setitem__(0, -1.0),
+                MALFORMED + "ValidationError: SVM class_weights must be two finite",
             ),
         ],
     )
@@ -680,21 +695,6 @@ class TestInfer:
         assert err.startswith(message)
         assert err.count("\n") == 1   # one error line, no warning beside it
         assert "Traceback" not in err
-
-    def test_bundle_mode_mismatch(self, cli_env):
-        rc, _, err = run_cli(
-            "infer",
-            "--bundle",
-            str(cli_env["single_bundle"]),
-            "--frames",
-            str(cli_env["frames_csv"]),
-            "--config",
-            cli_env["cfg"],
-            "--mode",
-            "two",
-        )
-        assert rc == 1
-        assert "single-contact pipeline" in err
 
     def test_labelled_csv_rejected_as_frames(self, cli_env, tmp_path):
         rc, _, err = run_cli(
@@ -752,8 +752,7 @@ def eval_report(cli_env, mode: str):
     path = cli_env["out"] / f"report_{mode}" / "report.json"
     if not path.exists():
         rc, _, _ = run_cli(
-            "eval", str(cli_env[f"{mode}_csv"]), "--config", cli_env["cfg"],
-            "--mode", mode,
+            "eval", str(cli_env[f"{mode}_csv"]), "--config", cli_env["cfg"]
         )
         assert rc == 0
     return path
@@ -815,6 +814,73 @@ class TestReport:
         assert rc == 2
         assert err == f"error: report is not valid JSON: {literal} is not a JSON number\n"
 
+    @pytest.mark.parametrize("n_samples", [-1, 0])
+    def test_report_without_samples_is_data_error(self, report_dir, tmp_path, n_samples):
+        d = json.loads((report_dir / "report.json").read_text())
+        d["n_samples"] = n_samples
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(d))
+        rc, _, err = run_cli("report", str(bad))
+        assert rc == 2
+        assert err == (
+            "error: malformed report: ValidationError: report n_samples must be >= 1\n"
+        )
+
+
+class TestModeFromInput:
+    """train and eval take the contact mode from the dataset, infer from the
+    bundle: on two-contact inputs they write what the two-contact API
+    computes."""
+
+    def test_train(self, cli_env, tmp_path):
+        # the workspace's two-contact bundle is trained without --mode
+        cfg = load_config(cli_env["cfg"])
+        expected = tmp_path / "expected.json"
+        save_pipeline(train_two(load_dataset(cli_env["two_csv"]), cfg.pipeline), expected)
+        assert cli_env["two_bundle"].read_bytes() == expected.read_bytes()
+
+    def test_eval(self, cli_env):
+        cfg = load_config(cli_env["cfg"])
+        report = evalkit.cross_validate_two(
+            load_dataset(cli_env["two_csv"]), cfg.k_two, seed=cfg.seed,
+            config=cfg.pipeline,
+        )
+        assert eval_report(cli_env, "two").read_text() == report.to_json()
+
+    def test_infer(self, cli_env, tmp_path):
+        x = load_dataset(cli_env["two_csv"]).x[:5]
+        frames, est = tmp_path / "frames.csv", tmp_path / "est.csv"
+        with open(frames, "w") as f:
+            write_frames(x, f)
+        rc, _, _ = run_cli(
+            "infer", "--bundle", str(cli_env["two_bundle"]), "--frames", str(frames),
+            "--config", cli_env["cfg"], "--out", str(est),
+        )
+        assert rc == 0
+        pred = predict_two_batch(load_pipeline(cli_env["two_bundle"]), x)
+        rows = [
+            ",".join(f"{n.x},{n.y},{_fmt(f)}" for n, f in two_estimate(pred, i).contacts)
+            for i in range(len(x))
+        ]
+        assert est.read_text().splitlines() == ["x1,y1,f1_n,x2,y2,f2_n", *rows]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "infer"])
+    def test_mode_option_is_refused(self, cli_env, tmp_path, command):
+        inputs = {
+            "train": [str(cli_env["two_csv"])],
+            "eval": [str(cli_env["two_csv"])],
+            "infer": ["--bundle", str(cli_env["two_bundle"]),
+                      "--frames", str(cli_env["frames_csv"])],
+        }[command]
+        out = tmp_path / "out"
+        rc, stdout, err = run_cli(
+            command, *inputs, "--mode", "two", "--config", cli_env["cfg"],
+            "--out", str(out),
+        )
+        assert (rc, stdout) == (1, "")
+        assert err == "error: eskin: unrecognized arguments: --mode two\n"
+        assert not out.exists()
+
 
 def one_leaf_mutations(doc: dict, keys_required: bool = True) -> list:
     """Every way to change one leaf of a parsed JSON artifact, as (path,
@@ -868,10 +934,15 @@ def mutated(doc: dict, path: tuple, kind: str) -> str:
 def one_per_field(mutations: list) -> list:
     """The first mutation of each (document, field path, kind), list indices
     in the path folded together: every record check a one-leaf change can
-    reach, without the repeats that array elements bring."""
+    reach, without the repeats that array elements bring. A NaN or Infinity
+    literal is refused by the JSON reader before any field is read, so each
+    literal is tried at the first path of each document only."""
     first = {}
     for i, path, how in mutations:
-        field = tuple("*" if isinstance(step, int) else step for step in path)
+        if how in ("nan", "inf", "-inf"):
+            field = ()
+        else:
+            field = tuple("*" if isinstance(step, int) else step for step in path)
         first.setdefault((i, field, how), (i, path, how))
     return list(first.values())
 
@@ -894,16 +965,13 @@ def corrupt_cases(cli_env):
     shutil.copy(cli_env["single_csv"], root / "data.csv")
     full_config = to_dict(RunConfig())
 
-    def infer(mode):
-        return [
-            "infer", "--bundle", str(root / "bundle.json"), "--frames",
-            str(cli_env["frames_csv"]), "--mode", mode, "--config", cfg,
-            "--out", str(root / "est.csv"),
-        ]
-
+    infer = [
+        "infer", "--bundle", str(root / "bundle.json"), "--frames",
+        str(cli_env["frames_csv"]), "--config", cfg, "--out", str(root / "est.csv"),
+    ]
     docs = {
         "bundle": [
-            (cli_env[f"{mode}_bundle"], root / "bundle.json", infer(mode), 2)
+            (cli_env[f"{mode}_bundle"], root / "bundle.json", infer, 2)
             for mode in ("single", "two")
         ],
         "report": [

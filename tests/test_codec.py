@@ -75,7 +75,7 @@ class TestArrayBytes:
         alpha = np.array(self.EDGES)
         model = GpModel(
             train_inputs=np.arange(2.0 * alpha.size).reshape(-1, 2), alpha=alpha,
-            hyper=GpHyper(), scaler=None, rows_offered=alpha.size,
+            mean_offset=0.0, hyper=GpHyper(), scaler=None, rows_offered=alpha.size,
         )
         back = json_round_trip(model)
         assert back.train_inputs.tobytes() == model.train_inputs.tobytes()
@@ -162,7 +162,7 @@ class TestRoundTrip:
         assert back.to_json() == report.to_json()
 
     def test_int_in_float_field_is_kept(self):
-        d = {"length_scale": 1, "signal_var": 1.0, "noise_var": 0, "mean_offset": 0.5}
+        d = {"length_scale": 1, "signal_var": 1.0, "noise_var": 0}
         hyper = from_dict(GpHyper, d)
         assert type(hyper.noise_var) is int
         assert json.dumps(to_dict(hyper)) == json.dumps(d)
@@ -186,15 +186,14 @@ class TestDerivedFieldsNotWritten:
         model.chol  # make sure the factor exists
         assert "chol" in vars(model)
         assert set(to_dict(model)) == {
-            "train_inputs", "alpha", "hyper", "scaler", "rows_offered"
+            "train_inputs", "alpha", "mean_offset", "hyper", "scaler", "rows_offered"
         }
 
     def test_forest_table(self, trained_single):
         predict_single_batch(trained_single, np.zeros((1, 20)))
         assert "forests" in vars(trained_single)
         assert set(to_dict(trained_single.row_clf)) == {
-            "is_split", "feature", "threshold", "leaf_counts",
-            "n_classes", "n_features", "config",
+            "is_split", "feature", "threshold", "leaf_counts", "n_features",
         }
 
     def test_pipeline_text(self, trained_single):

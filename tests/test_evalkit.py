@@ -363,6 +363,7 @@ class TestReportFiles:
             (lambda d: d["per_fold"].update(x1_accuracy=[0.5]), "needs k=2 values"),
             (lambda d: d["confusions"].pop("y2"), r"confusion matrices \['x1', 'x2'"),
             (lambda d: d.update(notes=[]), "has no notes"),
+            (lambda d: d.update(n_samples=0), "n_samples must be >= 1"),
         ],
     )
     def test_load_rejects_incomplete_report(self, two_report, tmp_path, edit, message):

@@ -513,7 +513,7 @@ class TestNodeArrays:
     def test_fit_is_queue_order_of_its_trees(self, seed):
         model, _, _ = random_forest(seed)
         flat = forest_of(model.trees, model.n_classes, model.n_features)
-        assert replace(flat, config=model.config) == model
+        assert flat == model
         assert flat.trees == model.trees
 
     def test_dtypes(self):
@@ -551,17 +551,23 @@ class TestMalformedNodeArrays:
             ({"threshold": np.array([-np.inf])}, "split threshold -inf"),
             ({"feature": np.array([1, 1], np.int32)}, r"1 splits but features \(2,\)"),
             ({"threshold": np.array([], float)}, r"1 splits but .* thresholds \(0,\)"),
+            # a mask of 3 trees and 1 split has 4 leaves
             ({"is_split": np.array([False, True, False, False, False])},
-             "2 trees with 1 splits need 4 nodes"),
-            ({"is_split": np.array([False, True, True, False])}, "2 splits need 6 nodes"),
+             r"leaf counts are \(3, 3\), expected \(4, n_classes >= 1\)"),
+            ({"is_split": np.array([False, True, True, False])},
+             "2 splits need a flat mask of more than 4 nodes"),
+            ({"is_split": np.array([], bool)},
+             "0 splits need a flat mask of more than 0 nodes"),
+            ({"is_split": np.array([[False, True], [False, False]])},
+             r"split mask has shape \(2, 2\)"),
             ({"is_split": np.array([False, False, True, False])}, "not in queue order"),
-            ({"leaf_counts": np.zeros((3, 2), np.int32)},
-             r"leaf counts are \(3, 2\), expected \(3, 3\)"),
-            ({"leaf_counts": np.zeros((3, 4), np.int32)}, r"leaf counts are \(3, 4\)"),
+            ({"leaf_counts": np.zeros((3, 0), np.int32)},
+             r"leaf counts are \(3, 0\), expected \(3, n_classes >= 1\)"),
+            ({"leaf_counts": np.zeros(3, np.int32)}, r"leaf counts are \(3,\)"),
             ({"leaf_counts": np.zeros((4, 3), np.int32)}, r"leaf counts are \(4, 3\)"),
             ({"leaf_counts": np.array([[1, 0, 0], [3, -1, 0], [0, 0, 2]], np.int32)},
              "leaf counts must be >= 0"),
-            ({"n_classes": 0}, "n_classes >= 1"),
+            ({"n_features": 0}, "n_features >= 1"),
         ],
     )
     def test_rejected_on_construction(self, arrays, match):

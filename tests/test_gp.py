@@ -119,8 +119,6 @@ class TestGpHyper:
             {"signal_var": math.nan},
             {"noise_var": math.nan},
             {"noise_var": math.inf},
-            {"mean_offset": math.nan},
-            {"mean_offset": -math.inf},
         ],
     )
     def test_invalid(self, kwargs):
@@ -239,7 +237,7 @@ class TestFitMechanics:
     def test_mean_offset_is_target_mean(self):
         y = np.array([2.0, 4.0, 9.0])
         model = gp_fit(np.array([[0.0], [1.0], [2.0]]), y)
-        assert model.hyper.mean_offset == pytest.approx(5.0, abs=1e-12)
+        assert model.mean_offset == pytest.approx(5.0, abs=1e-12)
 
     def test_predict_feature_mismatch(self):
         model = gp_fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
@@ -294,6 +292,12 @@ class TestFitMechanics:
         with pytest.raises(ValidationError, match=match):
             from_dict(GpModel, d)
 
+    @pytest.mark.parametrize("offset", [math.nan, -math.inf])
+    def test_non_finite_mean_offset_is_refused(self, rng, offset):
+        model = gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5))
+        with pytest.raises(ValidationError, match="GP mean_offset must be finite"):
+            dataclasses.replace(model, mean_offset=offset)
+
     def test_cached_norms_give_the_recomputed_mean(self, rng):
         model = gp_fit(rng.normal(size=(40, 3)), rng.normal(size=40), GpHyper(1.3))
         assert np.array_equal(
@@ -308,7 +312,7 @@ class TestFitMechanics:
                 model.hyper.signal_var,
             )
             mean, _ = gp_predict(model, rows, std=False)
-            assert np.array_equal(mean, ks @ model.alpha + model.hyper.mean_offset)
+            assert np.array_equal(mean, ks @ model.alpha + model.mean_offset)
 
     def test_cached_norms_stay_out_of_equality_dict_and_repr(self, rng):
         model = gp_fit(rng.normal(size=(6, 2)), rng.normal(size=6))
@@ -405,12 +409,6 @@ class TestGridSearch:
                 m = gp_fit(x, y, replace(GpHyper(), length_scale=ell, noise_var=nv))
                 best = max(best, log_marginal_likelihood(m))
         assert lml == pytest.approx(best, abs=1e-9)
-
-    def test_carries_mean_offset(self):
-        x = np.linspace(0.0, 1.0, 10).reshape(-1, 1)
-        y = x[:, 0] + 10.0
-        hyper, _ = gp_grid_search(x, y)
-        assert hyper.mean_offset == pytest.approx(y.mean(), abs=1e-12)
 
 
 @given(

@@ -464,7 +464,7 @@ class TestBundleEncoding:
         save_pipeline(request.getfixturevalue(trained), path)
         text = path.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
-        assert json.loads(text)["bundle_schema"] == 5
+        assert json.loads(text)["bundle_schema"] == 6
 
     def test_schema_4_keys_with_arrays_as_bytes(self, trained, request, tmp_path):
         p = request.getfixturevalue(trained)

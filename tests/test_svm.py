@@ -229,6 +229,11 @@ class TestDeterminismAndSerialisation:
             (lambda d: d.update(kernel_gamma=0), "kernel_gamma must be finite and > 0"),
             (lambda d: d.update(kernel_gamma=math.inf), "kernel_gamma must be finite"),
             (lambda d: d.update(kernel_gamma=math.nan), "kernel_gamma must be finite"),
+            (lambda d: d.update(iterations=-1), "SVM iterations must be >= 0"),
+            (lambda d: d.update(class_weights=[0, 1.0]), "SVM class_weights must be"),
+            (lambda d: d.update(class_weights=[1.0, -0.5]), "SVM class_weights must be"),
+            (lambda d: d.update(class_weights=[math.inf, 1.0]), "SVM class_weights"),
+            (lambda d: d.update(class_weights=[1.0, math.nan]), "SVM class_weights"),
         ],
     )
     def test_from_dict_rejects_invalid_values(self, edit, match):
