@@ -14,7 +14,6 @@ from .core import (
     DatasetMeta,
     NodeCoord,
     load_dataset,
-    node_id,
     read_dataset,
     read_frames,
     save_dataset,

@@ -125,27 +125,20 @@ def _check_full_grid(ds: Dataset) -> None:
         )
 
 
-def _note_gp_subsample(name: str, gp, what: str, cap: int) -> None:
-    kept = gp.train_inputs.shape[0]
-    if kept < gp.rows_offered:
-        print(
-            f"{name} GP kept {kept} of {gp.rows_offered} {what} (gp_cap {cap})",
-            file=sys.stderr,
-        )
-
-
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = load_dataset(args.data)
-    cap = cfg.pipeline.gp_cap
     if ds.schema == SCHEMA_SINGLE:
         _check_full_grid(ds)
-        p = train_single(ds, cfg.pipeline)
-        _note_gp_subsample("force", p.force_model, "contact rows", cap)
+        p, rows = train_single(ds, cfg.pipeline), "contact rows"
     else:
-        p = train_two(ds, cfg.pipeline)
-        _note_gp_subsample("force1", p.force1_model, "rows", cap)
-        _note_gp_subsample("force2", p.force2_model, "rows", cap)
+        p, rows = train_two(ds, cfg.pipeline), "rows"
+    kept, offered = p.force_model.train_inputs.shape[0], p.force_model.rows_offered
+    if kept < offered:
+        print(
+            f"force GP kept {kept} of {offered} {rows} (gp_cap {cfg.pipeline.gp_cap})",
+            file=sys.stderr,
+        )
     out = Path(args.out) if args.out else Path(cfg.out_dir) / f"bundle_{ds.schema}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_pipeline(p, out)

@@ -93,11 +93,6 @@ class NodeCoord:
 NODE_ZERO = NodeCoord(0, 0)
 
 
-def node_id(node: NodeCoord) -> int:
-    """Row-major node number: 0 for no contact, else (y-1)*10 + x."""
-    return node.node_id
-
-
 def validate_stretch(lam: float) -> None:
     if not math.isfinite(lam) or lam < 1.0:
         raise ValidationError(f"stretch ratio {lam} must be finite and >= 1")
@@ -280,14 +275,6 @@ class Dataset:
     def take(self, rows) -> "Dataset":
         """The given rows, in the given order, with the same metadata."""
         return Dataset(x=self.x[rows], labels=self.labels[rows], meta=self.meta)
-
-    def approx_equal(self, other: "Dataset", tol: float = 1e-9) -> bool:
-        """Field-wise comparison of all rows within an absolute tolerance."""
-        return (
-            self.labels.shape == other.labels.shape
-            and bool(np.all(np.abs(self.x - other.x) <= tol))
-            and bool(np.all(np.abs(self.labels - other.labels) <= tol))
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ detection); detection accuracy covers every test sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,11 +157,16 @@ _CONTENTS = {
 }
 
 
+# the closed range of a metric's values, by a part of its name
+_RANGES = (("_accuracy", 0.0, 1.0), ("_mse", 0.0, math.inf), ("_r2", -math.inf, 1.0))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Construction checks that the report holds every metric and confusion
     matrix of its mode, at least one sample, k values per fold metric and at
-    least one note."""
+    least one note, and that no value is impossible: accuracies in [0, 1],
+    MSEs and fold stds >= 0, R^2 <= 1 and confusion labels in 1..10."""
 
     mode: str
     k: int
@@ -195,6 +201,29 @@ class MetricsReport:
             )
         if not self.notes:
             raise ValidationError("report has no notes")
+        values = [
+            (f"{where}.{name}", name, value)
+            for where in ("pooled", "fold_mean")
+            for name, value in getattr(self, where).items()
+        ] + [
+            (f"per_fold.{name}", name, value)
+            for name, fold_values in self.per_fold.items() for value in fold_values
+        ]
+        for path, name, value in values:
+            for part, low, high in _RANGES:
+                # a NaN passes here: the JSON writer refuses it, as exit 3
+                if part in name and (value < low or value > high):
+                    raise ValidationError(
+                        f"report {path} {value} is outside [{low:g}, {high:g}]"
+                    )
+        for name, value in self.fold_std.items():
+            if value < 0:
+                raise ValidationError(f"report fold_std.{name} {value} is below 0")
+        for name, cm in self.confusions.items():
+            if not all(1 <= label <= 10 for label in cm.labels):
+                raise ValidationError(
+                    f"report confusions.{name} labels {list(cm.labels)} not in 1..10"
+                )
 
     def to_json(self) -> str:
         return dumps(to_dict(self), sort_keys=True, indent=1) + "\n"

@@ -14,6 +14,12 @@ sum, clamped, scaled and exponentiated in place, a cache-sized block of rows
 at a time. Each step is the float operation of the textbook formula in the
 same order, so the bits are too.
 
+An (n, k) target fits k outputs that share the training rows, the scaler and
+the factor (Rasmussen & Williams 2006, eq. 2.30). Each output keeps a 1-d
+fit's arithmetic, bit for bit: the mean of its own contiguous target row, its
+own two solves and its own GEMV at predict; ``y.mean(axis=0)`` and a joint
+``ks @ alpha.T`` GEMM would each move the last bits.
+
 The posterior mean k(x, X) @ alpha needs no factor, so
 ``gp_predict(..., std=False)`` serves from the training inputs and alpha
 alone. L is needed only for the posterior std and the marginal likelihood.
@@ -142,18 +148,21 @@ def _factor(train_inputs: np.ndarray, hyper: GpHyper) -> np.ndarray:
 @dataclass(frozen=True)
 class GpModel:
     train_inputs: FloatArray     # standardized when scaler is set
-    alpha: FloatArray
-    mean_offset: float           # mean training target, added back by predict
+    alpha: FloatArray            # (n,) for a 1-d target, (k, n) for k outputs
+    mean_offset: FloatArray      # () or (k,): mean target, added back by predict
     hyper: GpHyper
     scaler: Standardizer | None
     rows_offered: int            # rows given to gp_fit before the cap subsample
 
     def __post_init__(self):
         shape, alpha = self.train_inputs.shape, self.alpha.shape
-        if len(shape) != 2 or alpha != shape[:1]:
+        outputs = np.shape(self.mean_offset)
+        if len(shape) != 2 or len(outputs) > 1 or 0 in outputs or (
+            alpha != outputs + shape[:1]
+        ):
             raise ValueError(
-                f"GP train_inputs {shape} and alpha {alpha} disagree: "
-                "need (n, d) and (n,)"
+                f"GP train_inputs {shape}, alpha {alpha} and mean_offset {outputs} "
+                "disagree: need (n, d), then (n,) and () or (k, n) and (k,), k >= 1"
             )
         if self.rows_offered < shape[0]:
             raise ValueError(
@@ -193,7 +202,7 @@ def gp_fit(
     seed: int = 0,
     standardize: bool = True,
 ) -> GpModel:
-    x, y = _check_xy(x, y)
+    x, y = _check_xy(x, y, y_ndim=(1, 2))
     hyper = hyper or GpHyper()
     rows_offered = x.shape[0]
     idx = _subsample(rows_offered, cap, seed)
@@ -204,16 +213,19 @@ def gp_fit(
     else:
         scaler = None
         xt = x
-    mean_offset = float(y.mean())
     chol = _factor(xt, hyper)
-    yc = y - mean_offset
-    # kept a general solve: solve_triangular moves alpha in the last bits,
+    targets = np.ascontiguousarray(np.atleast_2d(y.T))   # one row per output
+    offsets = np.array([t.mean() for t in targets])
+    # kept general solves: solve_triangular moves alpha in the last bits,
     # which would change the bytes of report.json for a given seed
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, yc))
+    alpha = np.array([
+        np.linalg.solve(chol.T, np.linalg.solve(chol, t - offset))
+        for t, offset in zip(targets, offsets)
+    ])
     model = GpModel(
         train_inputs=xt,
-        alpha=alpha,
-        mean_offset=mean_offset,
+        alpha=alpha.reshape(y.T.shape),
+        mean_offset=offsets.reshape(y.shape[1:]),
         hyper=hyper,
         scaler=scaler,
         rows_offered=rows_offered,
@@ -225,7 +237,8 @@ def gp_fit(
 def gp_predict(
     model: GpModel, x: np.ndarray, *, std: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Posterior (mean, std) at the query rows.
+    """Posterior (mean, std) at the query rows: an (m,) mean, or (m, k) for
+    k outputs, and the (m,) std every output shares.
 
     With ``std=False`` the std is None and the Cholesky factor is never
     touched, so a loaded model serves its mean without factorising.
@@ -243,7 +256,8 @@ def gp_predict(
         model.hyper.signal_var,
         b_sq=model.train_sq,
     )
-    mean = ks @ model.alpha + model.mean_offset
+    a, offset = model.alpha, model.mean_offset   # one GEMV per output
+    mean = (ks @ a if a.ndim == 1 else np.array([ks @ r for r in a]).T) + offset
     if not std:
         return mean, None
     # numpy has no triangular solve; a general one keeps scipy out of the
@@ -255,26 +269,26 @@ def gp_predict(
 
 
 def log_marginal_likelihood(model: GpModel, y: np.ndarray | None = None) -> float:
-    """log p(y_train | X_train, hyper).
+    """log p(y_train | X_train, hyper), summed over the outputs.
 
     With y omitted the centered targets are reconstructed from alpha
     (y - mu = K alpha); passing y must reproduce the training targets of the
-    (possibly subsampled) fit.
+    (possibly subsampled) fit, in the shape it was given.
     """
+    alphas = np.atleast_2d(model.alpha)
     if y is None:
-        yc = model.chol @ (model.chol.T @ model.alpha)
+        centered = [model.chol @ (model.chol.T @ a) for a in alphas]
     else:
         y = np.asarray(y, dtype=float)
-        if y.shape != model.alpha.shape:
+        if y.T.shape != model.alpha.shape:
             raise ValidationError(
-                f"expected {model.alpha.shape[0]} targets, got {y.shape}"
+                f"expected targets of shape {model.alpha.T.shape}, got {y.shape}"
             )
-        yc = y - model.mean_offset
-    n = yc.shape[0]
-    return float(
-        -0.5 * yc @ model.alpha
-        - np.sum(np.log(np.diag(model.chol)))
-        - 0.5 * n * math.log(2.0 * math.pi)
+        centered = np.atleast_2d((y - model.mean_offset).T)
+    half_logdet = np.sum(np.log(np.diag(model.chol)))
+    return sum(
+        float(-0.5 * yc @ a - half_logdet - 0.5 * len(a) * math.log(2.0 * math.pi))
+        for yc, a in zip(centered, alphas)
     )
 
 
@@ -287,13 +301,14 @@ def gp_grid_search(
     cap: int = 2000,
     seed: int = 0,
 ) -> tuple[GpHyper, float]:
-    """Pick (length_scale, noise_var) by log marginal likelihood.
+    """Pick (length_scale, noise_var) by log marginal likelihood, summed
+    over the outputs of an (n, k) target.
 
     Ties break towards the earlier grid entry, so the result is
     deterministic. The same subsample is reused for every candidate.
     """
     base = base or GpHyper()
-    x, y = _check_xy(x, y)
+    x, y = _check_xy(x, y, y_ndim=(1, 2))
     idx = _subsample(x.shape[0], cap, seed)
     xs, ys = x[idx], y[idx]
     best: tuple[GpHyper, float] | None = None

@@ -26,13 +26,13 @@ class LinearModel:
             raise ValidationError("linear weights and intercept must be finite")
 
 
-def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_xy(x: np.ndarray, y: np.ndarray, y_ndim=(1,)) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2:
         raise ValidationError("x must be 2-d")
-    if y.ndim != 1:
-        raise ValidationError("y must be 1-d")
+    if y.ndim not in y_ndim:
+        raise ValidationError("y must be " + " or ".join(f"{d}-d" for d in y_ndim))
     if x.shape[0] != y.shape[0]:
         raise ValidationError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
     if x.shape[0] == 0:

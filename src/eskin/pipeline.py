@@ -54,7 +54,8 @@ from .learners import (
 # 4: compact JSON; SVM iterations and KKT gap, GP rows offered
 # 5: arrays as base64 bytes; forests as node arrays in queue order
 # 6: the GP mean offset on the model; forests without config or n_classes
-BUNDLE_SCHEMA_VERSION = 6
+# 7: one two-output force GP for two contacts; the GP mean offset an array
+BUNDLE_SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,8 @@ class TrainedPipeline:
 
 @dataclass(frozen=True)
 class TrainedTwoPipeline:
-    """Four coordinate forests and two force GPs for simultaneous contacts.
+    """Four coordinate forests and one force GP with outputs (f1, f2) for
+    simultaneous contacts.
 
     Classifier classes are indices into node_axes (the protocol grid), not
     raw terminals; contact 1 is the smaller node_id at training time.
@@ -141,8 +143,7 @@ class TrainedTwoPipeline:
     y1_clf: ForestModel
     x2_clf: ForestModel
     y2_clf: ForestModel
-    force1_model: GpModel
-    force2_model: GpModel
+    force_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
 
@@ -295,6 +296,7 @@ def train_two(train: Dataset, config: PipelineConfig | None = None) -> TrainedTw
     scaler = Standardizer.fit(x)
     z = scaler.transform(x)
     axes = tuple(sorted(config.node_axes))
+    forces = np.column_stack((train.label("f1_n"), train.label("f2_n")))
     labels = {
         name: _axis_classes(train.label(name).astype(int), axes, f"{name} labels")
         for name in ("x1", "y1", "x2", "y2")
@@ -304,8 +306,7 @@ def train_two(train: Dataset, config: PipelineConfig | None = None) -> TrainedTw
         y1_clf=forest_fit(z, labels["y1"], config.forest),
         x2_clf=forest_fit(z, labels["x2"], config.forest),
         y2_clf=forest_fit(z, labels["y2"], config.forest),
-        force1_model=_fit_force_gp(x, train.label("f1_n"), config),
-        force2_model=_fit_force_gp(x, train.label("f2_n"), config),
+        force_model=_fit_force_gp(x, forces, config),
         preprocessing=scaler,
         config=config,
     )
@@ -318,9 +319,8 @@ def predict_two_batch(p: TrainedTwoPipeline, x: np.ndarray) -> dict[str, np.ndar
     axes = np.array(sorted(p.config.node_axes))
     votes = forest_predict(p.forests, z)
     out = {name: axes[cls] for name, (cls, _) in zip(("x1", "y1", "x2", "y2"), votes)}
-    for name, gp in (("force1", p.force1_model), ("force2", p.force2_model)):
-        mean, _ = gp_predict(gp, x, std=False)
-        out[name] = np.maximum(mean, 0.0)
+    mean, _ = gp_predict(p.force_model, x, std=False)
+    out["force1"], out["force2"] = (np.maximum(m, 0.0) for m in mean.T)
     return out
 
 

@@ -12,7 +12,9 @@ import os
 import re
 import shutil
 import subprocess
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from eskin.cli import main
 from eskin.codec import to_dict
 from eskin.config import ENV_CONFIG, RunConfig, load_config
 from eskin.core import _fmt
-from eskin.learners import svm
+from eskin.learners import gp_fit, log_marginal_likelihood, svm
 from eskin.pipeline import (
     load_pipeline,
     predict_two_batch,
@@ -220,7 +222,7 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 6
+        assert d["bundle_schema"] == 7
         assert d["mode"] == "single"
         # every contact row fits under the default gp_cap, so no note
         assert cli_env["train_single_stderr"] == ""
@@ -229,13 +231,7 @@ class TestTrain:
         "mode, notes",
         [
             ("single", ["force GP kept 50 of {n} contact rows (gp_cap 50)"]),
-            (
-                "two",
-                [
-                    "force1 GP kept 50 of {n} rows (gp_cap 50)",
-                    "force2 GP kept 50 of {n} rows (gp_cap 50)",
-                ],
-            ),
+            ("two", ["force GP kept 50 of {n} rows (gp_cap 50)"]),
         ],
     )
     def test_gp_subsample_noted_on_stderr(self, cli_env, tmp_path, mode, notes):
@@ -452,6 +448,54 @@ class TestEval:
         assert not (out / "report.json").exists()
 
 
+class TestGpSearch:
+    """train with ``pipeline.gp_search`` on picks the force GP's
+    hyperparameters by log marginal likelihood (summed over f1 and f2 for
+    two contacts), and infer serves the bundle it writes."""
+
+    GRID = [(ell, nv) for ell in (1.0, 2.0, 4.0) for nv in (1e-4, 1e-2)]
+
+    @pytest.mark.parametrize("mode", ["single", "two"])
+    def test_train_and_infer(self, cli_env, tmp_path, mode):
+        with open(cli_env["cfg"]) as f:
+            cfg = json.load(f)
+        # at this cap f1 alone would pick length scale 1.0, the sum picks 2.0
+        cfg["pipeline"].update(gp_search=True, gp_cap=25, forest={"n_trees": 3})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        ds = load_dataset(cli_env[f"{mode}_csv"])
+        bundle, frames, est = (tmp_path / n for n in ("b.json", "f.csv", "e.csv"))
+        rc, stdout, _ = run_cli(
+            "train", str(cli_env[f"{mode}_csv"]), "--config", str(cfg_path),
+            "--out", str(bundle),
+        )
+        assert (rc, stdout) == (0, f"{bundle}\n")
+        with open(frames, "w") as f:
+            write_frames(ds.x[:5], f)
+        rc, stdout, err = run_cli(
+            "infer", "--bundle", str(bundle), "--frames", str(frames),
+            "--config", str(cfg_path), "--out", str(est),
+        )
+        assert (rc, stdout, err) == (0, f"{est}\n", "")
+        assert len(est.read_text().splitlines()) == 6
+
+        if mode == "single":
+            rows = ds.label("node_x") != 0
+            x, y = ds.x[rows], ds.label("force_n")[rows]
+        else:
+            x, y = ds.x, np.column_stack((ds.label("f1_n"), ds.label("f2_n")))
+        config = load_config(cfg_path).pipeline
+
+        def lml(cell):
+            hyper = replace(config.gp, length_scale=cell[0], noise_var=cell[1])
+            return log_marginal_likelihood(
+                gp_fit(x, y, hyper, cap=config.gp_cap, seed=config.seed)
+            )
+
+        hyper = load_pipeline(bundle).force_model.hyper
+        assert (hyper.length_scale, hyper.noise_var) == max(self.GRID, key=lml)
+
+
 class TestInfer:
     def test_single_estimates(self, cli_env, tmp_path):
         est = tmp_path / "est.csv"
@@ -530,6 +574,7 @@ class TestInfer:
             '{"bundle_schema": 3, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 4, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 5, "mode": "single", "pipeline": {}}',
+            '{"bundle_schema": 6, "mode": "two", "pipeline": {}}',
         ],
     )
     def test_malformed_bundle_is_data_error(self, cli_env, tmp_path, payload):
@@ -824,6 +869,95 @@ class TestReport:
         assert rc == 2
         assert err == (
             "error: malformed report: ValidationError: report n_samples must be >= 1\n"
+        )
+
+
+class TestReportValueRanges:
+    """A report whose metric values are impossible is refused on load with
+    exit 2 and one error line; a possible value, such as a negative R^2,
+    still loads."""
+
+    @staticmethod
+    def run_edited(cli_env, tmp_path, mode, where, name, value):
+        d = json.loads(eval_report(cli_env, mode).read_text())
+        if where == "per_fold":
+            d[where][name][0] = value
+        else:
+            d[where][name] = value
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(d))
+        return run_cli("report", str(bad))
+
+    def assert_refused(self, result, message):
+        rc, stdout, err = result
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: malformed report: ValidationError: report {message}\n"
+
+    @pytest.mark.parametrize(
+        "mode, where, name, value",
+        [
+            ("single", "pooled", "detection_accuracy", -0.5),
+            ("single", "fold_mean", "row_accuracy", 1.5),
+            ("single", "per_fold", "col_accuracy", -1.0),
+            ("two", "pooled", "x2_accuracy", 1.25),
+        ],
+    )
+    def test_accuracy_outside_0_1(self, cli_env, tmp_path, mode, where, name, value):
+        self.assert_refused(
+            self.run_edited(cli_env, tmp_path, mode, where, name, value),
+            f"{where}.{name} {value} is outside [0, 1]",
+        )
+
+    @pytest.mark.parametrize(
+        "mode, where, name, value",
+        [
+            ("single", "pooled", "stretch_mse", -1.0),
+            ("single", "per_fold", "force_mse", -0.5),
+            ("single", "fold_std", "force_r2", -0.5),
+            ("two", "pooled", "force_mse_shared_axis", -1.0),
+            ("two", "fold_std", "x1_accuracy", -1e-9),
+        ],
+    )
+    def test_mse_or_std_below_0(self, cli_env, tmp_path, mode, where, name, value):
+        result = self.run_edited(cli_env, tmp_path, mode, where, name, value)
+        if where == "fold_std":
+            self.assert_refused(result, f"{where}.{name} {value} is below 0")
+        else:
+            self.assert_refused(result, f"{where}.{name} {value} is outside [0, inf]")
+
+    @pytest.mark.parametrize(
+        "mode, where, name, value",
+        [
+            ("single", "pooled", "force_r2", 1.5),
+            ("single", "per_fold", "stretch_r2", 2.0),
+            ("two", "fold_mean", "force2_r2", 1.0000001),
+        ],
+    )
+    def test_r2_above_1(self, cli_env, tmp_path, mode, where, name, value):
+        self.assert_refused(
+            self.run_edited(cli_env, tmp_path, mode, where, name, value),
+            f"{where}.{name} {value} is outside [-inf, 1]",
+        )
+
+    def test_negative_r2_loads(self, cli_env, tmp_path):
+        rc, stdout, err = self.run_edited(
+            cli_env, tmp_path, "single", "pooled", "force_r2", -3.0
+        )
+        assert (rc, err) == (0, "")
+        assert "force_r2=-3 " in stdout
+
+    @pytest.mark.parametrize(
+        "mode, name, index, label",
+        [("single", "row", 0, 0), ("single", "col", -1, 11), ("two", "y1", 0, -1)],
+    )
+    def test_confusion_label_outside_1_10(self, cli_env, tmp_path, mode, name, index, label):
+        d = json.loads(eval_report(cli_env, mode).read_text())
+        labels = d["confusions"][name]["labels"]
+        labels[index] = label
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(d))
+        self.assert_refused(
+            run_cli("report", str(bad)), f"confusions.{name} labels {labels} not in 1..10"
         )
 
 

@@ -21,7 +21,6 @@ from eskin import (
     SchemaError,
     ValidationError,
     load_dataset,
-    node_id,
     read_dataset,
     read_frames,
     save_dataset,
@@ -56,9 +55,6 @@ class TestNodeCoord:
     def test_round_trip_all_ids(self):
         for nid in range(101):
             assert NodeCoord.from_node_id(nid).node_id == nid
-
-    def test_free_function_alias(self):
-        assert node_id(NodeCoord(3, 7)) == 63
 
     @pytest.mark.parametrize("x,y", [(0, 5), (5, 0), (11, 1), (1, 11), (-1, 3)])
     def test_invalid_coordinates(self, x, y):
@@ -206,6 +202,12 @@ class TestDataset:
         assert part.meta == small_two_ds.meta
 
 
+def assert_rows_close(a, b):
+    """Frames and labels equal within the CSV round-trip tolerance."""
+    for name in ("x", "labels"):
+        np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-9)
+
+
 class TestCsvRoundTrip:
     def test_single_round_trip(self, small_single_ds):
         buf = io.StringIO()
@@ -213,14 +215,14 @@ class TestCsvRoundTrip:
         text = buf.getvalue()
         assert text.splitlines()[0] == ",".join(SINGLE_HEADER)
         back = read_dataset(io.StringIO(text))
-        assert back.approx_equal(small_single_ds, tol=1e-9)
+        assert_rows_close(back, small_single_ds)
 
     def test_two_round_trip(self, small_two_ds):
         buf = io.StringIO()
         write_dataset(small_two_ds, buf)
         back = read_dataset(io.StringIO(buf.getvalue()))
         assert back.schema == "two"
-        assert back.approx_equal(small_two_ds, tol=1e-9)
+        assert_rows_close(back, small_two_ds)
 
     @pytest.mark.parametrize("fixture", ["small_single_ds", "small_two_ds"])
     def test_generated_text_round_trips_byte_for_byte(self, fixture, request):
@@ -320,7 +322,7 @@ class TestFileHelpers:
         assert meta_path_for(path).exists()
         back = load_dataset(path)
         assert back.meta == small_two_ds.meta
-        assert back.approx_equal(small_two_ds)
+        assert_rows_close(back, small_two_ds)
 
     def test_load_without_sidecar(self, tmp_path, small_two_ds):
         path = tmp_path / "ds.csv"
@@ -363,13 +365,3 @@ def test_node_id_bijection(x, y):
     assert 1 <= n.node_id <= 100
     assert NodeCoord.from_node_id(n.node_id) == n
 
-
-def test_approx_equal_detects_drift(small_two_ds):
-    n = len(small_two_ds)
-    assert small_two_ds.approx_equal(small_two_ds.take(np.arange(n)), tol=0.0)
-    assert not small_two_ds.approx_equal(small_two_ds.take(np.arange(n - 1)))
-    moved = small_two_ds.x.copy()
-    moved[-1, 0] += 1e-6
-    other = Dataset(x=moved, labels=small_two_ds.labels)
-    assert not small_two_ds.approx_equal(other)
-    assert small_two_ds.approx_equal(other, tol=2e-6)

@@ -267,6 +267,7 @@ class TestFitMechanics:
             lambda d: edit_array(d, "alpha", lambda a: np.append(a, 0.0)),
             lambda d: edit_array(d, "alpha", lambda a: a[None, :]),
             lambda d: edit_array(d, "train_inputs", lambda a: a[0]),
+            lambda d: edit_array(d, "mean_offset", lambda a: a[None]),
         ],
     )
     def test_from_dict_rejects_disagreeing_shapes(self, rng, edit):
@@ -369,6 +370,71 @@ class TestFitMechanics:
         assert np.array_equal(mean, full_mean)
 
 
+class TestOutputs:
+    """An (n, k) target fits k outputs over one set of rows, scaler and
+    factor; each output is bit for bit the 1-d fit on its column."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_output_is_its_one_column_fit(self, rng, k):
+        x = rng.normal(size=(30, 3))
+        y = rng.normal(size=(30, k)) * [1.0, 5.0, -2.0][:k] + [0.5, 3.0, 7.0][:k]
+        model = gp_fit(x, y, GpHyper(length_scale=1.3), cap=20, seed=4)
+        assert model.alpha.shape == (k, 20) and model.mean_offset.shape == (k,)
+        q = rng.normal(size=(7, 3))
+        mean, std = gp_predict(model, q)
+        assert mean.shape == (7, k)
+        lmls = []
+        for j in range(k):
+            ref = gp_fit(x, y[:, j], GpHyper(length_scale=1.3), cap=20, seed=4)
+            ref_mean, ref_std = gp_predict(ref, q)
+            assert np.array_equal(model.train_inputs, ref.train_inputs)
+            assert np.array_equal(model.chol, ref.chol)
+            assert np.array_equal(model.alpha[j], ref.alpha)
+            assert model.mean_offset[j] == ref.mean_offset
+            assert np.array_equal(mean[:, j], ref_mean)
+            assert np.array_equal(std, ref_std)
+            lmls.append(log_marginal_likelihood(ref))
+        assert log_marginal_likelihood(model) == sum(lmls)
+        sub = gp_module._subsample(30, 20, 4)
+        assert log_marginal_likelihood(model, y[sub]) == pytest.approx(sum(lmls))
+
+    def test_one_output_keeps_1d_shapes(self, rng):
+        model = gp_fit(rng.normal(size=(6, 2)), rng.normal(size=6))
+        assert model.alpha.shape == (6,) and model.mean_offset.shape == ()
+        mean, std = gp_predict(model, rng.normal(size=(4, 2)))
+        assert mean.shape == std.shape == (4,)
+
+    def test_targets_need_one_or_two_dims_and_an_output(self, rng):
+        x = rng.normal(size=(5, 2))
+        with pytest.raises(ValidationError, match="y must be 1-d or 2-d"):
+            gp_fit(x, np.zeros((5, 2, 1)))
+        with pytest.raises(ValueError, match="disagree"):
+            gp_fit(x, np.zeros((5, 0)))
+
+    def test_grid_search_sums_the_outputs(self, rng):
+        # a smooth output and a noisy, faster one: each alone would pick
+        # another cell than their sum does
+        x = np.linspace(0.0, 6.0, 40).reshape(-1, 1)
+        y = np.column_stack((np.sin(0.2 * x[:, 0]), 0.3 * np.sin(x[:, 0])))
+        y[:, 1] += rng.normal(0.0, 0.1, 40)
+        grid = [(ell, nv) for ell in (1.0, 2.0, 4.0) for nv in (1e-4, 1e-2)]
+
+        def best(target):
+            lml = {
+                cell: log_marginal_likelihood(
+                    gp_fit(x, target, GpHyper(length_scale=cell[0], noise_var=cell[1]))
+                )
+                for cell in grid
+            }
+            return max(grid, key=lml.get), lml
+
+        hyper, lml = gp_grid_search(x, y)
+        cell, cells = best(y)
+        assert (hyper.length_scale, hyper.noise_var) == cell
+        assert lml == cells[cell]
+        assert cell not in (best(y[:, 0])[0], best(y[:, 1])[0])
+
+
 class TestMarginalLikelihood:
     def test_matches_direct_formula(self, rng):
         x = rng.normal(size=(7, 2))
@@ -392,6 +458,8 @@ class TestMarginalLikelihood:
         model = gp_fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         with pytest.raises(ValidationError):
             log_marginal_likelihood(model, np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(ValidationError, match=r"shape \(2,\), got \(2, 1\)"):
+            log_marginal_likelihood(model, np.array([[0.0], [1.0]]))
 
 
 class TestGridSearch:

@@ -29,7 +29,7 @@ from eskin import (
     train_two,
 )
 from eskin.codec import from_dict, to_dict
-from eskin.learners import ForestModel, Standardizer
+from eskin.learners import ForestConfig, ForestModel, Standardizer, gp_fit, gp_predict
 from eskin.learners import gp as gp_module
 from eskin.pipeline import (
     BUNDLE_SCHEMA_VERSION,
@@ -46,6 +46,7 @@ FOREST_ARRAYS = ("is_split", "feature", "threshold", "leaf_counts")
 
 
 def _saved_force_models(path) -> list[dict]:
+    """The force model records of a saved bundle: one in either mode."""
     pipeline = json.loads(path.read_text())["pipeline"]
     return [v for k, v in pipeline.items() if k.startswith("force")]
 
@@ -247,6 +248,25 @@ class TestForestTable:
 
 
 class TestTwoPredictions:
+    def test_shared_force_gp_equals_one_fit_per_force(self, two_ds):
+        # the reference is one single-output GP per contact force, fitted
+        # and served on its own: the shared model's per-output arithmetic
+        # must reproduce it bit for bit
+        config = PipelineConfig(forest=ForestConfig(n_trees=2))
+        p = train_two(two_ds, config)
+        out = predict_two_batch(p, two_ds.x)
+        gp = p.force_model
+        assert gp.alpha.shape == (2, len(two_ds)) and gp.mean_offset.shape == (2,)
+        for j, name in enumerate(("f1_n", "f2_n")):
+            ref = gp_fit(
+                two_ds.x, two_ds.label(name), config.gp, cap=config.gp_cap,
+                seed=config.seed,
+            )
+            mean, _ = gp_predict(ref, two_ds.x, std=False)
+            assert np.array_equal(gp.alpha[j], ref.alpha)
+            assert np.array_equal(gp.mean_offset[j], ref.mean_offset)
+            assert np.array_equal(out[f"force{j + 1}"], np.maximum(mean, 0.0))
+
     def test_batch_output_contract(self, trained_two, small_two_ds):
         x = small_two_ds.features()[:40]
         out = predict_two_batch(trained_two, x)
@@ -293,7 +313,7 @@ class TestBundles:
         b = predict_two_batch(back, x)
         for key in a:
             assert np.array_equal(a[key], b[key])
-        assert ["chol" in m for m in _saved_force_models(path)] == [False, False]
+        assert ["chol" in m for m in _saved_force_models(path)] == [False]
         resaved = tmp_path / "resaved.json"
         save_pipeline(back, resaved)
         assert resaved.read_bytes() == path.read_bytes()
@@ -405,6 +425,17 @@ class TestBundles:
         with pytest.raises(SchemaError, match=r"schema 4 .*re-run `eskin train`"):
             load_pipeline(path)
 
+    def test_load_rejects_schema_6_bundle(self, trained_two, tmp_path):
+        # schema 6 held one single-output force GP per contact
+        old = _bundle_dict(trained_two)
+        old["bundle_schema"] = 6
+        gp = old["pipeline"].pop("force_model")
+        old["pipeline"].update(force1_model=gp, force2_model=gp)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(old))
+        with pytest.raises(SchemaError, match=r"schema 6 .*re-run `eskin train`"):
+            load_pipeline(path)
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -443,18 +474,18 @@ class TestFeatureWidths:
             )
 
     def test_two_gp_inputs_one_short(self, trained_two):
-        gp = trained_two.force2_model
-        with pytest.raises(ValidationError, match=r"force2_model 19, force2_model\.scaler 20"):
+        gp = trained_two.force_model
+        with pytest.raises(ValidationError, match=r"force_model 19, force_model\.scaler 20"):
             replace(
                 trained_two,
-                force2_model=replace(gp, train_inputs=gp.train_inputs[:, :-1].copy()),
+                force_model=replace(gp, train_inputs=gp.train_inputs[:, :-1].copy()),
             )
 
     def test_two_gp_scaler_one_short(self, trained_two):
-        gp = trained_two.force1_model
+        gp = trained_two.force_model
         narrow = Standardizer(mean=gp.scaler.mean[1:], scale=gp.scaler.scale[1:])
-        with pytest.raises(ValidationError, match=r"force1_model\.scaler 19"):
-            replace(trained_two, force1_model=replace(gp, scaler=narrow))
+        with pytest.raises(ValidationError, match=r"force_model\.scaler 19"):
+            replace(trained_two, force_model=replace(gp, scaler=narrow))
 
 
 @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
@@ -464,7 +495,7 @@ class TestBundleEncoding:
         save_pipeline(request.getfixturevalue(trained), path)
         text = path.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
-        assert json.loads(text)["bundle_schema"] == 6
+        assert json.loads(text)["bundle_schema"] == 7
 
     def test_schema_4_keys_with_arrays_as_bytes(self, trained, request, tmp_path):
         p = request.getfixturevalue(trained)

@@ -271,7 +271,7 @@ class TestSingleForceProtocol:
         )
         a = generate_single_force_dataset(SkinModel(), proto)
         b = generate_single_force_dataset(SkinModel(), proto)
-        assert a.approx_equal(b, tol=0.0)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
 
     def test_seed_changes_frames(self):
         base = SingleForceProtocol(
@@ -283,7 +283,8 @@ class TestSingleForceProtocol:
                 stretches=(1.0,), forces=(0.0, 1.2936), reps_per_cell=1, seed=1
             )
         )
-        assert not a.approx_equal(b, tol=1e-12)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.any(np.abs(a.x - b.x) > 1e-12)
 
     def test_meta_digest_tracks_model(self):
         proto = SingleForceProtocol(stretches=(1.0,), forces=(0.0,), reps_per_cell=1)
@@ -351,7 +352,7 @@ class TestTwoForceProtocol:
         a = generate_two_force_dataset(SkinModel(), proto)
         b = generate_two_force_dataset(SkinModel(), proto)
         assert len(a) == 6
-        assert a.approx_equal(b, tol=0.0)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
 
 
 # --- bitwise guard: the array generators against the row-by-row oracle ------
