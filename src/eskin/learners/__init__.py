@@ -5,6 +5,7 @@ from .forest import (
     ForestModel,
     ForestTable,
     compile_forests,
+    fit_forests,
     forest_fit,
     forest_predict,
 )

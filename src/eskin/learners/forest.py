@@ -8,10 +8,16 @@ Fit uses the CART presort layout (Breiman et al. 1984; Louppe 2014, ch. 5):
 a tree argsorts its sample once per feature, and each split partitions
 those sorted rows with one boolean gather, which keeps every feature's
 order, so no node sorts again. A node scores all its candidate features at
-once from exact integer class counts. Trees are independent and make no
-BLAS call, so they fit in a pool of forked processes, one per usable CPU
-(at most _MAX_WORKERS), and are merged in tree order: the trees are the same
-for any worker count.
+once from exact integer class counts.
+
+``fit_forests`` fits every forest of one training call (the pipelines'
+two or four, which share their rows and config) in one pool of forked
+processes, one per usable CPU (at most _MAX_WORKERS). The sample reaches
+the workers once, through fork, and each task is one tree index t: it draws
+tree t's bootstrap and presorts it once, then grows tree t of every forest
+from the generator state that draw left, so each tree is the one a lone
+``forest_fit`` grows. Trees make no BLAS call, and are merged in tree
+order: the trees are the same for any worker count.
 
 A fitted forest is flat node arrays, all its trees together in queue order:
 one queue starts with every tree's root, and each split node appends its
@@ -50,7 +56,6 @@ import threading
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -314,76 +319,79 @@ def _grow(
     _grow(xt, yt, srt[~mask].reshape(d, n - left.shape[0]), *grow)
 
 
-def _fit_tree(
-    x: np.ndarray, y: np.ndarray, n_classes: int, n_feats: int, config: ForestConfig, t: int
-) -> tuple[np.ndarray, ...]:
-    """Tree t's (depth, is_split, feature, threshold, leaf counts) arrays,
-    nodes depth first. The tree takes a bootstrap draw, then one feature
-    subset per split node (depth first, left before right), all from
-    ``SeedSequence([seed, t])``.
+def _fit_trees(sample: tuple, t: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Tree t of every forest of ``sample`` (x, the label vectors, their
+    class counts, the features per split, the config): per forest the
+    (depth, is_split, feature, threshold, leaf counts) arrays, nodes depth
+    first.
+
+    Tree t draws its bootstrap from ``SeedSequence([seed, t])``, then one
+    feature subset per split node (depth first, left before right). The
+    forests share the draw and one presort of it, and each grows from the
+    generator state the draw left, so its tree is the one a fit of that
+    forest alone grows.
 
     The sample is sorted once per feature; at a valid cut the left rows are
     all rows with x <= the cut value, so neither thresholds nor scores depend
     on how ties are ordered.
     """
+    x, ys, n_classes, n_feats, config = sample
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, t]).generate_state(1)[0]
     )
     if config.bootstrap:
         idx = rng.integers(0, x.shape[0], x.shape[0])
-        x, y = x[idx], y[idx]
+        x, ys = x[idx], [y[idx] for y in ys]
     xt = np.ascontiguousarray(x.T)
     srt = np.argsort(xt, axis=1)
-    tree = _Tree()
-    _grow(
-        xt, y, srt, 0, rng, n_classes, config.max_depth, config.min_leaf, n_feats, tree
-    )
-    return (
-        np.array(tree.depth),
-        np.array(tree.is_split),
-        np.array(tree.feature, dtype=np.int32),
-        np.array(tree.threshold, dtype=float),
-        np.array(tree.counts, dtype=np.int32),
-    )
+    drawn = rng.bit_generator.state
+    trees = []
+    for y, classes in zip(ys, n_classes):
+        rng.bit_generator.state = drawn
+        tree = _Tree()
+        _grow(
+            xt, y, srt, 0, rng, classes, config.max_depth, config.min_leaf,
+            n_feats, tree,
+        )
+        trees.append((
+            np.array(tree.depth),
+            np.array(tree.is_split),
+            np.array(tree.feature, dtype=np.int32),
+            np.array(tree.threshold, dtype=float),
+            np.array(tree.counts, dtype=np.int32),
+        ))
+    return tuple(trees)
+
+
+# A pool worker's sample, set once by _set_sample as the worker starts: with
+# fork it is inherited, so no task pickles it.
+_sample: tuple = ()
+
+
+def _set_sample(sample: tuple) -> None:
+    global _sample
+    _sample = sample
+
+
+def _fit_pooled(t: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    return _fit_trees(_sample, t)
 
 
 def _pool_workers(n_trees: int) -> int:
     """Processes to fit trees in: the CPUs this process may run on, at most
     _MAX_WORKERS and n_trees. 1 fits in-process, and so does a process that
-    runs other Python threads: a forked worker could inherit a lock one of
-    them holds."""
+    runs other Python threads, since a forked worker could inherit a lock
+    one of them holds, and a daemonic process, which may not have children
+    (a multiprocessing.Pool worker is one)."""
     if not hasattr(os, "sched_getaffinity"):   # macOS, Windows: fork unsafe or absent
         return 1
-    if threading.active_count() > 1:
+    if threading.active_count() > 1 or mp.current_process().daemon:
         return 1
     return min(len(os.sched_getaffinity(0)), _MAX_WORKERS, n_trees)
 
 
-def forest_fit(
-    x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None
-) -> ForestModel:
-    config = config or ForestConfig()
-    x, y = _check_labels(x, y)
-    d = x.shape[1]
-    n_classes = int(y.max()) + 1
-    n_feats = config.features_per_split or math.ceil(math.sqrt(d))
-    # the narrowest label type: a stable sort of 8- or 16-bit keys is a radix sort
-    y = y.astype(np.min_scalar_type(n_classes - 1))
-    fit_tree = partial(_fit_tree, x, y, n_classes, n_feats, config)
-    workers = _pool_workers(config.n_trees)
-    if workers == 1:
-        trees = [fit_tree(t) for t in range(config.n_trees)]
-    else:
-        # fork, not spawn: a worker starts in ~10 ms where spawn re-imports
-        # numpy for ~0.35 s, about a whole 50-tree fit. No other Python
-        # thread runs (see _pool_workers), the executor forks its workers
-        # before it starts its own thread, and tree fits make no BLAS call,
-        # so no worker touches a lock another thread held.
-        with ProcessPoolExecutor(workers, mp_context=mp.get_context("fork")) as pool:
-            trees = list(pool.map(
-                fit_tree, range(config.n_trees),
-                chunksize=math.ceil(config.n_trees / (4 * workers)),
-            ))
+def _assemble(trees: Sequence[tuple[np.ndarray, ...]], d: int) -> ForestModel:
+    """One forest from its trees' depth-first arrays, in tree order."""
     depth, is_split, feature, threshold, leaf_counts = (
         np.concatenate(part) for part in zip(*trees)
     )
@@ -397,6 +405,48 @@ def forest_fit(
         leaf_counts=leaf_counts[np.argsort(depth[~is_split], kind="stable")],
         n_features=d,
     )
+
+
+def fit_forests(
+    x: np.ndarray, ys: Sequence[np.ndarray], config: ForestConfig | None = None
+) -> tuple[ForestModel, ...]:
+    """One forest per label vector of ``ys``, all on the rows of ``x`` with
+    one config: each the forest ``forest_fit(x, y, config)`` fits, from one
+    pool and one bootstrap draw and presort per tree index."""
+    config = config or ForestConfig()
+    if len(ys) == 0:
+        raise ValidationError("need at least one label vector")
+    checked = [_check_labels(x, y) for y in ys]
+    x = checked[0][0]
+    d = x.shape[1]
+    n_classes = tuple(int(y.max()) + 1 for _, y in checked)
+    # the narrowest label type: a stable sort of 8- or 16-bit keys is a radix sort
+    ys = [y.astype(np.min_scalar_type(c - 1)) for (_, y), c in zip(checked, n_classes)]
+    n_feats = config.features_per_split or math.ceil(math.sqrt(d))
+    sample = (x, ys, n_classes, n_feats, config)
+    workers = _pool_workers(config.n_trees)
+    if workers == 1:
+        trees = [_fit_trees(sample, t) for t in range(config.n_trees)]
+    else:
+        # fork, not spawn: a worker starts in ~10 ms where spawn re-imports
+        # numpy for ~0.35 s, about a whole 50-tree fit, and inherits the
+        # sample instead of unpickling it. No other Python thread runs (see
+        # _pool_workers), the executor forks its workers before it starts
+        # its own thread, and tree fits make no BLAS call, so no worker
+        # touches a lock another thread held.
+        with ProcessPoolExecutor(
+            workers, mp_context=mp.get_context("fork"),
+            initializer=_set_sample, initargs=(sample,),
+        ) as pool:
+            trees = list(pool.map(_fit_pooled, range(config.n_trees)))
+    return tuple(_assemble(forest, d) for forest in zip(*trees))
+
+
+def forest_fit(
+    x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None
+) -> ForestModel:
+    """The forest of one label vector: ``fit_forests(x, (y,), config)``."""
+    return fit_forests(x, (y,), config)[0]
 
 
 def compile_forests(models: Sequence[ForestModel]) -> ForestTable:

@@ -300,24 +300,23 @@ def gp_grid_search(
     base: GpHyper | None = None,
     cap: int = 2000,
     seed: int = 0,
-) -> tuple[GpHyper, float]:
-    """Pick (length_scale, noise_var) by log marginal likelihood, summed
-    over the outputs of an (n, k) target.
+) -> tuple[GpModel, float]:
+    """The fit of the (length_scale, noise_var) cell with the highest log
+    marginal likelihood, summed over the outputs of an (n, k) target, and
+    that likelihood. The model's ``hyper`` is the pick.
 
     Ties break towards the earlier grid entry, so the result is
-    deterministic. The same subsample is reused for every candidate.
+    deterministic. Every cell is ``gp_fit(x, y, hyper, cap, seed)``, so all
+    fit the same subsample, and the winner is the model that fit returns.
     """
     base = base or GpHyper()
-    x, y = _check_xy(x, y, y_ndim=(1, 2))
-    idx = _subsample(x.shape[0], cap, seed)
-    xs, ys = x[idx], y[idx]
-    best: tuple[GpHyper, float] | None = None
+    best: tuple[GpModel, float] | None = None
     for ell in length_scales:
         for nv in noise_vars:
             hyper = replace(base, length_scale=ell, noise_var=nv)
-            model = gp_fit(xs, ys, hyper, cap=cap, seed=seed)
+            model = gp_fit(x, y, hyper, cap=cap, seed=seed)
             lml = log_marginal_likelihood(model)
             if best is None or lml > best[1]:
-                best = (model.hyper, lml)
+                best = (model, lml)
     assert best is not None
     return best

@@ -38,7 +38,8 @@ from .learners import (
     SvmConfig,
     SvmModel,
     compile_forests,
-    forest_fit,
+    fit_forests,
+    forest_fit,   # unused; perfbench/tracer.py patches eskin.pipeline.forest_fit
     forest_predict,
     gp_fit,
     gp_grid_search,
@@ -197,12 +198,14 @@ class TwoContactEstimate:
 
 
 def _fit_force_gp(x: np.ndarray, y: np.ndarray, config: PipelineConfig) -> GpModel:
-    """The force GP on (x, y), its hyperparameters first picked by marginal
+    """The force GP on (x, y), its hyperparameters picked by marginal
     likelihood when config.gp_search is set."""
-    hyper = config.gp
     if config.gp_search:
-        hyper, _ = gp_grid_search(x, y, base=hyper, cap=config.gp_cap, seed=config.seed)
-    return gp_fit(x, y, hyper, cap=config.gp_cap, seed=config.seed)
+        model, _ = gp_grid_search(
+            x, y, base=config.gp, cap=config.gp_cap, seed=config.seed
+        )
+        return model
+    return gp_fit(x, y, config.gp, cap=config.gp_cap, seed=config.seed)
 
 
 def train_single(train: Dataset, config: PipelineConfig | None = None) -> TrainedPipeline:
@@ -228,8 +231,11 @@ def train_single(train: Dataset, config: PipelineConfig | None = None) -> Traine
     detector = svm_fit(z, det_labels, config.svm)
 
     pos = np.flatnonzero(contact)
-    col_clf = forest_fit(z[pos], train.label("node_x")[pos] - 1, config.forest)
-    row_clf = forest_fit(z[pos], train.label("node_y")[pos] - 1, config.forest)
+    col_clf, row_clf = fit_forests(
+        z[pos],
+        (train.label("node_x")[pos] - 1, train.label("node_y")[pos] - 1),
+        config.forest,
+    )
     return TrainedPipeline(
         stretch_model=stretch_model,
         detector=detector,
@@ -297,15 +303,16 @@ def train_two(train: Dataset, config: PipelineConfig | None = None) -> TrainedTw
     z = scaler.transform(x)
     axes = tuple(sorted(config.node_axes))
     forces = np.column_stack((train.label("f1_n"), train.label("f2_n")))
-    labels = {
-        name: _axis_classes(train.label(name).astype(int), axes, f"{name} labels")
+    labels = tuple(
+        _axis_classes(train.label(name).astype(int), axes, f"{name} labels")
         for name in ("x1", "y1", "x2", "y2")
-    }
+    )
+    x1_clf, y1_clf, x2_clf, y2_clf = fit_forests(z, labels, config.forest)
     return TrainedTwoPipeline(
-        x1_clf=forest_fit(z, labels["x1"], config.forest),
-        y1_clf=forest_fit(z, labels["y1"], config.forest),
-        x2_clf=forest_fit(z, labels["x2"], config.forest),
-        y2_clf=forest_fit(z, labels["y2"], config.forest),
+        x1_clf=x1_clf,
+        y1_clf=y1_clf,
+        x2_clf=x2_clf,
+        y2_clf=y2_clf,
         force_model=_fit_force_gp(x, forces, config),
         preprocessing=scaler,
         config=config,

@@ -21,6 +21,7 @@ from eskin.learners import (
     ForestConfig,
     ForestModel,
     compile_forests,
+    fit_forests,
     forest,
     forest_fit,
     forest_predict,
@@ -161,28 +162,52 @@ class TestTreePool:
         x = np.round(rng.normal(size=(60, 4)), 1)
         return x, rng.integers(0, 4, 60)
 
-    def test_worker_count_does_not_change_trees(self, monkeypatch):
-        x, y = self.fixture()
-        cfg = ForestConfig(n_trees=7, seed=3)
+    def labels(self, n_forests):
+        """Label vectors of 4, 2, 7 and 3 classes for the fixture's rows."""
+        rng = np.random.default_rng(9)
+        return tuple(rng.integers(0, c, 60) for c in (4, 2, 7, 3)[:n_forests])
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("n_forests", [1, 2, 4])
+    def test_worker_count_does_not_change_trees(self, monkeypatch, n_forests, bootstrap):
+        # each forest of one fit_forests call is the forest a forest_fit of
+        # its labels alone makes in-process, at any worker count
+        x, _ = self.fixture()
+        ys = self.labels(n_forests)
+        cfg = ForestConfig(n_trees=7, seed=3, bootstrap=bootstrap)
         monkeypatch.setattr(forest, "_pool_workers", pool_of(1))
         monkeypatch.setattr(forest, "ProcessPoolExecutor", None)   # one worker: no pool
-        serial = forest_fit(x, y, cfg)
+        separate = tuple(forest_fit(x, y, cfg) for y in ys)
+        assert len({m.n_classes for m in separate}) == n_forests
         monkeypatch.undo()
-        for workers in (2, 3):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(forest, "_pool_workers", pool_of(workers))
-            assert forest_fit(x, y, cfg) == serial
+            assert fit_forests(x, ys, cfg) == separate
             assert multiprocessing.active_children() == []
 
     def test_failed_tree_fit_leaves_no_children(self, monkeypatch):
         def fail(*args):
             raise RuntimeError("tree fit failed")
 
-        x, y = self.fixture()
+        x, _ = self.fixture()
         monkeypatch.setattr(forest, "_pool_workers", pool_of(2))
         monkeypatch.setattr(forest, "_grow", fail)
         with pytest.raises(RuntimeError, match="tree fit failed"):
-            forest_fit(x, y, ForestConfig(n_trees=4))
+            fit_forests(x, self.labels(2), ForestConfig(n_trees=4))
         assert multiprocessing.active_children() == []
+
+    def test_needs_a_label_vector(self):
+        x, _ = self.fixture()
+        with pytest.raises(ValidationError, match="at least one label vector"):
+            fit_forests(x, ())
+
+    def test_daemonic_process_fits_in_process(self):
+        # a multiprocessing.Pool worker is daemonic and may not start a pool
+        x, y = self.fixture()
+        cfg = ForestConfig(n_trees=4, seed=3)
+        with multiprocessing.get_context("fork").Pool(1) as workers:
+            model = workers.apply_async(forest_fit, (x, y, cfg)).get(timeout=60)
+        assert model == forest_fit(x, y, cfg)
 
     def test_pool_size_follows_cpus_and_trees(self):
         cpus = len(os.sched_getaffinity(0))

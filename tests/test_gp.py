@@ -428,7 +428,8 @@ class TestOutputs:
             }
             return max(grid, key=lml.get), lml
 
-        hyper, lml = gp_grid_search(x, y)
+        model, lml = gp_grid_search(x, y)
+        hyper = model.hyper
         cell, cells = best(y)
         assert (hyper.length_scale, hyper.noise_var) == cell
         assert lml == cells[cell]
@@ -466,7 +467,8 @@ class TestGridSearch:
     def test_picks_best_cell(self, rng):
         x = np.linspace(0.0, 6.0, 40).reshape(-1, 1)
         y = np.sin(x[:, 0]) + rng.normal(0.0, 0.05, 40)
-        hyper, lml = gp_grid_search(x, y)
+        model, lml = gp_grid_search(x, y)
+        hyper = model.hyper
         assert hyper.length_scale in (1.0, 2.0, 4.0)
         assert hyper.noise_var in (1e-4, 1e-2)
         best = -np.inf
@@ -477,6 +479,18 @@ class TestGridSearch:
                 m = gp_fit(x, y, replace(GpHyper(), length_scale=ell, noise_var=nv))
                 best = max(best, log_marginal_likelihood(m))
         assert lml == pytest.approx(best, abs=1e-9)
+
+    def test_returns_the_fit_of_the_pick(self, rng):
+        # every cell fits the capped subsample of all the rows it is given,
+        # so the winner is the model a fit with the picked cell makes
+        x = rng.normal(size=(30, 2))
+        y = np.column_stack((rng.normal(size=30), rng.normal(size=30)))
+        model, lml = gp_grid_search(x, y, cap=20, seed=3)
+        refit = gp_fit(x, y, model.hyper, cap=20, seed=3)
+        assert model.rows_offered == refit.rows_offered == 30
+        for name in ("train_inputs", "alpha", "mean_offset"):
+            assert np.array_equal(getattr(model, name), getattr(refit, name))
+        assert lml == log_marginal_likelihood(refit)
 
 
 @given(

@@ -2,6 +2,7 @@
 round trips."""
 
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,15 @@ from eskin import (
     train_two,
 )
 from eskin.codec import from_dict, to_dict
-from eskin.learners import ForestConfig, ForestModel, Standardizer, gp_fit, gp_predict
+from eskin.learners import (
+    ForestConfig,
+    ForestModel,
+    Standardizer,
+    forest_fit,
+    gp_fit,
+    gp_predict,
+)
+from eskin.learners import forest as forest_module
 from eskin.learners import gp as gp_module
 from eskin.pipeline import (
     BUNDLE_SCHEMA_VERSION,
@@ -245,6 +254,66 @@ class TestForestTable:
             one = predict_two_batch(p, x[i : i + 1])
             for name in want:
                 assert out[name][i] == one[name][0] == want[name][i]
+
+
+class TestTrainFits:
+    """What one training call fits: all its forests from one tree pool, and
+    with gp_search one GP factorisation per grid cell."""
+
+    FOREST = ForestConfig(n_trees=4)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        built = []
+
+        class CountedPool(forest_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(forest_module, "_pool_workers", lambda n_trees: 2)
+        monkeypatch.setattr(forest_module, "ProcessPoolExecutor", CountedPool)
+        return built
+
+    def test_single_fits_its_forests_in_one_pool(self, pools, small_single_ds):
+        p = train_single(small_single_ds, PipelineConfig(forest=self.FOREST))
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        pos = small_single_ds.label("node_x") != 0
+        z = p.preprocessing.transform(small_single_ds.x[pos])
+        for name, label in (("col_clf", "node_x"), ("row_clf", "node_y")):
+            y = small_single_ds.label(label)[pos] - 1
+            assert getattr(p, name) == forest_fit(z, y, self.FOREST)
+
+    def test_two_fits_its_forests_in_one_pool(
+        self, pools, small_two_ds, small_two_config
+    ):
+        config = replace(small_two_config, forest=self.FOREST)
+        p = train_two(small_two_ds, config)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        z = p.preprocessing.transform(small_two_ds.x)
+        for name in ("x1", "y1", "x2", "y2"):
+            y = np.searchsorted(config.node_axes, small_two_ds.label(name))
+            assert getattr(p, f"{name}_clf") == forest_fit(z, y, self.FOREST)
+
+    def test_gp_search_factors_once_a_cell(
+        self, small_two_ds, small_two_config, monkeypatch
+    ):
+        factors, factor = [], gp_module._factor
+
+        def counted_factor(*args):
+            factors.append(factor(*args))
+            return factors[-1]
+
+        monkeypatch.setattr(gp_module, "_factor", counted_factor)
+        config = replace(
+            small_two_config, forest=self.FOREST, gp_search=True, gp_cap=40
+        )
+        p = train_two(small_two_ds, config)
+        assert len(factors) == 6   # the 3 x 2 grid, and no refit of its pick
+        assert any(p.force_model.chol is f for f in factors)   # the pick's own
+        assert p.force_model.rows_offered == len(small_two_ds)
 
 
 class TestTwoPredictions:
