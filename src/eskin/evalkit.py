@@ -166,7 +166,11 @@ class MetricsReport:
     """Construction checks that the report holds every metric and confusion
     matrix of its mode, at least one sample, k values per fold metric and at
     least one note, and that no value is impossible: accuracies in [0, 1],
-    MSEs and fold stds >= 0, R^2 <= 1 and confusion labels in 1..10."""
+    MSEs and fold stds >= 0, R^2 <= 1, and confusions as a cross-validation
+    writes them: single-contact row and col labelled 1..10, two-contact
+    matrices sharing strictly increasing labels in 1..10, each counting one
+    number of rows: the contact rows, at most n_samples, for one contact,
+    and n_samples for two."""
 
     mode: str
     k: int
@@ -203,11 +207,9 @@ class MetricsReport:
             raise ValidationError("report has no notes")
         values = [
             (f"{where}.{name}", name, value)
-            for where in ("pooled", "fold_mean")
-            for name, value in getattr(self, where).items()
-        ] + [
-            (f"per_fold.{name}", name, value)
-            for name, fold_values in self.per_fold.items() for value in fold_values
+            for where in ("pooled", "fold_mean", "per_fold")
+            for name, named in getattr(self, where).items()
+            for value in (named if where == "per_fold" else (named,))
         ]
         for path, name, value in values:
             for part, low, high in _RANGES:
@@ -219,11 +221,29 @@ class MetricsReport:
         for name, value in self.fold_std.items():
             if value < 0:
                 raise ValidationError(f"report fold_std.{name} {value} is below 0")
-        for name, cm in self.confusions.items():
-            if not all(1 <= label <= 10 for label in cm.labels):
-                raise ValidationError(
-                    f"report confusions.{name} labels {list(cm.labels)} not in 1..10"
-                )
+        cms = sorted(self.confusions.items())
+        first, first_cm = cms[0]
+        single = self.mode == SCHEMA_SINGLE
+        for name, cm in cms:
+            labels = list(cm.labels)
+            if not all(1 <= label <= 10 for label in labels):
+                problem = "not in 1..10"
+            elif single and labels != list(range(1, 11)):
+                problem = "are not 1..10"
+            elif labels != sorted(set(labels)):
+                problem = "are not strictly increasing"
+            elif cm.labels != first_cm.labels:
+                problem = f"differ from confusions.{first} labels {list(first_cm.labels)}"
+            else:
+                continue
+            raise ValidationError(f"report confusions.{name} labels {labels} {problem}")
+        totals = {name: cm.total for name, cm in cms}
+        want = min(first_cm.total, self.n_samples) if single else self.n_samples
+        if set(totals.values()) != {want}:
+            raise ValidationError(
+                f"report confusions count {totals} rows: need one count of "
+                f"{'at most' if single else 'exactly'} n_samples {self.n_samples}"
+            )
 
     def to_json(self) -> str:
         return dumps(to_dict(self), sort_keys=True, indent=1) + "\n"

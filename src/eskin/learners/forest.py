@@ -44,7 +44,8 @@ node's successor from the outcomes, then follows the successors from all
 roots at once (the QuickScorer idea of scoring a document node test by
 node test rather than tree by tree; Lucchese et al., SIGIR 2015). More rows
 descend all trees of a forest at once, one level per step. The leaf classes
-of every forest are counted in a single bincount.
+of every forest are counted in a single bincount, and each forest's label
+is the class with the most votes, the smaller class on a tie.
 """
 
 from __future__ import annotations
@@ -531,12 +532,10 @@ def _leaves(tab: ForestTable, x: np.ndarray) -> np.ndarray:
     return leaves
 
 
-def forest_predict(
-    tab: ForestTable, x: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(labels, per-class vote fractions) of each forest of a table, in table
-    order; vote ties go to the smaller class. A lone forest is served
-    through ``compile_forests((model,))``.
+def forest_predict(tab: ForestTable, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The labels of each forest of a table, in table order: per row the
+    class most of the forest's trees vote for, ties going to the smaller
+    class. A lone forest is served through ``compile_forests((model,))``.
 
     A NaN feature compares False and goes right.
     """
@@ -551,7 +550,4 @@ def forest_predict(
     votes = np.bincount(
         (rows * n_classes + _leaves(tab, x)).ravel(), minlength=n * n_classes
     ).reshape(n, n_classes)
-    return tuple(
-        (np.argmax(votes[:, a:b], axis=1), votes[:, a:b] / n_trees)
-        for (a, b), n_trees in zip(tab.classes, tab.n_trees)
-    )
+    return tuple(np.argmax(votes[:, a:b], axis=1) for a, b in tab.classes)

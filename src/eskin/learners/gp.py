@@ -3,9 +3,9 @@
 Training follows the standard Cholesky route (Rasmussen & Williams 2006,
 Alg. 2.1): K = k(X, X) + noise_var * I, L = chol(K), alpha = K^-1 (y -
 mean_offset), where the model's mean offset is the mean training target.
-Feature standardisation is internal and on by default; standardize=False fits
-on raw inputs so closed-form oracles line up exactly. Training cost is cubic,
-so fits above ``cap`` rows run on a seeded uniform subsample.
+The model standardises its inputs with its own scaler, fitted on the
+training rows. Training cost is cubic, so fits above ``cap`` rows run on a
+seeded uniform subsample.
 
 The fit's Gram matrix, ``GpModel.chol`` and ``gp_predict`` share one kernel,
 ``rbf_kernel``, which works in one buffer: the (n, n_train) array that its
@@ -101,25 +101,25 @@ def rbf_kernel(
     length_scale: float,
     signal_var: float = 1.0,
     b_sq: np.ndarray | None = None,
-) -> float | np.ndarray:
-    """signal_var * exp(-||a - b||^2 / (2 length_scale^2)).
+) -> np.ndarray:
+    """signal_var * exp(-||a - b||^2 / (2 length_scale^2)) for every row a
+    of ``a`` and row b of ``b``: the (na, nb) Gram matrix of two 2-d arrays.
 
-    Two single vectors give a scalar; 2-d inputs give the (na, nb) Gram
-    matrix. ``b_sq``, the squared norms of b's rows, is computed when not
-    given. Each block of squared distances is scaled and exponentiated in
-    place: x / -(2 l^2) is bit for bit (-x) / (2 l^2), and a signal_var of
-    1.0 is not multiplied at all.
+    ``b_sq``, the squared norms of b's rows, is computed when not given.
+    Each block of squared distances is scaled and exponentiated in place:
+    x / -(2 l^2) is bit for bit (-x) / (2 l^2), and a signal_var of 1.0 is
+    not multiplied at all.
     """
     if length_scale <= 0:
         raise ValidationError("length_scale must be > 0")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    scalar = a.ndim == 1 and b.ndim == 1
-    a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
-    if a2.shape[1] != b2.shape[1]:
-        raise ValidationError(f"dimension mismatch: {a2.shape[1]} vs {b2.shape[1]}")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValidationError(
+            f"need two 2-d arrays of one width, got {a.shape} and {b.shape}"
+        )
     if b_sq is None:
-        b_sq = np.sum(b2 * b2, axis=1)
+        b_sq = np.sum(b * b, axis=1)
     scale = -(2.0 * length_scale**2)
 
     def finish(k: np.ndarray) -> None:
@@ -128,8 +128,7 @@ def rbf_kernel(
         if signal_var != 1.0:
             k *= signal_var
 
-    gram = distance_kernel(a2, b2, b_sq, finish)
-    return float(gram[0, 0]) if scalar else gram
+    return distance_kernel(a, b, b_sq, finish)
 
 
 def _factor(train_inputs: np.ndarray, hyper: GpHyper) -> np.ndarray:
@@ -147,11 +146,11 @@ def _factor(train_inputs: np.ndarray, hyper: GpHyper) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GpModel:
-    train_inputs: FloatArray     # standardized when scaler is set
+    train_inputs: FloatArray     # standardized by scaler
     alpha: FloatArray            # (n,) for a 1-d target, (k, n) for k outputs
     mean_offset: FloatArray      # () or (k,): mean target, added back by predict
     hyper: GpHyper
-    scaler: Standardizer | None
+    scaler: Standardizer
     rows_offered: int            # rows given to gp_fit before the cap subsample
 
     def __post_init__(self):
@@ -200,19 +199,14 @@ def gp_fit(
     hyper: GpHyper | None = None,
     cap: int = 2000,
     seed: int = 0,
-    standardize: bool = True,
 ) -> GpModel:
     x, y = _check_xy(x, y, y_ndim=(1, 2))
     hyper = hyper or GpHyper()
     rows_offered = x.shape[0]
     idx = _subsample(rows_offered, cap, seed)
     x, y = x[idx], y[idx]
-    if standardize:
-        scaler = Standardizer.fit(x)
-        xt = scaler.transform(x)
-    else:
-        scaler = None
-        xt = x
+    scaler = Standardizer.fit(x)
+    xt = scaler.transform(x)
     chol = _factor(xt, hyper)
     targets = np.ascontiguousarray(np.atleast_2d(y.T))   # one row per output
     offsets = np.array([t.mean() for t in targets])
@@ -248,9 +242,8 @@ def gp_predict(
         raise ValidationError(
             f"expected {model.train_inputs.shape[1]} features, got {x.shape[1]}"
         )
-    xt = model.scaler.transform(x) if model.scaler else x
     ks = rbf_kernel(
-        xt,
+        model.scaler.transform(x),
         model.train_inputs,
         model.hyper.length_scale,
         model.hyper.signal_var,
@@ -268,27 +261,18 @@ def gp_predict(
     return mean, np.sqrt(var)
 
 
-def log_marginal_likelihood(model: GpModel, y: np.ndarray | None = None) -> float:
+def log_marginal_likelihood(model: GpModel) -> float:
     """log p(y_train | X_train, hyper), summed over the outputs.
 
-    With y omitted the centered targets are reconstructed from alpha
-    (y - mu = K alpha); passing y must reproduce the training targets of the
-    (possibly subsampled) fit, in the shape it was given.
+    The centered training targets of the (possibly subsampled) fit are
+    rebuilt from alpha: y - mu = K alpha = L (L^T alpha).
     """
-    alphas = np.atleast_2d(model.alpha)
-    if y is None:
-        centered = [model.chol @ (model.chol.T @ a) for a in alphas]
-    else:
-        y = np.asarray(y, dtype=float)
-        if y.T.shape != model.alpha.shape:
-            raise ValidationError(
-                f"expected targets of shape {model.alpha.T.shape}, got {y.shape}"
-            )
-        centered = np.atleast_2d((y - model.mean_offset).T)
-    half_logdet = np.sum(np.log(np.diag(model.chol)))
+    chol = model.chol
+    half_logdet = np.sum(np.log(np.diag(chol)))
     return sum(
-        float(-0.5 * yc @ a - half_logdet - 0.5 * len(a) * math.log(2.0 * math.pi))
-        for yc, a in zip(centered, alphas)
+        float(-0.5 * (chol @ (chol.T @ a)) @ a - half_logdet
+              - 0.5 * len(a) * math.log(2.0 * math.pi))
+        for a in np.atleast_2d(model.alpha)
     )
 
 

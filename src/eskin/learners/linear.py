@@ -13,16 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import FloatArray
 from ..errors import SingularDesignError, ValidationError
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    weights: tuple[float, ...]
+    weights: FloatArray
     intercept: float
 
     def __post_init__(self):
-        if not all(math.isfinite(w) for w in (*self.weights, self.intercept)):
+        if self.weights.ndim != 1:
+            raise ValidationError(f"linear weights {self.weights.shape} must be 1-d")
+        if not (np.all(np.isfinite(self.weights)) and math.isfinite(self.intercept)):
             raise ValidationError("linear weights and intercept must be finite")
 
 
@@ -65,13 +68,12 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     rhs = xc.T @ (y - y_mean)
     w = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     intercept = y_mean - float(x_mean @ w)
-    return LinearModel(weights=tuple(w), intercept=intercept)
+    return LinearModel(weights=w, intercept=intercept)
 
 
 def ols_predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != len(model.weights):
-        raise ValidationError(
-            f"expected shape (n, {len(model.weights)}), got {x.shape}"
-        )
-    return x @ np.asarray(model.weights) + model.intercept
+    d = model.weights.shape[0]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValidationError(f"expected shape (n, {d}), got {x.shape}")
+    return x @ model.weights + model.intercept

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import FloatArray
 from ..errors import ValidationError
 
 
@@ -18,31 +18,27 @@ class Standardizer:
     instead of dividing by 0.
     """
 
-    mean: tuple[float, ...]
-    scale: tuple[float, ...]
+    mean: FloatArray
+    scale: FloatArray
 
     def __post_init__(self):
-        if len(self.mean) != len(self.scale):
+        if self.mean.ndim != 1 or self.mean.shape != self.scale.shape:
             raise ValidationError(
-                f"standardizer has {len(self.mean)} means but {len(self.scale)} scales"
+                f"standardizer mean {self.mean.shape} and scale {self.scale.shape} "
+                "must be 1-d and of one length"
             )
-        if not all(math.isfinite(m) for m in self.mean):
+        if not np.all(np.isfinite(self.mean)):
             raise ValidationError("standardizer mean must be finite")
-        if not all(math.isfinite(s) and s > 0 for s in self.scale):
+        if not np.all(np.isfinite(self.scale) & (self.scale > 0)):
             raise ValidationError("standardizer scale must be finite and > 0")
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ValidationError("standardizer needs a non-empty 2-d array")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("standardizer input must be finite")
-        mean = x.mean(axis=0)
+        if x.ndim != 2 or x.shape[0] < 1 or not np.all(np.isfinite(x)):
+            raise ValidationError("standardizer needs a non-empty finite 2-d array")
         scale = x.std(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)
-        return cls(mean=tuple(mean), scale=tuple(scale))
+        return cls(mean=x.mean(axis=0), scale=np.where(scale > 0, scale, 1.0))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x - np.asarray(self.mean)) / np.asarray(self.scale)
+        return (np.asarray(x, dtype=float) - self.mean) / self.scale

@@ -56,7 +56,8 @@ from .learners import (
 # 5: arrays as base64 bytes; forests as node arrays in queue order
 # 6: the GP mean offset on the model; forests without config or n_classes
 # 7: one two-output force GP for two contacts; the GP mean offset an array
-BUNDLE_SCHEMA_VERSION = 7
+# 8: standardizer statistics and OLS weights as arrays; every GP has a scaler
+BUNDLE_SCHEMA_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.gp_cap < 1:
             raise ValidationError("gp_cap must be >= 1")
-        if not self.node_axes:
-            raise ValidationError("node_axes must hold at least one value")
-        for a in self.node_axes:
-            if not 1 <= a <= 10:
-                raise ValidationError(f"node axis value {a} outside 1..10")
+        axes = self.node_axes
+        if not axes or len(set(axes)) < len(axes) or not set(axes) <= set(range(1, 11)):
+            raise ValidationError(
+                f"node_axes {list(axes)} must be one or more distinct values in 1..10"
+            )
 
 
 def _check_feature_widths(p: TrainedPipeline | TrainedTwoPipeline) -> None:
@@ -92,17 +93,16 @@ def _check_feature_widths(p: TrainedPipeline | TrainedTwoPipeline) -> None:
     for f in fields(p):
         value = getattr(p, f.name)
         if isinstance(value, Standardizer):
-            widths[f.name] = len(value.mean)
+            widths[f.name] = value.mean.shape[0]
         elif isinstance(value, LinearModel):
-            widths[f.name] = len(value.weights)
+            widths[f.name] = value.weights.shape[0]
         elif isinstance(value, SvmModel):
             widths[f.name] = value.support_inputs.shape[1]
         elif isinstance(value, ForestModel):
             widths[f.name] = value.n_features
         elif isinstance(value, GpModel):
             widths[f.name] = value.train_inputs.shape[1]
-            if value.scaler is not None:
-                widths[f"{f.name}.scaler"] = len(value.scaler.mean)
+            widths[f"{f.name}.scaler"] = value.scaler.mean.shape[0]
     if len(set(widths.values())) > 1:
         raise ValidationError(
             "pipeline models read different feature widths: "
@@ -257,7 +257,7 @@ def predict_single_batch(p: TrainedPipeline, x: np.ndarray) -> dict[str, np.ndar
     z = p.preprocessing.transform(x)
     stretch = ols_predict(p.stretch_model, x)
     detected = svm_predict(p.detector, z) > 0
-    (col_cls, _), (row_cls, _) = forest_predict(p.forests, z)
+    col_cls, row_cls = forest_predict(p.forests, z)
     force_mean, _ = gp_predict(p.force_model, x, std=False)
     return {
         "stretch": stretch,
@@ -324,8 +324,8 @@ def predict_two_batch(p: TrainedTwoPipeline, x: np.ndarray) -> dict[str, np.ndar
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = p.preprocessing.transform(x)
     axes = np.array(sorted(p.config.node_axes))
-    votes = forest_predict(p.forests, z)
-    out = {name: axes[cls] for name, (cls, _) in zip(("x1", "y1", "x2", "y2"), votes)}
+    labels = forest_predict(p.forests, z)
+    out = {name: axes[cls] for name, cls in zip(("x1", "y1", "x2", "y2"), labels)}
     mean, _ = gp_predict(p.force_model, x, std=False)
     out["force1"], out["force2"] = (np.maximum(m, 0.0) for m in mean.T)
     return out

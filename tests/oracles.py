@@ -242,8 +242,9 @@ def forest_trees_oracle(x, y, config):
 
 
 def reference_predict(model, x):
-    """Node-by-node recursive walk of the nested trees: one vote per tree at
-    its leaf's first-argmax class, ties to the smaller class."""
+    """Labels from a node-by-node recursive walk of the nested trees: one
+    vote per tree at its leaf's first-argmax class, the most votes winning,
+    ties to the smaller class."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
 
     def leaf(node, row):
@@ -256,7 +257,7 @@ def reference_predict(model, x):
     for tree in model.trees:
         for r, row in enumerate(x):
             votes[r, leaf(tree, row)] += 1
-    return np.argmax(votes, axis=1), votes / len(model.trees)
+    return np.argmax(votes, axis=1)
 
 
 def forest_of(trees, n_classes, n_features):

@@ -172,6 +172,8 @@ class TestGenerate:
              "is not valid JSON: Infinity is not a JSON number"),
             ("single", {"model": {"noise_sigma": -math.inf}},
              "is not valid JSON: -Infinity is not a JSON number"),
+            ("two", {"pipeline": {"node_axes": [1, 1, 6]}},
+             "node_axes [1, 1, 6] must be one or more distinct values in 1..10"),
         ],
     )
     def test_bad_level_or_model_is_usage_error(self, tmp_path, mode, override, message):
@@ -222,7 +224,7 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 7
+        assert d["bundle_schema"] == 8
         assert d["mode"] == "single"
         # every contact row fits under the default gp_cap, so no note
         assert cli_env["train_single_stderr"] == ""
@@ -575,6 +577,7 @@ class TestInfer:
             '{"bundle_schema": 4, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 5, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 6, "mode": "two", "pipeline": {}}',
+            '{"bundle_schema": 7, "mode": "single", "pipeline": {}}',
         ],
     )
     def test_malformed_bundle_is_data_error(self, cli_env, tmp_path, payload):
@@ -631,8 +634,31 @@ class TestInfer:
                 MALFORMED + "ValidationError: SVM kernel_gamma must be finite and > 0",
             ),
             (
-                lambda p: p["preprocessing"].update(scale=[0.0] * 20),
+                lambda p: edit_array(p["preprocessing"], "scale", lambda a: a * 0.0),
                 MALFORMED + "ValidationError: standardizer scale must be finite and > 0",
+            ),
+            (
+                lambda p: edit_array(p["preprocessing"], "mean",
+                                     lambda a: a.__setitem__(4, -math.inf)),
+                MALFORMED + "ValidationError: standardizer mean must be finite",
+            ),
+            (
+                lambda p: edit_array(p["force_model"]["scaler"], "scale",
+                                     lambda a: a.__setitem__(0, math.nan)),
+                MALFORMED + "ValidationError: standardizer scale must be finite and > 0",
+            ),
+            (
+                lambda p: edit_array(p["stretch_model"], "weights",
+                                     lambda a: a.__setitem__(0, math.nan)),
+                MALFORMED + "ValidationError: linear weights and intercept must be finite",
+            ),
+            (
+                lambda p: edit_array(p["stretch_model"], "weights", lambda a: a[None, :]),
+                MALFORMED + "ValidationError: linear weights (1, 20) must be 1-d",
+            ),
+            (
+                lambda p: p["force_model"].update(scaler=None),
+                MALFORMED + "TypeError: force_model.scaler: expected an object, got NoneType",
             ),
             # JSON has no NaN or Infinity: the reader refuses the literals
             (lambda p: p["detector"].update(bias=math.inf), NOT_JSON + "Infinity is not"),
@@ -642,21 +668,23 @@ class TestInfer:
                 NOT_JSON + "NaN is not a JSON number",
             ),
             (
-                lambda p: p["preprocessing"]["mean"].__setitem__(4, -math.inf),
+                lambda p: p["stretch_model"].update(intercept=-math.inf),
                 NOT_JSON + "-Infinity is not a JSON number",
-            ),
-            (
-                lambda p: p["stretch_model"]["weights"].__setitem__(0, math.nan),
-                NOT_JSON + "NaN is not a JSON number",
             ),
             # the standardizer one channel short of the models behind it
             (
-                lambda p: [p["preprocessing"][k].pop() for k in ("mean", "scale")],
+                lambda p: [edit_array(p["preprocessing"], k, lambda a: a[:-1])
+                           for k in ("mean", "scale")],
                 MALFORMED + "ValidationError: pipeline models read different "
                 "feature widths: ",
             ),
             (
-                lambda p: p["stretch_model"]["weights"].pop(),
+                lambda p: edit_array(p["preprocessing"], "scale", lambda a: a[:-1]),
+                MALFORMED + "ValidationError: standardizer mean (20,) and scale (19,) "
+                "must be 1-d and of one length",
+            ),
+            (
+                lambda p: edit_array(p["stretch_model"], "weights", lambda a: a[:-1]),
                 MALFORMED + "ValidationError: pipeline models read different "
                 "feature widths: ",
             ),
@@ -959,6 +987,66 @@ class TestReportValueRanges:
         self.assert_refused(
             run_cli("report", str(bad)), f"confusions.{name} labels {labels} not in 1..10"
         )
+
+
+def _total(cm: dict) -> int:
+    return sum(map(sum, cm["counts"]))
+
+
+def _bump_first_count(cm: dict) -> None:
+    cm["counts"][0][0] += 1
+
+
+def _single_totals_message(d: dict) -> str:
+    totals = {name: _total(d["confusions"][name]) for name in ("col", "row")}
+    return (f"confusions count {totals} rows: need one count of at most "
+            f"n_samples {d['n_samples']}")
+
+
+class TestReportConfusions:
+    """A report's confusions must be the ones its mode's evaluation writes:
+    single-contact row and col labelled 1..10 and counting the same rows, at
+    most n_samples; two-contact matrices sharing strictly increasing labels
+    and each counting n_samples. Each broken rule exits 2 with one error
+    line."""
+
+    @pytest.mark.parametrize(
+        "mode, edit, message",
+        [
+            ("single",
+             lambda d: d["confusions"]["row"]["labels"].reverse(),
+             lambda d: "confusions.row labels [10, 9, 8, 7, 6, 5, 4, 3, 2, 1] "
+                       "are not 1..10"),
+            ("single",
+             lambda d: _bump_first_count(d["confusions"]["col"]),
+             _single_totals_message),
+            ("single",
+             lambda d: d.update(n_samples=_total(d["confusions"]["row"]) - 1),
+             _single_totals_message),
+            ("two",
+             lambda d: d["confusions"]["y2"]["labels"].reverse(),
+             lambda d: "confusions.y2 labels [6, 1] are not strictly increasing"),
+            ("two",
+             lambda d: d["confusions"]["x2"].update(labels=[1, 7]),
+             lambda d: "confusions.x2 labels [1, 7] differ from confusions.x1 "
+                       "labels [1, 6]"),
+            ("two",
+             lambda d: _bump_first_count(d["confusions"]["y1"]),
+             lambda d: "confusions count {} rows: need one count of exactly n_samples {}".format(
+                 {name: _total(d["confusions"][name]) for name in ("x1", "x2", "y1", "y2")},
+                 d["n_samples"])),
+        ],
+        ids=["single-labels", "single-totals-differ", "single-total-above-n",
+             "two-labels-order", "two-labels-differ", "two-total"],
+    )
+    def test_inconsistent_confusions_are_refused(self, cli_env, tmp_path, mode, edit, message):
+        d = json.loads(eval_report(cli_env, mode).read_text())
+        edit(d)
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(d))
+        rc, stdout, err = run_cli("report", str(bad))
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: malformed report: ValidationError: report {message(d)}\n"
 
 
 class TestModeFromInput:

@@ -27,6 +27,7 @@ from eskin.learners import (
     ForestConfig,
     GpHyper,
     GpModel,
+    Standardizer,
     SvmModel,
     gp_predict,
 )
@@ -75,7 +76,8 @@ class TestArrayBytes:
         alpha = np.array(self.EDGES)
         model = GpModel(
             train_inputs=np.arange(2.0 * alpha.size).reshape(-1, 2), alpha=alpha,
-            mean_offset=0.0, hyper=GpHyper(), scaler=None, rows_offered=alpha.size,
+            mean_offset=0.0, hyper=GpHyper(),
+            scaler=Standardizer(mean=np.zeros(2), scale=np.ones(2)), rows_offered=alpha.size,
         )
         back = json_round_trip(model)
         assert back.train_inputs.tobytes() == model.train_inputs.tobytes()
@@ -252,8 +254,8 @@ class TestStrictDecode:
             from_dict(TrainedPipeline, pipeline_dict)
 
     def test_tuple_item_path(self, pipeline_dict):
-        pipeline_dict["preprocessing"]["scale"][3] = None
-        with pytest.raises(TypeError, match=r"preprocessing\.scale\[3\]"):
+        pipeline_dict["detector"]["class_weights"][1] = None
+        with pytest.raises(TypeError, match=r"detector\.class_weights\[1\]"):
             from_dict(TrainedPipeline, pipeline_dict)
 
     @pytest.mark.parametrize(

@@ -47,9 +47,9 @@ def fit_single_tree(x, y):
 
 
 def predict(model, x):
-    """(labels, votes) of one forest, served from its node table of one."""
-    (pair,) = forest_predict(compile_forests((model,)), x)
-    return pair
+    """The labels of one forest, served from its node table of one."""
+    (labels,) = forest_predict(compile_forests((model,)), x)
+    return labels
 
 
 class TestPinnedFixtures:
@@ -57,16 +57,15 @@ class TestPinnedFixtures:
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
         model = forest_fit(x, y, ForestConfig(n_trees=1, max_depth=1, bootstrap=False))
-        labels, votes = predict(model, x)
-        assert np.array_equal(labels, y)
-        assert np.all(votes[np.arange(4), y] == 1.0)
+        assert np.array_equal(predict(model, x), y)
 
     def test_constant_labels_predict_that_label(self):
+        # one pure leaf: every query, NaN and infinities too, lands on it
         x = np.array([[0.0], [1.0], [2.0]])
         model = forest_fit(x, np.array([2, 2, 2]), SINGLE_TREE)
-        labels, votes = predict(model, np.array([[5.0]]))
-        assert labels[0] == 2
-        assert votes[0, 2] == 1.0
+        assert model.trees == ({"counts": [0, 0, 3]},)
+        q = np.array([[5.0], [-5.0], [np.nan], [np.inf], [-np.inf]])
+        assert np.array_equal(predict(model, q), np.full(5, 2))
 
     def test_four_sample_root_threshold(self):
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -233,18 +232,15 @@ class TestTreeShape:
         model = forest_fit(x, y, ForestConfig(n_trees=1, bootstrap=False, min_leaf=3))
         # 4 samples cannot split into two nodes of >= 3
         assert model.trees[0] == {"counts": [2, 2]}
-        labels, _ = predict(model, x)
-        assert np.all(labels == 0)   # count tie goes to the smaller class
+        assert np.all(predict(model, x) == 0)   # count tie goes to the smaller class
 
     def test_max_depth_caps_fit(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 1, 0])
         deep = forest_fit(x, y, SINGLE_TREE)
-        labels, _ = predict(deep, x)
-        assert np.array_equal(labels, y)
+        assert np.array_equal(predict(deep, x), y)
         stump = forest_fit(x, y, ForestConfig(n_trees=1, max_depth=1, bootstrap=False))
-        labels, _ = predict(stump, x)
-        assert np.sum(labels == y) == 3   # one sample stays wrong at depth 1
+        assert np.sum(predict(stump, x) == y) == 3   # one sample stays wrong at depth 1
 
     def test_pure_node_stops(self):
         x = np.array([[0.0], [1.0], [2.0]])
@@ -259,26 +255,34 @@ class TestTreeShape:
         y = np.array([0, 0, 1, 1])
         model = forest_fit(x, y, SINGLE_TREE)
         assert model.trees[0]["threshold"] == a
-        labels, _ = predict(model, x)
-        assert np.array_equal(labels, y)
+        assert np.array_equal(predict(model, x), y)
 
 
 class TestVoting:
-    def test_tie_goes_to_smaller_class(self):
-        model = forest_of(({"counts": [1, 0]}, {"counts": [0, 1]}), 2, 1)
-        labels, votes = predict(model, np.array([[0.0]]))
-        assert labels[0] == 0
-        assert np.allclose(votes[0], [0.5, 0.5])
+    @pytest.mark.parametrize("leaves", [([1, 0], [0, 1]), ([0, 1], [1, 0])])
+    def test_tie_goes_to_smaller_class(self, leaves):
+        # one vote each, in either tree order
+        model = forest_of(tuple({"counts": c} for c in leaves), 2, 1)
+        assert np.array_equal(predict(model, np.array([[0.0]])), [0])
 
-    def test_vote_fractions_sum_to_one(self):
+    @pytest.mark.parametrize(
+        "leaves, label",
+        [
+            (([0, 1, 0], [0, 1, 0], [4, 0, 0]), 1),
+            (([3, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 2]), 2),
+            (([0, 2, 2], [0, 1, 0], [0, 0, 1]), 1),   # a tied leaf votes its first class
+        ],
+    )
+    def test_majority_of_trees_wins(self, leaves, label):
+        model = forest_of(tuple({"counts": c} for c in leaves), 3, 1)
+        assert np.array_equal(predict(model, np.zeros((2, 1))), [label, label])
+
+    def test_separated_clusters_predict_their_labels(self):
         rng = np.random.default_rng(0)
         x = np.vstack([rng.normal(-2, 0.3, (15, 2)), rng.normal(2, 0.3, (15, 2))])
         y = np.array([0] * 15 + [1] * 15)
         model = forest_fit(x, y, ForestConfig(n_trees=25, seed=1))
-        labels, votes = predict(model, x)
-        assert votes.shape == (30, 2)
-        assert np.allclose(votes.sum(axis=1), 1.0, atol=1e-12)
-        assert np.array_equal(labels, y)
+        assert np.array_equal(predict(model, x), y)
 
 
 class TestDeterminismAndSerialisation:
@@ -305,10 +309,7 @@ class TestDeterminismAndSerialisation:
         model = forest_fit(x, y, ForestConfig(n_trees=5))
         back = from_dict(ForestModel, to_dict(model))
         q = rng.normal(size=(8, 2))
-        l0, v0 = predict(model, q)
-        l1, v1 = predict(back, q)
-        assert np.array_equal(l0, l1)
-        assert np.array_equal(v0, v1)
+        assert np.array_equal(predict(model, q), predict(back, q))
 
 
 class TestValidation:
@@ -366,15 +367,11 @@ STUMP = {"feature": 1, "threshold": 0.5, "left": {"counts": [3, 0, 0]},
 
 def assert_matches_reference(model, x):
     """The many-row walk and the one-row order, row by row, both give the
-    reference labels and votes."""
-    labels, votes = predict(model, x)
-    ref_labels, ref_votes = reference_predict(model, x)
-    assert np.array_equal(labels, ref_labels)
-    assert np.array_equal(votes, ref_votes)
+    reference labels."""
+    ref_labels = reference_predict(model, x)
+    assert np.array_equal(predict(model, x), ref_labels)
     for i in range(x.shape[0]):
-        one_labels, one_votes = predict(model, x[i : i + 1])
-        assert np.array_equal(one_labels, ref_labels[i : i + 1])
-        assert np.array_equal(one_votes, ref_votes[i : i + 1])
+        assert np.array_equal(predict(model, x[i : i + 1]), ref_labels[i : i + 1])
 
 
 def random_forest(seed, n_features=None, n_classes=None):
@@ -416,30 +413,25 @@ class TestCompiledTable:
     def test_every_tree_a_root_leaf(self):
         model = hand_model({"counts": [0, 2, 0]}, {"counts": [1, 0, 0]},
                            n_features=1)
-        labels, votes = predict(model, np.zeros((3, 1)))
-        assert np.array_equal(labels, [0, 0, 0])   # 1-1 vote tie
+        assert np.array_equal(predict(model, np.zeros((3, 1))), [0, 0, 0])   # 1-1 vote tie
         assert_matches_reference(model, np.zeros((3, 1)))
 
     def test_vote_tie_goes_to_smaller_class(self):
         model = hand_model(STUMP, {"counts": [0, 0, 1]}, {"counts": [0, 1, 0]})
         q = np.array([[0.0, 0.0], [0.0, 1.0]])
-        labels, votes = predict(model, q)
-        assert np.array_equal(labels, [0, 2])   # three-way tie, then 2 of 3
-        assert np.array_equal(votes[0], np.full(3, 1 / 3))
+        assert np.array_equal(predict(model, q), [0, 2])   # three-way tie, then 2 of 3
         assert_matches_reference(model, q)
 
     def test_leaf_with_tied_counts_votes_first_maximum(self):
         model = hand_model({"feature": 0, "threshold": 1.0,
                             "left": {"counts": [0, 2, 2]},
                             "right": {"counts": [5, 0, 5]}})
-        labels, _ = predict(model, np.array([[0.0, 0.0], [2.0, 0.0]]))
-        assert np.array_equal(labels, [1, 0])
+        assert np.array_equal(predict(model, np.array([[0.0, 0.0], [2.0, 0.0]])), [1, 0])
 
     def test_nan_feature_goes_right(self):
         model = hand_model(STUMP)
         q = np.array([[0.0, np.nan], [np.nan, 0.0]])
-        labels, _ = predict(model, q)
-        assert np.array_equal(labels, [2, 0])
+        assert np.array_equal(predict(model, q), [2, 0])
         assert_matches_reference(model, q)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -453,9 +445,7 @@ class TestCompiledTable:
 
     def test_zero_rows(self):
         model = hand_model(STUMP, {"counts": [1, 0, 0]})
-        labels, votes = predict(model, np.empty((0, 2)))
-        assert labels.shape == (0,)
-        assert votes.shape == (0, 3)
+        assert predict(model, np.empty((0, 2))).shape == (0,)
 
     def test_hand_built_voting_model(self):
         model = forest_of(({"counts": [1, 0]}, {"counts": [0, 1]}), 2, 1)
@@ -493,10 +483,8 @@ class TestMultiForestTable:
         assert table.depth == max(compile_forests((m,)).depth for m in models)
         assert table.classes == ((0, 2), (2, 7), (7, 10), (10, 17))
         for rows in [q, q[:1], q[5:6], q[:0]]:
-            for model, (labels, votes) in zip(models, forest_predict(table, rows)):
-                ref_labels, ref_votes = reference_predict(model, rows)
-                assert np.array_equal(labels, ref_labels)
-                assert np.array_equal(votes, ref_votes)
+            for model, labels in zip(models, forest_predict(table, rows)):
+                assert np.array_equal(labels, reference_predict(model, rows))
 
     def test_root_leaf_forest_next_to_deep_forest(self):
         deep = {"feature": 0, "threshold": 0.0,
@@ -507,18 +495,15 @@ class TestMultiForestTable:
         table = compile_forests(models)
         assert table.depth == 2
         for rows in [q] + [q[i : i + 1] for i in range(len(q))]:
-            for model, (labels, votes) in zip(models, forest_predict(table, rows)):
-                ref_labels, ref_votes = reference_predict(model, rows)
-                assert np.array_equal(labels, ref_labels)
-                assert np.array_equal(votes, ref_votes)
+            for model, labels in zip(models, forest_predict(table, rows)):
+                assert np.array_equal(labels, reference_predict(model, rows))
 
     def test_zero_rows(self):
         table = compile_forests(
             (hand_model(STUMP), hand_model({"counts": [0, 0, 0, 1]}, n_classes=4))
         )
-        (l1, v1), (l2, v2) = forest_predict(table, np.empty((0, 2)))
+        l1, l2 = forest_predict(table, np.empty((0, 2)))
         assert l1.shape == l2.shape == (0,)
-        assert v1.shape == (0, 3) and v2.shape == (0, 4)
 
     def test_forests_must_share_features(self):
         with pytest.raises(SchemaError, match="same features"):

@@ -29,11 +29,11 @@ class TestPinnedExamples:
         assert pred[0] == pytest.approx(5.0 / 3.0, abs=1e-10)
 
     def test_predict_with_given_model(self):
-        m = LinearModel(weights=(1.0,), intercept=0.0)
+        m = LinearModel(weights=np.array([1.0]), intercept=0.0)
         assert ols_predict(m, np.array([[2.0]]))[0] == pytest.approx(2.0)
 
     def test_predict_empty_input(self):
-        m = LinearModel(weights=(1.0, 2.0), intercept=0.5)
+        m = LinearModel(weights=np.array([1.0, 2.0]), intercept=0.5)
         out = ols_predict(m, np.empty((0, 2)))
         assert out.shape == (0,)
 
@@ -63,7 +63,7 @@ class TestValidation:
             ols_fit(x, np.array([1.0, 2.0, 3.0, 4.0]))
 
     def test_predict_shape_checks(self):
-        m = LinearModel(weights=(1.0, 2.0), intercept=0.0)
+        m = LinearModel(weights=np.array([1.0, 2.0]), intercept=0.0)
         with pytest.raises(ValidationError):
             ols_predict(m, np.array([1.0, 2.0]))
         with pytest.raises(ValidationError):
@@ -106,7 +106,13 @@ def test_fit_recovers_exact_plane():
 )
 def test_model_rejects_non_finite_coefficients(weights, intercept):
     with pytest.raises(ValidationError, match="weights and intercept must be finite"):
-        LinearModel(weights=weights, intercept=intercept)
+        LinearModel(weights=np.array(weights), intercept=intercept)
+
+
+@pytest.mark.parametrize("weights", [np.float64(1.0), np.ones((1, 2))])
+def test_model_rejects_weights_that_are_not_1d(weights):
+    with pytest.raises(ValidationError, match="must be 1-d"):
+        LinearModel(weights=np.asarray(weights), intercept=0.0)
 
 
 @pytest.mark.parametrize(
@@ -118,13 +124,14 @@ def test_model_rejects_non_finite_coefficients(weights, intercept):
         ((0.0, 0.0), (1.0, -2.0), "scale must be finite and > 0"),
         ((0.0, 0.0), (np.inf, 1.0), "scale must be finite and > 0"),
         ((0.0, 0.0), (1.0, np.nan), "scale must be finite and > 0"),
-        ((), (1.0, 1.0), "0 means but 2 scales"),
-        ((0.0, 0.0), (1.0,), "2 means but 1 scales"),
+        ((), (1.0, 1.0), r"mean \(0,\) and scale \(2,\) must be 1-d and of one length"),
+        ((0.0, 0.0), (1.0,), r"mean \(2,\) and scale \(1,\)"),
+        (((0.0, 0.0),), ((1.0, 1.0),), r"mean \(1, 2\) and scale \(1, 2\)"),
     ],
 )
 def test_standardizer_rejects_invalid_statistics(mean, scale, match):
     with pytest.raises(ValidationError, match=match):
-        Standardizer(mean=mean, scale=scale)
+        Standardizer(mean=np.array(mean), scale=np.array(scale))
 
 
 def test_model_dict_round_trip():

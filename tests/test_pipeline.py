@@ -4,6 +4,7 @@ round trips."""
 import json
 import multiprocessing
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ def _schema_4(p) -> dict:
             for key, value in model.items():
                 if isinstance(value, dict) and "data" in value:
                     model[key] = array_of(value).tolist()
+    return bundle
+
+
+def _schema_7(p) -> dict:
+    """The schema-7 layout of a pipeline's bundle: standardizer statistics
+    and OLS weights as lists of numbers."""
+    bundle = _bundle_dict(p)
+    bundle["bundle_schema"] = 7
+    models = bundle["pipeline"]
+    for vectors in (models["preprocessing"], models["force_model"]["scaler"],
+                    models.get("stretch_model", {})):
+        for key, value in vectors.items():
+            if isinstance(value, dict):
+                vectors[key] = array_of(value).tolist()
     return bundle
 
 
@@ -226,8 +241,8 @@ class TestForestTable:
         p = trained_single
         x = small_single_ds.features()[::25]
         z = p.preprocessing.transform(x)
-        want_x = reference_predict(p.col_clf, z)[0] + 1
-        want_y = reference_predict(p.row_clf, z)[0] + 1
+        want_x = reference_predict(p.col_clf, z) + 1
+        want_y = reference_predict(p.row_clf, z) + 1
         out = predict_single_batch(p, x)
         assert np.array_equal(out["x_term"], want_x)
         assert np.array_equal(out["y_term"], want_y)
@@ -244,7 +259,7 @@ class TestForestTable:
         z = p.preprocessing.transform(x)
         axes = np.array(sorted(p.config.node_axes))
         want = {
-            name: axes[reference_predict(clf, z)[0]]
+            name: axes[reference_predict(clf, z)]
             for name, clf in (
                 ("x1", p.x1_clf), ("y1", p.y1_clf), ("x2", p.x2_clf), ("y2", p.y2_clf)
             )
@@ -387,6 +402,22 @@ class TestBundles:
         save_pipeline(back, resaved)
         assert resaved.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+    def test_model_vectors_load_as_read_only_arrays(self, trained, request, tmp_path):
+        p = request.getfixturevalue(trained)
+        path = tmp_path / "bundle.json"
+        save_pipeline(p, path)
+        back = load_pipeline(path)
+        paths = ["preprocessing.mean", "preprocessing.scale",
+                 "force_model.scaler.mean", "force_model.scaler.scale"]
+        if trained == "trained_single":
+            paths.append("stretch_model.weights")
+        for path in paths:
+            fitted, loaded = attrgetter(path)(p), attrgetter(path)(back)
+            assert loaded.dtype == np.float64 and loaded.shape == (20,), path
+            assert loaded.tobytes() == fitted.tobytes(), path
+            assert not loaded.flags.writeable, path
+
     def test_serving_never_factorises(
         self, trained_single, small_single_ds, tmp_path, monkeypatch
     ):
@@ -505,6 +536,14 @@ class TestBundles:
         with pytest.raises(SchemaError, match=r"schema 6 .*re-run `eskin train`"):
             load_pipeline(path)
 
+    @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+    def test_load_rejects_schema_7_bundle(self, trained, request, tmp_path):
+        # schema 7 held the standardizer statistics and OLS weights as lists
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(_schema_7(request.getfixturevalue(trained))))
+        with pytest.raises(SchemaError, match=r"schema 7 .*re-run `eskin train`"):
+            load_pipeline(path)
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -564,7 +603,7 @@ class TestBundleEncoding:
         save_pipeline(request.getfixturevalue(trained), path)
         text = path.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
-        assert json.loads(text)["bundle_schema"] == 7
+        assert json.loads(text)["bundle_schema"] == 8
 
     def test_schema_4_keys_with_arrays_as_bytes(self, trained, request, tmp_path):
         p = request.getfixturevalue(trained)
@@ -599,6 +638,7 @@ class TestPipelineConfig:
             {"node_axes": (0, 5)},
             {"node_axes": (1, 11)},
             {"node_axes": ()},
+            {"node_axes": (1, 1, 6)},
         ],
     )
     def test_invalid(self, kwargs):
