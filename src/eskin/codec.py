@@ -5,7 +5,7 @@ A record is a frozen dataclass and its field annotations are the format:
 nested records, ``tuple[X, ...]`` and fixed tuples, ``X | None``,
 ``dict[str, X]``, arrays and JSON scalars. Every field is written and read;
 state derived from the fields is a ``functools.cached_property``, which is
-not a field.
+not a field. A record with array fields compares with ``fields_equal``.
 
 An array field is annotated ``BoolArray``, ``IntArray`` or ``FloatArray``
 and is written as ``{"data", "dtype", "shape"}``: ``data`` is the base64 of
@@ -59,6 +59,18 @@ _DTYPES = {
 BoolArray = Annotated[np.ndarray, "bool"]
 IntArray = Annotated[np.ndarray, "int32"]
 FloatArray = Annotated[np.ndarray, "float64"]
+
+
+def fields_equal(a, b) -> bool:
+    """``==`` for records that hold arrays, which the dataclass ``==`` cannot
+    compare: the same type, and every field equal, arrays by value."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                     for f in dataclasses.fields(a))
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,18 +4,19 @@ Each tree trains on a seeded bootstrap resample and each split scans a
 seeded subset of ceil(sqrt(d)) features, so a fit is a pure function of
 (data, config).
 
-Fit uses the CART presort layout (Breiman et al. 1984; Louppe 2014, ch. 5):
-a tree argsorts its sample once per feature, and each split partitions
-those sorted rows with one boolean gather, which keeps every feature's
-order, so no node sorts again. A node scores all its candidate features at
-once from exact integer class counts.
+A node holds its rows and sorts only the values of the features it drew,
+all at once: a node scores ceil(sqrt(d)) of d features, so sorting those
+costs less than keeping every feature's sorted order through each split
+(the CART presort; Breiman et al. 1984; Louppe 2014, ch. 5). The scores
+come from exact integer class counts, and the children are the chosen
+feature's sorted rows before and after the cut.
 
 ``fit_forests`` fits every forest of one training call (the pipelines'
 two or four, which share their rows and config) in one pool of forked
 processes, one per usable CPU (at most _MAX_WORKERS). The sample reaches
 the workers once, through fork, and each task is one tree index t: it draws
-tree t's bootstrap and presorts it once, then grows tree t of every forest
-from the generator state that draw left, so each tree is the one a lone
+tree t's bootstrap once, and tree t of every forest reads its feature
+subsets from one list drawn after it, so each tree is the one a lone
 ``forest_fit`` grows. Trees make no BLAS call, and are merged in tree
 order: the trees are the same for any worker count.
 
@@ -50,17 +51,18 @@ is the class with the most votes, the smaller class on a tie.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing as mp
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import BoolArray, FloatArray, IntArray
+from ..codec import BoolArray, FloatArray, IntArray, fields_equal
 from ..errors import SchemaError, ValidationError
 from .linear import _check_xy
 
@@ -129,6 +131,8 @@ class ForestModel:
     leaf_counts: IntArray     # (n_leaves, n_classes): training rows per class
     n_features: int
 
+    __eq__ = fields_equal
+
     def __post_init__(self):
         split, counts = self.is_split, self.leaf_counts
         n_splits, n_trees = int(np.count_nonzero(split)), self.n_trees
@@ -178,14 +182,6 @@ class ForestModel:
     def n_classes(self) -> int:
         return self.leaf_counts.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, ForestModel):
-            return NotImplemented
-        return self.n_features == other.n_features and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("is_split", "feature", "threshold", "leaf_counts")
-        )
-
     @property
     def trees(self) -> tuple[dict, ...]:
         """The trees as nested dicts, built anew on each call: splits
@@ -206,7 +202,7 @@ class ForestModel:
 
 def _check_labels(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x, y = _check_xy(x, y)
-    if x.shape[1] == 0:   # every node indexes its rows by a feature's sort order
+    if x.shape[1] == 0:   # a node's candidate features are drawn from d >= 1
         raise ValidationError("need at least one feature")
     if not np.all(y == np.floor(y)) or np.any(y < 0):
         raise ValidationError("labels must be non-negative integers")
@@ -216,31 +212,35 @@ def _check_labels(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _best_split(
     xt: np.ndarray,
     yt: np.ndarray,
-    srt: np.ndarray,
+    rows: np.ndarray,
     counts: np.ndarray,
     feats: np.ndarray,
     min_leaf: int,
-) -> tuple[int, float, np.ndarray] | None:
+) -> tuple[int, float, np.ndarray, np.ndarray] | None:
     """Max Gini-gain split of one node over the candidate features: (feature,
-    threshold, the node's rows that go left), or None.
+    threshold, the rows that go left, the rows that go right), or None.
 
-    ``xt`` is the tree's sample feature-major, (d, n_tree); ``srt`` holds the
-    node's rows sorted by each feature, (d, n). Maximising
-    sum_sq_left/n_left + sum_sq_right/n_right is equivalent to maximising
-    gain; a split must beat the unsplit node strictly. Both sums of squares
-    are exact int64 counts until the two divisions, so every score is the
-    float a one-hot cumsum gives. Ties go to the first feature in ``feats``,
-    then the first cut.
+    ``xt`` is the tree's sample feature-major, (d, n_tree), and ``rows`` the
+    node's rows in it. Maximising sum_sq_left/n_left + sum_sq_right/n_right
+    is equivalent to maximising gain; a split must beat the unsplit node
+    strictly. Both sums of squares are exact int64 counts until the two
+    divisions, so every score is the float a one-hot cumsum gives. Ties go
+    to the first feature in ``feats``, then the first cut. At a valid cut
+    (``xs[i] < xs[i + 1]``) the left rows are all rows with x <= the cut, so
+    neither scores nor children depend on how the sort orders ties.
     """
-    n = srt.shape[1]
-    order = srt[feats]                  # (k, n): the node's rows, sorted per feature
-    xs = xt[feats[:, None], order]
+    n = rows.shape[0]
+    each = np.arange(feats.shape[0])[:, None]
+    xs = xt[feats[:, None], rows]
+    by_value = xs.argsort(axis=1)
+    xs = xs[each, by_value]
+    order = rows[by_value]              # (k, n): the node's rows, sorted per feature
     ys = yt[order]
     # occ: each row's inclusive rank within its class, in feature order. A
     # stable sort by class lists the same class blocks for every feature.
     starts = counts.cumsum() - counts
     occ = np.empty(ys.shape, dtype=np.intp)
-    occ[np.arange(len(feats))[:, None], ys.argsort(axis=1, kind="stable")] = (
+    occ[each, ys.argsort(axis=1, kind="stable")] = (
         np.arange(1, n + 1) - starts.repeat(counts)
     )
     # the first i + 1 sorted rows on the left: a row of class c raises
@@ -262,15 +262,32 @@ def _best_split(
     # between adjacent floats, or when a + b overflows, the midpoint rounds
     # to b or past it, which would send b's rows left; a still separates
     t = 0.5 * (a + b)
-    return int(feats[j]), t if t < b else a, order[j, : i + 1]
+    return int(feats[j]), t if t < b else a, order[j, : i + 1], order[j, i + 1 :]
+
+
+def _feature_subsets(
+    drawn: list[np.ndarray], rng: np.random.Generator, d: int, n_feats: int
+) -> Iterator[np.ndarray]:
+    """The sorted feature subsets of a tree's candidate splits, in order.
+    The m-th is ``drawn[m]``, drawn from ``rng`` by the first tree that
+    needs it, so every tree that shares ``drawn`` reads the same sequence."""
+    for m in itertools.count():
+        if m == len(drawn):
+            drawn.append(
+                np.sort(rng.choice(d, size=n_feats, replace=False))
+                if n_feats < d else np.arange(d)
+            )
+        yield drawn[m]
 
 
 class _Tree:
     """One tree's nodes in depth-first order, left before right, as _grow
     appends them: every node's depth and kind, each split's feature and
-    threshold, each leaf's class counts."""
+    threshold, each leaf's class counts. ``subsets`` yields the feature
+    subsets of its candidate splits."""
 
-    def __init__(self):
+    def __init__(self, subsets: Iterator[np.ndarray]):
+        self.subsets = subsets
         self.depth: list[int] = []
         self.is_split: list[bool] = []
         self.feature: list[int] = []
@@ -281,43 +298,32 @@ class _Tree:
 def _grow(
     xt: np.ndarray,
     yt: np.ndarray,
-    srt: np.ndarray,
+    rows: np.ndarray,
     depth: int,
-    rng: np.random.Generator,
     n_classes: int,
-    max_depth: int | None,
-    min_leaf: int,
-    n_feats: int,
+    config: ForestConfig,
     tree: _Tree,
 ) -> None:
-    d, n = srt.shape
-    counts = np.bincount(yt[srt[0]], minlength=n_classes)
+    n, min_leaf = rows.shape[0], config.min_leaf
+    counts = np.bincount(yt[rows], minlength=n_classes)
     tree.depth.append(depth)
     split = None
     if not (
         counts.max() == n
-        or (max_depth is not None and depth >= max_depth)
+        or (config.max_depth is not None and depth >= config.max_depth)
         or n < 2 * min_leaf
     ):
-        if n_feats < d:
-            feats = np.sort(rng.choice(d, size=n_feats, replace=False))
-        else:
-            feats = np.arange(d)
-        split = _best_split(xt, yt, srt, counts, feats, min_leaf)
+        split = _best_split(xt, yt, rows, counts, next(tree.subsets), min_leaf)
     tree.is_split.append(split is not None)
     if split is None:
         tree.counts.append(counts)
         return
-    f, t, left = split
+    f, t, left, right = split
     tree.feature.append(f)
     tree.threshold.append(t)
-    # one gather splits every feature's sorted row and keeps its order
-    goes_left = np.zeros(yt.shape[0], dtype=bool)
-    goes_left[left] = True
-    mask = goes_left[srt]
-    grow = (depth + 1, rng, n_classes, max_depth, min_leaf, n_feats, tree)
-    _grow(xt, yt, srt[mask].reshape(d, left.shape[0]), *grow)
-    _grow(xt, yt, srt[~mask].reshape(d, n - left.shape[0]), *grow)
+    grow = (depth + 1, n_classes, config, tree)
+    _grow(xt, yt, left, *grow)
+    _grow(xt, yt, right, *grow)
 
 
 def _fit_trees(sample: tuple, t: int) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -327,14 +333,9 @@ def _fit_trees(sample: tuple, t: int) -> tuple[tuple[np.ndarray, ...], ...]:
     first.
 
     Tree t draws its bootstrap from ``SeedSequence([seed, t])``, then one
-    feature subset per split node (depth first, left before right). The
-    forests share the draw and one presort of it, and each grows from the
-    generator state the draw left, so its tree is the one a fit of that
-    forest alone grows.
-
-    The sample is sorted once per feature; at a valid cut the left rows are
-    all rows with x <= the cut value, so neither thresholds nor scores depend
-    on how ties are ordered.
+    feature subset per candidate split (depth first, left before right).
+    The forests share the bootstrap and one list of subsets drawn after it,
+    so each forest's tree is the one a fit of that forest alone grows.
     """
     x, ys, n_classes, n_feats, config = sample
     rng = np.random.default_rng(
@@ -344,16 +345,12 @@ def _fit_trees(sample: tuple, t: int) -> tuple[tuple[np.ndarray, ...], ...]:
         idx = rng.integers(0, x.shape[0], x.shape[0])
         x, ys = x[idx], [y[idx] for y in ys]
     xt = np.ascontiguousarray(x.T)
-    srt = np.argsort(xt, axis=1)
-    drawn = rng.bit_generator.state
+    rows = np.arange(x.shape[0])
+    drawn: list[np.ndarray] = []
     trees = []
     for y, classes in zip(ys, n_classes):
-        rng.bit_generator.state = drawn
-        tree = _Tree()
-        _grow(
-            xt, y, srt, 0, rng, classes, config.max_depth, config.min_leaf,
-            n_feats, tree,
-        )
+        tree = _Tree(_feature_subsets(drawn, rng, xt.shape[0], n_feats))
+        _grow(xt, y, rows, 0, classes, config, tree)
         trees.append((
             np.array(tree.depth),
             np.array(tree.is_split),
@@ -413,7 +410,8 @@ def fit_forests(
 ) -> tuple[ForestModel, ...]:
     """One forest per label vector of ``ys``, all on the rows of ``x`` with
     one config: each the forest ``forest_fit(x, y, config)`` fits, from one
-    pool and one bootstrap draw and presort per tree index."""
+    pool, one bootstrap draw per tree index and one list of feature subsets
+    drawn after it."""
     config = config or ForestConfig()
     if len(ys) == 0:
         raise ValidationError("need at least one label vector")

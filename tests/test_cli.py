@@ -656,6 +656,13 @@ class TestInfer:
                 lambda p: edit_array(p["stretch_model"], "weights", lambda a: a[None, :]),
                 MALFORMED + "ValidationError: linear weights (1, 20) must be 1-d",
             ),
+            # the GP scaler one channel short of the GP's inputs
+            (
+                lambda p: [edit_array(p["force_model"]["scaler"], k, lambda a: a[:-1])
+                           for k in ("mean", "scale")],
+                MALFORMED + "ValidationError: GP scaler reads 19 features but "
+                "train_inputs have 20",
+            ),
             (
                 lambda p: p["force_model"].update(scaler=None),
                 MALFORMED + "TypeError: force_model.scaler: expected an object, got NoneType",

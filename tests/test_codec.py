@@ -21,6 +21,7 @@ from eskin import (
     TwoForceProtocol,
     cross_validate,
     cross_validate_two,
+    train_two,
 )
 from eskin.codec import dumps, from_dict, loads, to_dict
 from eskin.learners import (
@@ -29,7 +30,11 @@ from eskin.learners import (
     GpModel,
     Standardizer,
     SvmModel,
+    forest_fit,
+    gp_fit,
     gp_predict,
+    ols_fit,
+    svm_fit,
 )
 from eskin.pipeline import predict_single_batch, predict_two_batch
 
@@ -110,6 +115,58 @@ class TestArrayBytes:
         back = json_round_trip(trained_single)
         with pytest.raises(ValueError, match="read-only"):
             back.force_model.alpha[0] = 1.0
+
+
+def fit_each_record(seed):
+    """One record of each model type, fitted on data drawn from ``seed``, with
+    the name of one of its array fields."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(30, 3))
+    y = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(scale=0.1, size=30)
+    return [
+        (Standardizer.fit(x), "scale"),
+        (ols_fit(x, y), "weights"),
+        (gp_fit(x, y), "alpha"),
+        (svm_fit(x, np.where(y > 0, 1.0, -1.0)), "dual_coefs"),
+        (forest_fit(x, (y > 0).astype(int), TINY_FOREST), "threshold"),
+    ]
+
+
+class TestRecordEquality:
+    """Records that hold arrays compare field by field, arrays by value."""
+
+    def test_two_fits_of_the_same_data_are_equal(self):
+        for (a, _), (b, _) in zip(fit_each_record(0), fit_each_record(0)):
+            assert a == b and not a != b, type(a).__name__
+
+    @pytest.mark.parametrize("kind", range(5))
+    def test_one_element_changed_is_unequal(self, kind):
+        model, name = fit_each_record(0)[kind]
+        changed = getattr(model, name).copy()
+        changed.flat[-1] += 1.0
+        other = dataclasses.replace(model, **{name: changed})
+        assert model != other and not model == other
+
+    def test_nested_record_compares_by_value(self):
+        gp, _ = fit_each_record(0)[2]
+        mean = gp.scaler.mean.copy()
+        assert gp == dataclasses.replace(gp, scaler=Standardizer(mean, gp.scaler.scale))
+        mean[0] += 1.0
+        assert gp != dataclasses.replace(gp, scaler=Standardizer(mean, gp.scaler.scale))
+
+    def test_other_types_are_unequal(self):
+        scaler = Standardizer.fit(np.ones((2, 2)))
+        assert scaler != (scaler.mean, scaler.scale)
+
+    def test_retrained_pipeline_is_equal(self, small_two_ds, small_two_config, trained_two):
+        again = train_two(small_two_ds, small_two_config)
+        assert again == trained_two
+        counts = again.y2_clf.leaf_counts.copy()
+        counts[0, 0] += 1
+        changed = dataclasses.replace(
+            again, y2_clf=dataclasses.replace(again.y2_clf, leaf_counts=counts)
+        )
+        assert changed != trained_two
 
 
 class TestNoNonFiniteJson:

@@ -1,10 +1,11 @@
 """Random forest: root splits against an exhaustive Gini search, whole
 trees against a node-by-node reference fit, the node arrays against a
 node-by-node flattening of the trees, the tree pool against an in-process
-fit, vote semantics, seeded determinism, the checks a model makes of its
-node arrays, and the compiled node table that predict serves from, one
-forest or several, in its one-row and its many-row order, against a
-node-by-node walk of the nested trees."""
+fit, trees that do not depend on row order, each forest of a shared fit
+against its lone reference fit, vote semantics, seeded determinism, the
+checks a model makes of its node arrays, and the compiled node table that
+predict serves from, one forest or several, in its one-row and its many-row
+order, against a node-by-node walk of the nested trees."""
 
 import multiprocessing
 import os
@@ -223,6 +224,45 @@ class TestTreePool:
             release.set()
             other.join(10)
         assert not other.is_alive()
+
+
+def n_splits(node):
+    if "counts" in node:
+        return 0
+    return 1 + n_splits(node["left"]) + n_splits(node["right"])
+
+
+class TestNodeSort:
+    """A node sorts its drawn features itself, with an unstable sort, and the
+    forests of one call read one list of feature subsets per tree index."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_order_does_not_change_trees(self, seed):
+        # rounded to integers: a few values per feature, each on many rows
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(200, 5)))
+        y = rng.integers(0, 4, 200)
+        assert all(np.unique(col).size < 12 for col in x.T)
+        cfg = ForestConfig(n_trees=5, bootstrap=False, min_leaf=1 + seed % 3, seed=seed)
+        perm = rng.permutation(200)
+        assert forest_fit(x[perm], y[perm], cfg) == forest_fit(x, y, cfg)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("deep_first", [False, True])
+    def test_each_forest_is_its_lone_oracle(self, bootstrap, deep_first):
+        # the forest with more candidate splits draws the subsets the other
+        # reads: the later one when deep_first is False, the first otherwise
+        rng = np.random.default_rng(11)
+        x = np.round(rng.normal(size=(120, 6)), 1)
+        shallow = (x[:, 0] + x[:, 1] > 0).astype(int)
+        deep = rng.integers(0, 7, 120)
+        ys = (deep, shallow) if deep_first else (shallow, deep)
+        cfg = ForestConfig(n_trees=5, seed=4, bootstrap=bootstrap)
+        models = fit_forests(x, ys, cfg)
+        first, later = ([n_splits(t) for t in m.trees] for m in models)
+        assert all((a > b) == deep_first for a, b in zip(first, later))
+        for model, y in zip(models, ys):
+            assert model.trees == forest_trees_oracle(x, y, cfg)
 
 
 class TestTreeShape:

@@ -18,6 +18,7 @@ from eskin.learners import gp as gp_module
 from eskin.learners import (
     GpHyper,
     GpModel,
+    Standardizer,
     gp_fit,
     gp_grid_search,
     gp_predict,
@@ -317,6 +318,15 @@ class TestFitMechanics:
         model = gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5))
         with pytest.raises(ValidationError, match="GP mean_offset must be finite"):
             dataclasses.replace(model, mean_offset=offset)
+
+    def test_scaler_must_read_the_inputs_width(self, rng):
+        # refused on construction, not as a broadcast error in gp_predict
+        model = gp_fit(rng.normal(size=(5, 3)), rng.normal(size=5))
+        narrow = Standardizer(mean=np.zeros(2), scale=np.ones(2))
+        with pytest.raises(
+            ValidationError, match="GP scaler reads 2 features but train_inputs have 3"
+        ):
+            dataclasses.replace(model, scaler=narrow)
 
     def test_cached_norms_give_the_recomputed_mean(self, rng):
         model = gp_fit(rng.normal(size=(40, 3)), rng.normal(size=40), GpHyper(1.3))

@@ -582,18 +582,24 @@ class TestFeatureWidths:
             )
 
     def test_two_gp_inputs_one_short(self, trained_two):
+        # a GP that reads one channel fewer than the pipeline, inputs and scaler
         gp = trained_two.force_model
-        with pytest.raises(ValidationError, match=r"force_model 19, force_model\.scaler 20"):
-            replace(
-                trained_two,
-                force_model=replace(gp, train_inputs=gp.train_inputs[:, :-1].copy()),
-            )
+        narrow = replace(
+            gp,
+            train_inputs=gp.train_inputs[:, :-1].copy(),
+            scaler=Standardizer(mean=gp.scaler.mean[:-1], scale=gp.scaler.scale[:-1]),
+        )
+        with pytest.raises(ValidationError, match=r"force_model 19, preprocessing 20"):
+            replace(trained_two, force_model=narrow)
 
     def test_two_gp_scaler_one_short(self, trained_two):
+        # the GP itself refuses a scaler narrower than its inputs
         gp = trained_two.force_model
         narrow = Standardizer(mean=gp.scaler.mean[1:], scale=gp.scaler.scale[1:])
-        with pytest.raises(ValidationError, match=r"force_model\.scaler 19"):
-            replace(trained_two, force_model=replace(gp, scaler=narrow))
+        with pytest.raises(
+            ValidationError, match="GP scaler reads 19 features but train_inputs have 20"
+        ):
+            replace(gp, scaler=narrow)
 
 
 @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
