@@ -128,21 +128,24 @@ class ConfusionMatrix:
         return True
 
 
-def confusion(true, pred, n_classes: int, labels=None) -> ConfusionMatrix:
+def confusion(true, pred, labels) -> ConfusionMatrix:
+    """Counts of (true, predicted) pairs over ``labels``, which must be
+    strictly increasing and hold every value of both vectors."""
     true = np.asarray(true, dtype=int)
     pred = np.asarray(pred, dtype=int)
+    labels = np.asarray(labels, dtype=int)
     if true.shape != pred.shape or true.ndim != 1:
         raise ValidationError("need equal-length 1-d label vectors")
-    for name, arr in (("true", true), ("pred", pred)):
-        if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
-            raise ValidationError(f"{name} labels outside 0..{n_classes - 1}")
-    counts = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(counts, (true, pred), 1)
-    if labels is None:
-        labels = tuple(range(n_classes))
+    if labels.ndim != 1 or np.any(labels[1:] <= labels[:-1]):
+        raise ValidationError(f"confusion labels {labels.tolist()} are not increasing")
+    outside = np.setdiff1d(np.concatenate((true, pred)), labels)
+    if outside.size:
+        raise ValidationError(f"label {outside[0]} is not one of {labels.tolist()}")
+    counts = np.zeros((labels.size, labels.size), dtype=int)
+    np.add.at(counts, (np.searchsorted(labels, true), np.searchsorted(labels, pred)), 1)
     return ConfusionMatrix(
         counts=tuple(tuple(int(c) for c in row) for row in counts),
-        labels=tuple(labels),
+        labels=tuple(labels.tolist()),
     )
 
 
@@ -253,6 +256,19 @@ class MetricsReport:
         return f"mode={self.mode} k={self.k} " + " ".join(parts)
 
 
+def _check_fold_coverage(plan: FoldPlan, columns: dict[str, np.ndarray]) -> None:
+    """Raise CoverageError unless every fold's training split holds every
+    nonzero value (0 is no contact) that each named column takes."""
+    for fold in range(plan.k):
+        train = plan.train_indices(fold)
+        for name, values in columns.items():
+            missing = np.setdiff1d(values[values != 0], values[train])
+            if missing.size:
+                raise CoverageError(
+                    f"fold {fold}: training split lacks {name} {missing.tolist()}"
+                )
+
+
 def _fold_loop(
     ds: Dataset, plan: FoldPlan, config: PipelineConfig, train, predict, metrics
 ):
@@ -304,7 +320,6 @@ def cross_validate(
     ds.require(SCHEMA_SINGLE)
     node_ids = ds.node_ids()
     plan = stratified_kfold(node_ids.tolist(), k, seed)
-    dataset_nodes = set(int(n) for n in node_ids if n > 0)
     stretch = ds.label("lambda")
     force = ds.label("force_n")
     contact = node_ids > 0
@@ -312,13 +327,8 @@ def cross_validate(
     y_term = ds.label("node_y")
 
     # every fold is checked before any is trained, so a bad plan fails fast
+    _check_fold_coverage(plan, {"node classes": node_ids})
     for fold in range(k):
-        tr_nodes = node_ids[plan.train_indices(fold)]
-        missing = sorted(dataset_nodes - set(int(n) for n in tr_nodes if n > 0))
-        if missing:
-            raise CoverageError(
-                f"fold {fold} training split lacks node classes {missing}"
-            )
         if not np.any(contact[plan.test_indices(fold)]):
             raise CoverageError(
                 f"fold {fold} test split holds no contact rows, so its force "
@@ -342,9 +352,8 @@ def cross_validate(
         ds, plan, config, train_single, predict_single_batch, metrics
     )
     pos = contact[rows]
-    terminals = tuple(range(1, 11))
     confusions = {
-        name: confusion(true[rows][pos] - 1, out[key][pos] - 1, 10, terminals)
+        name: confusion(true[rows][pos], out[key][pos], range(1, 11))
         for name, true, key in (("row", y_term, "y_term"), ("col", x_term, "x_term"))
     }
     return _report(
@@ -362,7 +371,8 @@ def cross_validate_two(
     pairs = zip(ds.node_ids("x1", "y1").tolist(), ds.node_ids("x2", "y2").tolist())
     plan = stratified_kfold(list(pairs), k, seed)
     coord_keys = ("x1", "y1", "x2", "y2")
-    truth = {c: ds.label(c) for c in coord_keys}
+    truth = {c: ds.label(c).astype(int) for c in coord_keys}
+    _check_fold_coverage(plan, {f"{c} terminals": truth[c] for c in coord_keys})
     truth["force1"] = ds.label("f1_n")
     truth["force2"] = ds.label("f2_n")
 
@@ -387,16 +397,8 @@ def cross_validate_two(
     )
     pooled["force_mse_shared_axis"] = float(np.mean(sq_err[shared2]))
     pooled["force_mse_disjoint"] = float(np.mean(sq_err[~shared2]))
-    axes = np.array(sorted(config.node_axes))
-    cms = {
-        c: confusion(
-            np.searchsorted(axes, truth[c][rows]),
-            np.searchsorted(axes, out[c]),
-            len(axes),
-            tuple(axes.tolist()),
-        )
-        for c in coord_keys
-    }
+    labels = np.unique([truth[c] for c in coord_keys])
+    cms = {c: confusion(truth[c][rows], out[c], labels) for c in coord_keys}
     return _report(
         SCHEMA_TWO, ds, plan, seed, per_fold, pooled, cms,
         ("force_mse_shared_axis pools both contacts over test pairs sharing a "

@@ -11,24 +11,26 @@ costs less than keeping every feature's sorted order through each split
 come from exact integer class counts, and the children are the chosen
 feature's sorted rows before and after the cut.
 
-``fit_forests`` fits every forest of one training call (the pipelines'
-two or four, which share their rows and config) in one pool of forked
-processes, one per usable CPU (at most _MAX_WORKERS). The sample reaches
-the workers once, through fork, and each task is one tree index t: it draws
-tree t's bootstrap once, and tree t of every forest reads its feature
-subsets from one list drawn after it, so each tree is the one a lone
-``forest_fit`` grows. Trees make no BLAS call, and are merged in tree
-order: the trees are the same for any worker count.
+A forest's ``classes`` are the distinct labels it was fitted on, in order
+(scikit-learn's ``classes_``; Pedregosa et al., JMLR 2011): trees grow on
+their indices, and predict returns labels. ``fit_forests`` fits every
+forest of one training call (the pipelines' two or four, which share their
+rows and config) in one pool of forked processes, one per usable CPU (at
+most _MAX_WORKERS). The sample reaches the workers once, through fork, and
+each task is one tree index t: it draws tree t's bootstrap once, and tree t
+of every forest reads its feature subsets from one list drawn after it, so
+each tree is the one a lone ``forest_fit`` grows. Trees make no BLAS call,
+and are merged in tree order: the trees are the same for any worker count.
 
 A fitted forest is flat node arrays, all its trees together in queue order:
 one queue starts with every tree's root, and each split node appends its
 left and right child. So the children of the s-th split are nodes
 n_trees + 2s and n_trees + 2s + 1, and the arrays need no child pointers: a
-split mask over the nodes, each split's feature and threshold, and each
-leaf's class counts. That is also the bundle's layout, and the model checks
-it on construction. ``ForestModel.trees`` rebuilds the nested-dict view
-({"feature", "threshold", "left", "right"} and {"counts"}) on demand; fit,
-load and predict never build it.
+split mask over the nodes, each split's feature and threshold, each leaf's
+class counts, and the classes. That is also the bundle's layout, and the
+model checks it on construction. ``ForestModel.trees`` rebuilds the
+nested-dict view ({"feature", "threshold", "left", "right"} and {"counts"})
+on demand; fit, load and predict never build it.
 
 Predict serves from a node table (parallel feature, threshold, right-child
 and leaf-class arrays, after the sklearn ``Tree`` layout; Louppe 2014,
@@ -45,8 +47,8 @@ node's successor from the outcomes, then follows the successors from all
 roots at once (the QuickScorer idea of scoring a document node test by
 node test rather than tree by tree; Lucchese et al., SIGIR 2015). More rows
 descend all trees of a forest at once, one level per step. The leaf classes
-of every forest are counted in a single bincount, and each forest's label
-is the class with the most votes, the smaller class on a tie.
+of every forest are counted in a single bincount, and each forest predicts
+the label of the class with the most votes, the smaller label on a tie.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class ForestTable:
     and has a NaN threshold, which no value is <=, so descending from it
     stays put. A NaN feature value is not <= any threshold either: it goes
     right. Leaf classes are numbered across the table, forest after forest,
-    as are the nodes and the roots.
+    as are the nodes and the roots, and ``classes`` holds the label of each.
     """
 
     feature: np.ndarray       # split feature; 0 at leaves
@@ -107,8 +109,9 @@ class ForestTable:
     right: np.ndarray         # right child; a leaf's own index
     leaf_class: np.ndarray    # table class of the first argmax of the leaf counts
     roots: np.ndarray         # node index of each tree's root, forest by forest
+    classes: np.ndarray       # label of each table class
     n_features: int
-    classes: tuple[tuple[int, int], ...]   # (start, stop) per forest
+    class_ranges: tuple[tuple[int, int], ...]   # (start, stop) per forest
     n_trees: tuple[int, ...]               # per forest
     depths: tuple[int, ...]                # longest root-to-leaf path per forest
 
@@ -122,13 +125,14 @@ class ForestTable:
 class ForestModel:
     """A fitted forest as node arrays in queue order (see the module
     docstring). The arrays give the tree and class counts. Construction
-    checks that they describe whole trees, and raises ValidationError if
-    not."""
+    checks that they describe whole trees of labelled classes, and raises
+    ValidationError if not."""
 
     is_split: BoolArray       # (n_nodes,): True at a split, False at a leaf
     feature: IntArray         # (n_splits,): each split's feature
     threshold: FloatArray     # (n_splits,): go left when x[feature] <= threshold
     leaf_counts: IntArray     # (n_leaves, n_classes): training rows per class
+    classes: IntArray         # (n_classes,): the label of each class, increasing
     n_features: int
 
     __eq__ = fields_equal
@@ -152,6 +156,12 @@ class ForestModel:
                 f"forest leaf counts are {counts.shape}, expected "
                 f"({n_leaves}, n_classes >= 1): one row per leaf, "
                 "one count per class"
+            )
+        classes = self.classes
+        if classes.shape != counts.shape[1:] or np.any(classes[1:] <= classes[:-1]):
+            raise ValidationError(
+                f"forest classes {classes.tolist()} are not {counts.shape[1]} "
+                "strictly increasing labels, one per leaf-count column"
             )
         if self.n_features < 1:
             raise ValidationError("forest needs n_features >= 1")
@@ -388,8 +398,8 @@ def _pool_workers(n_trees: int) -> int:
     return min(len(os.sched_getaffinity(0)), _MAX_WORKERS, n_trees)
 
 
-def _assemble(trees: Sequence[tuple[np.ndarray, ...]], d: int) -> ForestModel:
-    """One forest from its trees' depth-first arrays, in tree order."""
+def _assemble(trees: Sequence[tuple], classes: np.ndarray, d: int) -> ForestModel:
+    """One forest of ``classes`` from its trees' arrays, in tree order."""
     depth, is_split, feature, threshold, leaf_counts = (
         np.concatenate(part) for part in zip(*trees)
     )
@@ -401,6 +411,7 @@ def _assemble(trees: Sequence[tuple[np.ndarray, ...]], d: int) -> ForestModel:
         feature=feature[split_order],
         threshold=threshold[split_order],
         leaf_counts=leaf_counts[np.argsort(depth[~is_split], kind="stable")],
+        classes=classes.astype(np.int32),
         n_features=d,
     )
 
@@ -418,9 +429,10 @@ def fit_forests(
     checked = [_check_labels(x, y) for y in ys]
     x = checked[0][0]
     d = x.shape[1]
-    n_classes = tuple(int(y.max()) + 1 for _, y in checked)
-    # the narrowest label type: a stable sort of 8- or 16-bit keys is a radix sort
-    ys = [y.astype(np.min_scalar_type(c - 1)) for (_, y), c in zip(checked, n_classes)]
+    classes, ys = zip(*(np.unique(y, return_inverse=True) for _, y in checked))
+    n_classes = tuple(c.shape[0] for c in classes)
+    # the narrowest index type: a stable sort of 8- or 16-bit keys is a radix sort
+    ys = [y.astype(np.min_scalar_type(c - 1)) for y, c in zip(ys, n_classes)]
     n_feats = config.features_per_split or math.ceil(math.sqrt(d))
     sample = (x, ys, n_classes, n_feats, config)
     workers = _pool_workers(config.n_trees)
@@ -438,7 +450,7 @@ def fit_forests(
             initializer=_set_sample, initargs=(sample,),
         ) as pool:
             trees = list(pool.map(_fit_pooled, range(config.n_trees)))
-    return tuple(_assemble(forest, d) for forest in zip(*trees))
+    return tuple(_assemble(forest, c, d) for forest, c in zip(zip(*trees), classes))
 
 
 def forest_fit(
@@ -454,7 +466,7 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
     forest's. Raises SchemaError if the features differ."""
     if len({m.n_features for m in models}) != 1:
         raise SchemaError("forests of one table must read the same features")
-    right_parts, leaf_parts, root_parts, classes = [], [], [], []
+    right_parts, leaf_parts, root_parts, ranges = [], [], [], []
     depths: list[int] = []
     node_base = class_base = 0
     for model in models:
@@ -474,7 +486,7 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
         ))
         leaf_parts.append(leaf_class)
         root_parts.append(node_base + np.arange(n_trees))
-        classes.append((class_base, class_base + model.n_classes))
+        ranges.append((class_base, class_base + model.n_classes))
         node_base += n
         class_base += model.n_classes
 
@@ -489,8 +501,9 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
         right=np.concatenate(right_parts),
         leaf_class=np.concatenate(leaf_parts),
         roots=np.concatenate(root_parts),
+        classes=np.concatenate([m.classes for m in models]).astype(np.intp),
         n_features=models[0].n_features,
-        classes=tuple(classes),
+        class_ranges=tuple(ranges),
         n_trees=tuple(m.n_trees for m in models),
         depths=tuple(depths),
     )
@@ -532,8 +545,9 @@ def _leaves(tab: ForestTable, x: np.ndarray) -> np.ndarray:
 
 def forest_predict(tab: ForestTable, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The labels of each forest of a table, in table order: per row the
-    class most of the forest's trees vote for, ties going to the smaller
-    class. A lone forest is served through ``compile_forests((model,))``.
+    label of the class most of the forest's trees vote for, ties going to
+    the smaller label. A lone forest is served through
+    ``compile_forests((model,))``.
 
     A NaN feature compares False and goes right.
     """
@@ -543,9 +557,11 @@ def forest_predict(tab: ForestTable, x: np.ndarray) -> tuple[np.ndarray, ...]:
             f"expected {tab.n_features} features, got {x.shape[1]}"
         )
     n = x.shape[0]
-    n_classes = tab.classes[-1][1]
+    n_classes = tab.class_ranges[-1][1]
     rows = np.arange(n)[:, None]
     votes = np.bincount(
         (rows * n_classes + _leaves(tab, x)).ravel(), minlength=n * n_classes
     ).reshape(n, n_classes)
-    return tuple(np.argmax(votes[:, a:b], axis=1) for a, b in tab.classes)
+    return tuple(
+        tab.classes[a + np.argmax(votes[:, a:b], axis=1)] for a, b in tab.class_ranges
+    )

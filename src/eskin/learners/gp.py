@@ -161,7 +161,7 @@ class GpModel:
         if len(shape) != 2 or len(outputs) > 1 or 0 in outputs or (
             alpha != outputs + shape[:1]
         ):
-            raise ValueError(
+            raise ValidationError(
                 f"GP train_inputs {shape}, alpha {alpha} and mean_offset {outputs} "
                 "disagree: need (n, d), then (n,) and () or (k, n) and (k,), k >= 1"
             )
@@ -171,7 +171,7 @@ class GpModel:
                 f"train_inputs have {shape[1]}"
             )
         if self.rows_offered < shape[0]:
-            raise ValueError(
+            raise ValidationError(
                 f"GP rows_offered {self.rows_offered} is below the "
                 f"{shape[0]} training rows it kept"
             )

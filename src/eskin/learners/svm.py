@@ -62,7 +62,7 @@ class SvmModel:
     def __post_init__(self):
         shape, coefs = self.support_inputs.shape, self.dual_coefs.shape
         if len(shape) != 2 or coefs != shape[:1]:
-            raise ValueError(
+            raise ValidationError(
                 f"SVM support_inputs {shape} and dual_coefs {coefs} disagree: "
                 "need (n, d) and (n,)"
             )

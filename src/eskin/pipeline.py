@@ -57,13 +57,13 @@ from .learners import (
 # 6: the GP mean offset on the model; forests without config or n_classes
 # 7: one two-output force GP for two contacts; the GP mean offset an array
 # 8: standardizer statistics and OLS weights as arrays; every GP has a scaler
-BUNDLE_SCHEMA_VERSION = 8
+# 9: each forest stores its class labels; the config names no grid axes
+BUNDLE_SCHEMA_VERSION = 9
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Hyperparameters for every stage; node_axes only matters for the
-    two-contact variant."""
+    """Hyperparameters for every stage."""
 
     svm: SvmConfig = field(default_factory=SvmConfig)
     forest: ForestConfig = field(default_factory=ForestConfig)
@@ -72,17 +72,11 @@ class PipelineConfig:
     gp: GpHyper = field(default_factory=lambda: GpHyper(length_scale=1.0))
     gp_cap: int = 2000
     gp_search: bool = False
-    node_axes: tuple[int, ...] = (1, 6, 10)
     seed: int = 0
 
     def __post_init__(self):
         if self.gp_cap < 1:
             raise ValidationError("gp_cap must be >= 1")
-        axes = self.node_axes
-        if not axes or len(set(axes)) < len(axes) or not set(axes) <= set(range(1, 11)):
-            raise ValidationError(
-                f"node_axes {list(axes)} must be one or more distinct values in 1..10"
-            )
 
 
 def _check_feature_widths(p: TrainedPipeline | TrainedTwoPipeline) -> None:
@@ -115,8 +109,8 @@ class TrainedPipeline:
 
     stretch_model: LinearModel
     detector: SvmModel
-    row_clf: ForestModel      # classes = y terminal - 1
-    col_clf: ForestModel      # classes = x terminal - 1
+    row_clf: ForestModel      # classes: the y terminals it was trained on
+    col_clf: ForestModel      # classes: the x terminals it was trained on
     force_model: GpModel
     preprocessing: Standardizer
     config: PipelineConfig
@@ -135,8 +129,8 @@ class TrainedTwoPipeline:
     """Four coordinate forests and one force GP with outputs (f1, f2) for
     simultaneous contacts.
 
-    Classifier classes are indices into node_axes (the protocol grid), not
-    raw terminals; contact 1 is the smaller node_id at training time.
+    Each classifier's classes are the terminals its coordinate took in
+    training; contact 1 is the smaller node_id at training time.
     """
 
     x1_clf: ForestModel
@@ -210,7 +204,7 @@ def _fit_force_gp(x: np.ndarray, y: np.ndarray, config: PipelineConfig) -> GpMod
 def train_single(train: Dataset, config: PipelineConfig | None = None) -> TrainedPipeline:
     """Fit the four-model stack on one training split.
 
-    Localiser classes are inferred from the nodes actually present; a full
+    Localiser classes are the terminals of the contact rows; a full
     protocol dataset yields the 10 row and 10 column classes.
     """
     config = config or PipelineConfig()
@@ -231,9 +225,7 @@ def train_single(train: Dataset, config: PipelineConfig | None = None) -> Traine
 
     pos = np.flatnonzero(contact)
     col_clf, row_clf = fit_forests(
-        z[pos],
-        (train.label("node_x")[pos] - 1, train.label("node_y")[pos] - 1),
-        config.forest,
+        z[pos], (train.label("node_x")[pos], train.label("node_y")[pos]), config.forest
     )
     return TrainedPipeline(
         stretch_model=stretch_model,
@@ -256,13 +248,13 @@ def predict_single_batch(p: TrainedPipeline, x: np.ndarray) -> dict[str, np.ndar
     z = p.preprocessing.transform(x)
     stretch = ols_predict(p.stretch_model, x)
     detected = svm_predict(p.detector, z) > 0
-    col_cls, row_cls = forest_predict(p.forests, z)
+    x_term, y_term = forest_predict(p.forests, z)
     force_mean, _ = gp_predict(p.force_model, x, std=False)
     return {
         "stretch": stretch,
         "detected": detected,
-        "x_term": col_cls + 1,
-        "y_term": row_cls + 1,
+        "x_term": x_term,
+        "y_term": y_term,
         "force": np.maximum(force_mean, 0.0),
     }
 
@@ -280,32 +272,22 @@ def infer_single(p: TrainedPipeline, frame: CapacitanceFrame) -> ContactEstimate
     return single_estimate(predict_single_batch(p, frame.as_vector()[None, :]), 0)
 
 
-def _axis_classes(values: np.ndarray, axes: tuple[int, ...], what: str) -> np.ndarray:
-    missing = sorted(set(axes) - set(values.tolist()))
-    if missing:
-        raise CoverageError(f"{what} lacks protocol axis classes {missing}")
-    outside = np.setdiff1d(values, axes)
-    if outside.size:
-        raise ValidationError(
-            f"{what} contains coordinate {outside[0]} outside node_axes {list(axes)}"
-        )
-    return np.searchsorted(axes, values)
-
-
 def train_two(train: Dataset, config: PipelineConfig | None = None) -> TrainedTwoPipeline:
     config = config or PipelineConfig()
     train.require(SCHEMA_TWO)
     if len(train) == 0:
         raise CoverageError("empty two-contact dataset: every axis class is absent")
+    blank = np.flatnonzero((train.label("x1") == 0) | (train.label("x2") == 0))
+    if blank.size:
+        raise ValidationError(
+            f"row {blank[0]} has a contact at node (0, 0), but two-contact "
+            "training needs two pressed nodes"
+        )
     x = train.x
     scaler = Standardizer.fit(x)
     z = scaler.transform(x)
-    axes = tuple(sorted(config.node_axes))
     forces = np.column_stack((train.label("f1_n"), train.label("f2_n")))
-    labels = tuple(
-        _axis_classes(train.label(name).astype(int), axes, f"{name} labels")
-        for name in ("x1", "y1", "x2", "y2")
-    )
+    labels = tuple(train.label(name) for name in ("x1", "y1", "x2", "y2"))
     x1_clf, y1_clf, x2_clf, y2_clf = fit_forests(z, labels, config.forest)
     return TrainedTwoPipeline(
         x1_clf=x1_clf,
@@ -319,12 +301,10 @@ def train_two(train: Dataset, config: PipelineConfig | None = None) -> TrainedTw
 
 
 def predict_two_batch(p: TrainedTwoPipeline, x: np.ndarray) -> dict[str, np.ndarray]:
-    """Ungated per-model outputs; coordinates are mapped back to terminals."""
+    """Ungated per-model outputs; coordinates are terminals."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = p.preprocessing.transform(x)
-    axes = np.array(sorted(p.config.node_axes))
-    labels = forest_predict(p.forests, z)
-    out = {name: axes[cls] for name, cls in zip(("x1", "y1", "x2", "y2"), labels)}
+    out = dict(zip(("x1", "y1", "x2", "y2"), forest_predict(p.forests, z)))
     mean, _ = gp_predict(p.force_model, x, std=False)
     out["force1"], out["force2"] = (np.maximum(m, 0.0) for m in mean.T)
     return out

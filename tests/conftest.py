@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from eskin import (
-    PipelineConfig,
     SingleForceProtocol,
     SkinModel,
     TwoForceProtocol,
@@ -54,14 +53,8 @@ def trained_single(small_single_ds):
 
 
 @pytest.fixture(scope="session")
-def small_two_config():
-    # node_axes must match the 2x2 fixture grid
-    return PipelineConfig(node_axes=(1, 6))
-
-
-@pytest.fixture(scope="session")
-def trained_two(small_two_ds, small_two_config):
-    return train_two(small_two_ds, small_two_config)
+def trained_two(small_two_ds):
+    return train_two(small_two_ds)
 
 
 @pytest.fixture

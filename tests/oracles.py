@@ -217,11 +217,12 @@ def forest_trees_oracle(x, y, config):
     """The nested-dict trees of a Gini CART forest, one node at a time: each
     node re-sorts its rows per candidate feature. Tree t draws its
     bootstrap sample and then one feature subset per split node (depth
-    first, left before right) from ``SeedSequence([seed, t])``."""
+    first, left before right) from ``SeedSequence([seed, t])``. The trees
+    grow on the indices of the sorted distinct labels."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y).astype(int)
+    classes, y = np.unique(np.asarray(y).astype(int), return_inverse=True)
     n, d = x.shape
-    n_classes = int(y.max()) + 1
+    n_classes = classes.size
     n_feats = config.features_per_split or math.ceil(math.sqrt(d))
     trees = []
     for t in range(config.n_trees):
@@ -244,7 +245,7 @@ def forest_trees_oracle(x, y, config):
 def reference_predict(model, x):
     """Labels from a node-by-node recursive walk of the nested trees: one
     vote per tree at its leaf's first-argmax class, the most votes winning,
-    ties to the smaller class."""
+    ties to the smaller class, which names its label in ``model.classes``."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
 
     def leaf(node, row):
@@ -257,13 +258,14 @@ def reference_predict(model, x):
     for tree in model.trees:
         for r, row in enumerate(x):
             votes[r, leaf(tree, row)] += 1
-    return np.argmax(votes, axis=1)
+    return model.classes[np.argmax(votes, axis=1)]
 
 
-def forest_of(trees, n_classes, n_features):
+def forest_of(trees, classes, n_features):
     """A ForestModel of nested-dict trees, flattened the obvious way: one
     queue walks all trees breadth first, roots first, and each split
-    queues its left and right child at the end."""
+    queues its left and right child at the end. ``classes`` labels the
+    columns of the leaf counts."""
     nodes = list(trees)
     is_split, feature, threshold, counts = [], [], [], []
     for node in nodes:   # the loop visits what it appends
@@ -279,6 +281,7 @@ def forest_of(trees, n_classes, n_features):
         is_split=np.array(is_split, dtype=bool),
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=float),
-        leaf_counts=np.array(counts, dtype=np.int32).reshape(len(counts), n_classes),
+        leaf_counts=np.array(counts, dtype=np.int32).reshape(len(counts), len(classes)),
+        classes=np.array(classes, dtype=np.int32),
         n_features=n_features,
     )

@@ -69,7 +69,6 @@ def cli_env(tmp_path_factory):
             {
                 "single_protocol": {"reps_per_cell": 1},
                 "two_protocol": {"node_axes": [1, 6]},
-                "pipeline": {"node_axes": [1, 6]},
                 "k_single": 2,
                 "k_two": 2,
                 "out_dir": str(out_dir),
@@ -172,8 +171,9 @@ class TestGenerate:
              "is not valid JSON: Infinity is not a JSON number"),
             ("single", {"model": {"noise_sigma": -math.inf}},
              "is not valid JSON: -Infinity is not a JSON number"),
-            ("two", {"pipeline": {"node_axes": [1, 1, 6]}},
-             "node_axes [1, 1, 6] must be one or more distinct values in 1..10"),
+            # the terminals come from the data, so the pipeline has no axes
+            ("two", {"pipeline": {"node_axes": [1, 6]}},
+             "unknown config key 'pipeline.node_axes'"),
         ],
     )
     def test_bad_level_or_model_is_usage_error(self, tmp_path, mode, override, message):
@@ -224,7 +224,7 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 8
+        assert d["bundle_schema"] == 9
         assert d["mode"] == "single"
         # every contact row fits under the default gp_cap, so no note
         assert cli_env["train_single_stderr"] == ""
@@ -239,7 +239,7 @@ class TestTrain:
     def test_gp_subsample_noted_on_stderr(self, cli_env, tmp_path, mode, notes):
         with open(cli_env["cfg"]) as f:
             cfg = json.load(f)
-        cfg["pipeline"]["gp_cap"] = 50
+        cfg["pipeline"] = {"gp_cap": 50}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         data = cli_env[f"{mode}_csv"]
@@ -343,6 +343,25 @@ class TestTrain:
         assert rc == 2
         assert re.match(f"error: line 5: {message}", err)
         assert err.count("\n") == 1
+
+    def test_blank_second_contact_is_data_error(self, cli_env, tmp_path):
+        # the two-contact schema admits a node-(0, 0) contact; training does not
+        lines = cli_env["two_csv"].read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[23:26] = ["0", "0", "0"]   # f2_n, x2, y2
+        lines[4] = ",".join(fields)
+        bad = tmp_path / "blank.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bundle.json"
+        rc, stdout, err = run_cli(
+            "train", str(bad), "--config", cli_env["cfg"], "--out", str(out)
+        )
+        assert (rc, stdout) == (2, "")
+        assert err == (
+            "error: row 3 has a contact at node (0, 0), but two-contact "
+            "training needs two pressed nodes\n"
+        )
+        assert not out.exists()
 
     def test_missing_data_file(self, cli_env, tmp_path):
         rc, _, err = run_cli(
@@ -462,7 +481,7 @@ class TestGpSearch:
         with open(cli_env["cfg"]) as f:
             cfg = json.load(f)
         # at this cap f1 alone would pick length scale 1.0, the sum picks 2.0
-        cfg["pipeline"].update(gp_search=True, gp_cap=25, forest={"n_trees": 3})
+        cfg["pipeline"] = {"gp_search": True, "gp_cap": 25, "forest": {"n_trees": 3}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         ds = load_dataset(cli_env[f"{mode}_csv"])
@@ -578,6 +597,7 @@ class TestInfer:
             '{"bundle_schema": 5, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 6, "mode": "two", "pipeline": {}}',
             '{"bundle_schema": 7, "mode": "single", "pipeline": {}}',
+            '{"bundle_schema": 8, "mode": "two", "pipeline": {}}',
         ],
     )
     def test_malformed_bundle_is_data_error(self, cli_env, tmp_path, payload):
@@ -602,15 +622,15 @@ class TestInfer:
         [
             (
                 lambda p: edit_array(p["force_model"], "alpha", lambda a: a[:-1]),
-                MALFORMED + "ValueError: GP train_inputs",
+                MALFORMED + "ValidationError: GP train_inputs",
             ),
             (
                 lambda p: edit_array(p["detector"], "dual_coefs", lambda a: a[:-1]),
-                MALFORMED + "ValueError: SVM support_inputs",
+                MALFORMED + "ValidationError: SVM support_inputs",
             ),
             (
                 lambda p: p["force_model"].update(rows_offered=1),
-                MALFORMED + "ValueError: GP rows_offered 1",
+                MALFORMED + "ValidationError: GP rows_offered 1",
             ),
             (
                 lambda p: p["detector"].pop("iterations"),
@@ -741,6 +761,16 @@ class TestInfer:
             (
                 lambda p: edit_array(p["col_clf"], "leaf_counts", lambda a: a[:, :0]),
                 MALFORMED + "ValidationError: forest leaf counts are (",
+            ),
+            (
+                lambda p: edit_array(p["col_clf"], "classes", lambda a: a[::-1]),
+                MALFORMED + "ValidationError: forest classes [10, 9, 8, 7, 6, 5, 4, 3, "
+                "2, 1] are not 10 strictly increasing labels",
+            ),
+            (
+                lambda p: edit_array(p["row_clf"], "classes", lambda a: a[:-1]),
+                MALFORMED + "ValidationError: forest classes [1, 2, 3, 4, 5, 6, 7, 8, "
+                "9] are not 10 strictly increasing labels",
             ),
             # the rules SvmConfig applies
             (

@@ -68,7 +68,7 @@ def reports(small_single_ds, small_two_ds):
         small_single_ds, k=2, config=PipelineConfig(forest=TINY_FOREST)
     )
     two = cross_validate_two(
-        small_two_ds, k=2, config=PipelineConfig(forest=TINY_FOREST, node_axes=(1, 6))
+        small_two_ds, k=2, config=PipelineConfig(forest=TINY_FOREST)
     )
     return {"single": single, "two": two}
 
@@ -158,8 +158,8 @@ class TestRecordEquality:
         scaler = Standardizer.fit(np.ones((2, 2)))
         assert scaler != (scaler.mean, scaler.scale)
 
-    def test_retrained_pipeline_is_equal(self, small_two_ds, small_two_config, trained_two):
-        again = train_two(small_two_ds, small_two_config)
+    def test_retrained_pipeline_is_equal(self, small_two_ds, trained_two):
+        again = train_two(small_two_ds)
         assert again == trained_two
         counts = again.y2_clf.leaf_counts.copy()
         counts[0, 0] += 1
@@ -198,7 +198,7 @@ class TestRoundTrip:
         [
             RunConfig(),
             RunConfig(
-                pipeline=PipelineConfig(gp_search=True, node_axes=(1, 6)),
+                pipeline=PipelineConfig(gp_search=True, gp_cap=50),
                 k_single=3,
                 out_dir="elsewhere",
             ),
@@ -252,7 +252,7 @@ class TestDerivedFieldsNotWritten:
         predict_single_batch(trained_single, np.zeros((1, 20)))
         assert "forests" in vars(trained_single)
         assert set(to_dict(trained_single.row_clf)) == {
-            "is_split", "feature", "threshold", "leaf_counts", "n_features",
+            "is_split", "feature", "threshold", "leaf_counts", "classes", "n_features",
         }
 
     def test_pipeline_text(self, trained_single):

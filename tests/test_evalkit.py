@@ -39,8 +39,8 @@ def single_report(small_single_ds):
 
 
 @pytest.fixture(scope="module")
-def two_report(small_two_ds, small_two_config):
-    return cross_validate_two(small_two_ds, k=2, config=small_two_config)
+def two_report(small_two_ds):
+    return cross_validate_two(small_two_ds, k=2)
 
 
 class TestStratifiedKfold:
@@ -140,7 +140,7 @@ class TestMetrics:
 
 class TestConfusion:
     def test_three_sample_example(self):
-        cm = confusion([0, 0, 1], [0, 1, 1], n_classes=2)
+        cm = confusion([0, 0, 1], [0, 1, 1], labels=(0, 1))
         assert cm.counts[0][0] == 1
         assert cm.counts[0][1] == 1
         assert cm.counts[1][0] == 0
@@ -151,18 +151,29 @@ class TestConfusion:
     def test_row_sums_match_class_counts(self, rng):
         true = rng.integers(0, 5, 100)
         pred = rng.integers(0, 5, 100)
-        cm = confusion(true, pred, n_classes=5)
+        cm = confusion(true, pred, labels=range(5))
         rows = np.array(cm.counts).sum(axis=1)
         assert np.array_equal(rows, np.bincount(true, minlength=5))
         assert cm.total == 100
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            confusion([0, 1], [0, 2], n_classes=2)
+    @pytest.mark.parametrize(
+        "true, pred, label",
+        [([1, 6], [1, 2], 2), ([0, 6], [1, 6], 0), ([1, 6], [1, 10], 10)],
+    )
+    def test_label_outside_labels_rejected(self, true, pred, label):
+        match = rf"label {label} is not one of \[1, 6\]"
+        with pytest.raises(ValidationError, match=match):
+            confusion(true, pred, labels=(1, 6))
 
-    def test_custom_labels(self):
-        cm = confusion([0, 1], [0, 1], n_classes=2, labels=(1, 6))
-        assert cm.labels == (1, 6)
+    @pytest.mark.parametrize("labels", [(6, 1), (1, 1, 6), ((1, 6),)])
+    def test_labels_must_increase(self, labels):
+        with pytest.raises(ValidationError, match="are not increasing"):
+            confusion([1, 6], [1, 6], labels=labels)
+
+    def test_counts_label_pairs(self):
+        cm = confusion([1, 6, 6, 10], [1, 1, 6, 10], labels=(1, 6, 10))
+        assert cm.labels == (1, 6, 10)
+        assert cm.counts == ((1, 0, 0), (1, 1, 0), (0, 0, 1))
 
     def test_diagonal_dominance(self):
         good = ConfusionMatrix(counts=((2, 0), (1, 3)), labels=(0, 1))
@@ -176,7 +187,7 @@ class TestConfusion:
             cm.accuracy()
 
     def test_dict_round_trip(self):
-        cm = confusion([0, 1, 1], [0, 1, 0], n_classes=2)
+        cm = confusion([0, 1, 1], [0, 1, 0], labels=(0, 1))
         assert from_dict(ConfusionMatrix, to_dict(cm)) == cm
 
 
@@ -303,11 +314,11 @@ class TestCrossValidateTwo:
         for key in ("x1_accuracy", "y1_accuracy", "x2_accuracy", "y2_accuracy"):
             assert 0.0 <= two_report.pooled[key] <= 1.0
 
-    def test_deterministic_report(self, small_two_ds, small_two_config, two_report):
-        again = cross_validate_two(small_two_ds, k=2, config=small_two_config)
+    def test_deterministic_report(self, small_two_ds, two_report):
+        again = cross_validate_two(small_two_ds, k=2)
         assert again.to_json() == two_report.to_json()
 
-    def test_fold_coverage_failure_is_attributed(self, small_two_ds, small_two_config):
+    def test_fold_coverage_failure_is_attributed(self, small_two_ds):
         ds = small_two_ds
         keep = np.ones(len(ds), dtype=bool)
         pair = (ds.node_ids("x1", "y1") == 1) & (ds.node_ids("x2", "y2") == 6)
@@ -316,16 +327,16 @@ class TestCrossValidateTwo:
         keep[drop] = False
         thin = ds.take(keep)
         with pytest.raises(CoverageError, match=r"fold \d+:"):
-            cross_validate_two(thin, k=2, config=small_two_config)
+            cross_validate_two(thin, k=2)
 
-    def test_empty_rejected(self, two_ds, small_two_config):
+    def test_empty_rejected(self, two_ds):
         empty = two_ds.take(np.arange(0))
         with pytest.raises(ValidationError):
-            cross_validate_two(empty, k=2, config=small_two_config)
+            cross_validate_two(empty, k=2)
 
-    def test_single_schema_rejected(self, small_single_ds, small_two_config):
+    def test_single_schema_rejected(self, small_single_ds):
         with pytest.raises(SchemaError):
-            cross_validate_two(small_single_ds, k=2, config=small_two_config)
+            cross_validate_two(small_single_ds, k=2)
 
 
 class TestReportFiles:

@@ -64,7 +64,8 @@ class TestPinnedFixtures:
         # one pure leaf: every query, NaN and infinities too, lands on it
         x = np.array([[0.0], [1.0], [2.0]])
         model = forest_fit(x, np.array([2, 2, 2]), SINGLE_TREE)
-        assert model.trees == ({"counts": [0, 0, 3]},)
+        assert model.trees == ({"counts": [3]},)
+        assert model.classes.tolist() == [2]
         q = np.array([[5.0], [-5.0], [np.nan], [np.inf], [-np.inf]])
         assert np.array_equal(predict(model, q), np.full(5, 2))
 
@@ -137,7 +138,9 @@ class TestTreesMatchReferenceFit:
             bootstrap=bool(seed % 2),
             seed=seed,
         )
-        assert forest_fit(x, y, cfg).trees == forest_trees_oracle(x, y, cfg)
+        model = forest_fit(x, y, cfg)
+        assert model.trees == forest_trees_oracle(x, y, cfg)
+        assert np.array_equal(model.classes, np.unique(y))
 
     @pytest.mark.parametrize("label", ["node_x", "node_y"])
     def test_desk_contact_fold(self, label):
@@ -285,7 +288,7 @@ class TestTreeShape:
     def test_pure_node_stops(self):
         x = np.array([[0.0], [1.0], [2.0]])
         model = forest_fit(x, np.array([1, 1, 1]), SINGLE_TREE)
-        assert model.trees[0] == {"counts": [0, 3]}
+        assert model.trees[0] == {"counts": [3]}
 
     @pytest.mark.parametrize("b", [1.0, np.finfo(float).max])
     def test_threshold_between_adjacent_floats(self, b):
@@ -302,7 +305,7 @@ class TestVoting:
     @pytest.mark.parametrize("leaves", [([1, 0], [0, 1]), ([0, 1], [1, 0])])
     def test_tie_goes_to_smaller_class(self, leaves):
         # one vote each, in either tree order
-        model = forest_of(tuple({"counts": c} for c in leaves), 2, 1)
+        model = forest_of(tuple({"counts": c} for c in leaves), (0, 1), 1)
         assert np.array_equal(predict(model, np.array([[0.0]])), [0])
 
     @pytest.mark.parametrize(
@@ -314,7 +317,7 @@ class TestVoting:
         ],
     )
     def test_majority_of_trees_wins(self, leaves, label):
-        model = forest_of(tuple({"counts": c} for c in leaves), 3, 1)
+        model = forest_of(tuple({"counts": c} for c in leaves), (0, 1, 2), 1)
         assert np.array_equal(predict(model, np.zeros((2, 1))), [label, label])
 
     def test_separated_clusters_predict_their_labels(self):
@@ -323,6 +326,40 @@ class TestVoting:
         y = np.array([0] * 15 + [1] * 15)
         model = forest_fit(x, y, ForestConfig(n_trees=25, seed=1))
         assert np.array_equal(predict(model, x), y)
+
+
+class TestClassLabels:
+    """A forest fits on the indices of its sorted distinct labels, keeps the
+    labels as its classes and predicts labels."""
+
+    def test_labels_are_kept_and_predicted(self):
+        rng = np.random.default_rng(6)
+        x = np.round(rng.normal(size=(80, 3)), 1)
+        idx = rng.integers(0, 3, 80)
+        labels = np.array([3, 7, 10])[idx]
+        cfg = ForestConfig(n_trees=5, seed=2)
+        model = forest_fit(x, labels, cfg)
+        on_indices = forest_fit(x, idx, cfg)
+        assert model.classes.tolist() == [3, 7, 10]
+        assert on_indices.classes.tolist() == [0, 1, 2]
+        assert model.trees == on_indices.trees
+        q = np.round(rng.normal(size=(30, 3)), 1)
+        want = np.array([3, 7, 10])[predict(on_indices, q)]
+        assert np.array_equal(predict(model, q), want)
+
+    def test_vote_tie_goes_to_smaller_label(self):
+        model = forest_of(({"counts": [0, 1]}, {"counts": [1, 0]}), (4, 9), 1)
+        assert np.array_equal(predict(model, np.zeros((2, 1))), [4, 4])
+
+    def test_table_serves_each_forest_its_labels(self):
+        models = (
+            forest_of(({"counts": [0, 2]},), (1, 6), 1),
+            forest_of(({"counts": [5, 0, 1]},), (2, 5, 9), 1),
+        )
+        table = compile_forests(models)
+        assert table.classes.tolist() == [1, 6, 2, 5, 9]
+        first, second = forest_predict(table, np.zeros((1, 1)))
+        assert (first.tolist(), second.tolist()) == ([6], [2])
 
 
 class TestDeterminismAndSerialisation:
@@ -398,7 +435,7 @@ def tree_depth(node):
 
 
 def hand_model(*trees, n_classes=3, n_features=2):
-    return forest_of(trees, n_classes, n_features)
+    return forest_of(trees, range(n_classes), n_features)
 
 
 STUMP = {"feature": 1, "threshold": 0.5, "left": {"counts": [3, 0, 0]},
@@ -488,7 +525,7 @@ class TestCompiledTable:
         assert predict(model, np.empty((0, 2))).shape == (0,)
 
     def test_hand_built_voting_model(self):
-        model = forest_of(({"counts": [1, 0]}, {"counts": [0, 1]}), 2, 1)
+        model = forest_of(({"counts": [1, 0]}, {"counts": [0, 1]}), (0, 1), 1)
         assert_matches_reference(model, np.array([[0.0], [3.0]]))
 
     def test_serving_changes_neither_equality_nor_dict(self):
@@ -521,7 +558,7 @@ class TestMultiForestTable:
         q[1::9, 2] = np.inf
         q[2::9, 0] = -np.inf
         assert table.depth == max(compile_forests((m,)).depth for m in models)
-        assert table.classes == ((0, 2), (2, 7), (7, 10), (10, 17))
+        assert table.class_ranges == ((0, 2), (2, 7), (7, 10), (10, 17))
         for rows in [q, q[:1], q[5:6], q[:0]]:
             for model, labels in zip(models, forest_predict(table, rows)):
                 assert np.array_equal(labels, reference_predict(model, rows))
@@ -562,7 +599,7 @@ class TestNodeArrays:
     @pytest.mark.parametrize("seed", range(6))
     def test_fit_is_queue_order_of_its_trees(self, seed):
         model, _, _ = random_forest(seed)
-        flat = forest_of(model.trees, model.n_classes, model.n_features)
+        flat = forest_of(model.trees, model.classes, model.n_features)
         assert flat == model
         assert flat.trees == model.trees
 
@@ -570,6 +607,7 @@ class TestNodeArrays:
         model, _, _ = random_forest(1)
         assert model.is_split.dtype == bool
         assert model.feature.dtype == model.leaf_counts.dtype == np.int32
+        assert model.classes.dtype == np.int32
         assert model.threshold.dtype == np.float64
 
     def test_trees_view_is_rebuilt_on_each_call(self):
@@ -618,6 +656,15 @@ class TestMalformedNodeArrays:
             ({"leaf_counts": np.array([[1, 0, 0], [3, -1, 0], [0, 0, 2]], np.int32)},
              "leaf counts must be >= 0"),
             ({"n_features": 0}, "n_features >= 1"),
+            # one label per leaf-count column, strictly increasing
+            ({"classes": np.array([0, 1], np.int32)},
+             r"forest classes \[0, 1\] are not 3 strictly increasing labels"),
+            ({"classes": np.array([0, 1, 2, 3], np.int32)}, "are not 3 strictly"),
+            ({"classes": np.array([[0, 1, 2]], np.int32)}, "are not 3 strictly"),
+            ({"classes": np.array([1, 1, 2], np.int32)},
+             r"forest classes \[1, 1, 2\] are not 3 strictly increasing"),
+            ({"classes": np.array([0, 2, 1], np.int32)},
+             r"forest classes \[0, 2, 1\] are not 3 strictly increasing"),
         ],
     )
     def test_rejected_on_construction(self, arrays, match):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eskin import FactorizationError, ValidationError
+from eskin import EskinError, FactorizationError, ValidationError
 from eskin.codec import from_dict, to_dict
 from eskin.learners import gp as gp_module
 from eskin.learners import (
@@ -243,7 +243,7 @@ class TestFitMechanics:
     def test_from_dict_rejects_rows_offered_below_rows_kept(self, rng):
         d = to_dict(gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5)))
         d["rows_offered"] = 4
-        with pytest.raises(ValueError, match="rows_offered 4 is below the 5"):
+        with pytest.raises(ValidationError, match="rows_offered 4 is below the 5"):
             from_dict(GpModel, d)
 
     def test_cap_is_deterministic(self):
@@ -293,7 +293,7 @@ class TestFitMechanics:
     def test_from_dict_rejects_disagreeing_shapes(self, rng, edit):
         d = to_dict(gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5)))
         edit(d)
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(ValidationError, match="disagree"):
             from_dict(GpModel, d)
 
     @pytest.mark.parametrize(
@@ -318,6 +318,14 @@ class TestFitMechanics:
         model = gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5))
         with pytest.raises(ValidationError, match="GP mean_offset must be finite"):
             dataclasses.replace(model, mean_offset=offset)
+
+    def test_disagreeing_shapes_raise_a_toolkit_error(self, rng):
+        # an EskinError, so a caller's `except EskinError` sees it
+        model = gp_fit(rng.normal(size=(5, 2)), rng.normal(size=5))
+        with pytest.raises(EskinError, match="disagree"):
+            dataclasses.replace(model, alpha=model.alpha[:-1])
+        with pytest.raises(EskinError, match="rows_offered 4 is below"):
+            dataclasses.replace(model, rows_offered=4)
 
     def test_scaler_must_read_the_inputs_width(self, rng):
         # refused on construction, not as a broadcast error in gp_predict
@@ -435,7 +443,7 @@ class TestOutputs:
         x = rng.normal(size=(5, 2))
         with pytest.raises(ValidationError, match="y must be 1-d or 2-d"):
             gp_fit(x, np.zeros((5, 2, 1)))
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(ValidationError, match="disagree"):
             gp_fit(x, np.zeros((5, 0)))
 
     def test_grid_search_sums_the_outputs(self, rng):

@@ -3,8 +3,10 @@ round trips."""
 
 import json
 import multiprocessing
+import re
 from dataclasses import replace
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from eskin import (
     TwoContactEstimate,
     TwoForceProtocol,
     ValidationError,
+    cross_validate_two,
     generate_two_force_dataset,
     infer_single,
     infer_two,
@@ -52,7 +55,8 @@ from eskin.pipeline import (
 from .oracles import reference_predict
 from .payloads import array_of
 
-FOREST_ARRAYS = ("is_split", "feature", "threshold", "leaf_counts")
+FOREST_ARRAYS = ("is_split", "feature", "threshold", "leaf_counts", "classes")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _saved_force_models(path) -> list[dict]:
@@ -99,6 +103,18 @@ def _schema_7(p) -> dict:
         for key, value in vectors.items():
             if isinstance(value, dict):
                 vectors[key] = array_of(value).tolist()
+    return bundle
+
+
+def _schema_8(p) -> dict:
+    """The schema-8 layout of a pipeline's bundle: forests without their
+    class labels, and the config's node_axes."""
+    bundle = _bundle_dict(p)
+    bundle["bundle_schema"] = 8
+    for name, model in bundle["pipeline"].items():
+        if name.endswith("_clf"):
+            del model["classes"]
+    bundle["pipeline"]["config"]["node_axes"] = [1, 6, 10]
     return bundle
 
 
@@ -164,19 +180,28 @@ class TestTrainGuards:
         with pytest.raises(CoverageError, match="no contact-positive samples"):
             train_single(blanks)
 
-    def test_two_missing_axis_class(self, small_two_ds):
-        # default config expects axis 10; the fixture grid stops at 6
-        with pytest.raises(CoverageError, match="lacks protocol axis classes"):
-            train_two(small_two_ds)
-
-    def test_two_off_axis_coordinate(self):
-        proto = TwoForceProtocol(
-            node_axes=(1, 5, 6), forces=(0.0, 1.2936), reps=1
-        )
+    def test_two_terminals_come_from_the_data(self):
+        # a (1, 5, 6) grid under the default config: the forests learn and
+        # predict those terminals, and a report is labelled with them
+        proto = TwoForceProtocol(node_axes=(1, 5, 6), forces=(0.0, 1.2936), reps=2)
         ds = generate_two_force_dataset(SkinModel(), proto)
-        config = PipelineConfig(node_axes=(1, 6))
-        with pytest.raises(ValidationError, match="outside node_axes"):
-            train_two(ds, config)
+        p = train_two(ds)
+        out = predict_two_batch(p, ds.x)
+        for name in ("x1", "y1", "x2", "y2"):
+            assert getattr(p, f"{name}_clf").classes.tolist() == [1, 5, 6]
+            assert set(out[name].tolist()) <= {1, 5, 6}
+        report = cross_validate_two(ds, k=2)
+        assert {cm.labels for cm in report.confusions.values()} == {(1, 5, 6)}
+
+    @pytest.mark.parametrize("contact", [1, 2])
+    def test_two_blank_contact_refused(self, small_two_ds, contact):
+        labels = small_two_ds.labels.copy()
+        labels[3, 3 * contact - 2 : 3 * contact] = 0   # x, y of contact 1 or 2
+        ds = Dataset(x=small_two_ds.x, labels=labels)
+        with pytest.raises(
+            ValidationError, match=r"row 3 has a contact at node \(0, 0\)"
+        ):
+            train_two(ds)
 
     def test_two_empty(self, two_ds):
         empty = two_ds.take(np.arange(0))
@@ -241,8 +266,8 @@ class TestForestTable:
         p = trained_single
         x = small_single_ds.features()[::25]
         z = p.preprocessing.transform(x)
-        want_x = reference_predict(p.col_clf, z) + 1
-        want_y = reference_predict(p.row_clf, z) + 1
+        want_x = reference_predict(p.col_clf, z)
+        want_y = reference_predict(p.row_clf, z)
         out = predict_single_batch(p, x)
         assert np.array_equal(out["x_term"], want_x)
         assert np.array_equal(out["y_term"], want_y)
@@ -257,9 +282,8 @@ class TestForestTable:
         p = trained_two
         x = small_two_ds.features()[::4]
         z = p.preprocessing.transform(x)
-        axes = np.array(sorted(p.config.node_axes))
         want = {
-            name: axes[reference_predict(clf, z)]
+            name: reference_predict(clf, z)
             for name, clf in (
                 ("x1", p.x1_clf), ("y1", p.y1_clf), ("x2", p.x2_clf), ("y2", p.y2_clf)
             )
@@ -297,24 +321,19 @@ class TestTrainFits:
         pos = small_single_ds.label("node_x") != 0
         z = p.preprocessing.transform(small_single_ds.x[pos])
         for name, label in (("col_clf", "node_x"), ("row_clf", "node_y")):
-            y = small_single_ds.label(label)[pos] - 1
+            y = small_single_ds.label(label)[pos]
             assert getattr(p, name) == forest_fit(z, y, self.FOREST)
 
-    def test_two_fits_its_forests_in_one_pool(
-        self, pools, small_two_ds, small_two_config
-    ):
-        config = replace(small_two_config, forest=self.FOREST)
-        p = train_two(small_two_ds, config)
+    def test_two_fits_its_forests_in_one_pool(self, pools, small_two_ds):
+        p = train_two(small_two_ds, PipelineConfig(forest=self.FOREST))
         assert len(pools) == 1
         assert multiprocessing.active_children() == []
         z = p.preprocessing.transform(small_two_ds.x)
         for name in ("x1", "y1", "x2", "y2"):
-            y = np.searchsorted(config.node_axes, small_two_ds.label(name))
+            y = small_two_ds.label(name)
             assert getattr(p, f"{name}_clf") == forest_fit(z, y, self.FOREST)
 
-    def test_gp_search_factors_once_a_cell(
-        self, small_two_ds, small_two_config, monkeypatch
-    ):
+    def test_gp_search_factors_once_a_cell(self, small_two_ds, monkeypatch):
         factors, factor = [], gp_module._factor
 
         def counted_factor(*args):
@@ -322,9 +341,7 @@ class TestTrainFits:
             return factors[-1]
 
         monkeypatch.setattr(gp_module, "_factor", counted_factor)
-        config = replace(
-            small_two_config, forest=self.FOREST, gp_search=True, gp_cap=40
-        )
+        config = PipelineConfig(forest=self.FOREST, gp_search=True, gp_cap=40)
         p = train_two(small_two_ds, config)
         assert len(factors) == 6   # the 3 x 2 grid, and no refit of its pick
         assert any(p.force_model.chol is f for f in factors)   # the pick's own
@@ -544,6 +561,14 @@ class TestBundles:
         with pytest.raises(SchemaError, match=r"schema 7 .*re-run `eskin train`"):
             load_pipeline(path)
 
+    @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+    def test_load_rejects_schema_8_bundle(self, trained, request, tmp_path):
+        # schema 8 held no forest class labels, and node_axes in the config
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(_schema_8(request.getfixturevalue(trained))))
+        with pytest.raises(SchemaError, match=r"schema 8 .*re-run `eskin train`"):
+            load_pipeline(path)
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -609,7 +634,7 @@ class TestBundleEncoding:
         save_pipeline(request.getfixturevalue(trained), path)
         text = path.read_text()
         assert text.endswith("\n") and text.count("\n") == 1
-        assert json.loads(text)["bundle_schema"] == 8
+        assert json.loads(text)["bundle_schema"] == 9
 
     def test_schema_4_keys_with_arrays_as_bytes(self, trained, request, tmp_path):
         p = request.getfixturevalue(trained)
@@ -632,19 +657,27 @@ class TestBundleEncoding:
                         assert array_of(value).tobytes() == want.tobytes()
 
 
+class TestReadmeSchema:
+    """README's "Model bundles" section names the schema this eskin writes."""
+
+    def test_bundle_example_has_the_current_schema(self):
+        found = re.findall(r'"bundle_schema": (\d+)', README.read_text())
+        assert found and {int(n) for n in found} == {BUNDLE_SCHEMA_VERSION}
+
+    def test_refused_schemas_end_below_the_current_one(self):
+        found = re.findall(r"older\s+schema \((\d+) or below\)", README.read_text())
+        assert [int(n) for n in found] == [BUNDLE_SCHEMA_VERSION - 1]
+
+
 class TestPipelineConfig:
     def test_dict_round_trip(self):
-        cfg = PipelineConfig(node_axes=(1, 6), gp_cap=500, gp_search=True, seed=3)
+        cfg = PipelineConfig(gp_cap=500, gp_search=True, seed=3)
         assert from_dict(PipelineConfig, to_dict(cfg)) == cfg
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"gp_cap": 0},
-            {"node_axes": (0, 5)},
-            {"node_axes": (1, 11)},
-            {"node_axes": ()},
-            {"node_axes": (1, 1, 6)},
         ],
     )
     def test_invalid(self, kwargs):

@@ -7,7 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eskin import ConvergenceError, DegenerateLabelsError, ValidationError
+from eskin import (
+    ConvergenceError,
+    DegenerateLabelsError,
+    EskinError,
+    ValidationError,
+)
 from eskin.codec import from_dict, to_dict
 from eskin.learners import svm as svm_module
 from eskin.learners import (
@@ -243,6 +248,12 @@ class TestDeterminismAndSerialisation:
         with pytest.raises(ValidationError, match=match):
             from_dict(SvmModel, d)
 
+    def test_disagreeing_shapes_raise_a_toolkit_error(self):
+        # an EskinError, so a caller's `except EskinError` sees it
+        model = svm_fit(*blob_problem(9))
+        with pytest.raises(EskinError, match="disagree"):
+            replace(model, dual_coefs=model.dual_coefs[:-1])
+
     def test_cached_norms_give_the_recomputed_decision(self):
         x, y = blob_problem(5)
         model = svm_fit(x, y)
@@ -279,7 +290,7 @@ class TestDeterminismAndSerialisation:
         x, y = blob_problem(9)
         d = to_dict(svm_fit(x, y))
         edit(d)
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(ValidationError, match="disagree"):
             from_dict(SvmModel, d)
 
     def test_config_dict_round_trip(self):
