@@ -52,14 +52,12 @@ from .pipeline import (
     ContactEstimate,
     PipelineConfig,
     TrainedPipeline,
-    TrainedTwoPipeline,
     TwoContactEstimate,
-    infer_single,
-    infer_two,
+    infer,
     load_pipeline,
+    predict_batch,
     save_pipeline,
-    train_single,
-    train_two,
+    train,
 )
 from .sim import (
     Contact,

@@ -29,14 +29,11 @@ from .core import (
 from .errors import ConfigError, CoverageError, EskinError
 from .evalkit import cross_validate, cross_validate_two, load_report, write_report_files
 from .pipeline import (
-    TrainedPipeline,
     load_pipeline,
-    predict_single_batch,
-    predict_two_batch,
+    predict_batch,
     save_pipeline,
     single_estimate,
-    train_single,
-    train_two,
+    train,
     two_estimate,
 )
 from .sim import generate_single_force_dataset, generate_two_force_dataset
@@ -130,13 +127,12 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.data)
     if ds.schema == SCHEMA_SINGLE:
         _check_full_grid(ds)
-        p, rows = train_single(ds, cfg.pipeline), "contact rows"
-    else:
-        p, rows = train_two(ds, cfg.pipeline), "rows"
+    p = train(ds, cfg.pipeline)
     kept, offered = p.force_model.train_inputs.shape[0], p.force_model.rows_offered
     if kept < offered:
         print(
-            f"force GP kept {kept} of {offered} {rows} (gp_cap {cfg.pipeline.gp_cap})",
+            f"force GP kept {kept} of {offered} contact rows "
+            f"(gp_cap {cfg.pipeline.gp_cap})",
             file=sys.stderr,
         )
     out = Path(args.out) if args.out else Path(cfg.out_dir) / f"bundle_{ds.schema}.json"
@@ -165,9 +161,9 @@ def cmd_infer(args) -> int:
     cfg = _load_run_config(args)
     p = load_pipeline(args.bundle)
     x = read_text_file(args.frames, read_frames)
-    if isinstance(p, TrainedPipeline):
+    pred = predict_batch(p, x)
+    if p.mode == SCHEMA_SINGLE:
         lines = ["stretch,detected,node_x,node_y,force_n"]
-        pred = predict_single_batch(p, x)
         for i in range(len(x)):
             e = single_estimate(pred, i)
             lines.append(
@@ -176,7 +172,6 @@ def cmd_infer(args) -> int:
             )
     else:
         lines = ["x1,y1,f1_n,x2,y2,f2_n"]
-        pred = predict_two_batch(p, x)
         for i in range(len(x)):
             contacts = two_estimate(pred, i).contacts
             lines.append(",".join(f"{n.x},{n.y},{_fmt(f)}" for n, f in contacts))

@@ -8,9 +8,11 @@ they equal the sum of the per-fold matrices. Everything is a pure function
 of (dataset, k, seed, config), which is what makes report files
 byte-reproducible.
 
-Localisation and force metrics are computed on contact-positive test
-samples only (the gated pipeline defines no node or force for a negative
-detection); detection accuracy covers every test sample.
+Both contact modes train and predict each fold through the one pipeline
+(``pipeline.train``, ``pipeline.predict_batch``); they differ in what they
+score. Single-contact localisation and force metrics are computed on
+contact-positive test samples only (the gated estimate defines no node or
+force for a negative detection); detection accuracy covers every test sample.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ from .errors import (
     UndefinedMetricError,
     ValidationError,
 )
-from .pipeline import (
-    PipelineConfig,
-    predict_single_batch,
-    predict_two_batch,
-    train_single,
-    train_two,
-)
+from .pipeline import PipelineConfig, predict_batch, train
 
 
 @dataclass(frozen=True)
@@ -138,9 +134,10 @@ def confusion(true, pred, labels) -> ConfusionMatrix:
         raise ValidationError("need equal-length 1-d label vectors")
     if labels.ndim != 1 or np.any(labels[1:] <= labels[:-1]):
         raise ValidationError(f"confusion labels {labels.tolist()} are not increasing")
-    outside = np.setdiff1d(np.concatenate((true, pred)), labels)
+    values = np.concatenate((true, pred))
+    outside = values[~np.isin(values, labels)]
     if outside.size:
-        raise ValidationError(f"label {outside[0]} is not one of {labels.tolist()}")
+        raise ValidationError(f"label {outside.min()} is not one of {labels.tolist()}")
     counts = np.zeros((labels.size, labels.size), dtype=int)
     np.add.at(counts, (np.searchsorted(labels, true), np.searchsorted(labels, pred)), 1)
     return ConfusionMatrix(
@@ -262,16 +259,16 @@ def _check_fold_coverage(plan: FoldPlan, columns: dict[str, np.ndarray]) -> None
     for fold in range(plan.k):
         train = plan.train_indices(fold)
         for name, values in columns.items():
-            missing = np.setdiff1d(values[values != 0], values[train])
+            taken = np.bincount(values[train], minlength=values.max() + 1)
+            missing = np.flatnonzero((np.bincount(values) > 0) & (taken == 0))
+            missing = missing[missing != 0]
             if missing.size:
                 raise CoverageError(
                     f"fold {fold}: training split lacks {name} {missing.tolist()}"
                 )
 
 
-def _fold_loop(
-    ds: Dataset, plan: FoldPlan, config: PipelineConfig, train, predict, metrics
-):
+def _fold_loop(ds: Dataset, plan: FoldPlan, config: PipelineConfig, metrics):
     """Train on each fold's complement, predict its test rows and score them.
 
     Returns the per-fold metrics, the test rows of all folds in fold order
@@ -285,7 +282,7 @@ def _fold_loop(
             p = train(ds.take(plan.train_indices(fold)), config)
         except CoverageError as exc:
             raise CoverageError(f"fold {fold}: {exc}")
-        out = predict(p, ds.x[te])
+        out = predict_batch(p, ds.x[te])
         for key, value in metrics(te, out).items():
             per_fold.setdefault(key, []).append(value)
         rows.append(te)
@@ -316,7 +313,6 @@ def cross_validate(
     ds: Dataset, k: int = 10, seed: int = 0, config: PipelineConfig | None = None
 ) -> MetricsReport:
     """k-fold CV of the single-contact pipeline, stratified on pressed node."""
-    config = config or PipelineConfig()
     ds.require(SCHEMA_SINGLE)
     node_ids = ds.node_ids()
     plan = stratified_kfold(node_ids.tolist(), k, seed)
@@ -348,9 +344,7 @@ def cross_validate(
             "col_accuracy": float(np.mean(out["x_term"][pos] == x_term[rows][pos])),
         }
 
-    per_fold, rows, out = _fold_loop(
-        ds, plan, config, train_single, predict_single_batch, metrics
-    )
+    per_fold, rows, out = _fold_loop(ds, plan, config, metrics)
     pos = contact[rows]
     confusions = {
         name: confusion(true[rows][pos], out[key][pos], range(1, 11))
@@ -366,7 +360,6 @@ def cross_validate_two(
     ds: Dataset, k: int = 5, seed: int = 0, config: PipelineConfig | None = None
 ) -> MetricsReport:
     """k-fold CV of the two-contact models, stratified on the node pair."""
-    config = config or PipelineConfig()
     ds.require(SCHEMA_TWO)
     pairs = zip(ds.node_ids("x1", "y1").tolist(), ds.node_ids("x2", "y2").tolist())
     plan = stratified_kfold(list(pairs), k, seed)
@@ -386,9 +379,7 @@ def cross_validate_two(
             m[f"{f}_mse"] = mse(truth[f][rows], out[f])
         return m
 
-    per_fold, rows, out = _fold_loop(
-        ds, plan, config, train_two, predict_two_batch, metrics
-    )
+    per_fold, rows, out = _fold_loop(ds, plan, config, metrics)
     pooled = metrics(rows, out)
     shared = (truth["x1"] == truth["x2"]) | (truth["y1"] == truth["y2"])
     shared2 = np.concatenate([shared[rows], shared[rows]])

@@ -14,7 +14,7 @@ feature's sorted rows before and after the cut.
 A forest's ``classes`` are the distinct labels it was fitted on, in order
 (scikit-learn's ``classes_``; Pedregosa et al., JMLR 2011): trees grow on
 their indices, and predict returns labels. ``fit_forests`` fits every
-forest of one training call (the pipelines' two or four, which share their
+forest of one training call (a pipeline's two or four, which share their
 rows and config) in one pool of forked processes, one per usable CPU (at
 most _MAX_WORKERS). The sample reaches the workers once, through fork, and
 each task is one tree index t: it draws tree t's bootstrap once, and tree t
@@ -37,7 +37,7 @@ and leaf-class arrays, after the sklearn ``Tree`` layout; Louppe 2014,
 ch. 5) that ``compile_forests`` makes from the node arrays by offset
 arithmetic. Each forest's nodes, roots and classes follow the previous
 forest's, so a pipeline serves all its forests, which read the same
-features, from one table (its ``forests``, compiled on first use); a lone
+features, from one table (its ``table``, compiled on first use); a lone
 forest is served from a table of one. A left child sits just before its
 right sibling, and a leaf is its own right child with a NaN threshold, so
 one step from any node is ``right[node] - (x[feature[node]] <=
@@ -162,6 +162,11 @@ class ForestModel:
             raise ValidationError(
                 f"forest classes {classes.tolist()} are not {counts.shape[1]} "
                 "strictly increasing labels, one per leaf-count column"
+            )
+        if np.any(classes < 0):
+            raise ValidationError(
+                f"forest classes {classes.tolist()} hold a negative label, "
+                "which no fit takes"
             )
         if self.n_features < 1:
             raise ValidationError("forest needs n_features >= 1")
@@ -429,7 +434,10 @@ def fit_forests(
     checked = [_check_labels(x, y) for y in ys]
     x = checked[0][0]
     d = x.shape[1]
-    classes, ys = zip(*(np.unique(y, return_inverse=True) for _, y in checked))
+    # each vector's distinct labels, increasing, and each row's index among them
+    present = [np.bincount(y) > 0 for _, y in checked]
+    classes = [np.flatnonzero(p) for p in present]
+    ys = [(np.cumsum(p) - 1)[y] for p, (_, y) in zip(present, checked)]
     n_classes = tuple(c.shape[0] for c in classes)
     # the narrowest index type: a stable sort of 8- or 16-bit keys is a radix sort
     ys = [y.astype(np.min_scalar_type(c - 1)) for y, c in zip(ys, n_classes)]

@@ -1,11 +1,13 @@
-"""Decoupling pipelines: stretch OLS, contact detector SVM, row/column
-forests and force GP, composed for single- and two-contact inference.
+"""The decoupling pipeline: stretch OLS, contact detector SVM, terminal
+forests and force GP, in one record for single- and two-contact inference.
 
-Training fits one standardizer on the training split; the SVM and the
-forests consume standardized features, the GP standardizes internally on its
-own (contact-positive) subset, and the stretch OLS reads raw capacitances.
-Detection gates localisation and force at inference: a negative detection
-reports node 0 and force 0 without running the classifiers or the GP.
+A contact mode names the columns its pipeline learns (``_MODES``): a forest
+per terminal column and a GP output per force column, fitted on the contact
+rows. One contact adds the stretch OLS, which reads raw capacitances, and
+the detector, both fitted on every row. The SVM and the forests read the
+features standardized on the training split; the GP standardizes its own.
+One contact's estimate is gated by detection: a negative detection reports
+node 0 and force 0. Two contacts are listed in node order.
 """
 
 from __future__ import annotations
@@ -58,7 +60,18 @@ from .learners import (
 # 7: one two-output force GP for two contacts; the GP mean offset an array
 # 8: standardizer statistics and OLS weights as arrays; every GP has a scaler
 # 9: each forest stores its class labels; the config names no grid axes
-BUNDLE_SCHEMA_VERSION = 9
+# 10: one record for both modes: the mode inside the pipeline, forests keyed
+#     by prediction key, no stretch model or detector for two contacts
+BUNDLE_SCHEMA_VERSION = 10
+
+# Per contact mode, the dataset columns the pipeline learns: each terminal
+# column by one forest, and the force columns as the outputs of one GP, all
+# keyed by the name predict_batch gives their estimates.
+_MODES = {
+    SCHEMA_SINGLE: ({"x_term": "node_x", "y_term": "node_y"}, {"force": "force_n"}),
+    SCHEMA_TWO: ({"x1": "x1", "y1": "y1", "x2": "x2", "y2": "y2"},
+                 {"force1": "f1_n", "force2": "f2_n"}),
+}
 
 
 @dataclass(frozen=True)
@@ -79,23 +92,25 @@ class PipelineConfig:
             raise ValidationError("gp_cap must be >= 1")
 
 
-def _check_feature_widths(p: TrainedPipeline | TrainedTwoPipeline) -> None:
+def _check_feature_widths(p: TrainedPipeline) -> None:
     """Raise ValidationError unless every model of ``p`` reads the same
     number of frame channels: a mismatch would otherwise surface as a numpy
-    broadcast error on the first frame served."""
+    broadcast error on the first frame served. Each forest is named by its
+    field path, so no forest's width hides behind another's."""
+    models = {f.name: getattr(p, f.name) for f in fields(p)}
+    models.update((f"forests.{key}", m) for key, m in models.pop("forests").items())
     widths = {}
-    for f in fields(p):
-        value = getattr(p, f.name)
+    for name, value in models.items():
         if isinstance(value, Standardizer):
-            widths[f.name] = value.mean.shape[0]
+            widths[name] = value.mean.shape[0]
         elif isinstance(value, LinearModel):
-            widths[f.name] = value.weights.shape[0]
+            widths[name] = value.weights.shape[0]
         elif isinstance(value, SvmModel):
-            widths[f.name] = value.support_inputs.shape[1]
+            widths[name] = value.support_inputs.shape[1]
         elif isinstance(value, ForestModel):
-            widths[f.name] = value.n_features
+            widths[name] = value.n_features
         elif isinstance(value, GpModel):
-            widths[f.name] = value.train_inputs.shape[1]   # its scaler's too
+            widths[name] = value.train_inputs.shape[1]   # its scaler's too
     if len(set(widths.values())) > 1:
         raise ValidationError(
             "pipeline models read different feature widths: "
@@ -105,49 +120,48 @@ def _check_feature_widths(p: TrainedPipeline | TrainedTwoPipeline) -> None:
 
 @dataclass(frozen=True)
 class TrainedPipeline:
-    """The single-contact model stack plus its preprocessing statistics."""
+    """One contact mode's model stack plus its preprocessing statistics.
+    Construction checks that it is the mode's stack (see ``_MODES``) and
+    that every model reads one feature width, and raises ValidationError if
+    not."""
 
-    stretch_model: LinearModel
-    detector: SvmModel
-    row_clf: ForestModel      # classes: the y terminals it was trained on
-    col_clf: ForestModel      # classes: the x terminals it was trained on
-    force_model: GpModel
+    mode: str
+    stretch_model: LinearModel | None
+    detector: SvmModel | None
+    forests: dict[str, ForestModel]   # classes: the terminals each was trained on
+    force_model: GpModel              # outputs: the mode's forces, in order
     preprocessing: Standardizer
     config: PipelineConfig
 
     def __post_init__(self):
+        if self.mode not in _MODES:
+            raise ValidationError(f"pipeline mode {self.mode!r} is not single or two")
+        terminals, forces = _MODES[self.mode]
+        if self.forests.keys() != terminals.keys():
+            raise ValidationError(
+                f"{self.mode} pipeline forests {sorted(self.forests)} are not "
+                f"{sorted(terminals)}"
+            )
+        single = self.mode == SCHEMA_SINGLE
+        for name in ("stretch_model", "detector"):
+            if (getattr(self, name) is None) == single:
+                raise ValidationError(
+                    f"{self.mode} pipeline {'lacks' if single else 'has'} a {name}"
+                )
+        outputs = (len(forces),) if len(forces) > 1 else ()   # see train
+        if self.force_model.mean_offset.shape != outputs:
+            raise ValidationError(
+                f"{self.mode} pipeline force GP has mean_offset "
+                f"{self.force_model.mean_offset.shape}, not {outputs}: one output "
+                f"per force ({', '.join(forces)})"
+            )
         _check_feature_widths(self)
 
     @cached_property
-    def forests(self) -> ForestTable:
-        """(col_clf, row_clf) as one node table, built on first use."""
-        return compile_forests((self.col_clf, self.row_clf))
-
-
-@dataclass(frozen=True)
-class TrainedTwoPipeline:
-    """Four coordinate forests and one force GP with outputs (f1, f2) for
-    simultaneous contacts.
-
-    Each classifier's classes are the terminals its coordinate took in
-    training; contact 1 is the smaller node_id at training time.
-    """
-
-    x1_clf: ForestModel
-    y1_clf: ForestModel
-    x2_clf: ForestModel
-    y2_clf: ForestModel
-    force_model: GpModel
-    preprocessing: Standardizer
-    config: PipelineConfig
-
-    def __post_init__(self):
-        _check_feature_widths(self)
-
-    @cached_property
-    def forests(self) -> ForestTable:
-        """(x1_clf, y1_clf, x2_clf, y2_clf) as one node table, built on first use."""
-        return compile_forests((self.x1_clf, self.y1_clf, self.x2_clf, self.y2_clf))
+    def table(self) -> ForestTable:
+        """The forests as one node table in the mode's terminal order, built
+        on first use: a loaded ``forests`` dict has its keys sorted."""
+        return compile_forests([self.forests[key] for key in _MODES[self.mode][0]])
 
 
 @dataclass(frozen=True)
@@ -190,77 +204,76 @@ class TwoContactEstimate:
             raise ValidationError("estimated forces must be >= 0")
 
 
-def _fit_force_gp(x: np.ndarray, y: np.ndarray, config: PipelineConfig) -> GpModel:
-    """The force GP on (x, y), its hyperparameters picked by marginal
-    likelihood when config.gp_search is set."""
-    if config.gp_search:
-        model, _ = gp_grid_search(
-            x, y, base=config.gp, cap=config.gp_cap, seed=config.seed
-        )
-        return model
-    return gp_fit(x, y, config.gp, cap=config.gp_cap, seed=config.seed)
-
-
-def train_single(train: Dataset, config: PipelineConfig | None = None) -> TrainedPipeline:
-    """Fit the four-model stack on one training split.
-
-    Localiser classes are the terminals of the contact rows; a full
-    protocol dataset yields the 10 row and 10 column classes.
+def train(ds: Dataset, config: PipelineConfig | None = None) -> TrainedPipeline:
+    """Fit the model stack of the dataset's contact mode on one training
+    split. The contact rows are those whose terminals are all nonzero; in a
+    two-contact dataset every row must be one. The force GP's hyperparameters
+    are picked by marginal likelihood when config.gp_search is set.
     """
     config = config or PipelineConfig()
-    train.require(SCHEMA_SINGLE)
-    x = train.x
-    contact = train.label("node_x") != 0
+    mode = ds.schema
+    terminals, forces = _MODES[mode]
+    contact = np.logical_and.reduce([ds.label(c) != 0 for c in terminals.values()])
+    if mode == SCHEMA_TWO and not contact.all():
+        raise ValidationError(
+            f"row {np.flatnonzero(~contact)[0]} has a contact at node (0, 0), but "
+            "two-contact training needs two pressed nodes"
+        )
     if not np.any(contact):
         raise CoverageError(
-            "no contact-positive samples: every node class 1..100 is absent"
+            "no contact-positive samples: every terminal class is absent"
         )
 
-    stretch_model = ols_fit(x, train.label("lambda"))
-    scaler = Standardizer.fit(x)
-    z = scaler.transform(x)
+    scaler = Standardizer.fit(ds.x)
+    z = scaler.transform(ds.x)
+    stretch_model = detector = None
+    if mode == SCHEMA_SINGLE:
+        stretch_model = ols_fit(ds.x, ds.label("lambda"))
+        detector = svm_fit(z, np.where(contact, 1.0, -1.0), config.svm)
 
-    det_labels = np.where(contact, 1.0, -1.0)
-    detector = svm_fit(z, det_labels, config.svm)
-
-    pos = np.flatnonzero(contact)
-    col_clf, row_clf = fit_forests(
-        z[pos], (train.label("node_x")[pos], train.label("node_y")[pos]), config.forest
+    models = fit_forests(
+        z[contact], [ds.label(c)[contact] for c in terminals.values()], config.forest
     )
+    y = np.column_stack([ds.label(c)[contact] for c in forces.values()])
+    if y.shape[1] == 1:   # a 1-d target serves without a loop over outputs
+        y = y[:, 0]
+    subsample = dict(cap=config.gp_cap, seed=config.seed)
+    if config.gp_search:
+        force_model, _ = gp_grid_search(ds.x[contact], y, base=config.gp, **subsample)
+    else:
+        force_model = gp_fit(ds.x[contact], y, config.gp, **subsample)
     return TrainedPipeline(
+        mode=mode,
         stretch_model=stretch_model,
         detector=detector,
-        row_clf=row_clf,
-        col_clf=col_clf,
-        force_model=_fit_force_gp(x[pos], train.label("force_n")[pos], config),
+        forests=dict(zip(terminals, models)),
+        force_model=force_model,
         preprocessing=scaler,
         config=config,
     )
 
 
-def predict_single_batch(p: TrainedPipeline, x: np.ndarray) -> dict[str, np.ndarray]:
-    """Raw per-model outputs for a feature matrix (n, 20).
-
-    ``x_term``/``y_term``/``force`` are the ungated estimates for every row;
-    composing with ``detected`` is the caller's choice (infer_single gates).
+def predict_batch(p: TrainedPipeline, x: np.ndarray) -> dict[str, np.ndarray]:
+    """Raw per-model outputs for a feature matrix (n, 20): ``stretch`` and
+    ``detected`` for one contact, then the terminals and the forces (clamped
+    at 0), keyed as in ``_MODES``. They are ungated for every row; composing
+    them with ``detected`` is the caller's choice (single_estimate gates).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = p.preprocessing.transform(x)
-    stretch = ols_predict(p.stretch_model, x)
-    detected = svm_predict(p.detector, z) > 0
-    x_term, y_term = forest_predict(p.forests, z)
-    force_mean, _ = gp_predict(p.force_model, x, std=False)
-    return {
-        "stretch": stretch,
-        "detected": detected,
-        "x_term": x_term,
-        "y_term": y_term,
-        "force": np.maximum(force_mean, 0.0),
-    }
+    out = {}
+    if p.detector is not None:
+        out["stretch"] = ols_predict(p.stretch_model, x)
+        out["detected"] = svm_predict(p.detector, z) > 0
+    terminals, forces = _MODES[p.mode]
+    out.update(zip(terminals, forest_predict(p.table, z)))
+    mean, _ = gp_predict(p.force_model, x, std=False)
+    out.update(zip(forces, np.atleast_2d(np.maximum(mean, 0.0).T)))
+    return out
 
 
 def single_estimate(out: dict[str, np.ndarray], i: int) -> ContactEstimate:
-    """Row ``i`` of :func:`predict_single_batch` output, gated by detection."""
+    """Row ``i`` of one-contact :func:`predict_batch` output, gated by detection."""
     stretch = float(out["stretch"][i])
     if out["detected"][i]:
         node = NodeCoord(int(out["x_term"][i]), int(out["y_term"][i]))
@@ -268,50 +281,8 @@ def single_estimate(out: dict[str, np.ndarray], i: int) -> ContactEstimate:
     return ContactEstimate(stretch, False, NODE_ZERO, 0.0)
 
 
-def infer_single(p: TrainedPipeline, frame: CapacitanceFrame) -> ContactEstimate:
-    return single_estimate(predict_single_batch(p, frame.as_vector()[None, :]), 0)
-
-
-def train_two(train: Dataset, config: PipelineConfig | None = None) -> TrainedTwoPipeline:
-    config = config or PipelineConfig()
-    train.require(SCHEMA_TWO)
-    if len(train) == 0:
-        raise CoverageError("empty two-contact dataset: every axis class is absent")
-    blank = np.flatnonzero((train.label("x1") == 0) | (train.label("x2") == 0))
-    if blank.size:
-        raise ValidationError(
-            f"row {blank[0]} has a contact at node (0, 0), but two-contact "
-            "training needs two pressed nodes"
-        )
-    x = train.x
-    scaler = Standardizer.fit(x)
-    z = scaler.transform(x)
-    forces = np.column_stack((train.label("f1_n"), train.label("f2_n")))
-    labels = tuple(train.label(name) for name in ("x1", "y1", "x2", "y2"))
-    x1_clf, y1_clf, x2_clf, y2_clf = fit_forests(z, labels, config.forest)
-    return TrainedTwoPipeline(
-        x1_clf=x1_clf,
-        y1_clf=y1_clf,
-        x2_clf=x2_clf,
-        y2_clf=y2_clf,
-        force_model=_fit_force_gp(x, forces, config),
-        preprocessing=scaler,
-        config=config,
-    )
-
-
-def predict_two_batch(p: TrainedTwoPipeline, x: np.ndarray) -> dict[str, np.ndarray]:
-    """Ungated per-model outputs; coordinates are terminals."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    z = p.preprocessing.transform(x)
-    out = dict(zip(("x1", "y1", "x2", "y2"), forest_predict(p.forests, z)))
-    mean, _ = gp_predict(p.force_model, x, std=False)
-    out["force1"], out["force2"] = (np.maximum(m, 0.0) for m in mean.T)
-    return out
-
-
 def two_estimate(out: dict[str, np.ndarray], i: int) -> TwoContactEstimate:
-    """Row ``i`` of :func:`predict_two_batch` output, contacts in node order."""
+    """Row ``i`` of two-contact :func:`predict_batch` output, in node order."""
     pairs = [
         (NodeCoord(int(out["x1"][i]), int(out["y1"][i])), float(out["force1"][i])),
         (NodeCoord(int(out["x2"][i]), int(out["y2"][i])), float(out["force2"][i])),
@@ -320,28 +291,29 @@ def two_estimate(out: dict[str, np.ndarray], i: int) -> TwoContactEstimate:
     return TwoContactEstimate(contacts=tuple(pairs))
 
 
-def infer_two(p: TrainedTwoPipeline, frame: CapacitanceFrame) -> TwoContactEstimate:
-    return two_estimate(predict_two_batch(p, frame.as_vector()[None, :]), 0)
+def infer(p: TrainedPipeline, frame: CapacitanceFrame):
+    """One frame's ContactEstimate, or TwoContactEstimate for two contacts."""
+    out = predict_batch(p, frame.as_vector()[None, :])
+    return (single_estimate if p.mode == SCHEMA_SINGLE else two_estimate)(out, 0)
 
 
-def _bundle_dict(p: TrainedPipeline | TrainedTwoPipeline) -> dict:
-    return {
-        "bundle_schema": BUNDLE_SCHEMA_VERSION,
-        "mode": pipeline_mode(p),
-        "pipeline": to_dict(p),
-    }
+# perfbench/workloads.py is the only caller of these three names
+train_single = train
+predict_single_batch = predict_batch
+infer_single = infer
 
 
-def save_pipeline(p: TrainedPipeline | TrainedTwoPipeline, path: str | Path) -> None:
+def save_pipeline(p: TrainedPipeline, path: str | Path) -> None:
     """Canonical JSON on one line (sorted keys, no whitespace, arrays as
     the base64 of their bytes), written atomically, so equal pipelines
     always serialise byte-identically. Without ``indent`` CPython encodes in
     C. A NaN or infinite scalar raises NonFiniteError."""
-    text = dumps(_bundle_dict(p), sort_keys=True, separators=(",", ":"))
+    bundle = {"bundle_schema": BUNDLE_SCHEMA_VERSION, "pipeline": to_dict(p)}
+    text = dumps(bundle, sort_keys=True, separators=(",", ":"))
     atomic_write_text(path, text + "\n")
 
 
-def load_pipeline(path: str | Path) -> TrainedPipeline | TrainedTwoPipeline:
+def load_pipeline(path: str | Path) -> TrainedPipeline:
     try:
         d = loads(Path(path).read_text())
     except ValueError as exc:
@@ -354,18 +326,7 @@ def load_pipeline(path: str | Path) -> TrainedPipeline | TrainedTwoPipeline:
             f"(this eskin reads schema {BUNDLE_SCHEMA_VERSION}); "
             "re-run `eskin train` to rebuild the bundle"
         )
-    mode = d.get("mode")
-    if mode == "single":
-        cls = TrainedPipeline
-    elif mode == "two":
-        cls = TrainedTwoPipeline
-    else:
-        raise SchemaError(f"unknown bundle mode {mode!r}")
     try:
-        return from_dict(cls, d["pipeline"])
+        return from_dict(TrainedPipeline, d["pipeline"])
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise SchemaError(f"malformed {mode} model bundle: {type(exc).__name__}: {exc}")
-
-
-def pipeline_mode(p: TrainedPipeline | TrainedTwoPipeline) -> str:
-    return "single" if isinstance(p, TrainedPipeline) else "two"
+        raise SchemaError(f"malformed model bundle: {type(exc).__name__}: {exc}")

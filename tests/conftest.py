@@ -11,8 +11,7 @@ from eskin import (
     TwoForceProtocol,
     generate_single_force_dataset,
     generate_two_force_dataset,
-    train_single,
-    train_two,
+    train,
 )
 
 settings.register_profile(
@@ -49,12 +48,12 @@ def small_two_ds():
 
 @pytest.fixture(scope="session")
 def trained_single(small_single_ds):
-    return train_single(small_single_ds)
+    return train(small_single_ds)
 
 
 @pytest.fixture(scope="session")
 def trained_two(small_two_ds):
-    return train_two(small_two_ds)
+    return train(small_two_ds)
 
 
 @pytest.fixture

@@ -27,9 +27,9 @@ from eskin.core import _fmt
 from eskin.learners import gp_fit, log_marginal_likelihood, svm
 from eskin.pipeline import (
     load_pipeline,
-    predict_two_batch,
+    predict_batch,
     save_pipeline,
-    train_two,
+    train,
     two_estimate,
 )
 
@@ -41,7 +41,7 @@ from .entry_point import (
 )
 from .payloads import edit_array
 
-MALFORMED = "error: malformed single model bundle: "
+MALFORMED = "error: malformed model bundle: "
 NOT_JSON = "error: model bundle is not valid JSON: "
 
 
@@ -224,8 +224,8 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 9
-        assert d["mode"] == "single"
+        assert d["bundle_schema"] == 10
+        assert d["pipeline"]["mode"] == "single"
         # every contact row fits under the default gp_cap, so no note
         assert cli_env["train_single_stderr"] == ""
 
@@ -233,7 +233,7 @@ class TestTrain:
         "mode, notes",
         [
             ("single", ["force GP kept 50 of {n} contact rows (gp_cap 50)"]),
-            ("two", ["force GP kept 50 of {n} rows (gp_cap 50)"]),
+            ("two", ["force GP kept 50 of {n} contact rows (gp_cap 50)"]),
         ],
     )
     def test_gp_subsample_noted_on_stderr(self, cli_env, tmp_path, mode, notes):
@@ -598,6 +598,7 @@ class TestInfer:
             '{"bundle_schema": 6, "mode": "two", "pipeline": {}}',
             '{"bundle_schema": 7, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 8, "mode": "two", "pipeline": {}}',
+            '{"bundle_schema": 9, "mode": "single", "pipeline": {}}',
         ],
     )
     def test_malformed_bundle_is_data_error(self, cli_env, tmp_path, payload):
@@ -727,50 +728,65 @@ class TestInfer:
                 MALFORMED + "ValueError: detector.dual_coefs.data: ",
             ),
             (
-                lambda p: p["row_clf"]["leaf_counts"].update(dtype="int64"),
-                MALFORMED + "TypeError: row_clf.leaf_counts.dtype: 'int64' is not one of",
+                lambda p: p["forests"]["y_term"]["leaf_counts"].update(dtype="int64"),
+                MALFORMED
+                + "TypeError: forests.y_term.leaf_counts.dtype: 'int64' is not one of",
             ),
             # forest node arrays
             (
-                lambda p: edit_array(p["row_clf"], "feature",
+                lambda p: edit_array(p["forests"]["y_term"], "feature",
                                      lambda a: a.__setitem__(3, 20)),
                 MALFORMED + "ValidationError: split feature 20 is not in 0..19",
             ),
             (
-                lambda p: edit_array(p["col_clf"], "threshold",
+                lambda p: edit_array(p["forests"]["x_term"], "threshold",
                                      lambda a: a.__setitem__(3, math.nan)),
                 MALFORMED + "ValidationError: split threshold nan is not finite",
             ),
             # two leaves fewer in the mask than leaf count rows
             (
-                lambda p: edit_array(p["row_clf"], "is_split", lambda a: a[:-2]),
+                lambda p: edit_array(p["forests"]["y_term"], "is_split",
+                                     lambda a: a[:-2]),
                 MALFORMED + "ValidationError: forest leaf counts are (",
             ),
             (
-                lambda p: edit_array(p["row_clf"], "is_split", lambda a: a[None, :]),
+                lambda p: edit_array(p["forests"]["y_term"], "is_split",
+                                     lambda a: a[None, :]),
                 MALFORMED + "ValidationError: forest split mask has shape (1, ",
             ),
             (
-                lambda p: edit_array(p["row_clf"], "feature", lambda a: a[:-1]),
+                lambda p: edit_array(p["forests"]["y_term"], "feature",
+                                     lambda a: a[:-1]),
                 MALFORMED + "ValidationError: forest has ",
             ),
             (
-                lambda p: edit_array(p["col_clf"], "leaf_counts", lambda a: a[:-1]),
+                lambda p: edit_array(p["forests"]["x_term"], "leaf_counts",
+                                     lambda a: a[:-1]),
                 MALFORMED + "ValidationError: forest leaf counts are (",
             ),
             (
-                lambda p: edit_array(p["col_clf"], "leaf_counts", lambda a: a[:, :0]),
+                lambda p: edit_array(p["forests"]["x_term"], "leaf_counts",
+                                     lambda a: a[:, :0]),
                 MALFORMED + "ValidationError: forest leaf counts are (",
             ),
             (
-                lambda p: edit_array(p["col_clf"], "classes", lambda a: a[::-1]),
+                lambda p: edit_array(p["forests"]["x_term"], "classes",
+                                     lambda a: a[::-1]),
                 MALFORMED + "ValidationError: forest classes [10, 9, 8, 7, 6, 5, 4, 3, "
                 "2, 1] are not 10 strictly increasing labels",
             ),
             (
-                lambda p: edit_array(p["row_clf"], "classes", lambda a: a[:-1]),
+                lambda p: edit_array(p["forests"]["y_term"], "classes",
+                                     lambda a: a[:-1]),
                 MALFORMED + "ValidationError: forest classes [1, 2, 3, 4, 5, 6, 7, 8, "
                 "9] are not 10 strictly increasing labels",
+            ),
+            # a label no fit takes, which would fail only at a node lookup
+            (
+                lambda p: edit_array(p["forests"]["x_term"], "classes",
+                                     lambda a: a.__setitem__(0, -5)),
+                MALFORMED + "ValidationError: forest classes [-5, 2, 3, 4, 5, 6, 7, 8, "
+                "9, 10] hold a negative label",
             ),
             # the rules SvmConfig applies
             (
@@ -805,6 +821,63 @@ class TestInfer:
         assert err.startswith(message)
         assert err.count("\n") == 1   # one error line, no warning beside it
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mode, edit, message",
+        [
+            ("single", lambda p, two: p.update(mode="three"),
+             "pipeline mode 'three' is not single or two"),
+            ("single", lambda p, two: p.update(detector=None),
+             "single pipeline lacks a detector"),
+            ("single", lambda p, two: p.update(stretch_model=None),
+             "single pipeline lacks a stretch_model"),
+            ("two", lambda p, one: p.update(detector=one["detector"]),
+             "two pipeline has a detector"),
+            ("two", lambda p, one: p.update(stretch_model=one["stretch_model"]),
+             "two pipeline has a stretch_model"),
+            ("single", lambda p, two: p["forests"].pop("y_term"),
+             "single pipeline forests ['x_term'] are not ['x_term', 'y_term']"),
+            ("two", lambda p, one: p["forests"].update(x3=p["forests"]["x1"]),
+             "two pipeline forests ['x1', 'x2', 'x3', 'y1', 'y2'] are not "
+             "['x1', 'x2', 'y1', 'y2']"),
+            ("single", lambda p, two: p.update(force_model=two["force_model"]),
+             "single pipeline force GP has mean_offset (2,), not (): one output "
+             "per force (force)"),
+            ("two", lambda p, one: p.update(force_model=one["force_model"]),
+             "two pipeline force GP has mean_offset (), not (2,): one output per "
+             "force (force1, force2)"),
+            # one forest one channel wide: named by its path, beside the others
+            ("single", lambda p, two: p["forests"]["y_term"].update(n_features=21),
+             "pipeline models read different feature widths: stretch_model 20, "
+             "detector 20, force_model 20, preprocessing 20, forests.x_term 20, "
+             "forests.y_term 21\n"),
+            ("two", lambda p, one: p["forests"]["x2"].update(n_features=21),
+             "pipeline models read different feature widths: force_model 20, "
+             "preprocessing 20, forests.x1 20, forests.x2 21, forests.y1 20, "
+             "forests.y2 20\n"),
+        ],
+        ids=["mode", "single-detector", "single-stretch", "two-detector",
+             "two-stretch", "missing-forest", "extra-forest", "single-gp-outputs",
+             "two-gp-outputs", "single-forest-width", "two-forest-width"],
+    )
+    def test_pipeline_of_the_wrong_mode_is_data_error(
+        self, cli_env, tmp_path, mode, edit, message
+    ):
+        # each edit may borrow a model from the other mode's bundle
+        other = "two" if mode == "single" else "single"
+        d = json.loads(cli_env[f"{mode}_bundle"].read_text())
+        borrowed = json.loads(cli_env[f"{other}_bundle"].read_text())["pipeline"]
+        edit(d["pipeline"], borrowed)
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(d))
+        rc, stdout, err = run_cli(
+            "infer", "--bundle", str(bundle), "--frames", str(cli_env["frames_csv"]),
+            "--config", cli_env["cfg"], "--out", str(tmp_path / "est.csv"),
+        )
+        assert (rc, stdout) == (2, "")
+        assert err.startswith(MALFORMED + "ValidationError: " + message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "est.csv").exists()
 
     def test_labelled_csv_rejected_as_frames(self, cli_env, tmp_path):
         rc, _, err = run_cli(
@@ -1095,7 +1168,7 @@ class TestModeFromInput:
         # the workspace's two-contact bundle is trained without --mode
         cfg = load_config(cli_env["cfg"])
         expected = tmp_path / "expected.json"
-        save_pipeline(train_two(load_dataset(cli_env["two_csv"]), cfg.pipeline), expected)
+        save_pipeline(train(load_dataset(cli_env["two_csv"]), cfg.pipeline), expected)
         assert cli_env["two_bundle"].read_bytes() == expected.read_bytes()
 
     def test_eval(self, cli_env):
@@ -1116,7 +1189,7 @@ class TestModeFromInput:
             "--config", cli_env["cfg"], "--out", str(est),
         )
         assert rc == 0
-        pred = predict_two_batch(load_pipeline(cli_env["two_bundle"]), x)
+        pred = predict_batch(load_pipeline(cli_env["two_bundle"]), x)
         rows = [
             ",".join(f"{n.x},{n.y},{_fmt(f)}" for n, f in two_estimate(pred, i).contacts)
             for i in range(len(x))

@@ -21,7 +21,8 @@ from eskin import (
     TwoForceProtocol,
     cross_validate,
     cross_validate_two,
-    train_two,
+    predict_batch,
+    train,
 )
 from eskin.codec import dumps, from_dict, loads, to_dict
 from eskin.learners import (
@@ -36,7 +37,6 @@ from eskin.learners import (
     ols_fit,
     svm_fit,
 )
-from eskin.pipeline import predict_single_batch, predict_two_batch
 
 from .payloads import array_of, payload_of
 
@@ -104,7 +104,7 @@ class TestArrayBytes:
         assert d["dual_coefs"] == payload_of([0.5, -0.5], "float64")
 
     def test_int_and_bool_arrays_round_trip(self, trained_two):
-        for model in (trained_two.x1_clf, trained_two.y2_clf):
+        for model in (trained_two.forests["x1"], trained_two.forests["y2"]):
             back = json_round_trip(model)
             assert back == model
             for name in ("is_split", "feature", "threshold", "leaf_counts"):
@@ -159,13 +159,13 @@ class TestRecordEquality:
         assert scaler != (scaler.mean, scaler.scale)
 
     def test_retrained_pipeline_is_equal(self, small_two_ds, trained_two):
-        again = train_two(small_two_ds)
+        again = train(small_two_ds)
         assert again == trained_two
-        counts = again.y2_clf.leaf_counts.copy()
+        y2 = again.forests["y2"]
+        counts = y2.leaf_counts.copy()
         counts[0, 0] += 1
-        changed = dataclasses.replace(
-            again, y2_clf=dataclasses.replace(again.y2_clf, leaf_counts=counts)
-        )
+        forests = dict(again.forests, y2=dataclasses.replace(y2, leaf_counts=counts))
+        changed = dataclasses.replace(again, forests=forests)
         assert changed != trained_two
 
 
@@ -249,30 +249,29 @@ class TestDerivedFieldsNotWritten:
         }
 
     def test_forest_table(self, trained_single):
-        predict_single_batch(trained_single, np.zeros((1, 20)))
-        assert "forests" in vars(trained_single)
-        assert set(to_dict(trained_single.row_clf)) == {
+        predict_batch(trained_single, np.zeros((1, 20)))
+        assert "table" in vars(trained_single)
+        assert set(to_dict(trained_single.forests["y_term"])) == {
             "is_split", "feature", "threshold", "leaf_counts", "classes", "n_features",
         }
 
     def test_pipeline_text(self, trained_single):
         gp_predict(trained_single.force_model, np.ones((1, 20)))
-        predict_single_batch(trained_single, np.ones((1, 20)))
+        predict_batch(trained_single, np.ones((1, 20)))
         keys = all_keys(to_dict(trained_single))
-        assert keys.isdisjoint({"chol", "train_sq", "support_sq", "forests"})
+        assert keys.isdisjoint({"chol", "train_sq", "support_sq", "table"})
 
     @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
     def test_pipeline_table(self, trained, request):
         p = request.getfixturevalue(trained)
-        predict = predict_single_batch if trained == "trained_single" else predict_two_batch
-        predict(p, np.ones((2, 20)))
-        assert "forests" in vars(p)
+        predict_batch(p, np.ones((2, 20)))
+        assert "table" in vars(p)
         before = to_dict(p)
         fresh = dataclasses.replace(p)   # shares every model, not the table
-        assert "forests" not in vars(fresh)
+        assert "table" not in vars(fresh)
         assert p == fresh
         assert to_dict(p) == before
-        assert "forests=" not in repr(p)
+        assert "table=" not in repr(p)
 
 
 class TestStrictDecode:
@@ -353,10 +352,12 @@ class TestStrictDecode:
             from_dict(TrainedPipeline, pipeline_dict)
 
     def test_bool_byte_other_than_0_or_1(self, pipeline_dict):
-        mask = pipeline_dict["row_clf"]["is_split"]
+        mask = pipeline_dict["forests"]["y_term"]["is_split"]
         raw = array_of(mask).view(np.uint8) * 2
         mask["data"] = base64.b64encode(raw.tobytes()).decode("ascii")
-        with pytest.raises(ValueError, match=r"row_clf\.is_split\.data: a bool byte"):
+        with pytest.raises(
+            ValueError, match=r"forests\.y_term\.is_split\.data: a bool byte"
+        ):
             from_dict(TrainedPipeline, pipeline_dict)
 
     def test_fixed_tuple_length(self):

@@ -2,6 +2,8 @@
 drivers."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from eskin.evalkit import (
     load_report,
     write_report_files,
 )
+
+from .entry_point import eskin_env
 
 
 @pytest.fixture(scope="module")
@@ -391,3 +395,25 @@ class TestReportFiles:
         bad.write_text(json.dumps({"mode": "single"}))
         with pytest.raises(SchemaError):
             load_report(bad)
+
+
+def test_single_contact_path_leaves_numpy_ma_unimported():
+    # numpy imports numpy.ma (+1.3-1.7 MB RSS) on a process's first plain
+    # np.unique, which np.setdiff1d calls; the class maps and label checks
+    # of a single-contact train and eval make none
+    code = """
+import sys
+from eskin import (PipelineConfig, SingleForceProtocol, SkinModel, cross_validate,
+                   generate_single_force_dataset, train)
+from eskin.learners import ForestConfig
+ds = generate_single_force_dataset(SkinModel(), SingleForceProtocol(reps_per_cell=1))
+config = PipelineConfig(forest=ForestConfig(n_trees=2))
+train(ds, config)
+cross_validate(ds, k=2, config=config)
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=eskin_env(), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -26,12 +26,11 @@ from eskin import (
     ValidationError,
     cross_validate_two,
     generate_two_force_dataset,
-    infer_single,
-    infer_two,
+    infer,
     load_pipeline,
+    predict_batch,
     save_pipeline,
-    train_single,
-    train_two,
+    train,
 )
 from eskin.codec import from_dict, to_dict
 from eskin.learners import (
@@ -44,13 +43,7 @@ from eskin.learners import (
 )
 from eskin.learners import forest as forest_module
 from eskin.learners import gp as gp_module
-from eskin.pipeline import (
-    BUNDLE_SCHEMA_VERSION,
-    _bundle_dict,
-    pipeline_mode,
-    predict_single_batch,
-    predict_two_batch,
-)
+from eskin.pipeline import BUNDLE_SCHEMA_VERSION
 
 from .oracles import reference_predict
 from .payloads import array_of
@@ -59,10 +52,21 @@ FOREST_ARRAYS = ("is_split", "feature", "threshold", "leaf_counts", "classes")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _saved_force_models(path) -> list[dict]:
-    """The force model records of a saved bundle: one in either mode."""
-    pipeline = json.loads(path.read_text())["pipeline"]
-    return [v for k, v in pipeline.items() if k.startswith("force")]
+# the key of each forest, by prediction key, up to schema 9
+OLD_FOREST_KEYS = {"x_term": "col_clf", "y_term": "row_clf", "x1": "x1_clf",
+                   "y1": "y1_clf", "x2": "x2_clf", "y2": "y2_clf"}
+
+
+def _schema_9(p) -> dict:
+    """The schema-9 layout of a pipeline's bundle: the mode beside the
+    pipeline, one key per forest, and no stretch model or detector for two
+    contacts."""
+    models = to_dict(p)
+    mode = models.pop("mode")
+    for key, forest in models.pop("forests").items():
+        models[OLD_FOREST_KEYS[key]] = forest
+    models = {name: model for name, model in models.items() if model is not None}
+    return {"bundle_schema": 9, "mode": mode, "pipeline": models}
 
 
 def _without_diagnostics(bundle: dict) -> dict:
@@ -70,7 +74,7 @@ def _without_diagnostics(bundle: dict) -> dict:
     for name, model in bundle["pipeline"].items():
         if name == "detector":
             del model["iterations"], model["kkt_gap"]
-        elif name.startswith("force"):
+        elif name == "force_model":
             del model["rows_offered"]
     return bundle
 
@@ -78,24 +82,25 @@ def _without_diagnostics(bundle: dict) -> dict:
 def _schema_4(p) -> dict:
     """The schema-4 layout of a pipeline's bundle: arrays as nested lists of
     numbers, forests as nested-dict trees."""
-    bundle = _bundle_dict(p)
+    bundle = _schema_9(p)
     bundle["bundle_schema"] = 4
-    for name, model in bundle["pipeline"].items():
-        if name.endswith("_clf"):
-            for key in FOREST_ARRAYS:
-                del model[key]
-            model["trees"] = list(getattr(p, name).trees)
-        elif name == "detector" or name.startswith("force"):
-            for key, value in model.items():
-                if isinstance(value, dict) and "data" in value:
-                    model[key] = array_of(value).tolist()
+    for key, old in OLD_FOREST_KEYS.items():
+        if old in bundle["pipeline"]:
+            model = bundle["pipeline"][old]
+            for name in FOREST_ARRAYS:
+                del model[name]
+            model["trees"] = list(p.forests[key].trees)
+    for name in ("detector", "force_model"):
+        for key, value in bundle["pipeline"].get(name, {}).items():
+            if isinstance(value, dict) and "data" in value:
+                bundle["pipeline"][name][key] = array_of(value).tolist()
     return bundle
 
 
 def _schema_7(p) -> dict:
     """The schema-7 layout of a pipeline's bundle: standardizer statistics
     and OLS weights as lists of numbers."""
-    bundle = _bundle_dict(p)
+    bundle = _schema_9(p)
     bundle["bundle_schema"] = 7
     models = bundle["pipeline"]
     for vectors in (models["preprocessing"], models["force_model"]["scaler"],
@@ -109,11 +114,10 @@ def _schema_7(p) -> dict:
 def _schema_8(p) -> dict:
     """The schema-8 layout of a pipeline's bundle: forests without their
     class labels, and the config's node_axes."""
-    bundle = _bundle_dict(p)
+    bundle = _schema_9(p)
     bundle["bundle_schema"] = 8
-    for name, model in bundle["pipeline"].items():
-        if name.endswith("_clf"):
-            del model["classes"]
+    for old in OLD_FOREST_KEYS.values():
+        bundle["pipeline"].get(old, {}).pop("classes", None)
     bundle["pipeline"]["config"]["node_axes"] = [1, 6, 10]
     return bundle
 
@@ -163,32 +167,36 @@ class TestEstimateInvariants:
 
 
 class TestTrainGuards:
-    def test_single_schema_mismatch(self, two_ds):
-        with pytest.raises(SchemaError):
-            train_single(two_ds)
+    def test_single_mode_comes_from_the_data(self, trained_single):
+        p = trained_single
+        assert p.mode == "single" and list(p.forests) == ["x_term", "y_term"]
+        assert p.stretch_model is not None and p.detector is not None
+        assert p.force_model.alpha.ndim == 1   # one force: a 1-d fit
 
-    def test_two_schema_mismatch(self, small_single_ds):
-        with pytest.raises(SchemaError):
-            train_two(small_single_ds)
+    def test_two_mode_comes_from_the_data(self, trained_two):
+        p = trained_two
+        assert p.mode == "two" and list(p.forests) == ["x1", "y1", "x2", "y2"]
+        assert p.stretch_model is None and p.detector is None
+        assert p.force_model.mean_offset.shape == (2,)
 
     def test_single_empty(self):
         with pytest.raises(ValidationError):
-            train_single(Dataset(x=np.empty((0, 20)), labels=np.empty((0, 4))))
+            train(Dataset(x=np.empty((0, 20)), labels=np.empty((0, 4))))
 
     def test_single_without_positives(self, small_single_ds):
         blanks = small_single_ds.take(small_single_ds.node_ids() == 0)
         with pytest.raises(CoverageError, match="no contact-positive samples"):
-            train_single(blanks)
+            train(blanks)
 
     def test_two_terminals_come_from_the_data(self):
         # a (1, 5, 6) grid under the default config: the forests learn and
         # predict those terminals, and a report is labelled with them
         proto = TwoForceProtocol(node_axes=(1, 5, 6), forces=(0.0, 1.2936), reps=2)
         ds = generate_two_force_dataset(SkinModel(), proto)
-        p = train_two(ds)
-        out = predict_two_batch(p, ds.x)
+        p = train(ds)
+        out = predict_batch(p, ds.x)
         for name in ("x1", "y1", "x2", "y2"):
-            assert getattr(p, f"{name}_clf").classes.tolist() == [1, 5, 6]
+            assert p.forests[name].classes.tolist() == [1, 5, 6]
             assert set(out[name].tolist()) <= {1, 5, 6}
         report = cross_validate_two(ds, k=2)
         assert {cm.labels for cm in report.confusions.values()} == {(1, 5, 6)}
@@ -201,18 +209,18 @@ class TestTrainGuards:
         with pytest.raises(
             ValidationError, match=r"row 3 has a contact at node \(0, 0\)"
         ):
-            train_two(ds)
+            train(ds)
 
     def test_two_empty(self, two_ds):
         empty = two_ds.take(np.arange(0))
-        with pytest.raises(CoverageError, match="every axis class is absent"):
-            train_two(empty)
+        with pytest.raises(CoverageError, match="every terminal class is absent"):
+            train(empty)
 
 
 class TestSinglePredictions:
     def test_batch_output_contract(self, trained_single, small_single_ds):
         x = small_single_ds.features()[:50]
-        out = predict_single_batch(trained_single, x)
+        out = predict_batch(trained_single, x)
         assert set(out) == {"stretch", "detected", "x_term", "y_term", "force"}
         for v in out.values():
             assert v.shape == (50,)
@@ -223,7 +231,7 @@ class TestSinglePredictions:
 
     def test_training_fit_quality(self, trained_single, small_single_ds):
         x = small_single_ds.features()
-        out = predict_single_batch(trained_single, x)
+        out = predict_batch(trained_single, x)
         stretch_true = small_single_ds.label("lambda")
         assert np.corrcoef(stretch_true, out["stretch"])[0, 1] > 0.99
         detected_true = small_single_ds.node_ids() > 0
@@ -231,7 +239,7 @@ class TestSinglePredictions:
 
     def test_infer_rest_frame_is_blank(self, trained_single, small_single_ds):
         rest = np.flatnonzero(small_single_ds.node_ids() == 0)[0]
-        est = infer_single(trained_single, frame_of(small_single_ds, rest))
+        est = infer(trained_single, frame_of(small_single_ds, rest))
         assert not est.contact_detected
         assert est.node == NODE_ZERO
         assert est.force == 0.0
@@ -243,14 +251,14 @@ class TestSinglePredictions:
             & (ds.label("force_n") > 5.0)
             & (ds.label("lambda") == 1.0)
         )[0]
-        est = infer_single(trained_single, frame_of(ds, pressed))
+        est = infer(trained_single, frame_of(ds, pressed))
         assert est.contact_detected
         assert est.force > 0.5
         assert est.node.is_contact
 
     def test_infer_matches_batch(self, trained_single, small_single_ds):
-        est = infer_single(trained_single, frame_of(small_single_ds, 17))
-        out = predict_single_batch(trained_single, small_single_ds.x[17:18])
+        est = infer(trained_single, frame_of(small_single_ds, 17))
+        out = predict_batch(trained_single, small_single_ds.x[17:18])
         assert est.contact_detected == bool(out["detected"][0])
         assert est.stretch == pytest.approx(float(out["stretch"][0]))
         if est.contact_detected:
@@ -266,15 +274,15 @@ class TestForestTable:
         p = trained_single
         x = small_single_ds.features()[::25]
         z = p.preprocessing.transform(x)
-        want_x = reference_predict(p.col_clf, z)
-        want_y = reference_predict(p.row_clf, z)
-        out = predict_single_batch(p, x)
+        want_x = reference_predict(p.forests["x_term"], z)
+        want_y = reference_predict(p.forests["y_term"], z)
+        out = predict_batch(p, x)
         assert np.array_equal(out["x_term"], want_x)
         assert np.array_equal(out["y_term"], want_y)
         for i in range(x.shape[0]):
-            one = predict_single_batch(p, x[i : i + 1])
+            one = predict_batch(p, x[i : i + 1])
             assert (one["x_term"][0], one["y_term"][0]) == (want_x[i], want_y[i])
-            est = infer_single(p, CapacitanceFrame.from_vector(x[i]))
+            est = infer(p, CapacitanceFrame.from_vector(x[i]))
             if est.contact_detected:
                 assert (est.node.x, est.node.y) == (want_x[i], want_y[i])
 
@@ -282,15 +290,10 @@ class TestForestTable:
         p = trained_two
         x = small_two_ds.features()[::4]
         z = p.preprocessing.transform(x)
-        want = {
-            name: reference_predict(clf, z)
-            for name, clf in (
-                ("x1", p.x1_clf), ("y1", p.y1_clf), ("x2", p.x2_clf), ("y2", p.y2_clf)
-            )
-        }
-        out = predict_two_batch(p, x)
+        want = {name: reference_predict(clf, z) for name, clf in p.forests.items()}
+        out = predict_batch(p, x)
         for i in range(x.shape[0]):
-            one = predict_two_batch(p, x[i : i + 1])
+            one = predict_batch(p, x[i : i + 1])
             for name in want:
                 assert out[name][i] == one[name][0] == want[name][i]
 
@@ -315,23 +318,23 @@ class TestTrainFits:
         return built
 
     def test_single_fits_its_forests_in_one_pool(self, pools, small_single_ds):
-        p = train_single(small_single_ds, PipelineConfig(forest=self.FOREST))
+        p = train(small_single_ds, PipelineConfig(forest=self.FOREST))
         assert len(pools) == 1
         assert multiprocessing.active_children() == []
         pos = small_single_ds.label("node_x") != 0
         z = p.preprocessing.transform(small_single_ds.x[pos])
-        for name, label in (("col_clf", "node_x"), ("row_clf", "node_y")):
+        for name, label in (("x_term", "node_x"), ("y_term", "node_y")):
             y = small_single_ds.label(label)[pos]
-            assert getattr(p, name) == forest_fit(z, y, self.FOREST)
+            assert p.forests[name] == forest_fit(z, y, self.FOREST)
 
     def test_two_fits_its_forests_in_one_pool(self, pools, small_two_ds):
-        p = train_two(small_two_ds, PipelineConfig(forest=self.FOREST))
+        p = train(small_two_ds, PipelineConfig(forest=self.FOREST))
         assert len(pools) == 1
         assert multiprocessing.active_children() == []
         z = p.preprocessing.transform(small_two_ds.x)
         for name in ("x1", "y1", "x2", "y2"):
             y = small_two_ds.label(name)
-            assert getattr(p, f"{name}_clf") == forest_fit(z, y, self.FOREST)
+            assert p.forests[name] == forest_fit(z, y, self.FOREST)
 
     def test_gp_search_factors_once_a_cell(self, small_two_ds, monkeypatch):
         factors, factor = [], gp_module._factor
@@ -342,7 +345,7 @@ class TestTrainFits:
 
         monkeypatch.setattr(gp_module, "_factor", counted_factor)
         config = PipelineConfig(forest=self.FOREST, gp_search=True, gp_cap=40)
-        p = train_two(small_two_ds, config)
+        p = train(small_two_ds, config)
         assert len(factors) == 6   # the 3 x 2 grid, and no refit of its pick
         assert any(p.force_model.chol is f for f in factors)   # the pick's own
         assert p.force_model.rows_offered == len(small_two_ds)
@@ -354,8 +357,8 @@ class TestTwoPredictions:
         # and served on its own: the shared model's per-output arithmetic
         # must reproduce it bit for bit
         config = PipelineConfig(forest=ForestConfig(n_trees=2))
-        p = train_two(two_ds, config)
-        out = predict_two_batch(p, two_ds.x)
+        p = train(two_ds, config)
+        out = predict_batch(p, two_ds.x)
         gp = p.force_model
         assert gp.alpha.shape == (2, len(two_ds)) and gp.mean_offset.shape == (2,)
         for j, name in enumerate(("f1_n", "f2_n")):
@@ -370,7 +373,7 @@ class TestTwoPredictions:
 
     def test_batch_output_contract(self, trained_two, small_two_ds):
         x = small_two_ds.features()[:40]
-        out = predict_two_batch(trained_two, x)
+        out = predict_batch(trained_two, x)
         assert set(out) == {"x1", "y1", "x2", "y2", "force1", "force2"}
         for key in ("x1", "y1", "x2", "y2"):
             assert set(np.unique(out[key])).issubset({1, 6})
@@ -379,7 +382,7 @@ class TestTwoPredictions:
 
     def test_infer_orders_by_node_id(self, trained_two, small_two_ds):
         for i in range(20):
-            est = infer_two(trained_two, frame_of(small_two_ds, i))
+            est = infer(trained_two, frame_of(small_two_ds, i))
             assert len(est.contacts) == 2
             ids = [n.node_id for n, _ in est.contacts]
             assert ids == sorted(ids)
@@ -393,13 +396,13 @@ class TestBundles:
         path = tmp_path / "bundle_single.json"
         save_pipeline(trained_single, path)
         back = load_pipeline(path)
-        assert pipeline_mode(back) == "single"
+        assert back.mode == "single" and back == trained_single
         x = small_single_ds.features()[:30]
-        a = predict_single_batch(trained_single, x)
-        b = predict_single_batch(back, x)
+        a = predict_batch(trained_single, x)
+        b = predict_batch(back, x)
         for key in a:
             assert np.array_equal(a[key], b[key])
-        assert ["chol" in m for m in _saved_force_models(path)] == [False]
+        assert "chol" not in json.loads(path.read_text())["pipeline"]["force_model"]
         resaved = tmp_path / "resaved.json"
         save_pipeline(back, resaved)
         assert resaved.read_bytes() == path.read_bytes()
@@ -408,13 +411,15 @@ class TestBundles:
         path = tmp_path / "bundle_two.json"
         save_pipeline(trained_two, path)
         back = load_pipeline(path)
-        assert pipeline_mode(back) == "two"
+        # a load restores the forests in key order; the table keeps x1, y1, x2, y2
+        assert back.mode == "two" and back == trained_two
+        assert list(back.forests) == ["x1", "x2", "y1", "y2"]
         x = small_two_ds.features()[:30]
-        a = predict_two_batch(trained_two, x)
-        b = predict_two_batch(back, x)
+        a = predict_batch(trained_two, x)
+        b = predict_batch(back, x)
         for key in a:
             assert np.array_equal(a[key], b[key])
-        assert ["chol" in m for m in _saved_force_models(path)] == [False]
+        assert "chol" not in json.loads(path.read_text())["pipeline"]["force_model"]
         resaved = tmp_path / "resaved.json"
         save_pipeline(back, resaved)
         assert resaved.read_bytes() == path.read_bytes()
@@ -447,8 +452,8 @@ class TestBundles:
 
         monkeypatch.setattr(gp_module.np.linalg, "cholesky", refuse)
         x = small_single_ds.features()[:30]
-        a = predict_single_batch(trained_single, x)
-        b = predict_single_batch(back, x)
+        a = predict_batch(trained_single, x)
+        b = predict_batch(back, x)
         for key in a:
             assert np.array_equal(a[key], b[key])
         # the patch is live: asking the loaded model for its factor hits it
@@ -468,14 +473,13 @@ class TestBundles:
 
         monkeypatch.setattr(ForestModel, "trees", property(refuse))
         back = load_pipeline(path)
-        predict = predict_single_batch if trained == "trained_single" else predict_two_batch
         x = small_single_ds.features()[:5]
         for rows in (x, x[:1]):
-            out, want = predict(back, rows), predict(p, rows)
+            out, want = predict_batch(back, rows), predict_batch(p, rows)
             assert all(np.array_equal(out[k], want[k]) for k in want)
         save_pipeline(back, tmp_path / "resaved.json")
         with pytest.raises(AssertionError, match="nested trees"):
-            back.x1_clf.trees if trained == "trained_two" else back.row_clf.trees
+            next(iter(back.forests.values())).trees
 
     def test_save_is_byte_stable(self, trained_single, tmp_path):
         p1 = tmp_path / "a.json"
@@ -485,7 +489,7 @@ class TestBundles:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_training_is_deterministic(self, trained_single, small_single_ds, tmp_path):
-        fresh = train_single(small_single_ds)
+        fresh = train(small_single_ds)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save_pipeline(trained_single, p1)
@@ -500,7 +504,7 @@ class TestBundles:
 
     def test_load_rejects_wrong_schema_version(self, tmp_path):
         path = tmp_path / "bundle.json"
-        path.write_text('{"bundle_schema": 99, "mode": "single", "pipeline": {}}\n')
+        path.write_text('{"bundle_schema": 99, "pipeline": {}}\n')
         with pytest.raises(SchemaError, match="bundle schema"):
             load_pipeline(path)
 
@@ -528,7 +532,7 @@ class TestBundles:
 
     def test_load_rejects_schema_3_bundle(self, trained_single, tmp_path):
         # schema 3 was indented and held no SVM or GP fit diagnostics
-        old = _without_diagnostics(_bundle_dict(trained_single))
+        old = _without_diagnostics(_schema_9(trained_single))
         old["bundle_schema"] = 3
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(old, sort_keys=True, indent=1) + "\n")
@@ -544,7 +548,7 @@ class TestBundles:
 
     def test_load_rejects_schema_6_bundle(self, trained_two, tmp_path):
         # schema 6 held one single-output force GP per contact
-        old = _bundle_dict(trained_two)
+        old = _schema_9(trained_two)
         old["bundle_schema"] = 6
         gp = old["pipeline"].pop("force_model")
         old["pipeline"].update(force1_model=gp, force2_model=gp)
@@ -569,13 +573,21 @@ class TestBundles:
         with pytest.raises(SchemaError, match=r"schema 8 .*re-run `eskin train`"):
             load_pipeline(path)
 
+    @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+    def test_load_rejects_schema_9_bundle(self, trained, request, tmp_path):
+        # schema 9 held the mode beside the pipeline and one key per forest
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(_schema_9(request.getfixturevalue(trained))))
+        with pytest.raises(SchemaError, match=r"schema 9 .*re-run `eskin train`"):
+            load_pipeline(path)
+
     @pytest.mark.parametrize(
         "body",
         [
-            {"mode": "single", "pipeline": {}},
-            {"mode": "single"},
-            {"mode": "two", "pipeline": []},
-            {"mode": "two", "pipeline": {"x1_clf": 3}},
+            {"pipeline": {}},
+            {},
+            {"pipeline": []},
+            {"pipeline": {"mode": "two", "forests": 3}},
         ],
     )
     def test_load_rejects_missing_keys(self, body, tmp_path):
@@ -588,9 +600,9 @@ class TestBundles:
         path = tmp_path / "bundle.json"
         save_pipeline(trained_single, path)
         d = json.loads(path.read_text())
-        d["mode"] = "triple"
+        d["pipeline"]["mode"] = "triple"
         path.write_text(json.dumps(d))
-        with pytest.raises(SchemaError, match="mode"):
+        with pytest.raises(SchemaError, match="mode 'triple' is not single or two"):
             load_pipeline(path)
 
 
@@ -600,7 +612,11 @@ class TestFeatureWidths:
 
     def test_single_standardizer_one_short(self, trained_single):
         sc = trained_single.preprocessing
-        with pytest.raises(ValidationError, match=r"stretch_model 20, .*, preprocessing 19$"):
+        with pytest.raises(
+            ValidationError,
+            match=r"stretch_model 20, .*, preprocessing 19, "
+            r"forests\.x_term 20, forests\.y_term 20$",
+        ):
             replace(
                 trained_single,
                 preprocessing=Standardizer(mean=sc.mean[:-1], scale=sc.scale[:-1]),
@@ -630,31 +646,37 @@ class TestFeatureWidths:
 @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
 class TestBundleEncoding:
     def test_one_line_of_json(self, trained, request, tmp_path):
-        path = tmp_path / "bundle.json"
-        save_pipeline(request.getfixturevalue(trained), path)
-        text = path.read_text()
-        assert text.endswith("\n") and text.count("\n") == 1
-        assert json.loads(text)["bundle_schema"] == 9
-
-    def test_schema_4_keys_with_arrays_as_bytes(self, trained, request, tmp_path):
         p = request.getfixturevalue(trained)
         path = tmp_path / "bundle.json"
         save_pipeline(p, path)
-        new = json.loads(path.read_text())
-        old = _schema_4(p)
-        assert new.keys() == old.keys() and new["mode"] == old["mode"]
-        assert new["pipeline"].keys() == old["pipeline"].keys()
-        for name, model in new["pipeline"].items():
-            if name.endswith("_clf"):
-                assert model.keys() - old["pipeline"][name].keys() == set(FOREST_ARRAYS)
-                for key in FOREST_ARRAYS:
-                    assert np.array_equal(array_of(model[key]), getattr(getattr(p, name), key))
-            else:
-                assert model.keys() == old["pipeline"][name].keys()
-                for key, value in model.items():
-                    if isinstance(value, dict) and "data" in value:
-                        want = getattr(getattr(p, name), key)
-                        assert array_of(value).tobytes() == want.tobytes()
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        bundle = json.loads(text)
+        assert bundle.keys() == {"bundle_schema", "pipeline"}
+        assert bundle["bundle_schema"] == 10 and bundle["pipeline"]["mode"] == p.mode
+
+    def test_schema_4_keys_with_arrays_as_bytes(self, trained, request, tmp_path):
+        # each model keeps its schema-4 keys, with arrays as the bytes of the
+        # fitted model's arrays; the forests are keyed by prediction key
+        p = request.getfixturevalue(trained)
+        path = tmp_path / "bundle.json"
+        save_pipeline(p, path)
+        new = json.loads(path.read_text())["pipeline"]
+        old = _schema_4(p)["pipeline"]
+        models = {name: (model, getattr(p, name)) for name, model in new.items()
+                  if isinstance(model, dict) and name != "forests"}
+        forests = {OLD_FOREST_KEYS[key]: (model, p.forests[key])
+                   for key, model in new["forests"].items()}
+        assert models.keys() | forests.keys() == old.keys()
+        for name, (model, fitted) in forests.items():
+            assert model.keys() - old[name].keys() == set(FOREST_ARRAYS)
+            for key in FOREST_ARRAYS:
+                assert np.array_equal(array_of(model[key]), getattr(fitted, key))
+        for name, (model, fitted) in models.items():
+            assert model.keys() == old[name].keys()
+            for key, value in model.items():
+                if isinstance(value, dict) and "data" in value:
+                    assert array_of(value).tobytes() == getattr(fitted, key).tobytes()
 
 
 class TestReadmeSchema:

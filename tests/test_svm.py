@@ -50,7 +50,7 @@ def blob_problem(seed=0, n_neg=20, n_pos=30):
 
 
 def detection_problem(ds):
-    """The detector's training problem, as train_single builds it."""
+    """The detector's training problem, as pipeline.train builds it."""
     x = Standardizer.fit(ds.x).transform(ds.x)
     return x, np.where(ds.label("node_x") != 0, 1.0, -1.0)
 
