@@ -27,7 +27,7 @@ from .core import (
     save_dataset,
 )
 from .errors import ConfigError, CoverageError, EskinError
-from .evalkit import cross_validate, cross_validate_two, load_report, write_report_files
+from .evalkit import cross_validate, load_report, write_report_files
 from .pipeline import (
     load_pipeline,
     predict_batch,
@@ -145,12 +145,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     ds = load_dataset(args.data)
-    if ds.schema == SCHEMA_SINGLE:
-        k = args.k if args.k is not None else cfg.k_single
-        report = cross_validate(ds, k, seed=cfg.seed, config=cfg.pipeline)
-    else:
-        k = args.k if args.k is not None else cfg.k_two
-        report = cross_validate_two(ds, k, seed=cfg.seed, config=cfg.pipeline)
+    default_k = cfg.k_single if ds.schema == SCHEMA_SINGLE else cfg.k_two
+    k = default_k if args.k is None else args.k
+    report = cross_validate(ds, k, seed=cfg.seed, config=cfg.pipeline)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / f"report_{ds.schema}"
     write_report_files(report, out, emit_heatmaps=args.emit_heatmaps)
     print(report.headline())

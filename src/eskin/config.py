@@ -1,9 +1,15 @@
-"""Run configuration: embedded defaults, JSON overrides, one seed knob.
+"""Run configuration: embedded defaults, JSON overrides, one seed override.
 
 A fully-defaulted RunConfig reproduces the desk-scale evaluation run
 (6 060-sample single-force sweep, 10-fold CV; 648-sample two-force sweep,
 5-fold CV). A config file only needs the keys it wants to change; unknown
 keys are rejected rather than ignored.
+
+Each seeded component reads its own ``seed`` key: the two protocols seed
+their simulator noise, ``pipeline.forest`` its bootstrap draws and feature
+subsets, ``pipeline`` the force GP's subsample, and the top-level ``seed``
+only the fold shuffling of cross-validation. ``apply_seed`` (``--seed N``)
+sets them all.
 """
 
 from __future__ import annotations

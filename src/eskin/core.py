@@ -249,11 +249,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def require(self, schema: str) -> None:
-        """Raise :class:`SchemaError` unless the labels are of ``schema``."""
-        if self.schema != schema:
-            raise SchemaError(f"expected a {schema}-contact dataset, got {self.schema}")
-
     def features(self) -> np.ndarray:
         """(n, 20) feature matrix in serialisation order (``x`` itself)."""
         return self.x

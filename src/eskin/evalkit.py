@@ -8,11 +8,15 @@ they equal the sum of the per-fold matrices. Everything is a pure function
 of (dataset, k, seed, config), which is what makes report files
 byte-reproducible.
 
-Both contact modes train and predict each fold through the one pipeline
-(``pipeline.train``, ``pipeline.predict_batch``); they differ in what they
-score. Single-contact localisation and force metrics are computed on
-contact-positive test samples only (the gated estimate defines no node or
-force for a negative detection); detection accuracy covers every test sample.
+One ``cross_validate`` serves both contact modes. It takes the mode from the
+dataset, as ``pipeline.train`` does, stratifies on the node ids of each
+contact, and refuses a fold plan before any fold trains if a training split
+lacks a class or a test split holds no contact row. Terminal accuracies and
+force metrics are computed on the contact rows (every two-contact row is
+one; the gated single-contact estimate defines no node or force for a
+negative detection). One contact adds stretch metrics and detection
+accuracy over every test row; two contacts add the shared-axis and
+disjoint force MSEs.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (
     UndefinedMetricError,
     ValidationError,
 )
-from .pipeline import PipelineConfig, predict_batch, train
+from .pipeline import _MODES, PipelineConfig, predict_batch, train
 
 
 @dataclass(frozen=True)
@@ -146,14 +150,23 @@ def confusion(true, pred, labels) -> ConfusionMatrix:
     )
 
 
-# per mode: the pooled metrics the headline shows, in order, and the
-# confusion matrices a report holds
-_CONTENTS = {
-    SCHEMA_SINGLE: (("stretch_r2", "stretch_mse", "force_r2", "detection_accuracy",
-                     "row_accuracy", "col_accuracy"), {"col", "row"}),
-    SCHEMA_TWO: (("x1_accuracy", "y1_accuracy", "x2_accuracy", "y2_accuracy",
-                  "force1_r2", "force2_r2", "force_mse_shared_axis",
-                  "force_mse_disjoint"), {"x1", "y1", "x2", "y2"}),
+# per mode: the report name of each terminal key of pipeline._MODES, which
+# names its accuracy and its confusion matrix; the pooled metrics the
+# headline shows, in order; and the mode's report note
+_REPORTS = {
+    SCHEMA_SINGLE: (
+        {"x_term": "col", "y_term": "row"},
+        ("stretch_r2", "stretch_mse", "force_r2", "detection_accuracy",
+         "row_accuracy", "col_accuracy"),
+        "localisation and force metrics cover contact-positive test samples only",
+    ),
+    SCHEMA_TWO: (
+        {"x1": "x1", "y1": "y1", "x2": "x2", "y2": "y2"},
+        ("x1_accuracy", "y1_accuracy", "x2_accuracy", "y2_accuracy",
+         "force1_r2", "force2_r2", "force_mse_shared_axis", "force_mse_disjoint"),
+        "force_mse_shared_axis pools both contacts over test pairs sharing a "
+        "row or column terminal; force_mse_disjoint covers the remaining pairs",
+    ),
 }
 
 
@@ -184,9 +197,10 @@ class MetricsReport:
     notes: tuple[str, ...]
 
     def __post_init__(self):
-        if self.mode not in _CONTENTS:
+        if self.mode not in _REPORTS:
             raise ValidationError(f"report mode {self.mode!r} is not single or two")
-        headline, confusions = _CONTENTS[self.mode]
+        terminal_names, headline, _ = _REPORTS[self.mode]
+        confusions = set(terminal_names.values())
         names = set(self.per_fold)
         if not (
             names == set(self.fold_mean) == set(self.fold_std)
@@ -249,81 +263,43 @@ class MetricsReport:
         return dumps(to_dict(self), sort_keys=True, indent=1) + "\n"
 
     def headline(self) -> str:
-        parts = [f"{k}={self.pooled[k]:.6g}" for k in _CONTENTS[self.mode][0]]
+        parts = [f"{k}={self.pooled[k]:.6g}" for k in _REPORTS[self.mode][1]]
         return f"mode={self.mode} k={self.k} " + " ".join(parts)
 
 
-def _check_fold_coverage(plan: FoldPlan, columns: dict[str, np.ndarray]) -> None:
-    """Raise CoverageError unless every fold's training split holds every
-    nonzero value (0 is no contact) that each named column takes."""
-    for fold in range(plan.k):
-        train = plan.train_indices(fold)
-        for name, values in columns.items():
-            taken = np.bincount(values[train], minlength=values.max() + 1)
+def cross_validate(
+    ds: Dataset, k: int = 10, seed: int = 0, config: PipelineConfig | None = None
+) -> MetricsReport:
+    """k-fold CV of the pipeline of the dataset's contact mode, stratified on
+    the node ids of its contacts."""
+    single = ds.schema == SCHEMA_SINGLE
+    terminals, forces = _MODES[ds.schema]
+    names, _, note = _REPORTS[ds.schema]
+    columns = list(terminals.values())
+    node_ids = [ds.node_ids(x, y) for x, y in zip(columns[::2], columns[1::2])]
+    plan = stratified_kfold(list(zip(*(ids.tolist() for ids in node_ids))), k, seed)
+    truth = {key: ds.label(c) for key, c in (terminals | forces).items()}
+    if single:
+        truth["stretch"] = ds.label("lambda")
+    contact = np.logical_and.reduce([ids > 0 for ids in node_ids])
+
+    # every fold is checked before any is trained, so a bad plan fails fast:
+    # each training split must hold every nonzero value (0 is no contact)
+    # that each coverage column takes, and each test split a contact row
+    if single:
+        coverage = {"node classes": node_ids[0]}
+    else:
+        coverage = {f"{key} terminals": truth[key].astype(int) for key in terminals}
+    for fold in range(k):
+        tr = plan.train_indices(fold)
+        for name, values in coverage.items():
+            taken = np.bincount(values[tr], minlength=values.max() + 1)
             missing = np.flatnonzero((np.bincount(values) > 0) & (taken == 0))
             missing = missing[missing != 0]
             if missing.size:
                 raise CoverageError(
                     f"fold {fold}: training split lacks {name} {missing.tolist()}"
                 )
-
-
-def _fold_loop(ds: Dataset, plan: FoldPlan, config: PipelineConfig, metrics):
-    """Train on each fold's complement, predict its test rows and score them.
-
-    Returns the per-fold metrics, the test rows of all folds in fold order
-    and the predictions for those rows, concatenated the same way.
-    """
-    per_fold: dict[str, list] = {}
-    rows, outs = [], []
-    for fold in range(plan.k):
-        te = plan.test_indices(fold)
-        try:
-            p = train(ds.take(plan.train_indices(fold)), config)
-        except CoverageError as exc:
-            raise CoverageError(f"fold {fold}: {exc}")
-        out = predict_batch(p, ds.x[te])
-        for key, value in metrics(te, out).items():
-            per_fold.setdefault(key, []).append(value)
-        rows.append(te)
-        outs.append(out)
-    pooled = {key: np.concatenate([o[key] for o in outs]) for key in outs[0]}
-    return per_fold, np.concatenate(rows), pooled
-
-
-def _report(mode, ds, plan, seed, per_fold, pooled, confusions, notes) -> MetricsReport:
-    return MetricsReport(
-        mode=mode,
-        k=plan.k,
-        seed=seed,
-        n_samples=len(ds),
-        pooled=pooled,
-        per_fold={key: tuple(v) for key, v in per_fold.items()},
-        fold_mean={key: float(np.mean(v)) for key, v in per_fold.items()},
-        fold_std={key: float(np.std(v)) for key, v in per_fold.items()},
-        confusions=confusions,
-        notes=notes + (
-            "pooled metrics are computed over the concatenated test folds; "
-            "fold_mean/fold_std aggregate the per-fold values",
-        ),
-    )
-
-
-def cross_validate(
-    ds: Dataset, k: int = 10, seed: int = 0, config: PipelineConfig | None = None
-) -> MetricsReport:
-    """k-fold CV of the single-contact pipeline, stratified on pressed node."""
-    ds.require(SCHEMA_SINGLE)
-    node_ids = ds.node_ids()
-    plan = stratified_kfold(node_ids.tolist(), k, seed)
-    stretch = ds.label("lambda")
-    force = ds.label("force_n")
-    contact = node_ids > 0
-    x_term = ds.label("node_x")
-    y_term = ds.label("node_y")
-
-    # every fold is checked before any is trained, so a bad plan fails fast
-    _check_fold_coverage(plan, {"node classes": node_ids})
     for fold in range(k):
         if not np.any(contact[plan.test_indices(fold)]):
             raise CoverageError(
@@ -332,69 +308,68 @@ def cross_validate(
                 f"k={k} or a dataset with more reps per cell"
             )
 
-    def metrics(rows, out):
+    def scores(rows, out):
         pos = contact[rows]
-        return {
-            "stretch_r2": r2(stretch[rows], out["stretch"]),
-            "stretch_mse": mse(stretch[rows], out["stretch"]),
-            "detection_accuracy": float(np.mean(out["detected"] == pos)),
-            "force_r2": r2(force[rows][pos], out["force"][pos]),
-            "force_mse": mse(force[rows][pos], out["force"][pos]),
-            "row_accuracy": float(np.mean(out["y_term"][pos] == y_term[rows][pos])),
-            "col_accuracy": float(np.mean(out["x_term"][pos] == x_term[rows][pos])),
-        }
-
-    per_fold, rows, out = _fold_loop(ds, plan, config, metrics)
-    pos = contact[rows]
-    confusions = {
-        name: confusion(true[rows][pos], out[key][pos], range(1, 11))
-        for name, true, key in (("row", y_term, "y_term"), ("col", x_term, "x_term"))
-    }
-    return _report(
-        SCHEMA_SINGLE, ds, plan, seed, per_fold, metrics(rows, out), confusions,
-        ("localisation and force metrics cover contact-positive test samples only",),
-    )
-
-
-def cross_validate_two(
-    ds: Dataset, k: int = 5, seed: int = 0, config: PipelineConfig | None = None
-) -> MetricsReport:
-    """k-fold CV of the two-contact models, stratified on the node pair."""
-    ds.require(SCHEMA_TWO)
-    pairs = zip(ds.node_ids("x1", "y1").tolist(), ds.node_ids("x2", "y2").tolist())
-    plan = stratified_kfold(list(pairs), k, seed)
-    coord_keys = ("x1", "y1", "x2", "y2")
-    truth = {c: ds.label(c).astype(int) for c in coord_keys}
-    _check_fold_coverage(plan, {f"{c} terminals": truth[c] for c in coord_keys})
-    truth["force1"] = ds.label("f1_n")
-    truth["force2"] = ds.label("f2_n")
-
-    def metrics(rows, out):
-        m = {
-            f"{c}_accuracy": float(np.mean(out[c] == truth[c][rows]))
-            for c in coord_keys
-        }
-        for f in ("force1", "force2"):
-            m[f"{f}_r2"] = r2(truth[f][rows], out[f])
-            m[f"{f}_mse"] = mse(truth[f][rows], out[f])
+        m = {f"{name}_accuracy": float(np.mean(out[key][pos] == truth[key][rows][pos]))
+             for key, name in names.items()}
+        fits = [(key, pos) for key in forces]
+        if single:   # stretch and detection are scored on every row
+            fits.append(("stretch", slice(None)))
+            m["detection_accuracy"] = float(np.mean(out["detected"] == pos))
+        for key, on in fits:
+            y, yhat = truth[key][rows][on], out[key][on]
+            m[f"{key}_r2"], m[f"{key}_mse"] = r2(y, yhat), mse(y, yhat)
         return m
 
-    per_fold, rows, out = _fold_loop(ds, plan, config, metrics)
-    pooled = metrics(rows, out)
-    shared = (truth["x1"] == truth["x2"]) | (truth["y1"] == truth["y2"])
-    shared2 = np.concatenate([shared[rows], shared[rows]])
-    sq_err = np.concatenate(
-        [(out[f] - truth[f][rows]) ** 2 for f in ("force1", "force2")]
+    per_fold: dict[str, list] = {}
+    rows, outs = [], []
+    for fold in range(k):
+        te = plan.test_indices(fold)
+        try:
+            p = train(ds.take(plan.train_indices(fold)), config)
+        except CoverageError as exc:
+            raise CoverageError(f"fold {fold}: {exc}")
+        out = predict_batch(p, ds.x[te])
+        for key, value in scores(te, out).items():
+            per_fold.setdefault(key, []).append(value)
+        rows.append(te)
+        outs.append(out)
+    rows = np.concatenate(rows)
+    out = {key: np.concatenate([o[key] for o in outs]) for key in outs[0]}
+    pooled = scores(rows, out)
+    pos = contact[rows]
+    if single:
+        labels = range(1, 11)
+    else:
+        labels = np.unique([truth[key] for key in terminals])
+        shared = (truth["x1"] == truth["x2"]) | (truth["y1"] == truth["y2"])
+        shared2 = np.concatenate([shared[rows], shared[rows]])
+        sq_err = np.concatenate([(out[f] - truth[f][rows]) ** 2 for f in forces])
+        pooled["force_mse_shared_axis"] = float(np.mean(sq_err[shared2]))
+        pooled["force_mse_disjoint"] = float(np.mean(sq_err[~shared2]))
+    return MetricsReport(
+        mode=ds.schema,
+        k=k,
+        seed=seed,
+        n_samples=len(ds),
+        pooled=pooled,
+        per_fold={key: tuple(v) for key, v in per_fold.items()},
+        fold_mean={key: float(np.mean(v)) for key, v in per_fold.items()},
+        fold_std={key: float(np.std(v)) for key, v in per_fold.items()},
+        confusions={
+            name: confusion(truth[key][rows][pos], out[key][pos], labels)
+            for key, name in names.items()
+        },
+        notes=(
+            note,
+            "pooled metrics are computed over the concatenated test folds; "
+            "fold_mean/fold_std aggregate the per-fold values",
+        ),
     )
-    pooled["force_mse_shared_axis"] = float(np.mean(sq_err[shared2]))
-    pooled["force_mse_disjoint"] = float(np.mean(sq_err[~shared2]))
-    labels = np.unique([truth[c] for c in coord_keys])
-    cms = {c: confusion(truth[c][rows], out[c], labels) for c in coord_keys}
-    return _report(
-        SCHEMA_TWO, ds, plan, seed, per_fold, pooled, cms,
-        ("force_mse_shared_axis pools both contacts over test pairs sharing a "
-         "row or column terminal; force_mse_disjoint covers the remaining pairs",),
-    )
+
+
+# tests/test_acceptance.py imports this name from eskin
+cross_validate_two = cross_validate
 
 
 def confusion_to_csv(cm: ConfusionMatrix) -> str:

@@ -12,6 +12,7 @@ import os
 import re
 import shutil
 import subprocess
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -433,6 +434,29 @@ class TestEval:
         )
         assert rc == 1
         assert err.startswith("error:")
+
+    def test_two_contact_fold_without_rows_is_data_error(self, tmp_path, monkeypatch):
+        # 36 node pairs of 9 rows: with 400 folds, fold 9 tests no row at all.
+        # The plan is refused before any fold trains, with no numpy warning.
+        data = tmp_path / "two.csv"
+        rc, _, _ = run_cli("generate", "--mode", "two", "--reps", "1", "--out", str(data))
+        assert rc == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fold was trained")
+
+        monkeypatch.setattr(evalkit, "train", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, stdout, err = run_cli(
+                "eval", str(data), "--k", "400", "--out", str(tmp_path / "report")
+            )
+        assert rc == 2
+        assert stdout == ""
+        assert err.startswith("error: fold 9 test split holds no contact rows")
+        assert err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "report").exists()
 
     def test_constant_stretch_is_numeric_error(self, cli_env, tmp_path):
         cfg = tmp_path / "flat.json"
@@ -1173,7 +1197,7 @@ class TestModeFromInput:
 
     def test_eval(self, cli_env):
         cfg = load_config(cli_env["cfg"])
-        report = evalkit.cross_validate_two(
+        report = evalkit.cross_validate(
             load_dataset(cli_env["two_csv"]), cfg.k_two, seed=cfg.seed,
             config=cfg.pipeline,
         )

@@ -20,7 +20,6 @@ from eskin import (
     TrainedPipeline,
     TwoForceProtocol,
     cross_validate,
-    cross_validate_two,
     predict_batch,
     train,
 )
@@ -67,7 +66,7 @@ def reports(small_single_ds, small_two_ds):
     single = cross_validate(
         small_single_ds, k=2, config=PipelineConfig(forest=TINY_FOREST)
     )
-    two = cross_validate_two(
+    two = cross_validate(
         small_two_ds, k=2, config=PipelineConfig(forest=TINY_FOREST)
     )
     return {"single": single, "two": two}

@@ -26,6 +26,7 @@ from eskin import (
     r2,
     stratified_kfold,
 )
+from eskin import evalkit
 from eskin.codec import from_dict, to_dict
 from eskin.evalkit import (
     confusion_to_csv,
@@ -44,7 +45,7 @@ def single_report(small_single_ds):
 
 @pytest.fixture(scope="module")
 def two_report(small_two_ds):
-    return cross_validate_two(small_two_ds, k=2)
+    return cross_validate(small_two_ds, k=2)
 
 
 class TestStratifiedKfold:
@@ -264,30 +265,9 @@ class TestCrossValidateSingle:
         back = from_dict(MetricsReport, json.loads(single_report.to_json()))
         assert back.to_json() == single_report.to_json()
 
-    def test_missing_node_class_raises(self, small_single_ds):
-        keep = np.ones(len(small_single_ds), dtype=bool)
-        drop = np.flatnonzero(small_single_ds.node_ids() == 1)[:8]
-        assert len(drop) == 8   # node 1 keeps a single sample
-        keep[drop] = False
-        thin = small_single_ds.take(keep)
-        with pytest.raises(CoverageError, match="training split lacks node classes"):
-            cross_validate(thin, k=2)
-
-    def test_fold_without_contact_rows_raises(self, small_single_ds):
-        # one rep per cell gives 9 rows per node, so with k=10 one test fold
-        # holds only no-contact rows; caught before any fold is trained
-        with pytest.raises(
-            CoverageError, match=r"fold 9 test split holds no contact rows.*fewer folds"
-        ):
-            cross_validate(small_single_ds, k=10)
-
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             cross_validate(Dataset(x=np.empty((0, 20)), labels=np.empty((0, 4))), k=2)
-
-    def test_two_schema_rejected(self, small_two_ds):
-        with pytest.raises(SchemaError):
-            cross_validate(small_two_ds, k=2)
 
 
 class TestCrossValidateTwo:
@@ -319,28 +299,63 @@ class TestCrossValidateTwo:
             assert 0.0 <= two_report.pooled[key] <= 1.0
 
     def test_deterministic_report(self, small_two_ds, two_report):
-        again = cross_validate_two(small_two_ds, k=2)
+        again = cross_validate(small_two_ds, k=2)
         assert again.to_json() == two_report.to_json()
-
-    def test_fold_coverage_failure_is_attributed(self, small_two_ds):
-        ds = small_two_ds
-        keep = np.ones(len(ds), dtype=bool)
-        pair = (ds.node_ids("x1", "y1") == 1) & (ds.node_ids("x2", "y2") == 6)
-        drop = np.flatnonzero(pair)[:17]
-        assert len(drop) == 17
-        keep[drop] = False
-        thin = ds.take(keep)
-        with pytest.raises(CoverageError, match=r"fold \d+:"):
-            cross_validate_two(thin, k=2)
 
     def test_empty_rejected(self, two_ds):
         empty = two_ds.take(np.arange(0))
         with pytest.raises(ValidationError):
-            cross_validate_two(empty, k=2)
+            cross_validate(empty, k=2)
 
-    def test_single_schema_rejected(self, small_single_ds):
-        with pytest.raises(SchemaError):
-            cross_validate_two(small_single_ds, k=2)
+
+class TestCrossValidateModes:
+    """One cross_validate serves both contact modes, taking the mode from
+    the data; every fold plan is checked before any fold is trained."""
+
+    @pytest.fixture
+    def untrained(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fold was trained")
+
+        monkeypatch.setattr(evalkit, "train", refuse)
+
+    @pytest.mark.parametrize("mode, confusions", [
+        ("single", {"row", "col"}), ("two", {"x1", "y1", "x2", "y2"}),
+    ])
+    def test_mode_comes_from_the_data(self, request, mode, confusions):
+        report = request.getfixturevalue(f"{mode}_report")
+        assert report.mode == mode
+        assert set(report.confusions) == confusions
+        assert cross_validate_two is cross_validate
+
+    @pytest.mark.parametrize("mode, k", [("single", 10), ("two", 19)])
+    def test_fold_without_contact_rows_raises(self, request, untrained, mode, k):
+        # one rep per cell gives 9 rows per node, and the 2 x 2 two-contact
+        # grid 18 rows per node pair, so with k folds fold k - 1 tests no
+        # contact row: single-contact no-contact rows only, two-contact none
+        ds = request.getfixturevalue(f"small_{mode}_ds")
+        with pytest.raises(
+            CoverageError,
+            match=rf"fold {k - 1} test split holds no contact rows.*fewer folds",
+        ):
+            cross_validate(ds, k=k)
+
+    @pytest.mark.parametrize("mode, stratum, missing", [
+        ("single", lambda ds: ds.node_ids() == 1, "node classes"),
+        ("two", lambda ds: (ds.node_ids("x1", "y1") == 1)
+                           & (ds.node_ids("x2", "y2") == 6), "y2 terminals"),
+    ], ids=["single", "two"])
+    def test_fold_coverage_failure_is_attributed(
+        self, request, untrained, mode, stratum, missing
+    ):
+        # the stratum keeps one sample, so one training split lacks its node
+        ds = request.getfixturevalue(f"small_{mode}_ds")
+        keep = np.ones(len(ds), dtype=bool)
+        keep[np.flatnonzero(stratum(ds))[:-1]] = False
+        with pytest.raises(
+            CoverageError, match=rf"^fold 0: training split lacks {missing} \[1\]$"
+        ):
+            cross_validate(ds.take(keep), k=2)
 
 
 class TestReportFiles:

@@ -24,7 +24,7 @@ from eskin import (
     TwoContactEstimate,
     TwoForceProtocol,
     ValidationError,
-    cross_validate_two,
+    cross_validate,
     generate_two_force_dataset,
     infer,
     load_pipeline,
@@ -198,7 +198,7 @@ class TestTrainGuards:
         for name in ("x1", "y1", "x2", "y2"):
             assert p.forests[name].classes.tolist() == [1, 5, 6]
             assert set(out[name].tolist()) <= {1, 5, 6}
-        report = cross_validate_two(ds, k=2)
+        report = cross_validate(ds, k=2)
         assert {cm.labels for cm in report.confusions.values()} == {(1, 5, 6)}
 
     @pytest.mark.parametrize("contact", [1, 2])
