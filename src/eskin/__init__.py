@@ -38,7 +38,6 @@ from .errors import (
 )
 from .evalkit import (
     ConfusionMatrix,
-    FoldPlan,
     MetricsReport,
     confusion,
     cross_validate,

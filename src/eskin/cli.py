@@ -45,10 +45,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    """The type of --seed: numpy seeds its generators with ints >= 0 only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file (else $ESKIN_CONFIG)")
-    common.add_argument("--seed", type=int, help="override every seeded component")
+    common.add_argument("--seed", type=_seed, help="override every seeded component")
 
     p = _Parser(
         prog="eskin",

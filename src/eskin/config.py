@@ -40,6 +40,8 @@ class RunConfig:
     def __post_init__(self):
         if self.k_single < 2 or self.k_two < 2:
             raise ConfigError("fold counts must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:

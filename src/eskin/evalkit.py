@@ -1,7 +1,9 @@
 """Stratified cross-validation, metrics, and confusion-matrix reporting.
 
-Fold plans shuffle within each stratum and deal round-robin, so per-stratum
-fold counts never differ by more than 1. Reports carry pooled metrics
+A fold plan is one array holding each sample's fold id. A sample's stratum
+is a value or a row of values (here the node ids of its contacts); each
+stratum is shuffled and dealt round-robin, so per-stratum fold counts never
+differ by more than 1. Reports carry pooled metrics
 (computed over the concatenation of all test folds), per-fold values, and
 their mean/std; confusion matrices count the pooled test predictions, so
 they equal the sum of the per-fold matrices. Everything is a pure function
@@ -39,37 +41,29 @@ from .errors import (
 from .pipeline import _MODES, PipelineConfig, predict_batch, train
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Fold index per sample."""
+def stratified_kfold(strata, k: int, seed: int = 0) -> np.ndarray:
+    """Each sample's fold id in 0..k-1, as a read-only int array.
 
-    k: int
-    assignments: tuple[int, ...]
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.assignments) == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.assignments) != fold)
-
-
-def stratified_kfold(strata, k: int, seed: int = 0) -> FoldPlan:
-    """Shuffle each stratum by seed, then deal its samples round-robin."""
+    ``strata`` holds one value or one row per sample, and equal ones form a
+    stratum. One generator seeded by ``seed`` shuffles the ascending indices
+    of each stratum, in sorted (for rows, lexicographic) order of stratum,
+    then deals them round-robin to the folds."""
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
-    strata = list(strata)
-    if not strata:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    strata = np.asarray(strata)
+    if not len(strata):
         raise ValidationError("cannot fold an empty sample list")
+    _, stratum = np.unique(strata.reshape(len(strata), -1), axis=0, return_inverse=True)
     rng = np.random.default_rng(seed)
-    assignments = np.empty(len(strata), dtype=int)
-    groups: dict = {}
-    for i, s in enumerate(strata):
-        groups.setdefault(s, []).append(i)
-    for label in sorted(groups):
-        idx = np.array(groups[label])
+    folds = np.empty(len(strata), dtype=int)
+    for s in range(stratum.max() + 1):
+        idx = np.flatnonzero(stratum == s)
         rng.shuffle(idx)
-        assignments[idx] = np.arange(len(idx)) % k
-    return FoldPlan(k=k, assignments=tuple(int(a) for a in assignments))
+        folds[idx] = np.arange(idx.size) % k
+    folds.flags.writeable = False
+    return folds
 
 
 def _check_pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:
@@ -178,12 +172,12 @@ _RANGES = (("_accuracy", 0.0, 1.0), ("_mse", 0.0, math.inf), ("_r2", -math.inf, 
 class MetricsReport:
     """Construction checks that the report holds every metric and confusion
     matrix of its mode, at least one sample, k values per fold metric and at
-    least one note, and that no value is impossible: accuracies in [0, 1],
-    MSEs and fold stds >= 0, R^2 <= 1, and confusions as a cross-validation
-    writes them: single-contact row and col labelled 1..10, two-contact
-    matrices sharing strictly increasing labels in 1..10, each counting one
-    number of rows: the contact rows, at most n_samples, for one contact,
-    and n_samples for two."""
+    least one note, and that no value is impossible: k in 2..n_samples, a
+    seed >= 0, accuracies in [0, 1], MSEs and fold stds >= 0, R^2 <= 1, and
+    confusions as a cross-validation writes them: single-contact row and col
+    labelled 1..10, two-contact matrices sharing strictly increasing labels
+    in 1..10, each counting one number of rows: the contact rows, at most
+    n_samples, for one contact, and n_samples for two."""
 
     mode: str
     k: int
@@ -211,6 +205,13 @@ class MetricsReport:
             )
         if self.n_samples < 1:
             raise ValidationError("report n_samples must be >= 1")
+        # a cross-validation needs 2 folds and a contact row in each test fold
+        if not 2 <= self.k <= self.n_samples:
+            raise ValidationError(
+                f"report k {self.k} is outside [2, n_samples {self.n_samples}]"
+            )
+        if self.seed < 0:
+            raise ValidationError(f"report seed {self.seed} is below 0")
         if any(len(values) != self.k for values in self.per_fold.values()):
             raise ValidationError(f"every per-fold metric needs k={self.k} values")
         if set(self.confusions) != confusions:
@@ -277,7 +278,7 @@ def cross_validate(
     names, _, note = _REPORTS[ds.schema]
     columns = list(terminals.values())
     node_ids = [ds.node_ids(x, y) for x, y in zip(columns[::2], columns[1::2])]
-    plan = stratified_kfold(list(zip(*(ids.tolist() for ids in node_ids))), k, seed)
+    folds = stratified_kfold(np.column_stack(node_ids), k, seed)
     truth = {key: ds.label(c) for key, c in (terminals | forces).items()}
     if single:
         truth["stretch"] = ds.label("lambda")
@@ -291,7 +292,7 @@ def cross_validate(
     else:
         coverage = {f"{key} terminals": truth[key].astype(int) for key in terminals}
     for fold in range(k):
-        tr = plan.train_indices(fold)
+        tr = folds != fold
         for name, values in coverage.items():
             taken = np.bincount(values[tr], minlength=values.max() + 1)
             missing = np.flatnonzero((np.bincount(values) > 0) & (taken == 0))
@@ -301,7 +302,7 @@ def cross_validate(
                     f"fold {fold}: training split lacks {name} {missing.tolist()}"
                 )
     for fold in range(k):
-        if not np.any(contact[plan.test_indices(fold)]):
+        if not np.any(contact[folds == fold]):
             raise CoverageError(
                 f"fold {fold} test split holds no contact rows, so its force "
                 f"and localisation metrics are undefined; use fewer folds than "
@@ -324,9 +325,9 @@ def cross_validate(
     per_fold: dict[str, list] = {}
     rows, outs = [], []
     for fold in range(k):
-        te = plan.test_indices(fold)
+        te = np.flatnonzero(folds == fold)
         try:
-            p = train(ds.take(plan.train_indices(fold)), config)
+            p = train(ds.take(folds != fold), config)
         except CoverageError as exc:
             raise CoverageError(f"fold {fold}: {exc}")
         out = predict_batch(p, ds.x[te])

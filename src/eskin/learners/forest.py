@@ -89,6 +89,8 @@ class ForestConfig:
             raise ValidationError("min_leaf must be >= 1")
         if self.features_per_split is not None and self.features_per_split < 1:
             raise ValidationError("features_per_split must be >= 1 or None")
+        if self.seed < 0:
+            raise ValidationError(f"forest seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

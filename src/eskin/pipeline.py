@@ -90,6 +90,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.gp_cap < 1:
             raise ValidationError("gp_cap must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"pipeline seed must be >= 0, got {self.seed}")
 
 
 def _check_feature_widths(p: TrainedPipeline) -> None:

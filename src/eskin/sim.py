@@ -177,6 +177,8 @@ class SingleForceProtocol:
     def __post_init__(self):
         if self.reps_per_cell < 1:
             raise ProtocolError("reps_per_cell must be >= 1")
+        if self.seed < 0:
+            raise ProtocolError(f"single-force seed must be >= 0, got {self.seed}")
         if not self.stretches:
             raise ProtocolError("protocol needs at least one stretch level")
         _check_levels(self.stretches, 1.0, "stretch")
@@ -206,6 +208,8 @@ class TwoForceProtocol:
     def __post_init__(self):
         if self.reps < 1:
             raise ProtocolError("reps must be >= 1")
+        if self.seed < 0:
+            raise ProtocolError(f"two-force seed must be >= 0, got {self.seed}")
         _check_levels(self.forces, 0.0, "force")
         if not self.nonzero_forces():
             raise ProtocolError("two-force protocol needs a nonzero force level")

@@ -285,3 +285,21 @@ def forest_of(trees, classes, n_features):
         classes=np.array(classes, dtype=np.int32),
         n_features=n_features,
     )
+
+
+def stratified_kfold_oracle(strata, k, seed):
+    """Each sample's fold id, as a list, from the dict-of-lists fold plan:
+    group the sample indices by their hashable stratum (a value or a tuple),
+    visit the groups in ``sorted`` order, shuffle each group's ascending
+    indices with one ``default_rng(seed)`` and deal them round-robin."""
+    groups = {}
+    for i, s in enumerate(strata):
+        groups.setdefault(s, []).append(i)
+    rng = np.random.default_rng(seed)
+    folds = [None] * len(strata)
+    for label in sorted(groups):
+        idx = np.array(groups[label])
+        rng.shuffle(idx)
+        for position, i in enumerate(idx):
+            folds[i] = position % k
+    return folds

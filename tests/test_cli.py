@@ -219,6 +219,56 @@ class TestGenerate:
         assert not out.exists()
 
 
+class TestNegativeSeed:
+    """numpy seeds its generators with ints >= 0 only, so a negative seed,
+    from --seed or from any seed key of a config file, ends every command
+    that reads one with exit 1 and one error line, before it reads its
+    input or writes anything."""
+
+    @staticmethod
+    def run_command(cli_env, tmp_path, command, *extra):
+        out = tmp_path / "out"
+        inputs = {
+            "generate": [],
+            "train": [str(cli_env["single_csv"])],
+            "eval": [str(cli_env["single_csv"])],
+        }[command]
+        rc, stdout, err = run_cli(command, *inputs, "--out", str(out), *extra)
+        assert (rc, stdout) == (1, "")
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["generate", "train", "eval"])
+    def test_seed_flag(self, cli_env, tmp_path, command):
+        err = self.run_command(
+            cli_env, tmp_path, command, "--config", cli_env["cfg"], "--seed", "-1"
+        )
+        assert err == (
+            f"error: eskin {command}: argument --seed: seed must be >= 0, got -1\n"
+        )
+
+    @pytest.mark.parametrize("command", ["generate", "train", "eval"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"seed": -5}, "seed must be >= 0, got -5"),
+            ({"single_protocol": {"seed": -5}}, "single-force seed must be >= 0, got -5"),
+            ({"two_protocol": {"seed": -5}}, "two-force seed must be >= 0, got -5"),
+            ({"pipeline": {"seed": -5}},
+             "invalid config file {cfg}: pipeline seed must be >= 0, got -5"),
+            ({"pipeline": {"forest": {"seed": -5}}},
+             "invalid config file {cfg}: forest seed must be >= 0, got -5"),
+        ],
+        ids=["seed", "single_protocol", "two_protocol", "pipeline", "forest"],
+    )
+    def test_config_key(self, cli_env, tmp_path, command, override, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        err = self.run_command(cli_env, tmp_path, command, "--config", str(cfg))
+        assert err == f"error: {message.format(cfg=cfg)}\n"
+
+
 class TestTrain:
     def test_bundle_written_and_path_printed(self, cli_env):
         assert cli_env["train_single_stdout"].strip() == str(cli_env["single_bundle"])
@@ -1031,6 +1081,34 @@ class TestReport:
         assert rc == 2
         assert err == (
             "error: malformed report: ValidationError: report n_samples must be >= 1\n"
+        )
+
+    @pytest.mark.parametrize("k", [0, 1, None], ids=["0", "1", "n_samples+1"])
+    def test_fold_count_no_cross_validation_writes_is_data_error(
+        self, report_dir, tmp_path, k
+    ):
+        d = json.loads((report_dir / "report.json").read_text())
+        d["k"] = k = d["n_samples"] + 1 if k is None else k
+        # every per-fold list holds k values, so only the fold count is wrong
+        d["per_fold"] = {name: (v * k)[:k] for name, v in d["per_fold"].items()}
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(d))
+        rc, stdout, err = run_cli("report", str(bad))
+        assert (rc, stdout) == (2, "")
+        assert err == (
+            f"error: malformed report: ValidationError: report k {k} is outside "
+            f"[2, n_samples {d['n_samples']}]\n"
+        )
+
+    def test_negative_seed_is_data_error(self, report_dir, tmp_path):
+        d = json.loads((report_dir / "report.json").read_text())
+        d["seed"] = -4
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(d))
+        rc, stdout, err = run_cli("report", str(bad))
+        assert (rc, stdout) == (2, "")
+        assert err == (
+            "error: malformed report: ValidationError: report seed -4 is below 0\n"
         )
 
 

@@ -36,6 +36,7 @@ from eskin.evalkit import (
 )
 
 from .entry_point import eskin_env
+from .oracles import stratified_kfold_oracle
 
 
 @pytest.fixture(scope="module")
@@ -51,40 +52,47 @@ def two_report(small_two_ds):
 class TestStratifiedKfold:
     def test_balanced_two_class_k10(self):
         labels = ["a"] * 10 + ["b"] * 10
-        plan = stratified_kfold(labels, k=10)
+        folds = stratified_kfold(labels, k=10)
         for fold in range(10):
-            test = plan.test_indices(fold)
+            test = np.flatnonzero(folds == fold)
             assert len(test) == 2
             assert {labels[i] for i in test} == {"a", "b"}
 
     def test_seven_three_split(self):
-        labels = ["A"] * 7 + ["B"] * 3
-        plan = stratified_kfold(labels, k=2)
-        comps = []
-        for fold in range(2):
-            test = plan.test_indices(fold)
-            comps.append(
-                (
-                    sum(labels[i] == "A" for i in test),
-                    sum(labels[i] == "B" for i in test),
-                )
-            )
+        labels = np.array(["A"] * 7 + ["B"] * 3)
+        folds = stratified_kfold(labels, k=2)
+        comps = [
+            (int(np.sum(labels[folds == fold] == "A")),
+             int(np.sum(labels[folds == fold] == "B")))
+            for fold in range(2)
+        ]
         assert sorted(comps) == [(3, 1), (4, 2)]
 
     def test_k1_rejected(self):
         with pytest.raises(ConfigError):
             stratified_kfold([0, 1], k=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            stratified_kfold([0, 1], k=2, seed=-1)
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             stratified_kfold([], k=2)
 
+    def test_fold_ids_are_a_read_only_int_array(self):
+        folds = stratified_kfold([i % 3 for i in range(17)], k=4, seed=2)
+        assert folds.shape == (17,) and folds.dtype.kind == "i"
+        assert set(folds.tolist()) == set(range(4))
+        with pytest.raises(ValueError):
+            folds[0] = 1
+
     def test_train_test_complementary(self):
         labels = [i % 3 for i in range(17)]
-        plan = stratified_kfold(labels, k=4, seed=2)
+        folds = stratified_kfold(labels, k=4, seed=2)
         for fold in range(4):
-            test = set(plan.test_indices(fold))
-            train = set(plan.train_indices(fold))
+            test = set(np.flatnonzero(folds == fold).tolist())
+            train = set(np.flatnonzero(folds != fold).tolist())
             assert test | train == set(range(17))
             assert not (test & train)
 
@@ -93,8 +101,8 @@ class TestStratifiedKfold:
         a = stratified_kfold(labels, k=3, seed=5)
         b = stratified_kfold(labels, k=3, seed=5)
         c = stratified_kfold(labels, k=3, seed=6)
-        assert a.assignments == b.assignments
-        assert a.assignments != c.assignments
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @given(
         n=st.integers(4, 60),
@@ -104,16 +112,29 @@ class TestStratifiedKfold:
     )
     def test_partition_and_balance(self, n, k, n_classes, seed):
         rng = np.random.default_rng(seed)
-        labels = [int(v) for v in rng.integers(0, n_classes, n)]
-        plan = stratified_kfold(labels, k=k, seed=seed)
-        seen = [i for f in range(k) for i in plan.test_indices(f)]
-        assert sorted(seen) == list(range(n))
+        labels = rng.integers(0, n_classes, n)
+        folds = stratified_kfold(labels, k=k, seed=seed)
+        assert folds.shape == (n,) and set(folds.tolist()) <= set(range(k))
         # every stratum spreads as evenly as it can
-        for cls in set(labels):
-            per_fold = [
-                sum(labels[i] == cls for i in plan.test_indices(f)) for f in range(k)
-            ]
+        for cls in set(labels.tolist()):
+            per_fold = np.bincount(folds[labels == cls], minlength=k)
             assert max(per_fold) - min(per_fold) <= 1
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            st.integers(-3, 12),
+            st.text("abAB", max_size=3),
+            # the node ids of two contacts: one row per sample
+            st.tuples(st.integers(0, 10), st.integers(0, 10)),
+        ],
+        ids=["int", "str", "pair"],
+    )
+    @given(data=st.data(), k=st.integers(2, 11), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dict_of_lists_plan(self, values, data, k, seed):
+        strata = data.draw(st.lists(values, min_size=1, max_size=150))
+        folds = stratified_kfold(strata, k, seed)
+        assert folds.tolist() == stratified_kfold_oracle(strata, k, seed)
 
 
 class TestMetrics:
