@@ -75,10 +75,10 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     merged = _deep_merge(to_dict(RunConfig()), overrides)
     try:
         return from_dict(RunConfig, merged)
-    except ConfigError:
-        raise
     except (EskinError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config file {path}: {exc}")
+        # exit 1 either way: a ConfigError (a ProtocolError) keeps its class
+        cls = type(exc) if isinstance(exc, ConfigError) else ConfigError
+        raise cls(f"invalid config file {path}: {exc}")
 
 
 def apply_seed(cfg: RunConfig, seed: int) -> RunConfig:

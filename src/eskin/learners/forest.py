@@ -27,10 +27,16 @@ one queue starts with every tree's root, and each split node appends its
 left and right child. So the children of the s-th split are nodes
 n_trees + 2s and n_trees + 2s + 1, and the arrays need no child pointers: a
 split mask over the nodes, each split's feature and threshold, each leaf's
-class counts, and the classes. That is also the bundle's layout, and the
-model checks it on construction. ``ForestModel.trees`` rebuilds the
-nested-dict view ({"feature", "threshold", "left", "right"} and {"counts"})
-on demand; fit, load and predict never build it.
+nonzero class counts, and the classes. A leaf's counts are entries, as
+ONNX-ML's ``TreeEnsembleClassifier`` lists its leaf votes or a CSR matrix
+its rows: how many classes the leaf holds, then each one's class index and
+count, classes increasing. A tree grown to purity (the default config) has
+one class a leaf, so a leaf is three numbers however many classes the
+forest has. That is also the bundle's layout, and the model checks it on
+construction. ``ForestModel.leaf_counts`` (the dense matrix) and
+``ForestModel.trees`` (the nested-dict view, {"feature", "threshold",
+"left", "right"} and {"counts"}) are built on demand; fit, load and predict
+build neither.
 
 Predict serves from a node table (parallel feature, threshold, right-child
 and leaf-class arrays, after the sklearn ``Tree`` layout; Louppe 2014,
@@ -61,6 +67,7 @@ import threading
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,22 +132,24 @@ class ForestTable:
 
 @dataclass(frozen=True)
 class ForestModel:
-    """A fitted forest as node arrays in queue order (see the module
-    docstring). The arrays give the tree and class counts. Construction
-    checks that they describe whole trees of labelled classes, and raises
-    ValidationError if not."""
+    """A fitted forest as node arrays in queue order, each leaf's class
+    counts as entries (see the module docstring). The arrays give the tree,
+    class and entry counts. Construction checks that they describe whole
+    trees of labelled classes, and raises ValidationError if not."""
 
     is_split: BoolArray       # (n_nodes,): True at a split, False at a leaf
     feature: IntArray         # (n_splits,): each split's feature
     threshold: FloatArray     # (n_splits,): go left when x[feature] <= threshold
-    leaf_counts: IntArray     # (n_leaves, n_classes): training rows per class
+    leaf_entries: IntArray    # (n_leaves,): classes with training rows in each leaf
+    entry_class: IntArray     # (n_entries,): their class indices, leaf by leaf
+    entry_count: IntArray     # (n_entries,): their training rows
     classes: IntArray         # (n_classes,): the label of each class, increasing
     n_features: int
 
     __eq__ = fields_equal
 
     def __post_init__(self):
-        split, counts = self.is_split, self.leaf_counts
+        split, entries = self.is_split, self.leaf_entries
         n_splits, n_trees = int(np.count_nonzero(split)), self.n_trees
         if split.ndim != 1 or n_trees < 1:
             raise ValidationError(
@@ -153,17 +162,26 @@ class ForestModel:
                 f"and thresholds {self.threshold.shape}"
             )
         n_leaves = n_trees + n_splits
-        if counts.ndim != 2 or counts.shape[0] != n_leaves or counts.shape[1] < 1:
+        if entries.shape != (n_leaves,):
             raise ValidationError(
-                f"forest leaf counts are {counts.shape}, expected "
-                f"({n_leaves}, n_classes >= 1): one row per leaf, "
-                "one count per class"
+                f"forest leaf_entries are {entries.shape}, expected ({n_leaves},): "
+                "one per leaf"
+            )
+        if np.any(entries < 1):
+            raise ValidationError(
+                "forest leaf_entries must be >= 1: every leaf holds training rows"
+            )
+        n_entries = int(entries.sum())
+        if {self.entry_class.shape, self.entry_count.shape} != {(n_entries,)}:
+            raise ValidationError(
+                f"forest leaf_entries sum to {n_entries} but entry_class is "
+                f"{self.entry_class.shape} and entry_count {self.entry_count.shape}"
             )
         classes = self.classes
-        if classes.shape != counts.shape[1:] or np.any(classes[1:] <= classes[:-1]):
+        if classes.ndim != 1 or classes.size < 1 or np.any(classes[1:] <= classes[:-1]):
             raise ValidationError(
-                f"forest classes {classes.tolist()} are not {counts.shape[1]} "
-                "strictly increasing labels, one per leaf-count column"
+                f"forest classes {classes.tolist()} are not one or more strictly "
+                "increasing labels"
             )
         if np.any(classes < 0):
             raise ValidationError(
@@ -187,8 +205,20 @@ class ForestModel:
             raise ValidationError(
                 f"split threshold {self.threshold[~finite][0]} is not finite"
             )
-        if np.any(counts < 0):
-            raise ValidationError("forest leaf counts must be >= 0")
+        bad = (self.entry_class < 0) | (self.entry_class >= classes.size)
+        if bad.any():
+            raise ValidationError(
+                f"forest entry_class {self.entry_class[bad][0]} is not in "
+                f"0..{classes.size - 1}"
+            )
+        # leaf by leaf, classes increasing within each: one increasing key
+        key = np.repeat(np.arange(n_leaves), entries) * classes.size + self.entry_class
+        if np.any(key[1:] <= key[:-1]):
+            raise ValidationError(
+                "forest entry_class is not strictly increasing within a leaf"
+            )
+        if np.any(self.entry_count < 1):
+            raise ValidationError("forest entry_count must be >= 1")
 
     @property
     def n_trees(self) -> int:
@@ -197,7 +227,29 @@ class ForestModel:
 
     @property
     def n_classes(self) -> int:
-        return self.leaf_counts.shape[1]
+        return self.classes.shape[0]
+
+    @property
+    def leaf_class(self) -> np.ndarray:
+        """(n_leaves,): the class of each leaf's largest count, the smaller
+        class on a tie, read from the entries."""
+        entries, count = self.leaf_entries, self.entry_count
+        starts = np.cumsum(entries) - entries
+        top = count == np.repeat(np.maximum.reduceat(count, starts), entries)
+        return np.minimum.reduceat(
+            np.where(top, self.entry_class, self.n_classes), starts
+        )
+
+    @cached_property
+    def leaf_counts(self) -> np.ndarray:
+        """(n_leaves, n_classes): training rows per class of each leaf, the
+        dense form of the entries, built on first use and read-only."""
+        n_leaves = self.leaf_entries.shape[0]
+        dense = np.zeros((n_leaves, self.n_classes), dtype=np.int32)
+        leaf = np.repeat(np.arange(n_leaves), self.leaf_entries)
+        dense[leaf, self.entry_class] = self.entry_count
+        dense.flags.writeable = False
+        return dense
 
     @property
     def trees(self) -> tuple[dict, ...]:
@@ -215,6 +267,17 @@ class ForestModel:
             child = n_trees + 2 * s
             nodes[i]["left"], nodes[i]["right"] = nodes[child], nodes[child + 1]
         return tuple(nodes[:n_trees])
+
+
+def _entries(counts: np.ndarray) -> dict[str, np.ndarray]:
+    """The entry arrays of a dense (n_leaves, n_classes) count matrix, keyed
+    by their ForestModel field: each row's nonzero counts, in class order."""
+    leaf, cls = np.nonzero(counts)
+    return {
+        "leaf_entries": np.count_nonzero(counts, axis=1).astype(np.int32),
+        "entry_class": cls.astype(np.int32),
+        "entry_count": counts[leaf, cls].astype(np.int32),
+    }
 
 
 def _check_labels(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,7 +480,7 @@ def _assemble(trees: Sequence[tuple], classes: np.ndarray, d: int) -> ForestMode
         is_split=is_split[np.argsort(depth, kind="stable")],
         feature=feature[split_order],
         threshold=threshold[split_order],
-        leaf_counts=leaf_counts[np.argsort(depth[~is_split], kind="stable")],
+        **_entries(leaf_counts[np.argsort(depth[~is_split], kind="stable")]),
         classes=classes.astype(np.int32),
         n_features=d,
     )
@@ -490,7 +553,7 @@ def compile_forests(models: Sequence[ForestModel]) -> ForestTable:
             depth += 1
         depths.append(depth)
         leaf_class = np.zeros(n, dtype=np.intp)
-        leaf_class[~split] = class_base + np.argmax(model.leaf_counts, axis=1)
+        leaf_class[~split] = class_base + model.leaf_class
         right_parts.append(node_base + np.where(
             split, n_trees + 2 * splits_before[:-1] + 1, np.arange(n)
         ))

@@ -62,7 +62,8 @@ from .learners import (
 # 9: each forest stores its class labels; the config names no grid axes
 # 10: one record for both modes: the mode inside the pipeline, forests keyed
 #     by prediction key, no stretch model or detector for two contacts
-BUNDLE_SCHEMA_VERSION = 10
+# 11: forest leaf counts as entries, each leaf's nonzero classes and counts
+BUNDLE_SCHEMA_VERSION = 11
 
 # Per contact mode, the dataset columns the pipeline learns: each terminal
 # column by one forest, and the force columns as the outputs of one GP, all

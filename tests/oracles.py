@@ -264,14 +264,18 @@ def reference_predict(model, x):
 def forest_of(trees, classes, n_features):
     """A ForestModel of nested-dict trees, flattened the obvious way: one
     queue walks all trees breadth first, roots first, and each split
-    queues its left and right child at the end. ``classes`` labels the
-    columns of the leaf counts."""
+    queues its left and right child at the end. Each leaf lists its
+    nonzero counts in class order, and ``classes`` labels the classes."""
     nodes = list(trees)
-    is_split, feature, threshold, counts = [], [], [], []
+    is_split, feature, threshold = [], [], []
+    leaf_entries, entry_class, entry_count = [], [], []
     for node in nodes:   # the loop visits what it appends
         if "counts" in node:
             is_split.append(False)
-            counts.append(node["counts"])
+            nonzero = [(c, n) for c, n in enumerate(node["counts"]) if n != 0]
+            leaf_entries.append(len(nonzero))
+            entry_class += [c for c, _ in nonzero]
+            entry_count += [n for _, n in nonzero]
         else:
             is_split.append(True)
             feature.append(node["feature"])
@@ -281,7 +285,9 @@ def forest_of(trees, classes, n_features):
         is_split=np.array(is_split, dtype=bool),
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=float),
-        leaf_counts=np.array(counts, dtype=np.int32).reshape(len(counts), len(classes)),
+        leaf_entries=np.array(leaf_entries, dtype=np.int32),
+        entry_class=np.array(entry_class, dtype=np.int32),
+        entry_count=np.array(entry_count, dtype=np.int32),
         classes=np.array(classes, dtype=np.int32),
         n_features=n_features,
     )

@@ -46,6 +46,13 @@ MALFORMED = "error: malformed model bundle: "
 NOT_JSON = "error: model bundle is not valid JSON: "
 
 
+def repeat_first_entry(forest: dict) -> None:
+    """Give a forest's first leaf a second entry of its first class."""
+    edit_array(forest, "leaf_entries", lambda a: a.__setitem__(0, a[0] + 1))
+    edit_array(forest, "entry_class", lambda a: np.insert(a, 0, a[0]))
+    edit_array(forest, "entry_count", lambda a: np.insert(a, 0, 1))
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -252,9 +259,11 @@ class TestNegativeSeed:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"seed": -5}, "seed must be >= 0, got -5"),
-            ({"single_protocol": {"seed": -5}}, "single-force seed must be >= 0, got -5"),
-            ({"two_protocol": {"seed": -5}}, "two-force seed must be >= 0, got -5"),
+            ({"seed": -5}, "invalid config file {cfg}: seed must be >= 0, got -5"),
+            ({"single_protocol": {"seed": -5}},
+             "invalid config file {cfg}: single-force seed must be >= 0, got -5"),
+            ({"two_protocol": {"seed": -5}},
+             "invalid config file {cfg}: two-force seed must be >= 0, got -5"),
             ({"pipeline": {"seed": -5}},
              "invalid config file {cfg}: pipeline seed must be >= 0, got -5"),
             ({"pipeline": {"forest": {"seed": -5}}},
@@ -275,7 +284,7 @@ class TestTrain:
         assert cli_env["single_bundle"].exists()
         assert cli_env["two_bundle"].exists()
         d = json.loads(cli_env["single_bundle"].read_text())
-        assert d["bundle_schema"] == 10
+        assert d["bundle_schema"] == 11
         assert d["pipeline"]["mode"] == "single"
         # every contact row fits under the default gp_cap, so no note
         assert cli_env["train_single_stderr"] == ""
@@ -673,6 +682,7 @@ class TestInfer:
             '{"bundle_schema": 7, "mode": "single", "pipeline": {}}',
             '{"bundle_schema": 8, "mode": "two", "pipeline": {}}',
             '{"bundle_schema": 9, "mode": "single", "pipeline": {}}',
+            '{"bundle_schema": 10, "pipeline": {"mode": "single"}}',
         ],
     )
     def test_malformed_bundle_is_data_error(self, cli_env, tmp_path, payload):
@@ -802,9 +812,20 @@ class TestInfer:
                 MALFORMED + "ValueError: detector.dual_coefs.data: ",
             ),
             (
-                lambda p: p["forests"]["y_term"]["leaf_counts"].update(dtype="int64"),
+                lambda p: p["forests"]["y_term"]["entry_count"].update(dtype="int64"),
                 MALFORMED
-                + "TypeError: forests.y_term.leaf_counts.dtype: 'int64' is not one of",
+                + "TypeError: forests.y_term.entry_count.dtype: 'int64' is not one of",
+            ),
+            (
+                lambda p: p["forests"]["x_term"]["leaf_entries"].update(dtype="bool"),
+                MALFORMED
+                + "TypeError: forests.x_term.leaf_entries.dtype: expected int32, got bool",
+            ),
+            (
+                lambda p: p["forests"]["x_term"]["entry_class"].update(
+                    data=p["forests"]["x_term"]["entry_class"]["data"][8:]
+                ),
+                MALFORMED + "ValueError: forests.x_term.entry_class.data: ",
             ),
             # forest node arrays
             (
@@ -817,11 +838,11 @@ class TestInfer:
                                      lambda a: a.__setitem__(3, math.nan)),
                 MALFORMED + "ValidationError: split threshold nan is not finite",
             ),
-            # two leaves fewer in the mask than leaf count rows
+            # two leaves fewer in the mask than leaf entry counts
             (
                 lambda p: edit_array(p["forests"]["y_term"], "is_split",
                                      lambda a: a[:-2]),
-                MALFORMED + "ValidationError: forest leaf counts are (",
+                MALFORMED + "ValidationError: forest leaf_entries are (",
             ),
             (
                 lambda p: edit_array(p["forests"]["y_term"], "is_split",
@@ -833,27 +854,57 @@ class TestInfer:
                                      lambda a: a[:-1]),
                 MALFORMED + "ValidationError: forest has ",
             ),
+            # leaf entries
             (
-                lambda p: edit_array(p["forests"]["x_term"], "leaf_counts",
+                lambda p: edit_array(p["forests"]["x_term"], "leaf_entries",
                                      lambda a: a[:-1]),
-                MALFORMED + "ValidationError: forest leaf counts are (",
+                MALFORMED + "ValidationError: forest leaf_entries are (",
             ),
             (
-                lambda p: edit_array(p["forests"]["x_term"], "leaf_counts",
-                                     lambda a: a[:, :0]),
-                MALFORMED + "ValidationError: forest leaf counts are (",
+                lambda p: edit_array(p["forests"]["x_term"], "leaf_entries",
+                                     lambda a: a.__setitem__(0, 0)),
+                MALFORMED + "ValidationError: forest leaf_entries must be >= 1",
+            ),
+            (
+                lambda p: edit_array(p["forests"]["y_term"], "entry_class",
+                                     lambda a: a[:-1]),
+                MALFORMED + "ValidationError: forest leaf_entries sum to ",
+            ),
+            (
+                lambda p: edit_array(p["forests"]["y_term"], "entry_count",
+                                     lambda a: np.append(a, 1)),
+                MALFORMED + "ValidationError: forest leaf_entries sum to ",
+            ),
+            (
+                lambda p: edit_array(p["forests"]["x_term"], "entry_class",
+                                     lambda a: a.__setitem__(0, 10)),
+                MALFORMED + "ValidationError: forest entry_class 10 is not in 0..9",
+            ),
+            (
+                lambda p: edit_array(p["forests"]["x_term"], "entry_class",
+                                     lambda a: a.__setitem__(0, -1)),
+                MALFORMED + "ValidationError: forest entry_class -1 is not in 0..9",
+            ),
+            (
+                lambda p: repeat_first_entry(p["forests"]["x_term"]),
+                MALFORMED + "ValidationError: forest entry_class is not strictly "
+                "increasing within a leaf",
+            ),
+            (
+                lambda p: edit_array(p["forests"]["y_term"], "entry_count",
+                                     lambda a: a.__setitem__(-1, 0)),
+                MALFORMED + "ValidationError: forest entry_count must be >= 1",
             ),
             (
                 lambda p: edit_array(p["forests"]["x_term"], "classes",
                                      lambda a: a[::-1]),
                 MALFORMED + "ValidationError: forest classes [10, 9, 8, 7, 6, 5, 4, 3, "
-                "2, 1] are not 10 strictly increasing labels",
+                "2, 1] are not one or more strictly increasing labels",
             ),
             (
                 lambda p: edit_array(p["forests"]["y_term"], "classes",
                                      lambda a: a[:-1]),
-                MALFORMED + "ValidationError: forest classes [1, 2, 3, 4, 5, 6, 7, 8, "
-                "9] are not 10 strictly increasing labels",
+                MALFORMED + "ValidationError: forest entry_class 9 is not in 0..8",
             ),
             # a label no fit takes, which would fail only at a node lookup
             (

@@ -20,7 +20,9 @@ from eskin import (
     TrainedPipeline,
     TwoForceProtocol,
     cross_validate,
+    load_pipeline,
     predict_batch,
+    save_pipeline,
     train,
 )
 from eskin.codec import dumps, from_dict, loads, to_dict
@@ -106,7 +108,8 @@ class TestArrayBytes:
         for model in (trained_two.forests["x1"], trained_two.forests["y2"]):
             back = json_round_trip(model)
             assert back == model
-            for name in ("is_split", "feature", "threshold", "leaf_counts"):
+            for name in ("is_split", "feature", "threshold", "leaf_entries",
+                         "entry_class", "entry_count"):
                 a, b = getattr(model, name), getattr(back, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -161,9 +164,9 @@ class TestRecordEquality:
         again = train(small_two_ds)
         assert again == trained_two
         y2 = again.forests["y2"]
-        counts = y2.leaf_counts.copy()
-        counts[0, 0] += 1
-        forests = dict(again.forests, y2=dataclasses.replace(y2, leaf_counts=counts))
+        counts = y2.entry_count.copy()
+        counts[0] += 1
+        forests = dict(again.forests, y2=dataclasses.replace(y2, entry_count=counts))
         changed = dataclasses.replace(again, forests=forests)
         assert changed != trained_two
 
@@ -251,8 +254,21 @@ class TestDerivedFieldsNotWritten:
         predict_batch(trained_single, np.zeros((1, 20)))
         assert "table" in vars(trained_single)
         assert set(to_dict(trained_single.forests["y_term"])) == {
-            "is_split", "feature", "threshold", "leaf_counts", "classes", "n_features",
+            "is_split", "feature", "threshold", "leaf_entries", "entry_class",
+            "entry_count", "classes", "n_features",
         }
+
+    @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+    def test_serving_a_loaded_bundle_builds_no_dense_leaf_counts(
+        self, trained, request, tmp_path
+    ):
+        path = tmp_path / "bundle.json"
+        save_pipeline(request.getfixturevalue(trained), path)
+        p = load_pipeline(path)
+        predict_batch(p, np.ones((3, 20)))
+        predict_batch(p, np.ones((1, 20)))
+        assert "table" in vars(p)
+        assert not any("leaf_counts" in vars(m) for m in p.forests.values())
 
     def test_pipeline_text(self, trained_single):
         gp_predict(trained_single.force_model, np.ones((1, 20)))

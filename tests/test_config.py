@@ -7,6 +7,7 @@ import pytest
 from eskin import (
     ConfigError,
     PipelineConfig,
+    ProtocolError,
     RunConfig,
     SingleForceProtocol,
     SkinModel,
@@ -117,6 +118,25 @@ class TestOverrides:
         path = write_json(tmp_path / "cfg.json", {"model": {"baseline": -1.0}})
         with pytest.raises(ConfigError, match="invalid config"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "override, error, message",
+        [
+            ({"single_protocol": {"reps_per_cell": 0}}, ProtocolError,
+             "reps_per_cell must be >= 1"),
+            ({"two_protocol": {"seed": -5}}, ProtocolError,
+             "two-force seed must be >= 0, got -5"),
+            ({"k_two": 1}, ConfigError, "fold counts must be >= 2"),
+            ({"pipeline": {"gp_cap": 0}}, ConfigError, "gp_cap must be >= 1"),
+        ],
+    )
+    def test_every_value_error_names_the_file(self, tmp_path, override, error, message):
+        path = write_json(tmp_path / "cfg.json", override)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert type(info.value) is error
+        assert str(info.value) == f"invalid config file {path}: {message}"
+        assert info.value.exit_code == 1
 
 
 class TestApplySeed:

@@ -3,9 +3,10 @@ trees against a node-by-node reference fit, the node arrays against a
 node-by-node flattening of the trees, the tree pool against an in-process
 fit, trees that do not depend on row order, each forest of a shared fit
 against its lone reference fit, vote semantics, seeded determinism, the
-checks a model makes of its node arrays, and the compiled node table that
-predict serves from, one forest or several, in its one-row and its many-row
-order, against a node-by-node walk of the nested trees."""
+checks a model makes of its node arrays, the leaf entries against their
+dense count matrix, and the compiled node table that predict serves from,
+one forest or several, in its one-row and its many-row order, against a
+node-by-node walk of the nested trees."""
 
 import multiprocessing
 import os
@@ -14,6 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eskin import SchemaError, SingleForceProtocol, SkinModel, ValidationError
 from eskin import generate_single_force_dataset
@@ -606,7 +609,8 @@ class TestNodeArrays:
     def test_dtypes(self):
         model, _, _ = random_forest(1)
         assert model.is_split.dtype == bool
-        assert model.feature.dtype == model.leaf_counts.dtype == np.int32
+        for name in ("feature", "leaf_entries", "entry_class", "entry_count"):
+            assert getattr(model, name).dtype == np.int32
         assert model.classes.dtype == np.int32
         assert model.threshold.dtype == np.float64
 
@@ -641,7 +645,7 @@ class TestMalformedNodeArrays:
             ({"threshold": np.array([], float)}, r"1 splits but .* thresholds \(0,\)"),
             # a mask of 3 trees and 1 split has 4 leaves
             ({"is_split": np.array([False, True, False, False, False])},
-             r"leaf counts are \(3, 3\), expected \(4, n_classes >= 1\)"),
+             r"leaf_entries are \(3,\), expected \(4,\): one per leaf"),
             ({"is_split": np.array([False, True, True, False])},
              "2 splits need a flat mask of more than 4 nodes"),
             ({"is_split": np.array([], bool)},
@@ -649,24 +653,130 @@ class TestMalformedNodeArrays:
             ({"is_split": np.array([[False, True], [False, False]])},
              r"split mask has shape \(2, 2\)"),
             ({"is_split": np.array([False, False, True, False])}, "not in queue order"),
-            ({"leaf_counts": np.zeros((3, 0), np.int32)},
-             r"leaf counts are \(3, 0\), expected \(3, n_classes >= 1\)"),
-            ({"leaf_counts": np.zeros(3, np.int32)}, r"leaf counts are \(3,\)"),
-            ({"leaf_counts": np.zeros((4, 3), np.int32)}, r"leaf counts are \(4, 3\)"),
-            ({"leaf_counts": np.array([[1, 0, 0], [3, -1, 0], [0, 0, 2]], np.int32)},
-             "leaf counts must be >= 0"),
             ({"n_features": 0}, "n_features >= 1"),
-            # one label per leaf-count column, strictly increasing
+            # leaf entries: one per leaf, each >= 1, summing to the entry count
+            ({"leaf_entries": np.array([1, 1], np.int32)},
+             r"leaf_entries are \(2,\), expected \(3,\)"),
+            ({"leaf_entries": np.array([[1, 1, 1]], np.int32)},
+             r"leaf_entries are \(1, 3\), expected \(3,\)"),
+            ({"leaf_entries": np.array([1, 0, 2], np.int32)},
+             "leaf_entries must be >= 1"),
+            ({"leaf_entries": np.array([1, 1, 2], np.int32)},
+             r"leaf_entries sum to 4 but entry_class is \(3,\) and entry_count \(3,\)"),
+            ({"entry_class": np.array([0, 0], np.int32)},
+             r"sum to 3 but entry_class is \(2,\)"),
+            ({"entry_count": np.array([[1, 3, 2]], np.int32)},
+             r"sum to 3 but .* entry_count \(1, 3\)"),
+            # entry classes: indices of ``classes``, increasing within a leaf
+            ({"entry_class": np.array([0, 0, 3], np.int32)},
+             r"entry_class 3 is not in 0\.\.2"),
+            ({"entry_class": np.array([0, -1, 2], np.int32)},
+             r"entry_class -1 is not in 0\.\.2"),
+            ({"leaf_entries": np.array([1, 1, 2], np.int32),
+              "entry_class": np.array([0, 0, 2, 1], np.int32),
+              "entry_count": np.array([1, 3, 2, 1], np.int32)},
+             "entry_class is not strictly increasing within a leaf"),
+            ({"leaf_entries": np.array([1, 1, 2], np.int32),
+              "entry_class": np.array([0, 0, 2, 2], np.int32),
+              "entry_count": np.array([1, 3, 2, 1], np.int32)},
+             "entry_class is not strictly increasing within a leaf"),
+            ({"entry_count": np.array([1, 0, 2], np.int32)},
+             "entry_count must be >= 1"),
+            ({"entry_count": np.array([1, 3, -2], np.int32)},
+             "entry_count must be >= 1"),
+            # strictly increasing labels, one per class an entry may name
             ({"classes": np.array([0, 1], np.int32)},
-             r"forest classes \[0, 1\] are not 3 strictly increasing labels"),
-            ({"classes": np.array([0, 1, 2, 3], np.int32)}, "are not 3 strictly"),
-            ({"classes": np.array([[0, 1, 2]], np.int32)}, "are not 3 strictly"),
+             r"forest entry_class 2 is not in 0\.\.1"),
+            ({"classes": np.array([], np.int32)},
+             r"forest classes \[\] are not one or more strictly increasing labels"),
+            ({"classes": np.array([[0, 1, 2]], np.int32)},
+             r"forest classes \[\[0, 1, 2\]\] are not one or more"),
             ({"classes": np.array([1, 1, 2], np.int32)},
-             r"forest classes \[1, 1, 2\] are not 3 strictly increasing"),
+             r"forest classes \[1, 1, 2\] are not one or more strictly increasing"),
             ({"classes": np.array([0, 2, 1], np.int32)},
-             r"forest classes \[0, 2, 1\] are not 3 strictly increasing"),
+             r"forest classes \[0, 2, 1\] are not one or more strictly increasing"),
         ],
     )
     def test_rejected_on_construction(self, arrays, match):
         with pytest.raises(ValidationError, match=match):
             replace(self.MODEL, **arrays)
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            # classes may fall from one leaf to the next
+            {"entry_class": np.array([2, 1, 0], np.int32)},
+            # a class no leaf names, and two classes in one leaf
+            {"classes": np.array([0, 1, 2, 3], np.int32)},
+            {"leaf_entries": np.array([1, 1, 2], np.int32),
+             "entry_class": np.array([0, 0, 1, 2], np.int32),
+             "entry_count": np.array([1, 3, 2, 1], np.int32)},
+        ],
+    )
+    def test_accepted_on_construction(self, arrays):
+        replace(self.MODEL, **arrays)
+
+
+def leaves_of(counts):
+    """A forest of one root leaf per row of a dense count matrix."""
+    n_leaves, n_classes = counts.shape
+    return ForestModel(
+        is_split=np.zeros(n_leaves, bool),
+        feature=np.zeros(0, np.int32),
+        threshold=np.zeros(0),
+        **forest._entries(counts),
+        classes=np.arange(n_classes, dtype=np.int32),
+        n_features=1,
+    )
+
+
+# count matrices with a nonzero in every row; small counts make ties common
+count_matrices = st.integers(1, 6).flatmap(
+    lambda n_classes: st.lists(
+        st.lists(st.integers(0, 3), min_size=n_classes, max_size=n_classes)
+        .filter(any),
+        min_size=1, max_size=12,
+    )
+).map(lambda rows: np.array(rows, dtype=np.int32))
+
+
+class TestSparseLeaves:
+    """A leaf's counts are stored as its nonzero entries: the dense matrix
+    comes back exactly, and serving reads each leaf's first argmax from the
+    entries without building it."""
+
+    @given(counts=count_matrices)
+    def test_dense_entries_dense(self, counts):
+        model = leaves_of(counts)
+        assert np.array_equal(model.leaf_entries, np.count_nonzero(counts, axis=1))
+        assert np.all(model.entry_count > 0)
+        assert model.leaf_counts.dtype == np.int32
+        assert np.array_equal(model.leaf_counts, counts)
+        assert from_dict(ForestModel, to_dict(model)) == model
+
+    @given(counts=count_matrices)
+    def test_table_leaf_classes_are_dense_argmax(self, counts):
+        model = leaves_of(counts)
+        table = compile_forests((model,))
+        assert np.array_equal(table.leaf_class, np.argmax(counts, axis=1))
+        assert "leaf_counts" not in vars(model)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fitted_table_leaf_classes_are_dense_argmax(self, seed):
+        # max_depth 1 and 3 stop early, so those leaves hold several classes
+        model, _, _ = random_forest(seed)
+        table = compile_forests((model,))
+        leaves = ~model.is_split
+        assert np.array_equal(
+            table.leaf_class[leaves], np.argmax(model.leaf_counts, axis=1)
+        )
+
+    def test_dense_view_is_built_once_and_read_only(self):
+        model = hand_model({"counts": [1, 0, 0]}, STUMP)
+        assert "leaf_counts" not in vars(model)
+        counts = model.leaf_counts
+        assert counts.tolist() == [[1, 0, 0], [3, 0, 0], [0, 0, 2]]
+        assert model.leaf_counts is counts
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0, 0] = 5
+

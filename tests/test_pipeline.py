@@ -46,9 +46,10 @@ from eskin.learners import gp as gp_module
 from eskin.pipeline import BUNDLE_SCHEMA_VERSION
 
 from .oracles import reference_predict
-from .payloads import array_of
+from .payloads import array_of, payload_of
 
-FOREST_ARRAYS = ("is_split", "feature", "threshold", "leaf_counts", "classes")
+FOREST_ARRAYS = ("is_split", "feature", "threshold", "leaf_entries", "entry_class",
+                 "entry_count", "classes")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -119,6 +120,17 @@ def _schema_8(p) -> dict:
     for old in OLD_FOREST_KEYS.values():
         bundle["pipeline"].get(old, {}).pop("classes", None)
     bundle["pipeline"]["config"]["node_axes"] = [1, 6, 10]
+    return bundle
+
+
+def _schema_10(p) -> dict:
+    """The schema-10 layout of a pipeline's bundle: each forest's leaf
+    counts as one dense (n_leaves, n_classes) matrix."""
+    bundle = {"bundle_schema": 10, "pipeline": to_dict(p)}
+    for key, forest in bundle["pipeline"]["forests"].items():
+        for name in ("leaf_entries", "entry_class", "entry_count"):
+            del forest[name]
+        forest["leaf_counts"] = payload_of(p.forests[key].leaf_counts, "int32")
     return bundle
 
 
@@ -581,6 +593,14 @@ class TestBundles:
         with pytest.raises(SchemaError, match=r"schema 9 .*re-run `eskin train`"):
             load_pipeline(path)
 
+    @pytest.mark.parametrize("trained", ["trained_single", "trained_two"])
+    def test_load_rejects_schema_10_bundle(self, trained, request, tmp_path):
+        # schema 10 held each forest's leaf counts as a dense matrix
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(_schema_10(request.getfixturevalue(trained))))
+        with pytest.raises(SchemaError, match=r"schema 10 .*re-run `eskin train`"):
+            load_pipeline(path)
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -653,7 +673,7 @@ class TestBundleEncoding:
         assert text.endswith("\n") and text.count("\n") == 1
         bundle = json.loads(text)
         assert bundle.keys() == {"bundle_schema", "pipeline"}
-        assert bundle["bundle_schema"] == 10 and bundle["pipeline"]["mode"] == p.mode
+        assert bundle["bundle_schema"] == 11 and bundle["pipeline"]["mode"] == p.mode
 
     def test_schema_4_keys_with_arrays_as_bytes(self, trained, request, tmp_path):
         # each model keeps its schema-4 keys, with arrays as the bytes of the
