@@ -19,7 +19,11 @@ array payload raises TypeError for a dtype other than the field's, and
 ValueError for invalid base64 or a byte count that is not the shape's
 element count times the item size. Each message names the dotted field path.
 An int is accepted for a float field and kept as given, so a record
-re-encodes to the bytes it was read from.
+re-encodes to the bytes it was read from. A toolkit error that a nested
+record's constructor raises is raised again with the record's path in front.
+A scalar field declares its range on its annotation, as pydantic does:
+``Annotated[float, Range(gt=0)]`` is read and written as the float, and the
+record's ``__post_init__`` checks it with :func:`check_ranges`.
 
 :func:`dumps` and :func:`loads` are the JSON text layer every artifact goes
 through: JSON has no NaN or Infinity, so neither writes nor reads them.
@@ -33,13 +37,14 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import types
 import typing
 from typing import Annotated
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import EskinError, NonFiniteError, ValidationError
 
 _UNIONS = (typing.Union, types.UnionType)
 # scalar annotation -> (JSON types it accepts, how an error names them)
@@ -59,6 +64,53 @@ _DTYPES = {
 BoolArray = Annotated[np.ndarray, "bool"]
 IntArray = Annotated[np.ndarray, "int32"]
 FloatArray = Annotated[np.ndarray, "float64"]
+
+
+_SYMBOLS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+
+
+class Range:
+    """Bounds of a scalar field: ``ge`` and ``le`` closed, ``gt`` and ``lt`` open."""
+
+    def __init__(self, **bounds: float):
+        self.bounds = [(_SYMBOLS[k], getattr(operator, k), b) for k, b in bounds.items()]
+
+
+# the ranges most fields declare, ints by pydantic's names for them
+Finite = Annotated[float, Range()]
+Positive = Annotated[float, Range(gt=0)]
+NonNegative = Annotated[float, Range(ge=0)]
+PositiveInt = Annotated[int, Range(ge=1)]
+NonNegativeInt = Annotated[int, Range(ge=0)]
+
+
+def check_ranges(record, error: type[EskinError] = ValidationError) -> None:
+    """Raise ``error`` for the first field of ``record``, or item ``name[i]``
+    of a tuple field, outside its Range; a float field must be finite."""
+    for name, tp in _fields(type(record)):
+        _check(tp, getattr(record, name), name, error)
+
+
+def _check(tp, value, path: str, error: type[EskinError]) -> None:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        items = _items(args, len(value))
+        if len(items) != len(value):
+            raise error(f"{path} must hold {len(items)} items, got {len(value)}")
+        for i, (item, v) in enumerate(zip(items, value)):
+            _check(item, v, f"{path}[{i}]", error)
+    elif origin in _UNIONS and value is not None:
+        _check(_optional(tp), value, path, error)
+    elif origin is Annotated and isinstance(args[1], Range):
+        kind, bounds = args[0], args[1].bounds
+        try:   # an int is compared as an int, but a float field's must be finite
+            ok = kind is int or math.isfinite(value)
+        except OverflowError:   # an int that no float holds
+            ok = False
+        if not (ok and all(op(value, bound) for _, op, bound in bounds)):
+            text = [f"{sym} {bound:g}" for sym, _, bound in bounds]
+            must = " and ".join(["finite"] * (kind is float and len(text) < 2) + text)
+            raise error(f"{path} must be {must}, got {value!r}")
 
 
 def fields_equal(a, b) -> bool:
@@ -123,7 +175,7 @@ def _encode(tp, value):
     if dataclasses.is_dataclass(tp):
         return to_dict(value)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is Annotated:
+    if origin is Annotated and args[1] in _DTYPES:
         # same_kind: a float array is never written as ints
         dtype = _DTYPES[args[1]]
         arr = np.asarray(value).astype(dtype, casting="same_kind", copy=False)
@@ -162,7 +214,11 @@ def _record(cls: type, data, path: str):
         if name not in data:
             raise KeyError(_at(path, name))
         kwargs[name] = _decode(tp, data[name], _at(path, name))
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except EskinError as exc:   # the same error, its class and exit code kept
+        exc.args = (f"{path}: {exc}",) if path else exc.args
+        raise
 
 
 def _optional(tp):
@@ -189,7 +245,9 @@ def _decode(tp, value, path: str):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in _UNIONS:
         return None if value is None else _decode(_optional(tp), value, path)
-    if origin is Annotated:
+    if origin is Annotated and isinstance(args[1], Range):
+        tp = args[0]   # the scalar it bounds, checked below
+    elif origin is Annotated:
         return _array(args[1], _record(_ArrayPayload, value, path), path)
     if origin is tuple:
         _expect(isinstance(value, (list, tuple)), path, "a list", value)

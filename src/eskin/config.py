@@ -17,8 +17,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Annotated
 
-from .codec import from_dict, loads, to_dict
+from .codec import NonNegativeInt, Range, check_ranges, from_dict, loads, to_dict
 from .errors import ConfigError, EskinError
 from .pipeline import PipelineConfig
 from .sim import SingleForceProtocol, SkinModel, TwoForceProtocol
@@ -32,16 +33,22 @@ class RunConfig:
     single_protocol: SingleForceProtocol = field(default_factory=SingleForceProtocol)
     two_protocol: TwoForceProtocol = field(default_factory=TwoForceProtocol)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    k_single: int = 10
-    k_two: int = 5
-    seed: int = 0
+    k_single: Annotated[int, Range(ge=2)] = 10
+    k_two: Annotated[int, Range(ge=2)] = 5
+    seed: NonNegativeInt = 0
     out_dir: str = "eskin_out"
 
     def __post_init__(self):
-        if self.k_single < 2 or self.k_two < 2:
-            raise ConfigError("fold counts must be >= 2")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_ranges(self, ConfigError)
+        # every stretch has no-contact rows, which sit at the rest level
+        for name in ("stretch_gain_x", "stretch_gain_y"):
+            gain = getattr(self.model, name)
+            for stretch in self.single_protocol.stretches:
+                if not (rest := self.model.baseline + gain * (stretch - 1.0)) > 0:
+                    raise ConfigError(
+                        f"model.{name} {gain:g} puts the noiseless rest level at "
+                        f"stretch {stretch:g} at {rest:g}, not above 0"
+                    )
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:

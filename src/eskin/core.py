@@ -98,11 +98,6 @@ def validate_stretch(lam: float) -> None:
         raise ValidationError(f"stretch ratio {lam} must be finite and >= 1")
 
 
-def validate_force(newtons: float) -> None:
-    if not math.isfinite(newtons) or newtons < 0.0:
-        raise ValidationError(f"force {newtons} N must be finite and >= 0")
-
-
 @dataclass(frozen=True)
 class CapacitanceFrame:
     """One scan: 10 x-terminal and 10 y-terminal capacitance values.

@@ -29,7 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import dumps, from_dict, loads, to_dict
+from .codec import (
+    NonNegativeInt, PositiveInt, check_ranges, dumps, from_dict, loads, to_dict,
+)
 from .core import SCHEMA_SINGLE, SCHEMA_TWO, Dataset, atomic_write_text
 from .errors import (
     ConfigError,
@@ -181,8 +183,8 @@ class MetricsReport:
 
     mode: str
     k: int
-    seed: int
-    n_samples: int
+    seed: NonNegativeInt
+    n_samples: PositiveInt
     pooled: dict[str, float]
     per_fold: dict[str, tuple[float, ...]]
     fold_mean: dict[str, float]
@@ -191,6 +193,7 @@ class MetricsReport:
     notes: tuple[str, ...]
 
     def __post_init__(self):
+        check_ranges(self)
         if self.mode not in _REPORTS:
             raise ValidationError(f"report mode {self.mode!r} is not single or two")
         terminal_names, headline, _ = _REPORTS[self.mode]
@@ -203,15 +206,11 @@ class MetricsReport:
             raise ValidationError(
                 "report metrics differ between pooled, per_fold, fold_mean and fold_std"
             )
-        if self.n_samples < 1:
-            raise ValidationError("report n_samples must be >= 1")
         # a cross-validation needs 2 folds and a contact row in each test fold
         if not 2 <= self.k <= self.n_samples:
             raise ValidationError(
                 f"report k {self.k} is outside [2, n_samples {self.n_samples}]"
             )
-        if self.seed < 0:
-            raise ValidationError(f"report seed {self.seed} is below 0")
         if any(len(values) != self.k for values in self.per_fold.values()):
             raise ValidationError(f"every per-fold metric needs k={self.k} values")
         if set(self.confusions) != confusions:

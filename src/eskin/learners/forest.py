@@ -71,7 +71,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ..codec import BoolArray, FloatArray, IntArray, fields_equal
+from ..codec import (
+    BoolArray, FloatArray, IntArray, NonNegativeInt, PositiveInt, check_ranges,
+    fields_equal,
+)
 from ..errors import SchemaError, ValidationError
 from .linear import _check_xy
 
@@ -80,24 +83,14 @@ _MAX_WORKERS = 4   # tree-fit processes; more buys little at desk scale
 
 @dataclass(frozen=True)
 class ForestConfig:
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_leaf: int = 1
-    features_per_split: int | None = None   # None -> ceil(sqrt(d))
+    n_trees: PositiveInt = 100
+    max_depth: PositiveInt | None = None
+    min_leaf: PositiveInt = 1
+    features_per_split: PositiveInt | None = None   # None -> ceil(sqrt(d))
     bootstrap: bool = True
-    seed: int = 0
+    seed: NonNegativeInt = 0
 
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValidationError("n_trees must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValidationError("max_depth must be >= 1 or None")
-        if self.min_leaf < 1:
-            raise ValidationError("min_leaf must be >= 1")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValidationError("features_per_split must be >= 1 or None")
-        if self.seed < 0:
-            raise ValidationError(f"forest seed must be >= 0, got {self.seed}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -144,11 +137,12 @@ class ForestModel:
     entry_class: IntArray     # (n_entries,): their class indices, leaf by leaf
     entry_count: IntArray     # (n_entries,): their training rows
     classes: IntArray         # (n_classes,): the label of each class, increasing
-    n_features: int
+    n_features: PositiveInt
 
     __eq__ = fields_equal
 
     def __post_init__(self):
+        check_ranges(self)
         split, entries = self.is_split, self.leaf_entries
         n_splits, n_trees = int(np.count_nonzero(split)), self.n_trees
         if split.ndim != 1 or n_trees < 1:
@@ -188,8 +182,6 @@ class ForestModel:
                 f"forest classes {classes.tolist()} hold a negative label, "
                 "which no fit takes"
             )
-        if self.n_features < 1:
-            raise ValidationError("forest needs n_features >= 1")
         # node i is a root or a child of an earlier split: queued before it is reached
         queued = n_trees + 2 * (np.cumsum(split) - split)
         if np.any(np.arange(split.shape[0]) >= queued):

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..codec import FloatArray, fields_equal
+from ..codec import FloatArray, NonNegative, Positive, check_ranges, fields_equal
 from ..errors import FactorizationError, ValidationError
 from .linear import _check_xy
 from .preprocess import Standardizer
@@ -47,17 +47,11 @@ from .preprocess import Standardizer
 class GpHyper:
     """Kernel and noise hyperparameters."""
 
-    length_scale: float = 2.0
-    signal_var: float = 1.0
-    noise_var: float = 1e-4
+    length_scale: Positive = 2.0
+    signal_var: Positive = 1.0
+    noise_var: NonNegative = 1e-4
 
-    def __post_init__(self):
-        for name in ("length_scale", "signal_var"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and > 0")
-        if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
-            raise ValidationError("noise_var must be finite and >= 0")
+    __post_init__ = check_ranges
 
 
 # Bytes of a kernel row block: the block and its outer-norm temp stay in

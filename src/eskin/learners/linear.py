@@ -8,27 +8,27 @@ or pseudo-inverted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import FloatArray, fields_equal
+from ..codec import Finite, FloatArray, check_ranges, fields_equal
 from ..errors import SingularDesignError, ValidationError
 
 
 @dataclass(frozen=True)
 class LinearModel:
     weights: FloatArray
-    intercept: float
+    intercept: Finite
 
     __eq__ = fields_equal
 
     def __post_init__(self):
+        check_ranges(self)
         if self.weights.ndim != 1:
             raise ValidationError(f"linear weights {self.weights.shape} must be 1-d")
-        if not (np.all(np.isfinite(self.weights)) and math.isfinite(self.intercept)):
-            raise ValidationError("linear weights and intercept must be finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValidationError("linear weights must be finite")
 
 
 def _check_xy(x: np.ndarray, y: np.ndarray, y_ndim=(1,)) -> tuple[np.ndarray, np.ndarray]:

@@ -10,13 +10,14 @@ iteration cap raises ConvergenceError. Kernel rows sit in a bounded LRU cache.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ..codec import FloatArray, fields_equal
+from ..codec import (
+    Finite, FloatArray, NonNegativeInt, Positive, check_ranges, fields_equal,
+)
 from ..errors import ConvergenceError, DegenerateLabelsError, ValidationError
 from .gp import distance_kernel
 from .linear import _check_xy
@@ -26,54 +27,39 @@ _ITERATIONS_PER_ROW = 100      # the iteration cap is this times n
 _TAU = 1e-12                   # curvature floor for coincident inputs
 
 
-def _check_class_weights(name: str, weights) -> None:
-    if len(weights) != 2 or not all(math.isfinite(w) and w > 0 for w in weights):
-        raise ValidationError(f"{name} must be two finite reals > 0")
-
-
 @dataclass(frozen=True)
 class SvmConfig:
-    c: float = 10.0
-    gamma: float = 0.5
-    class_weights: tuple[float, float] | None = None   # (negative, positive)
-    tol: float = 1e-3
+    c: Positive = 10.0
+    gamma: Positive = 0.5
+    class_weights: tuple[Positive, Positive] | None = None   # (negative, positive)
+    tol: Positive = 1e-3
 
-    def __post_init__(self):
-        for name in ("c", "gamma", "tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and > 0")
-        if self.class_weights is not None:
-            _check_class_weights("class_weights", self.class_weights)
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class SvmModel:
     support_inputs: FloatArray
     dual_coefs: FloatArray        # alpha_i * y_i per support vector
-    bias: float
-    kernel_gamma: float
-    class_weights: tuple[float, float]
-    iterations: int               # SMO steps svm_fit took to converge
-    kkt_gap: float                # m(alpha) - M(alpha) when it stopped, <= tol
+    bias: Finite
+    kernel_gamma: Positive
+    class_weights: tuple[Positive, Positive]
+    iterations: NonNegativeInt    # SMO steps svm_fit took to converge
+    kkt_gap: Finite               # m(alpha) - M(alpha) when it stopped, <= tol
 
     __eq__ = fields_equal
 
     def __post_init__(self):
+        check_ranges(self)
         shape, coefs = self.support_inputs.shape, self.dual_coefs.shape
         if len(shape) != 2 or coefs != shape[:1]:
             raise ValidationError(
                 f"SVM support_inputs {shape} and dual_coefs {coefs} disagree: "
                 "need (n, d) and (n,)"
             )
-        for name in ("support_inputs", "dual_coefs", "bias", "kkt_gap"):
+        for name in ("support_inputs", "dual_coefs"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"SVM {name} must be finite")
-        if not (math.isfinite(self.kernel_gamma) and self.kernel_gamma > 0):
-            raise ValidationError("SVM kernel_gamma must be finite and > 0")
-        _check_class_weights("SVM class_weights", self.class_weights)
-        if self.iterations < 0:
-            raise ValidationError("SVM iterations must be >= 0")
 
     @cached_property
     def support_sq(self) -> np.ndarray:

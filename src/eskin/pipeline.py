@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import dumps, from_dict, loads, to_dict
+from .codec import (
+    NonNegativeInt, PositiveInt, check_ranges, dumps, from_dict, loads, to_dict,
+)
 from .core import (
     SCHEMA_SINGLE,
     SCHEMA_TWO,
@@ -84,15 +86,11 @@ class PipelineConfig:
     # shorter length scale than the GP default: force decoding must condition
     # on contact position, and 2.0 oversmooths across neighbouring placements
     gp: GpHyper = field(default_factory=lambda: GpHyper(length_scale=1.0))
-    gp_cap: int = 2000
+    gp_cap: PositiveInt = 2000
     gp_search: bool = False
-    seed: int = 0
+    seed: NonNegativeInt = 0
 
-    def __post_init__(self):
-        if self.gp_cap < 1:
-            raise ValidationError("gp_cap must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"pipeline seed must be >= 0, got {self.seed}")
+    __post_init__ = check_ranges
 
 
 def _check_feature_widths(p: TrainedPipeline) -> None:

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .codec import to_dict
+from .codec import (
+    NonNegative, NonNegativeInt, Positive, PositiveInt, Range, check_ranges, to_dict
+)
 from .core import (
     PROTOCOL_FORCES,
     PROTOCOL_STRETCHES,
@@ -28,7 +31,6 @@ from .core import (
     DatasetMeta,
     NodeCoord,
     config_digest,
-    validate_force,
     validate_stretch,
 )
 from .errors import ProtocolError, ValidationError
@@ -48,32 +50,17 @@ class SkinModel:
     attributable to a unique (x, y) pairing.
     """
 
-    baseline: float = 1.0
-    stretch_gain_x: float = 3.0
-    stretch_gain_y: float = 3.0
-    force_scale: float = 0.25
-    force_sat: float = 2.0
-    neighbor_decay: float = 0.4
-    neighbor_reach: int = 2
-    noise_sigma: float = 0.005
-    edge_taper: float = 0.3
+    baseline: Positive = 1.0
+    stretch_gain_x: Annotated[float, Range()] = 3.0
+    stretch_gain_y: Annotated[float, Range()] = 3.0
+    force_scale: Positive = 0.25
+    force_sat: Positive = 2.0
+    neighbor_decay: Annotated[float, Range(gt=0, lt=1)] = 0.4
+    neighbor_reach: NonNegativeInt = 2
+    noise_sigma: NonNegative = 0.005
+    edge_taper: Annotated[float, Range(ge=0, lt=1)] = 0.3
 
-    def __post_init__(self):
-        for name in ("stretch_gain_x", "stretch_gain_y"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        for name in ("baseline", "force_scale", "force_sat"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and > 0")
-        if not 0.0 < self.neighbor_decay < 1.0:
-            raise ValidationError("neighbor_decay must be in (0, 1)")
-        if self.neighbor_reach < 0:
-            raise ValidationError("neighbor_reach must be >= 0")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValidationError("noise_sigma must be finite and >= 0")
-        if not 0.0 <= self.edge_taper < 1.0:
-            raise ValidationError("edge_taper must be in [0, 1)")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -81,10 +68,10 @@ class Contact:
     """An indenter position (a real node) and the force it applies."""
 
     node: NodeCoord
-    force: float
+    force: NonNegative
 
     def __post_init__(self):
-        validate_force(self.force)
+        check_ranges(self)
         if not self.node.is_contact:
             raise ValidationError("contact node must not be node 0")
 
@@ -153,12 +140,6 @@ def simulate_frame(
     return CapacitanceFrame(cx=tuple(x[:10]), cy=tuple(x[10:]))
 
 
-def _check_levels(levels, low: float, what: str) -> None:
-    for v in levels:
-        if not (math.isfinite(v) and v >= low):
-            raise ProtocolError(f"{what} level {v} must be finite and >= {low:g}")
-
-
 @dataclass(frozen=True)
 class SingleForceProtocol:
     """Replay of the single-force acquisition sweep.
@@ -169,20 +150,15 @@ class SingleForceProtocol:
     either way.
     """
 
-    stretches: tuple[float, ...] = PROTOCOL_STRETCHES
-    forces: tuple[float, ...] = PROTOCOL_FORCES
-    reps_per_cell: int = 5
-    seed: int = 0
+    stretches: tuple[Annotated[float, Range(ge=1)], ...] = PROTOCOL_STRETCHES
+    forces: tuple[NonNegative, ...] = PROTOCOL_FORCES
+    reps_per_cell: PositiveInt = 5
+    seed: NonNegativeInt = 0
 
     def __post_init__(self):
-        if self.reps_per_cell < 1:
-            raise ProtocolError("reps_per_cell must be >= 1")
-        if self.seed < 0:
-            raise ProtocolError(f"single-force seed must be >= 0, got {self.seed}")
+        check_ranges(self, ProtocolError)
         if not self.stretches:
             raise ProtocolError("protocol needs at least one stretch level")
-        _check_levels(self.stretches, 1.0, "stretch")
-        _check_levels(self.forces, 0.0, "force")
         if 0.0 not in self.forces:
             raise ProtocolError("force levels must include 0")
 
@@ -200,22 +176,15 @@ class TwoForceProtocol:
     lambda = 1. The contact with the smaller node id is recorded first.
     """
 
-    node_axes: tuple[int, ...] = (1, 6, 10)
-    forces: tuple[float, ...] = PROTOCOL_FORCES
-    reps: int = 2
-    seed: int = 0
+    node_axes: tuple[Annotated[int, Range(ge=1, le=10)], ...] = (1, 6, 10)
+    forces: tuple[NonNegative, ...] = PROTOCOL_FORCES
+    reps: PositiveInt = 2
+    seed: NonNegativeInt = 0
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ProtocolError("reps must be >= 1")
-        if self.seed < 0:
-            raise ProtocolError(f"two-force seed must be >= 0, got {self.seed}")
-        _check_levels(self.forces, 0.0, "force")
+        check_ranges(self, ProtocolError)
         if not self.nonzero_forces():
             raise ProtocolError("two-force protocol needs a nonzero force level")
-        for a in self.node_axes:
-            if not 1 <= a <= 10:
-                raise ProtocolError(f"node axis value {a} outside 1..10")
         if len(self.nodes()) < 2:
             raise ProtocolError("two-force protocol needs at least 2 grid nodes")
 

@@ -41,6 +41,7 @@ from .entry_point import (
     parse_scripts_table,
 )
 from .payloads import edit_array
+from .ranges import names_leaf, set_leaf, sweep_cases
 
 MALFORMED = "error: malformed model bundle: "
 NOT_JSON = "error: model bundle is not valid JSON: "
@@ -170,8 +171,10 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "mode, override, message",
         [
-            ("single", {"single_protocol": {"forces": [0, -1]}}, "force level -1 must"),
-            ("single", {"single_protocol": {"stretches": [0.9]}}, "stretch level 0.9"),
+            ("single", {"single_protocol": {"forces": [0, -1]}},
+             "single_protocol: forces[1] must be finite and >= 0, got -1\n"),
+            ("single", {"single_protocol": {"stretches": [0.9]}},
+             "single_protocol: stretches[0] must be finite and >= 1, got 0.9\n"),
             # JSON has no NaN or Infinity, so the reader refuses them first
             ("single", {"single_protocol": {"forces": [0, math.nan]}},
              "is not valid JSON: NaN is not a JSON number"),
@@ -214,6 +217,32 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("name", ["stretch_gain_x", "stretch_gain_y"])
+    def test_gain_that_makes_no_positive_frame_is_usage_error(self, tmp_path, name):
+        # the rest level 1 - 20 * (1.07921 - 1) is below 0 at the second stretch
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {name: -20}}))
+        out = tmp_path / "x.csv"
+        rc, stdout, err = run_cli("generate", "--config", str(cfg), "--out", str(out))
+        assert (rc, stdout) == (1, "")
+        assert err.startswith(
+            f"error: invalid config file {cfg}: model.{name} -20 puts the noiseless "
+            "rest level at stretch 1.07921 at -0.58"
+        )
+        assert err.endswith(", not above 0\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_gain_whose_rest_level_stays_positive_generates(self, tmp_path):
+        # 1 - 4 * (1.15842 - 1) = 0.37 at the largest default stretch
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"stretch_gain_x": -4}}))
+        out = tmp_path / "x.csv"
+        rc, stdout, err = run_cli(
+            "generate", "--config", str(cfg), "--reps", "1", "--out", str(out)
+        )
+        assert (rc, stdout, err) == (0, "1212\n", "")
+        assert out.exists()
 
     def test_config_that_is_not_utf8_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -261,13 +290,13 @@ class TestNegativeSeed:
         [
             ({"seed": -5}, "invalid config file {cfg}: seed must be >= 0, got -5"),
             ({"single_protocol": {"seed": -5}},
-             "invalid config file {cfg}: single-force seed must be >= 0, got -5"),
+             "invalid config file {cfg}: single_protocol: seed must be >= 0, got -5"),
             ({"two_protocol": {"seed": -5}},
-             "invalid config file {cfg}: two-force seed must be >= 0, got -5"),
+             "invalid config file {cfg}: two_protocol: seed must be >= 0, got -5"),
             ({"pipeline": {"seed": -5}},
-             "invalid config file {cfg}: pipeline seed must be >= 0, got -5"),
+             "invalid config file {cfg}: pipeline: seed must be >= 0, got -5"),
             ({"pipeline": {"forest": {"seed": -5}}},
-             "invalid config file {cfg}: forest seed must be >= 0, got -5"),
+             "invalid config file {cfg}: pipeline.forest: seed must be >= 0, got -5"),
         ],
         ids=["seed", "single_protocol", "two_protocol", "pipeline", "forest"],
     )
@@ -707,15 +736,15 @@ class TestInfer:
         [
             (
                 lambda p: edit_array(p["force_model"], "alpha", lambda a: a[:-1]),
-                MALFORMED + "ValidationError: GP train_inputs",
+                MALFORMED + "ValidationError: force_model: GP train_inputs",
             ),
             (
                 lambda p: edit_array(p["detector"], "dual_coefs", lambda a: a[:-1]),
-                MALFORMED + "ValidationError: SVM support_inputs",
+                MALFORMED + "ValidationError: detector: SVM support_inputs",
             ),
             (
                 lambda p: p["force_model"].update(rows_offered=1),
-                MALFORMED + "ValidationError: GP rows_offered 1",
+                MALFORMED + "ValidationError: force_model: GP rows_offered 1",
             ),
             (
                 lambda p: p["detector"].pop("iterations"),
@@ -732,40 +761,49 @@ class TestInfer:
             (
                 lambda p: edit_array(p["force_model"], "alpha",
                                      lambda a: a.__setitem__(0, math.nan)),
-                MALFORMED + "ValidationError: GP alpha must be finite",
+                MALFORMED + "ValidationError: force_model: GP alpha must be finite",
             ),
             (
                 lambda p: p["detector"].update(kernel_gamma=-1.0),
-                MALFORMED + "ValidationError: SVM kernel_gamma must be finite and > 0",
+                MALFORMED + "ValidationError: detector: "
+                "kernel_gamma must be finite and > 0, "
+                "got -1.0\n",
             ),
             (
                 lambda p: edit_array(p["preprocessing"], "scale", lambda a: a * 0.0),
-                MALFORMED + "ValidationError: standardizer scale must be finite and > 0",
+                MALFORMED + "ValidationError: preprocessing: standardizer scale must be "
+                "finite and > 0",
             ),
             (
                 lambda p: edit_array(p["preprocessing"], "mean",
                                      lambda a: a.__setitem__(4, -math.inf)),
-                MALFORMED + "ValidationError: standardizer mean must be finite",
+                MALFORMED + "ValidationError: preprocessing: "
+                "standardizer mean must be finite",
             ),
             (
                 lambda p: edit_array(p["force_model"]["scaler"], "scale",
                                      lambda a: a.__setitem__(0, math.nan)),
-                MALFORMED + "ValidationError: standardizer scale must be finite and > 0",
+                MALFORMED + "ValidationError: force_model.scaler: "
+                "standardizer scale must "
+                "be finite and > 0",
             ),
             (
                 lambda p: edit_array(p["stretch_model"], "weights",
                                      lambda a: a.__setitem__(0, math.nan)),
-                MALFORMED + "ValidationError: linear weights and intercept must be finite",
+                MALFORMED + "ValidationError: stretch_model: "
+                "linear weights must be finite",
             ),
             (
                 lambda p: edit_array(p["stretch_model"], "weights", lambda a: a[None, :]),
-                MALFORMED + "ValidationError: linear weights (1, 20) must be 1-d",
+                MALFORMED + "ValidationError: stretch_model: "
+                "linear weights (1, 20) must be 1-d",
             ),
             # the GP scaler one channel short of the GP's inputs
             (
                 lambda p: [edit_array(p["force_model"]["scaler"], k, lambda a: a[:-1])
                            for k in ("mean", "scale")],
-                MALFORMED + "ValidationError: GP scaler reads 19 features but "
+                MALFORMED + "ValidationError: force_model: "
+                "GP scaler reads 19 features but "
                 "train_inputs have 20",
             ),
             (
@@ -792,7 +830,8 @@ class TestInfer:
             ),
             (
                 lambda p: edit_array(p["preprocessing"], "scale", lambda a: a[:-1]),
-                MALFORMED + "ValidationError: standardizer mean (20,) and scale (19,) "
+                MALFORMED + "ValidationError: preprocessing: standardizer mean (20,) and "
+                "scale (19,) "
                 "must be 1-d and of one length",
             ),
             (
@@ -831,100 +870,122 @@ class TestInfer:
             (
                 lambda p: edit_array(p["forests"]["y_term"], "feature",
                                      lambda a: a.__setitem__(3, 20)),
-                MALFORMED + "ValidationError: split feature 20 is not in 0..19",
+                MALFORMED + "ValidationError: forests.y_term: "
+                "split feature 20 is not in 0..19",
             ),
             (
                 lambda p: edit_array(p["forests"]["x_term"], "threshold",
                                      lambda a: a.__setitem__(3, math.nan)),
-                MALFORMED + "ValidationError: split threshold nan is not finite",
+                MALFORMED + "ValidationError: forests.x_term: "
+                "split threshold nan is not finite",
             ),
             # two leaves fewer in the mask than leaf entry counts
             (
                 lambda p: edit_array(p["forests"]["y_term"], "is_split",
                                      lambda a: a[:-2]),
-                MALFORMED + "ValidationError: forest leaf_entries are (",
+                MALFORMED + "ValidationError: forests.y_term: forest leaf_entries are (",
             ),
             (
                 lambda p: edit_array(p["forests"]["y_term"], "is_split",
                                      lambda a: a[None, :]),
-                MALFORMED + "ValidationError: forest split mask has shape (1, ",
+                MALFORMED + "ValidationError: forests.y_term: "
+                "forest split mask has shape (1, ",
             ),
             (
                 lambda p: edit_array(p["forests"]["y_term"], "feature",
                                      lambda a: a[:-1]),
-                MALFORMED + "ValidationError: forest has ",
+                MALFORMED + "ValidationError: forests.y_term: forest has ",
             ),
             # leaf entries
             (
                 lambda p: edit_array(p["forests"]["x_term"], "leaf_entries",
                                      lambda a: a[:-1]),
-                MALFORMED + "ValidationError: forest leaf_entries are (",
+                MALFORMED + "ValidationError: forests.x_term: forest leaf_entries are (",
             ),
             (
                 lambda p: edit_array(p["forests"]["x_term"], "leaf_entries",
                                      lambda a: a.__setitem__(0, 0)),
-                MALFORMED + "ValidationError: forest leaf_entries must be >= 1",
+                MALFORMED + "ValidationError: forests.x_term: "
+                "forest leaf_entries must be >= 1",
             ),
             (
                 lambda p: edit_array(p["forests"]["y_term"], "entry_class",
                                      lambda a: a[:-1]),
-                MALFORMED + "ValidationError: forest leaf_entries sum to ",
+                MALFORMED + "ValidationError: forests.y_term: "
+                "forest leaf_entries sum to ",
             ),
             (
                 lambda p: edit_array(p["forests"]["y_term"], "entry_count",
                                      lambda a: np.append(a, 1)),
-                MALFORMED + "ValidationError: forest leaf_entries sum to ",
+                MALFORMED + "ValidationError: forests.y_term: "
+                "forest leaf_entries sum to ",
             ),
             (
                 lambda p: edit_array(p["forests"]["x_term"], "entry_class",
                                      lambda a: a.__setitem__(0, 10)),
-                MALFORMED + "ValidationError: forest entry_class 10 is not in 0..9",
+                MALFORMED + "ValidationError: forests.x_term: "
+                "forest entry_class 10 is not in 0..9",
             ),
             (
                 lambda p: edit_array(p["forests"]["x_term"], "entry_class",
                                      lambda a: a.__setitem__(0, -1)),
-                MALFORMED + "ValidationError: forest entry_class -1 is not in 0..9",
+                MALFORMED + "ValidationError: forests.x_term: "
+                "forest entry_class -1 is not in 0..9",
             ),
             (
                 lambda p: repeat_first_entry(p["forests"]["x_term"]),
-                MALFORMED + "ValidationError: forest entry_class is not strictly "
+                MALFORMED + "ValidationError: forests.x_term: "
+                "forest entry_class is not strictly "
                 "increasing within a leaf",
             ),
             (
                 lambda p: edit_array(p["forests"]["y_term"], "entry_count",
                                      lambda a: a.__setitem__(-1, 0)),
-                MALFORMED + "ValidationError: forest entry_count must be >= 1",
+                MALFORMED + "ValidationError: forests.y_term: "
+                "forest entry_count must be >= 1",
             ),
             (
                 lambda p: edit_array(p["forests"]["x_term"], "classes",
                                      lambda a: a[::-1]),
-                MALFORMED + "ValidationError: forest classes [10, 9, 8, 7, 6, 5, 4, 3, "
+                MALFORMED + "ValidationError: forests.x_term: "
+                "forest classes [10, 9, 8, 7, 6, 5, 4, 3, "
                 "2, 1] are not one or more strictly increasing labels",
             ),
             (
                 lambda p: edit_array(p["forests"]["y_term"], "classes",
                                      lambda a: a[:-1]),
-                MALFORMED + "ValidationError: forest entry_class 9 is not in 0..8",
+                MALFORMED + "ValidationError: forests.y_term: "
+                "forest entry_class 9 is not in 0..8",
             ),
             # a label no fit takes, which would fail only at a node lookup
             (
                 lambda p: edit_array(p["forests"]["x_term"], "classes",
                                      lambda a: a.__setitem__(0, -5)),
-                MALFORMED + "ValidationError: forest classes [-5, 2, 3, 4, 5, 6, 7, 8, "
+                MALFORMED + "ValidationError: forests.x_term: "
+                "forest classes [-5, 2, 3, 4, 5, 6, 7, 8, "
                 "9, 10] hold a negative label",
+            ),
+            # a record nested in the bundle's config names its path
+            (
+                lambda p: p["config"]["forest"].update(n_trees=0),
+                MALFORMED + "ValidationError: config.forest: n_trees must be >= 1, "
+                "got 0\n",
             ),
             # the rules SvmConfig applies
             (
                 lambda p: p["detector"].update(iterations=-1),
-                MALFORMED + "ValidationError: SVM iterations must be >= 0",
+                MALFORMED + "ValidationError: detector: "
+                "iterations must be >= 0, got -1\n",
             ),
             (
                 lambda p: p["detector"]["class_weights"].__setitem__(0, 0),
-                MALFORMED + "ValidationError: SVM class_weights must be two finite",
+                MALFORMED + "ValidationError: detector: class_weights[0] must be finite "
+                "and > 0, got 0\n",
             ),
             (
                 lambda p: p["detector"]["class_weights"].__setitem__(0, -1.0),
-                MALFORMED + "ValidationError: SVM class_weights must be two finite",
+                MALFORMED + "ValidationError: detector: class_weights[0] must be finite "
+                "and > 0, got -1.0\n",
             ),
         ],
     )
@@ -1055,6 +1116,64 @@ class TestInfer:
         assert err.startswith("error:")
 
 
+# Every ranged int and float leaf of a single-contact bundle's models
+BUNDLE_LEAVES = [
+    ("detector.bias", float),
+    ("detector.kernel_gamma", float, "> 0"),
+    ("detector.class_weights[0]", float, "> 0"),
+    ("detector.class_weights[1]", float, "> 0"),
+    ("detector.iterations", int, ">= 0"),
+    ("detector.kkt_gap", float),
+    ("force_model.hyper.length_scale", float, "> 0"),
+    ("force_model.hyper.signal_var", float, "> 0"),
+    ("force_model.hyper.noise_var", float, ">= 0"),
+    ("stretch_model.intercept", float),
+]
+
+
+class TestBundleBoundarySweep:
+    """Each ranged leaf of a bundle's models set to each bound, just outside
+    a closed bound, to 1e308 and to a 400-digit int: ``eskin infer`` refuses
+    a value outside the range with exit 2 and one line that names the leaf,
+    and a bundle with one inside it loads. The sweep is about what a load
+    accepts, not about serving at extreme values. Before the ranges were
+    declared on the fields, the 400-digit int in a float leaf other than
+    ``bias`` and ``kkt_gap`` ended in an OverflowError traceback; every other
+    case had the exit code it has now."""
+
+    @pytest.mark.parametrize("path, value, accepted", sweep_cases(BUNDLE_LEAVES))
+    def test_leaf(self, cli_env, tmp_path, path, value, accepted):
+        d = json.loads(cli_env["single_bundle"].read_text())
+        set_leaf(d["pipeline"], path, value)
+        bundle, out = tmp_path / "bundle.json", tmp_path / "est.csv"
+        bundle.write_text(json.dumps(d))
+        if accepted:
+            load_pipeline(bundle)
+            return
+        rc, _, err = run_cli(
+            "infer", "--bundle", str(bundle), "--frames", str(cli_env["frames_csv"]),
+            "--config", cli_env["cfg"], "--out", str(out),
+        )
+        assert rc == 2
+        assert names_leaf(err, "error: malformed model bundle: ", path), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value, accepted", sweep_cases([("seed", int, ">= 0")])
+    )
+    def test_report_seed(self, cli_env, tmp_path, path, value, accepted):
+        d = json.loads(eval_report(cli_env, "single").read_text())
+        set_leaf(d, path, value)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(d))
+        rc, _, err = run_cli("report", str(report))
+        if accepted:
+            assert rc == 0
+            return
+        assert rc == 2
+        assert names_leaf(err, "error: malformed report: ", path), err
+
+
 def eval_report(cli_env, mode: str):
     """The report.json of ``eskin eval`` on the workspace's dataset."""
     path = cli_env["out"] / f"report_{mode}" / "report.json"
@@ -1131,7 +1250,8 @@ class TestReport:
         rc, _, err = run_cli("report", str(bad))
         assert rc == 2
         assert err == (
-            "error: malformed report: ValidationError: report n_samples must be >= 1\n"
+            "error: malformed report: ValidationError: n_samples must be >= 1, "
+            f"got {n_samples}\n"
         )
 
     @pytest.mark.parametrize("k", [0, 1, None], ids=["0", "1", "n_samples+1"])
@@ -1159,7 +1279,7 @@ class TestReport:
         rc, stdout, err = run_cli("report", str(bad))
         assert (rc, stdout) == (2, "")
         assert err == (
-            "error: malformed report: ValidationError: report seed -4 is below 0\n"
+            "error: malformed report: ValidationError: seed must be >= 0, got -4\n"
         )
 
 

@@ -7,6 +7,7 @@ import base64
 import dataclasses
 import json
 import math
+from typing import Annotated
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from eskin import (
     DatasetMeta,
     NonFiniteError,
+    ProtocolError,
     PipelineConfig,
     RunConfig,
     SingleForceProtocol,
@@ -25,7 +27,17 @@ from eskin import (
     save_pipeline,
     train,
 )
-from eskin.codec import dumps, from_dict, loads, to_dict
+from eskin.codec import (
+    NonNegativeInt,
+    Positive,
+    Range,
+    check_ranges,
+    dumps,
+    from_dict,
+    loads,
+    to_dict,
+)
+from eskin.errors import ConfigError, ValidationError
 from eskin.learners import (
     ForestConfig,
     GpHyper,
@@ -384,3 +396,88 @@ class TestStrictDecode:
     def test_record_that_is_not_an_object(self):
         with pytest.raises(TypeError, match="DatasetMeta: expected an object"):
             from_dict(DatasetMeta, [1])
+
+
+@dataclasses.dataclass(frozen=True)
+class Ranged:
+    """A record with a ranged field of each kind the codec walks."""
+
+    scale: Positive = 1.0
+    count: NonNegativeInt = 0
+    unit: Annotated[float, Range(ge=0, lt=1)] = 0.5
+    pair: tuple[Positive, Positive] | None = None
+    levels: tuple[Annotated[int, Range(ge=1, le=10)], ...] = ()
+
+    def __post_init__(self):
+        check_ranges(self, ConfigError)
+
+
+@dataclasses.dataclass(frozen=True)
+class Holder:
+    inner: Ranged
+    seed: NonNegativeInt = 0
+
+    __post_init__ = check_ranges
+
+
+class TestRanges:
+    """A Range is declared on a field's annotation and checked by
+    check_ranges: a float field must also be finite, an int is compared as
+    an int, and a nested record's refusal names the record's path."""
+
+    def test_ranged_field_is_read_and_written_as_its_scalar(self):
+        record = Holder(Ranged(scale=2, pair=(1.0, 3), levels=(1, 10)), seed=7)
+        d = to_dict(record)
+        assert d == {
+            "inner": {"scale": 2, "count": 0, "unit": 0.5, "pair": [1.0, 3],
+                      "levels": [1, 10]},
+            "seed": 7,
+        }
+        assert from_dict(Holder, json.loads(json.dumps(d))) == record
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"scale": 0.0}, "scale must be finite and > 0, got 0.0"),
+            ({"scale": math.nan}, "scale must be finite and > 0, got nan"),
+            ({"scale": math.inf}, "scale must be finite and > 0, got inf"),
+            ({"count": -1}, "count must be >= 0, got -1"),
+            ({"unit": 1.0}, "unit must be >= 0 and < 1, got 1.0"),
+            ({"pair": (1.0, 0.0)}, "pair[1] must be finite and > 0, got 0.0"),
+            ({"levels": (1, 11)}, "levels[1] must be >= 1 and <= 10, got 11"),
+            # a fixed tuple built directly: zip alone would drop the third item
+            ({"pair": (1.0, 2.0, 3.0)}, "pair must hold 2 items, got 3"),
+        ],
+    )
+    def test_out_of_range_raises_the_records_error(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            Ranged(**kwargs)
+        assert type(info.value) is ConfigError
+        assert str(info.value) == message
+
+    def test_huge_int(self):
+        # JSON ints have no size limit: no float holds this one
+        huge = 10**400
+        with pytest.raises(ConfigError, match="scale must be finite and > 0, got 1000"):
+            Ranged(scale=huge)
+        assert Ranged(count=huge).count == huge
+
+    def test_nested_refusal_names_its_path_and_keeps_its_class(self):
+        d = to_dict(Holder(Ranged()))
+        d["inner"]["levels"] = [0]
+        with pytest.raises(ConfigError) as info:
+            from_dict(Holder, d)
+        assert type(info.value) is ConfigError
+        assert str(info.value) == "inner: levels[0] must be >= 1 and <= 10, got 0"
+
+    def test_top_level_refusal_has_no_prefix(self):
+        d = to_dict(Holder(Ranged()))
+        d["seed"] = -1
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            from_dict(Holder, d)
+
+    def test_protocol_error_through_a_run_config(self):
+        d = to_dict(RunConfig())
+        d["two_protocol"]["node_axes"] = [1, 11]
+        with pytest.raises(ProtocolError, match=r"^two_protocol: node_axes\[1\] must"):
+            from_dict(RunConfig, d)

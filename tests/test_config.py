@@ -1,11 +1,15 @@
 """Run configuration loading, overrides, and seed threading."""
 
+import dataclasses
 import json
+import types
+import typing
 
 import pytest
 
 from eskin import (
     ConfigError,
+    EskinError,
     PipelineConfig,
     ProtocolError,
     RunConfig,
@@ -15,8 +19,10 @@ from eskin import (
     apply_seed,
     load_config,
 )
-from eskin.codec import from_dict, to_dict
+from eskin.codec import Range, from_dict, to_dict
 from eskin.config import ENV_CONFIG
+
+from .ranges import names_leaf, set_leaf, sweep_cases
 
 
 @pytest.fixture(autouse=True)
@@ -123,11 +129,14 @@ class TestOverrides:
         "override, error, message",
         [
             ({"single_protocol": {"reps_per_cell": 0}}, ProtocolError,
-             "reps_per_cell must be >= 1"),
+             "single_protocol: reps_per_cell must be >= 1, got 0"),
             ({"two_protocol": {"seed": -5}}, ProtocolError,
-             "two-force seed must be >= 0, got -5"),
-            ({"k_two": 1}, ConfigError, "fold counts must be >= 2"),
-            ({"pipeline": {"gp_cap": 0}}, ConfigError, "gp_cap must be >= 1"),
+             "two_protocol: seed must be >= 0, got -5"),
+            ({"k_two": 1}, ConfigError, "k_two must be >= 2, got 1"),
+            ({"pipeline": {"gp_cap": 0}}, ConfigError,
+             "pipeline: gp_cap must be >= 1, got 0"),
+            ({"pipeline": {"forest": {"n_trees": 0}}}, ConfigError,
+             "pipeline.forest: n_trees must be >= 1, got 0"),
         ],
     )
     def test_every_value_error_names_the_file(self, tmp_path, override, error, message):
@@ -153,3 +162,110 @@ class TestApplySeed:
         cfg = apply_seed(base, 5)
         assert cfg.k_single == 3
         assert cfg.out_dir == "x"
+
+
+# Every int and float leaf of a run config, with its range. A list item is
+# set inside the list its key names here, which is valid apart from it.
+CONFIG_LEAVES = [
+    ("model.baseline", float, "> 0"),
+    ("model.stretch_gain_x", float),
+    ("model.stretch_gain_y", float),
+    ("model.force_scale", float, "> 0"),
+    ("model.force_sat", float, "> 0"),
+    ("model.neighbor_decay", float, "> 0", "< 1"),
+    ("model.neighbor_reach", int, ">= 0"),
+    ("model.noise_sigma", float, ">= 0"),
+    ("model.edge_taper", float, ">= 0", "< 1"),
+    ("single_protocol.stretches[1]", float, ">= 1"),
+    ("single_protocol.forces[1]", float, ">= 0"),
+    ("single_protocol.reps_per_cell", int, ">= 1"),
+    ("single_protocol.seed", int, ">= 0"),
+    ("two_protocol.node_axes[1]", int, ">= 1", "<= 10"),
+    ("two_protocol.forces[1]", float, ">= 0"),
+    ("two_protocol.reps", int, ">= 1"),
+    ("two_protocol.seed", int, ">= 0"),
+    ("pipeline.svm.c", float, "> 0"),
+    ("pipeline.svm.gamma", float, "> 0"),
+    ("pipeline.svm.class_weights[0]", float, "> 0"),
+    ("pipeline.svm.class_weights[1]", float, "> 0"),
+    ("pipeline.svm.tol", float, "> 0"),
+    ("pipeline.forest.n_trees", int, ">= 1"),
+    ("pipeline.forest.max_depth", int, ">= 1"),
+    ("pipeline.forest.min_leaf", int, ">= 1"),
+    ("pipeline.forest.features_per_split", int, ">= 1"),
+    ("pipeline.forest.seed", int, ">= 0"),
+    ("pipeline.gp.length_scale", float, "> 0"),
+    ("pipeline.gp.signal_var", float, "> 0"),
+    ("pipeline.gp.noise_var", float, ">= 0"),
+    ("pipeline.gp_cap", int, ">= 1"),
+    ("pipeline.seed", int, ">= 0"),
+    ("k_single", int, ">= 2"),
+    ("k_two", int, ">= 2"),
+    ("seed", int, ">= 0"),
+]
+LISTS = {
+    "single_protocol.stretches": [1.0, 1.0],
+    "single_protocol.forces": [0.0, 0.0],
+    "two_protocol.node_axes": [5, 5],
+    "two_protocol.forces": [1.0, 1.0],
+    "pipeline.svm.class_weights": [1.0, 1.0],
+}
+
+
+class TestBoundarySweep:
+    """Each ranged leaf set to each bound, just outside a closed bound, to
+    1e308 and to a 400-digit int: a config holding a value outside the range
+    is refused with exit 1 and one line that names the leaf, and one inside
+    it loads. Before the ranges were declared on the fields, the 400-digit
+    int in a float leaf ended in an OverflowError traceback; every other
+    case had the exit code it has now."""
+
+    @pytest.mark.parametrize("path, value, accepted", sweep_cases(CONFIG_LEAVES))
+    def test_leaf(self, tmp_path, path, value, accepted):
+        override = {}
+        base = path.partition("[")[0]
+        if base in LISTS:
+            set_leaf(override, base, list(LISTS[base]))
+        set_leaf(override, path, value)
+        cfg = write_json(tmp_path / "cfg.json", override)
+        if accepted:
+            load_config(cfg)
+            return
+        with pytest.raises(EskinError) as info:
+            load_config(cfg)
+        assert info.value.exit_code == 1
+        assert names_leaf(str(info.value), f"invalid config file {cfg}: ", path)
+
+    def test_every_ranged_leaf_is_swept(self):
+        swept = {path.partition("[")[0] for path, *_ in CONFIG_LEAVES}
+        assert swept == {path for path, tp in scalar_leaves(RunConfig) if ranged(tp)}
+
+
+def scalar_leaves(cls: type, prefix: str = ""):
+    """(dotted path, annotation) of every scalar leaf of a record's
+    annotation tree, through nested records, ``X | None`` and tuple items,
+    which share their tuple's path."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    stack = [(f"{prefix}{f.name}", hints[f.name]) for f in dataclasses.fields(cls)]
+    while stack:
+        path, tp = stack.pop()
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        if dataclasses.is_dataclass(tp):
+            yield from scalar_leaves(tp, f"{path}.")
+        elif origin in (typing.Union, types.UnionType, tuple):
+            stack += [(path, a) for a in args if a not in (type(None), Ellipsis)]
+        else:
+            yield path, tp
+
+
+def ranged(tp) -> bool:
+    args = typing.get_args(tp)
+    return typing.get_origin(tp) is typing.Annotated and isinstance(args[1], Range)
+
+
+def test_no_unchecked_hyperparameter():
+    """Every int and float a run config holds, the pipeline's and each
+    learner's included, declares its Range, so no knob ships without one;
+    a bool or str leaf needs none."""
+    unchecked = [path for path, tp in scalar_leaves(RunConfig) if tp in (int, float)]
+    assert unchecked == []

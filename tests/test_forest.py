@@ -653,7 +653,7 @@ class TestMalformedNodeArrays:
             ({"is_split": np.array([[False, True], [False, False]])},
              r"split mask has shape \(2, 2\)"),
             ({"is_split": np.array([False, False, True, False])}, "not in queue order"),
-            ({"n_features": 0}, "n_features >= 1"),
+            ({"n_features": 0}, "n_features must be >= 1, got 0"),
             # leaf entries: one per leaf, each >= 1, summing to the entry count
             ({"leaf_entries": np.array([1, 1], np.int32)},
              r"leaf_entries are \(2,\), expected \(3,\)"),

@@ -105,7 +105,7 @@ def test_fit_recovers_exact_plane():
     [((1.0, np.nan), 0.0), ((np.inf,), 0.0), ((1.0,), -np.inf), ((1.0,), np.nan)],
 )
 def test_model_rejects_non_finite_coefficients(weights, intercept):
-    with pytest.raises(ValidationError, match="weights and intercept must be finite"):
+    with pytest.raises(ValidationError, match="(linear weights|intercept) must be finite"):
         LinearModel(weights=np.array(weights), intercept=intercept)
 
 

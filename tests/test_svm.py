@@ -222,23 +222,23 @@ class TestDeterminismAndSerialisation:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda d: d.update(bias=math.inf), "SVM bias must be finite"),
-            (lambda d: d.update(bias=math.nan), "SVM bias must be finite"),
+            (lambda d: d.update(bias=math.inf), "bias must be finite, got inf"),
+            (lambda d: d.update(bias=math.nan), "bias must be finite, got nan"),
             (lambda d: edit_array(d, "dual_coefs", lambda a: a.__setitem__(0, math.nan)),
              "SVM dual_coefs must be finite"),
             (lambda d: edit_array(d, "support_inputs",
                                   lambda a: a.__setitem__((0, 1), -math.inf)),
              "SVM support_inputs must be finite"),
-            (lambda d: d.update(kkt_gap=math.nan), "SVM kkt_gap must be finite"),
+            (lambda d: d.update(kkt_gap=math.nan), "kkt_gap must be finite, got nan"),
             (lambda d: d.update(kernel_gamma=-1.0), "kernel_gamma must be finite and > 0"),
             (lambda d: d.update(kernel_gamma=0), "kernel_gamma must be finite and > 0"),
             (lambda d: d.update(kernel_gamma=math.inf), "kernel_gamma must be finite"),
             (lambda d: d.update(kernel_gamma=math.nan), "kernel_gamma must be finite"),
-            (lambda d: d.update(iterations=-1), "SVM iterations must be >= 0"),
-            (lambda d: d.update(class_weights=[0, 1.0]), "SVM class_weights must be"),
-            (lambda d: d.update(class_weights=[1.0, -0.5]), "SVM class_weights must be"),
-            (lambda d: d.update(class_weights=[math.inf, 1.0]), "SVM class_weights"),
-            (lambda d: d.update(class_weights=[1.0, math.nan]), "SVM class_weights"),
+            (lambda d: d.update(iterations=-1), "iterations must be >= 0, got -1"),
+            (lambda d: d.update(class_weights=[0, 1.0]), r"class_weights\[0\] must be"),
+            (lambda d: d.update(class_weights=[1.0, -0.5]), r"class_weights\[1\] must be"),
+            (lambda d: d.update(class_weights=[math.inf, 1.0]), r"class_weights\[0\]"),
+            (lambda d: d.update(class_weights=[1.0, math.nan]), r"class_weights\[1\]"),
         ],
     )
     def test_from_dict_rejects_invalid_values(self, edit, match):
