@@ -220,21 +220,27 @@ class MetricsReport:
         if not self.notes:
             raise ValidationError("report has no notes")
         values = [
-            (f"{where}.{name}", name, value)
-            for where in ("pooled", "fold_mean", "per_fold")
+            (where, name, value)
+            for where in ("pooled", "fold_mean", "per_fold", "fold_std")
             for name, named in getattr(self, where).items()
             for value in (named if where == "per_fold" else (named,))
         ]
-        for path, name, value in values:
+        for where, name, value in values:
+            path = f"{where}.{name}"
+            try:   # a JSON int can be one that no float holds
+                float(value)
+            except OverflowError:
+                raise ValidationError(f"report {path} is too large for a float")
+            # a NaN passes here: the JSON writer refuses it, as exit 3
+            if where == "fold_std":
+                if value < 0:
+                    raise ValidationError(f"report {path} {value} is below 0")
+                continue
             for part, low, high in _RANGES:
-                # a NaN passes here: the JSON writer refuses it, as exit 3
                 if part in name and (value < low or value > high):
                     raise ValidationError(
                         f"report {path} {value} is outside [{low:g}, {high:g}]"
                     )
-        for name, value in self.fold_std.items():
-            if value < 0:
-                raise ValidationError(f"report fold_std.{name} {value} is below 0")
         cms = sorted(self.confusions.items())
         first, first_cm = cms[0]
         single = self.mode == SCHEMA_SINGLE

@@ -7,6 +7,10 @@ The model standardises its inputs with its own scaler, fitted on the
 training rows. Training cost is cubic, so fits above ``cap`` rows run on a
 seeded uniform subsample.
 
+The Cholesky factor overwrites the kernel matrix it factors, so two n x n
+buffers are live at a fit's peak: the kernel, which becomes L, and LAPACK's
+working copy. The two solves for alpha peak at two as well.
+
 The fit's Gram matrix, ``GpModel.chol`` and ``gp_predict`` share one kernel,
 ``rbf_kernel``, which works in one buffer: the (n, n_train) array that its
 single ``a @ b.T`` call returns is doubled, subtracted from the outer norm
@@ -34,10 +38,14 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from ..codec import FloatArray, NonNegative, Positive, check_ranges, fields_equal
+from ..codec import (
+    FloatArray, NonNegative, Positive, Range, check_ranges, fields_equal,
+)
 from ..errors import FactorizationError, ValidationError
 from .linear import _check_xy
 from .preprocess import Standardizer
@@ -47,7 +55,9 @@ from .preprocess import Standardizer
 class GpHyper:
     """Kernel and noise hyperparameters."""
 
-    length_scale: Positive = 2.0
+    # rbf_kernel divides by 2 length_scale**2, which overflows above about
+    # 9.5e153
+    length_scale: Annotated[float, Range(gt=0, le=1e150)] = 2.0
     signal_var: Positive = 1.0
     noise_var: NonNegative = 1e-4
 
@@ -126,12 +136,16 @@ def rbf_kernel(
 
 
 def _factor(train_inputs: np.ndarray, hyper: GpHyper) -> np.ndarray:
-    """Lower Cholesky factor of k(X, X) + noise_var * I."""
+    """Lower Cholesky factor of k(X, X) + noise_var * I, in the kernel's
+    own buffer: ``np.linalg.cholesky`` runs the same gufunc into a fresh
+    array. A failed factor sets the invalid flag; like numpy's wrapper, this
+    ignores every other flag."""
     k = rbf_kernel(train_inputs, train_inputs, hyper.length_scale, hyper.signal_var)
     k[np.diag_indices_from(k)] += hyper.noise_var
     try:
-        return np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
+        with np.errstate(all="ignore", invalid="raise"):
+            return _umath_linalg.cholesky_lo(k, signature="d->d", out=k)
+    except FloatingPointError:
         raise FactorizationError(
             "kernel matrix is not positive definite "
             "(duplicate inputs with zero noise?); add jitter via noise_var"

@@ -41,7 +41,7 @@ from .entry_point import (
     parse_scripts_table,
 )
 from .payloads import edit_array
-from .ranges import names_leaf, set_leaf, sweep_cases
+from .ranges import HUGE, names_leaf, set_leaf, sweep_cases
 
 MALFORMED = "error: malformed model bundle: "
 NOT_JSON = "error: model bundle is not valid JSON: "
@@ -1124,7 +1124,7 @@ BUNDLE_LEAVES = [
     ("detector.class_weights[1]", float, "> 0"),
     ("detector.iterations", int, ">= 0"),
     ("detector.kkt_gap", float),
-    ("force_model.hyper.length_scale", float, "> 0"),
+    ("force_model.hyper.length_scale", float, "> 0", "<= 1e150"),
     ("force_model.hyper.signal_var", float, "> 0"),
     ("force_model.hyper.noise_var", float, ">= 0"),
     ("stretch_model.intercept", float),
@@ -1348,6 +1348,23 @@ class TestReportValueRanges:
         self.assert_refused(
             self.run_edited(cli_env, tmp_path, mode, where, name, value),
             f"{where}.{name} {value} is outside [-inf, 1]",
+        )
+
+    @pytest.mark.parametrize(
+        "mode, where, name, value",
+        [
+            ("single", "pooled", "stretch_mse", HUGE),
+            ("single", "per_fold", "force_r2", -HUGE),
+            ("single", "fold_mean", "detection_accuracy", HUGE),
+            ("two", "fold_std", "force1_r2", HUGE),
+        ],
+        ids=["pooled", "per_fold", "fold_mean", "fold_std"],
+    )
+    def test_value_no_float_holds(self, cli_env, tmp_path, mode, where, name, value):
+        # used to end in an OverflowError traceback while formatting
+        self.assert_refused(
+            self.run_edited(cli_env, tmp_path, mode, where, name, value),
+            f"{where}.{name} is too large for a float",
         )
 
     def test_negative_r2_loads(self, cli_env, tmp_path):

@@ -194,7 +194,7 @@ CONFIG_LEAVES = [
     ("pipeline.forest.min_leaf", int, ">= 1"),
     ("pipeline.forest.features_per_split", int, ">= 1"),
     ("pipeline.forest.seed", int, ">= 0"),
-    ("pipeline.gp.length_scale", float, "> 0"),
+    ("pipeline.gp.length_scale", float, "> 0", "<= 1e150"),
     ("pipeline.gp.signal_var", float, "> 0"),
     ("pipeline.gp.noise_var", float, ">= 0"),
     ("pipeline.gp_cap", int, ">= 1"),

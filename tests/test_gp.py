@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,59 @@ class TestInPlaceKernel:
         finally:
             tracemalloc.stop()
         assert peak <= n * n * 8 + (1 << 20)   # the out-of-place formula took three
+
+
+# Prints, for each kernel, whether ``_factor`` gives np.linalg.cholesky's bits.
+_FACTOR_BITS = """
+import numpy as np
+from eskin.learners import gp
+rng = np.random.default_rng(7)
+for n, d, hyper in (
+    (3, 1, gp.GpHyper()),
+    (64, 4, gp.GpHyper(length_scale=0.6, signal_var=2.5, noise_var=1e-2)),
+    (400, 20, gp.GpHyper(length_scale=1.0)),
+    (2000, 20, gp.GpHyper(length_scale=1.0, signal_var=1.3, noise_var=1e-3)),
+):
+    x = rng.normal(size=(n, d))
+    k = gp.rbf_kernel(x, x, hyper.length_scale, hyper.signal_var)
+    k[np.diag_indices_from(k)] += hyper.noise_var
+    print(n, np.linalg.cholesky(k).tobytes() == gp._factor(x, hyper).tobytes())
+"""
+
+
+class TestInPlaceFactor:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bits_of_numpy_cholesky(self, threads):
+        # the BLAS thread count is read once, at import: a fresh interpreter
+        env = eskin_env() | {"OPENBLAS_NUM_THREADS": threads}
+        res = subprocess.run(
+            [sys.executable, "-c", _FACTOR_BITS], env=env, capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["3", "True", "64", "True", "400", "True",
+                                      "2000", "True"]
+
+    def test_not_positive_definite_raises_without_a_warning(self, rng):
+        x = np.repeat(rng.normal(size=(20, 3)), 2, axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationError, match=(
+                r"^kernel matrix is not positive definite \(duplicate inputs with "
+                r"zero noise\?\); add jitter via noise_var$"
+            )):
+                gp_fit(x, rng.normal(size=40), GpHyper(noise_var=0.0))
+
+    def test_fit_peaks_at_the_kernel_buffer(self, rng):
+        n = 1000
+        x, y = rng.normal(size=(n, 20)), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            gp_fit(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a fresh factor beside the kernel took 2.04
+        assert peak < 1.25 * n * n * 8
 
 
 class TestGpHyper:

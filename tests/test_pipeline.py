@@ -462,7 +462,7 @@ class TestBundles:
         def refuse(*args, **kwargs):
             raise AssertionError("serving factorised the GP kernel")
 
-        monkeypatch.setattr(gp_module.np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(gp_module, "_factor", refuse)
         x = small_single_ds.features()[:30]
         a = predict_batch(trained_single, x)
         b = predict_batch(back, x)
