@@ -7,16 +7,20 @@ The model standardises its inputs with its own scaler, fitted on the
 training rows. Training cost is cubic, so fits above ``cap`` rows run on a
 seeded uniform subsample.
 
-The Cholesky factor overwrites the kernel matrix it factors, so two n x n
-buffers are live at a fit's peak: the kernel, which becomes L, and LAPACK's
-working copy. The two solves for alpha peak at two as well.
+The kernel matrix is built a panel of rows at a time, the Cholesky factor
+overwrites it, and the forward and back substitutions for alpha and the std
+need no matrix of their own, so one n x n buffer is live at a fit's peak.
+All three sum each element in one order at any BLAS thread count, so a fit,
+and with it a model bundle, has the same bytes at every
+``OPENBLAS_NUM_THREADS`` (shown for one OpenBLAS build); serving's
+matrix-vector products do not yet.
 
-The fit's Gram matrix, ``GpModel.chol`` and ``gp_predict`` share one kernel,
-``rbf_kernel``, which works in one buffer: the (n, n_train) array that its
-single ``a @ b.T`` call returns is doubled, subtracted from the outer norm
-sum, clamped, scaled and exponentiated in place, a cache-sized block of rows
-at a time. Each step is the float operation of the textbook formula in the
-same order, so the bits are too.
+The fit's kernel blocks and ``gp_predict`` share one kernel, ``rbf_kernel``,
+which works in one buffer: the array that its single ``a @ b.T`` call
+returns is doubled, subtracted from the outer norm sum, clamped, scaled and
+exponentiated in place, a cache-sized block of rows at a time. Each step is
+the float operation of the textbook formula in the same order, so the bits
+are too.
 
 An (n, k) target fits k outputs that share the training rows, the scaler and
 the factor (Rasmussen & Williams 2006, eq. 2.30). Each output keeps a 1-d
@@ -41,7 +45,6 @@ from functools import cached_property
 from typing import Annotated
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from ..codec import (
     FloatArray, NonNegative, Positive, Range, check_ranges, fields_equal,
@@ -56,8 +59,8 @@ class GpHyper:
     """Kernel and noise hyperparameters."""
 
     # rbf_kernel divides by 2 length_scale**2, which overflows above about
-    # 9.5e153
-    length_scale: Annotated[float, Range(gt=0, le=1e150)] = 2.0
+    # 9.5e153 and underflows below about 1e-154
+    length_scale: Annotated[float, Range(ge=1e-150, le=1e150)] = 2.0
     signal_var: Positive = 1.0
     noise_var: NonNegative = 1e-4
 
@@ -69,6 +72,12 @@ class GpHyper:
 # stream from memory. A 656 x 2 000 GP kernel took 6.1 ms against 9.8 ms
 # unblocked (2-vCPU Xeon, 2 MB L2 a core). Blocks never split a BLAS call.
 _BLOCK_BYTES = 256 << 10
+
+# Rows of a panel of the GP fit's kernel, factor and triangular solves. The
+# order of their sums depends on it, so the factor's and alpha's bits do
+# too: a new value is a deliberate change of force bits. gp_fit at 2 000 rows
+# took 0.14-0.18 s at 128, as at 64, and 0.17-0.25 s at 256 (2-vCPU Xeon).
+_PANEL = 128
 
 
 def distance_kernel(
@@ -135,21 +144,81 @@ def rbf_kernel(
     return distance_kernel(a, b, b_sq, finish)
 
 
+def _panels(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each panel of ``_PANEL`` rows, the short one first,
+    so that every later panel is full and the columns right of any panel
+    are a whole number of panels wide (see ``_factor``)."""
+    first = n % _PANEL or _PANEL
+    return [(0, first)] + [(j, j + _PANEL) for j in range(first, n, _PANEL)]
+
+
 def _factor(train_inputs: np.ndarray, hyper: GpHyper) -> np.ndarray:
-    """Lower Cholesky factor of k(X, X) + noise_var * I, in the kernel's
-    own buffer: ``np.linalg.cholesky`` runs the same gufunc into a fresh
-    array. A failed factor sets the invalid flag; like numpy's wrapper, this
-    ignores every other flag."""
-    k = rbf_kernel(train_inputs, train_inputs, hyper.length_scale, hyper.signal_var)
-    k[np.diag_indices_from(k)] += hyper.noise_var
-    try:
-        with np.errstate(all="ignore", invalid="raise"):
-            return _umath_linalg.cholesky_lo(k, signature="d->d", out=k)
-    except FloatingPointError:
-        raise FactorizationError(
-            "kernel matrix is not positive definite "
-            "(duplicate inputs with zero noise?); add jitter via noise_var"
-        )
+    """Lower Cholesky factor L of k(X, X) + noise_var * I, a view of the one
+    n x n buffer that holds the kernel and then U = L^T.
+
+    The kernel's upper triangle is filled one panel of rows at a time: the
+    diagonal block, then the columns to its right. U replaces it panel by
+    panel (Golub & Van Loan, Matrix Computations, sec. 4.2): one GEMM per
+    earlier panel subtracts that panel's part from the panel's rows; then
+    each row subtracts the part of the panel rows above it by a fixed-order
+    ``einsum``, takes its square-root pivot, is scaled, and has its left
+    part zeroed. The temporaries are a panel high.
+
+    The bits do not depend on the BLAS thread count (shown for OpenBLAS
+    0.3.31 at 1 and 2 threads and 20 input columns). OpenBLAS cuts a GEMM's
+    inner dimension into thread-dependent blocks above its GEMM_Q (384
+    here), and splits some outputs unevenly between threads, whose parts
+    round differently (a whole 900 x 900 kernel did). Every GEMM here spans
+    at most a panel of inner dimension, and each output is at most a panel
+    high and a whole number of panels wide, or a diagonal block: shapes
+    that rounded alike at 1 and 2 threads in every size tried.
+    """
+    x, n = train_inputs, len(train_inputs)
+    k = np.zeros((n, n))
+    panels = _panels(n)
+    for j, e in panels:
+        k[j:e, j:e] = rbf_kernel(x[j:e], x[j:e], hyper.length_scale, hyper.signal_var)
+        if e < n:
+            k[j:e, e:] = rbf_kernel(x[j:e], x[e:], hyper.length_scale, hyper.signal_var)
+    k[np.diag_indices(n)] += hyper.noise_var
+    with np.errstate(all="ignore"):
+        for t, (j, e) in enumerate(panels):
+            for p, q in panels[:t]:
+                k[j:e, j:] -= k[p:q, j:e].T @ k[p:q, j:]
+            for i in range(j, e):
+                row = k[i, i:]
+                row -= np.einsum("p,pq->q", k[j:i, i], k[j:i, i:])
+                if not row[0] > 0:   # NaN too, as LAPACK's potrf
+                    raise FactorizationError(
+                        "kernel matrix is not positive definite "
+                        "(duplicate inputs with zero noise?); add jitter via noise_var"
+                    )
+                row[0] = math.sqrt(row[0])
+                row[1:] /= row[0]
+                k[i, j:i] = 0.0
+    return k.T
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z with L z = b for a lower triangular L and an (n,) or (n, m) b, by
+    forward substitution: per panel of rows one product with the rows
+    above, then row steps of a fixed-order ``einsum``. A vector's product
+    is an ``einsum`` too: a GEMV's sums split with the BLAS thread count."""
+    u = chol.T
+    z = np.array(b, dtype=float)
+    for j, e in _panels(len(z)):
+        above = u[:j, j:e]
+        z[j:e] -= above.T @ z[:j] if z.ndim == 2 else np.einsum("pq,p->q", above, z[:j])
+        for i in range(j, e):
+            z[i] -= np.einsum("p,p...->...", u[j:i, i], z[j:i])
+            z[i] /= u[i, i]
+    return z
+
+
+def _solve_upper(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a with L^T a = z: forward substitution on the system with its rows
+    and columns reversed, which makes L^T lower triangular."""
+    return _solve_lower(chol.T[::-1, ::-1], z[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -225,10 +294,8 @@ def gp_fit(
     chol = _factor(xt, hyper)
     targets = np.ascontiguousarray(np.atleast_2d(y.T))   # one row per output
     offsets = np.array([t.mean() for t in targets])
-    # kept general solves: solve_triangular moves alpha in the last bits,
-    # which would change the bytes of report.json for a given seed
     alpha = np.array([
-        np.linalg.solve(chol.T, np.linalg.solve(chol, t - offset))
+        _solve_upper(chol, _solve_lower(chol, t - offset))
         for t, offset in zip(targets, offsets)
     ])
     model = GpModel(
@@ -268,9 +335,7 @@ def gp_predict(
     mean = (ks @ a if a.ndim == 1 else np.array([ks @ r for r in a]).T) + offset
     if not std:
         return mean, None
-    # numpy has no triangular solve; a general one keeps scipy out of the
-    # dependencies, and no artifact holds a std
-    v = np.linalg.solve(model.chol, ks.T)
+    v = _solve_lower(model.chol, ks.T)
     var = model.hyper.signal_var - np.sum(v * v, axis=0)
     np.maximum(var, 0.0, out=var)
     return mean, np.sqrt(var)

@@ -1,10 +1,12 @@
 """End-to-end command-line behaviour: happy paths, exit codes, and output
-artifacts. Commands run in-process through main(); one smoke test runs the
-entry point declared in pyproject.toml in a fresh interpreter, as the
-installed console script would."""
+artifacts. Commands run in-process through main(); the tests that need a
+fresh interpreter (a smoke test, a BLAS thread count) run the entry point
+declared in pyproject.toml, as the installed console script would."""
 
+import ast
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -14,6 +16,7 @@ import shutil
 import subprocess
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +320,37 @@ class TestTrain:
         assert d["pipeline"]["mode"] == "single"
         # every contact row fits under the default gp_cap, so no note
         assert cli_env["train_single_stderr"] == ""
+
+    @pytest.mark.parametrize(
+        "mode, reps", [("single", None), ("single", "1"), ("two", None)]
+    )
+    def test_bundle_bytes_do_not_depend_on_the_blas_thread_count(
+        self, tmp_path, mode, reps
+    ):
+        """``generate`` and ``train`` of seed 0 at 1 and 2 OpenBLAS threads
+        write the same bytes: the fit sums in an order of its own (one rep
+        fits the GP on fewer rows than its cap). A report still differs by
+        thread count, because serving multiplies with BLAS calls whose sums
+        do, and this shows invariance only for this OpenBLAS build, not
+        across BLAS libraries."""
+        written = []
+        for threads in ("1", "2"):
+            # the BLAS thread count is read once, at import: a fresh interpreter
+            env = eskin_env() | {"OPENBLAS_NUM_THREADS": threads}
+            data, bundle = tmp_path / f"{threads}.csv", tmp_path / f"{threads}.json"
+            for argv in (
+                ("generate", "--mode", mode, "--seed", "0", "--out", str(data))
+                + (("--reps", reps) if reps else ()),
+                ("train", str(data), "--seed", "0", "--out", str(bundle)),
+            ):
+                proc = subprocess.run(
+                    eskin_command(*argv), env=env, capture_output=True, text=True,
+                    timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+            written.append([hashlib.sha256(f.read_bytes()).hexdigest()
+                            for f in (data, bundle)])
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize(
         "mode, notes",
@@ -1124,7 +1158,7 @@ BUNDLE_LEAVES = [
     ("detector.class_weights[1]", float, "> 0"),
     ("detector.iterations", int, ">= 0"),
     ("detector.kkt_gap", float),
-    ("force_model.hyper.length_scale", float, "> 0", "<= 1e150"),
+    ("force_model.hyper.length_scale", float, ">= 1e-150", "<= 1e150"),
     ("force_model.hyper.signal_var", float, "> 0"),
     ("force_model.hyper.noise_var", float, ">= 0"),
     ("stretch_model.intercept", float),
@@ -1697,3 +1731,25 @@ class TestUsage:
         assert parse_scripts_table(
             '[project.scripts]\n"a-b" = \'m.n:f\'  # c\n\n[tool.x]\nz = "q:r"\n'
         ) == {"a-b": "m.n:f"}
+
+
+class TestDependencies:
+    def test_no_private_numpy_module(self):
+        # pyproject declares numpy>=1.24: a private module (numpy.linalg's
+        # gufuncs and their signatures among them) is no API across versions
+        src = Path(evalkit.__file__).resolve().parent
+        private = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                private += [
+                    (path.name, name) for name in names
+                    if name.split(".")[0] == "numpy"
+                    and any(part.startswith("_") for part in name.split(".")[1:])
+                ]
+        assert not private

@@ -3,6 +3,7 @@ dense-inverse reference, and the likelihood-driven grid search."""
 
 import dataclasses
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -122,35 +123,102 @@ class TestInPlaceKernel:
         assert peak <= n * n * 8 + (1 << 20)   # the out-of-place formula took three
 
 
-# Prints, for each kernel, whether ``_factor`` gives np.linalg.cholesky's bits.
-_FACTOR_BITS = """
+# (n, d, length_scale, signal_var, noise_var) of the factor tests: one row,
+# rows below a panel, a one-row panel before full ones, a size whose whole
+# x @ x.T rounds differently at 1 and 2 OpenBLAS threads, and the 2 000-row
+# cap
+FACTOR_KERNELS = [
+    (1, 1, 2.0, 1.0, 1e-4),
+    (3, 1, 2.0, 1.0, 1e-4),
+    (64, 4, 0.6, 2.5, 1e-2),
+    (gp_module._PANEL + 1, 3, 1.0, 1.0, 1e-2),
+    (400, 20, 1.0, 1.0, 1e-4),
+    (900, 20, 1.0, 1.0, 1e-3),
+    (2000, 20, 1.0, 1.3, 1e-3),
+]
+
+
+def _factor_case(n, d, *hyper):
+    """Inputs, target and hyperparameters of one FACTOR_KERNELS row."""
+    rng = np.random.default_rng(n)
+    return rng.normal(size=(n, d)), rng.normal(size=n), GpHyper(*hyper)
+
+
+# Prints the sha256 of each FACTOR_KERNELS fit's factor and alpha, drawn as
+# _factor_case draws them.
+_FACTOR_DIGESTS = f"""
+import hashlib
 import numpy as np
-from eskin.learners import gp
-rng = np.random.default_rng(7)
-for n, d, hyper in (
-    (3, 1, gp.GpHyper()),
-    (64, 4, gp.GpHyper(length_scale=0.6, signal_var=2.5, noise_var=1e-2)),
-    (400, 20, gp.GpHyper(length_scale=1.0)),
-    (2000, 20, gp.GpHyper(length_scale=1.0, signal_var=1.3, noise_var=1e-3)),
-):
-    x = rng.normal(size=(n, d))
-    k = gp.rbf_kernel(x, x, hyper.length_scale, hyper.signal_var)
-    k[np.diag_indices_from(k)] += hyper.noise_var
-    print(n, np.linalg.cholesky(k).tobytes() == gp._factor(x, hyper).tobytes())
+from eskin.learners import GpHyper, gp_fit
+for n, d, *hyper in {FACTOR_KERNELS!r}:
+    rng = np.random.default_rng(n)
+    model = gp_fit(rng.normal(size=(n, d)), rng.normal(size=n), GpHyper(*hyper))
+    print(hashlib.sha256(model.chol.tobytes() + model.alpha.tobytes()).hexdigest())
+"""
+
+# Prints how far the peak RSS grows across one gp_fit at n = 2 000, in
+# n^2 * 8 bytes. It reads VmHWM, the peak of this process image: across
+# fork and exec, Linux carries the parent's peak into ru_maxrss, so a child
+# of a large test process would read growth 0.
+_FIT_RSS = """
+import numpy as np
+from eskin.learners import gp_fit
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(row.split()[1]) for row in status if row.startswith("VmHWM:"))
+
+rng = np.random.default_rng(0)
+n = 2000
+gp_fit(rng.normal(size=(300, 20)), rng.normal(size=300))   # first-use set-up
+x, y = rng.normal(size=(n, 20)), rng.normal(size=n)
+before = peak_kb()
+gp_fit(x, y)
+print((peak_kb() - before) * 1024 / (n * n * 8))
 """
 
 
+def _run(code, threads="1"):
+    # the BLAS thread count is read once, at import: a fresh interpreter
+    env = eskin_env() | {"OPENBLAS_NUM_THREADS": threads}
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
 class TestInPlaceFactor:
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_bits_of_numpy_cholesky(self, threads):
-        # the BLAS thread count is read once, at import: a fresh interpreter
-        env = eskin_env() | {"OPENBLAS_NUM_THREADS": threads}
-        res = subprocess.run(
-            [sys.executable, "-c", _FACTOR_BITS], env=env, capture_output=True, text=True
+    """The panel factor and its substitutions: the bits of a fixed order,
+    LAPACK's values, and one n x n buffer."""
+
+    def test_bits_do_not_depend_on_the_thread_count(self):
+        ones = _run(_FACTOR_DIGESTS, "1")
+        assert len(ones) == len(FACTOR_KERNELS)
+        assert _run(_FACTOR_DIGESTS, "2") == ones
+
+    @pytest.mark.parametrize("row", FACTOR_KERNELS, ids=lambda row: f"n{row[0]}")
+    def test_matches_lapack_and_a_dense_solve(self, row):
+        x, y, hyper = _factor_case(*row)
+        model = gp_fit(x, y, hyper)
+        k = rbf_kernel(
+            model.train_inputs, model.train_inputs, hyper.length_scale, hyper.signal_var
         )
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["3", "True", "64", "True", "400", "True",
-                                      "2000", "True"]
+        k[np.diag_indices_from(k)] += hyper.noise_var
+        want_chol = np.linalg.cholesky(k)
+        want_alpha = np.linalg.solve(k, y - y.mean())
+        chol = model.chol
+        assert np.max(np.abs(chol - want_chol)) <= 1e-12 * np.max(np.abs(want_chol))
+        assert np.max(np.abs(model.alpha - want_alpha)) <= 1e-12 * np.max(
+            np.abs(want_alpha)
+        )
+        assert not np.triu(chol, 1).any()   # exact zeros above the diagonal
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux")
+    def test_fit_rss_grows_by_one_kernel_buffer(self):
+        # LAPACK's work copy is malloc'd where tracemalloc does not see it;
+        # the RSS does (the LAPACK factor and LU solves grew it by 2.2)
+        assert float(_run(_FIT_RSS)[0]) < 1.3
 
     def test_not_positive_definite_raises_without_a_warning(self, rng):
         x = np.repeat(rng.normal(size=(20, 3)), 2, axis=0)
